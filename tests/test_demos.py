@@ -1,0 +1,24 @@
+"""Every narrative script under demos/ runs to completion against src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                         env=env, cwd=ROOT, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip()
+
+
+def test_demos_exist():
+    assert DEMOS
