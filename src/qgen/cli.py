@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import classical, verify as verify_mod
 from .padic import (
@@ -48,15 +48,6 @@ from .qgenocchi import QGenocchiSpec, qgenocchi, qgenocchi_hk, qgenocchi_hk_seri
 class UsageError(Exception):
     """Malformed query: wrong flags for the family or mode."""
 
-
-DEFAULTS = {
-    "p": 3,
-    "N": 2,
-    "M": 400,
-    "term_budget": 100000,
-    "cesaro_tol": Fraction(1, 1000),
-    "table_budget": 10000,
-}
 
 FAMILIES = [
     "qnum", "qbinom", "euler", "genocchi", "bernoulli", "frobenius",
@@ -181,14 +172,114 @@ def serialize_value(v):
     return rat_str(v)
 
 
+def _order(params: dict) -> int:
+    return _int_param(params, "k", 1) if "k" in params else 1
+
+
+def _euler_spec(params: dict) -> QEulerSpec:
+    return QEulerSpec(m=_int_param(params, "m"), h=params["h"], k=_order(params),
+                      x=_int_param(params, "x") if "x" in params else 0,
+                      w=params.get("w", Fraction(1)))
+
+
+def _genocchi_spec(params: dict) -> QGenocchiSpec:
+    return QGenocchiSpec(n=_int_param(params, "n"), h=params["h"], k=_order(params),
+                         w=params.get("w", Fraction(1)))
+
+
+def _twist(params: dict) -> tuple[int, Fraction]:
+    return _int_param(params, "n"), params["w"]
+
+
+class QFamily(NamedTuple):
+    """How one q-family maps onto the q-Euler closed form.
+
+    `spec` builds the family's parameters from the query and `closed`
+    evaluates them through the family's public closed form.  `kernel` maps
+    them to the q-Euler parameters and integer scale that the p-adic and
+    series routes use, or to None where the value vanishes identically.
+    `classical` answers exact mode without --q, where the family allows it.
+    `gauss_series` is the Gaussian-weight series route; without it the
+    series mode sums the k-variable box of `real_series`.  A Genocchi
+    family (`scaled`) reports the scale it applies to an oracle sum."""
+
+    flags: tuple[str, ...]
+    spec: Callable
+    closed: Callable
+    kernel: Callable
+    classical: Callable | None = None
+    gauss_series: Callable | None = None
+    scaled: bool = False
+
+
+# The lambdas look the public functions up at call time, so a caller that
+# rebinds a module-level name (a profiler, a test double) sees every call.
+Q_FAMILIES = {
+    "qeuler": QFamily(
+        flags=("m", "h"), spec=_euler_spec,
+        closed=lambda s, qv: qeuler_hk(s, qv),
+        kernel=lambda s: (s, 1),
+        gauss_series=lambda s, qv, sp: qeuler_hk_series(s, qv, sp)),
+    "qgenocchi": QFamily(
+        flags=("n", "h"), spec=_genocchi_spec,
+        closed=lambda s, qv: qgenocchi_hk(s, qv),
+        kernel=lambda s: (s.euler_spec(), s.scale),
+        gauss_series=lambda s, qv, sp: qgenocchi_hk_series(s, qv, sp),
+        scaled=True),
+    "twisted-euler": QFamily(
+        flags=("n", "w"), spec=_twist,
+        closed=lambda s, qv: qeuler_twisted(s[0], s[1], qv),
+        kernel=lambda s: (QEulerSpec(m=s[0], h=1, k=1, w=s[1]), 1),
+        classical=lambda s: classical.twisted_euler_classical(*s)),
+    "twisted-genocchi": QFamily(
+        flags=("n", "w"), spec=_twist,
+        closed=lambda s, qv: qgenocchi_twisted(s[0], qv, s[1]),
+        kernel=lambda s: (QEulerSpec(m=s[0] - 1, h=1, k=1, w=s[1]), s[0]) if s[0] else None,
+        classical=lambda s: classical.twisted_genocchi_classical(*s),
+        scaled=True),
+}
+
+
+def _dispatch_q_family(fam: QFamily, params: dict, mode: str, qv, cfg: Config, series_mode):
+    _require(params, *fam.flags)
+    spec = fam.spec(params)
+    if mode == "symbolic":
+        return fam.closed(spec, None), {}
+    if mode == "exact" and "q" not in params and fam.classical:
+        return fam.classical(spec), {}
+    _require(params, "q")
+    if mode == "exact":
+        return fam.closed(spec, qv), {}
+    kernel = fam.kernel(spec)
+    if kernel is None:
+        return Fraction(0), {}
+    espec, scale = kernel
+    f = QBracketMonomial(m=espec.m, k=espec.k, h=espec.h, w=espec.w, x=espec.x)
+    scale_meta = {"scale": str(scale)} if fam.scaled else {}
+    if mode == "padic":
+        pp = PadicParams(params.get("p", cfg.p), params.get("N", cfg.N))
+        meta = {"p": pp.p, "N": pp.N, **scale_meta}
+        return scale * fermionic_sum(f, qv, pp, cfg.term_budget), meta
+    if fam.gauss_series:
+        sp = _series_params(params, cfg, "cesaro1" if abs(espec.w) == 1 else "direct",
+                            series_mode)
+        value, bound = fam.gauss_series(spec, qv, sp)
+        meta = {"truncation": sp.M, "series_mode": sp.mode}
+    else:
+        sp = _series_params(params, cfg, "direct", series_mode)
+        value, bound = real_series(f, qv, sp, cfg.term_budget)
+        value, bound = scale * value, scale * bound
+        meta = {"truncation": sp.M, "series_mode": sp.mode, **scale_meta}
+    meta["tail_bound" if sp.mode == "direct" else "smoothing_gap"] = rat_str(bound)
+    return value, meta
+
+
 def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None):
     """Compute one family value; returns (value, meta)."""
     meta: dict = {}
     qv = params.get("q")
     if mode == "symbolic":
         qv = None
-    elif family.startswith("q") or family.startswith("twisted") or family == "gf":
-        pass  # q handled per family below
 
     if family == "qnum":
         _require(params, "n")
@@ -232,111 +323,8 @@ def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None
             return classical.frobenius_euler_poly(n, params["u"])(params["x"]), meta
         return classical.frobenius_euler(n, params["u"]), meta
 
-    if family == "qeuler":
-        _require(params, "m", "h")
-        spec = QEulerSpec(
-            m=_int_param(params, "m"),
-            h=params.get("h", 0),
-            k=_int_param(params, "k", 1) if "k" in params else 1,
-            x=_int_param(params, "x") if "x" in params else 0,
-            w=params.get("w", Fraction(1)),
-        )
-        if mode == "symbolic":
-            return qeuler_hk(spec), meta
-        if mode == "exact":
-            _require(params, "q")
-            return qeuler_hk(spec, qv), meta
-        if mode == "padic":
-            _require(params, "q")
-            pp = PadicParams(params.get("p", cfg.p), params.get("N", cfg.N))
-            f = QBracketMonomial(m=spec.m, k=spec.k, h=spec.h, w=spec.w, x=spec.x)
-            meta = {"p": pp.p, "N": pp.N}
-            return fermionic_sum(f, qv, pp, cfg.term_budget), meta
-        _require(params, "q")
-        sp = _series_params(params, cfg, "cesaro1" if abs(spec.w) == 1 else "direct", series_mode)
-        value, bound = qeuler_hk_series(spec, qv, sp)
-        meta = {"truncation": sp.M, "series_mode": sp.mode,
-                ("tail_bound" if sp.mode == "direct" else "smoothing_gap"): rat_str(bound)}
-        return value, meta
-
-    if family == "qgenocchi":
-        _require(params, "n", "h")
-        spec = QGenocchiSpec(
-            n=_int_param(params, "n"),
-            h=params.get("h", 0),
-            k=_int_param(params, "k", 1) if "k" in params else 1,
-            w=params.get("w", Fraction(1)),
-        )
-        scale = math.factorial(spec.k) * math.comb(spec.n + spec.k, spec.k)
-        if mode == "symbolic":
-            return qgenocchi_hk(spec), meta
-        if mode == "exact":
-            _require(params, "q")
-            return qgenocchi_hk(spec, qv), meta
-        if mode == "padic":
-            _require(params, "q")
-            pp = PadicParams(params.get("p", cfg.p), params.get("N", cfg.N))
-            f = QBracketMonomial(m=spec.n, k=spec.k, h=spec.h, w=spec.w, x=0)
-            meta = {"p": pp.p, "N": pp.N, "scale": str(scale)}
-            return scale * fermionic_sum(f, qv, pp, cfg.term_budget), meta
-        _require(params, "q")
-        sp = _series_params(params, cfg, "cesaro1" if abs(spec.w) == 1 else "direct", series_mode)
-        value, bound = qgenocchi_hk_series(spec, qv, sp)
-        meta = {"truncation": sp.M, "series_mode": sp.mode,
-                ("tail_bound" if sp.mode == "direct" else "smoothing_gap"): rat_str(bound)}
-        return value, meta
-
-    if family == "twisted-euler":
-        _require(params, "n", "w")
-        n = _int_param(params, "n")
-        w = params["w"]
-        if mode == "symbolic":
-            return qeuler_twisted(n, w), meta
-        if mode == "exact":
-            if "q" not in params:
-                return classical.twisted_euler_classical(n, w), meta
-            return qeuler_twisted(n, w, qv), meta
-        if mode == "padic":
-            _require(params, "q")
-            pp = PadicParams(params.get("p", cfg.p), params.get("N", cfg.N))
-            f = QBracketMonomial(m=n, k=1, h=1, w=w, x=0)
-            meta = {"p": pp.p, "N": pp.N}
-            return fermionic_sum(f, qv, pp, cfg.term_budget), meta
-        _require(params, "q")
-        sp = _series_params(params, cfg, "direct", series_mode)
-        f = QBracketMonomial(m=n, k=1, h=1, w=w, x=0)
-        value, bound = real_series(f, qv, sp, cfg.term_budget)
-        meta = {"truncation": sp.M, "series_mode": sp.mode,
-                ("tail_bound" if sp.mode == "direct" else "smoothing_gap"): rat_str(bound)}
-        return value, meta
-
-    if family == "twisted-genocchi":
-        _require(params, "n", "w")
-        n = _int_param(params, "n")
-        w = params["w"]
-        if mode == "symbolic":
-            return qgenocchi_twisted(n, w=w), meta
-        if mode == "exact":
-            if "q" not in params:
-                return classical.twisted_genocchi_classical(n, w), meta
-            return qgenocchi_twisted(n, qv, w), meta
-        if mode == "padic":
-            _require(params, "q")
-            if n == 0:
-                return Fraction(0), meta
-            pp = PadicParams(params.get("p", cfg.p), params.get("N", cfg.N))
-            f = QBracketMonomial(m=n - 1, k=1, h=1, w=w, x=0)
-            meta = {"p": pp.p, "N": pp.N, "scale": str(n)}
-            return n * fermionic_sum(f, qv, pp, cfg.term_budget), meta
-        _require(params, "q")
-        if n == 0:
-            return Fraction(0), meta
-        sp = _series_params(params, cfg, "direct", series_mode)
-        f = QBracketMonomial(m=n - 1, k=1, h=1, w=w, x=0)
-        value, bound = real_series(f, qv, sp, cfg.term_budget)
-        meta = {"truncation": sp.M, "series_mode": sp.mode, "scale": str(n),
-                ("tail_bound" if sp.mode == "direct" else "smoothing_gap"): rat_str(n * bound)}
-        return n * value, meta
+    if family in Q_FAMILIES:
+        return _dispatch_q_family(Q_FAMILIES[family], params, mode, qv, cfg, series_mode)
 
     if family == "gf":
         _require(params, "kind", "k", "q", "t")

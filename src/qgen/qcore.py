@@ -508,74 +508,55 @@ def q_factorial(n: int, qv=None):
     return acc
 
 
-def gauss_binom(n: int, k: int, qv=None):
-    """Gaussian binomial coefficient, computed by the additive recursion
-    C(n+1,k) = C(n,k-1) + q^k C(n,k) with a per-call row table."""
-    if qv is None:
-        qv = q
-    if k < 0 or k > n:
-        return _domain_zero(qv)
-    one = qv ** 0
-    row = [one]
-    qpows = [one]
-    for m in range(1, n + 1):
-        qpows.append(qpows[-1] * qv)
-        prev = row
-        row = [one]
-        for j in range(1, min(m, k) + 1):
-            left = prev[j - 1]
-            if j < len(prev):
-                row.append(left + qpows[j] * prev[j])
-            else:
-                row.append(left)
-    return row[k]
-
-
-def gauss_binom_triangle(n_max: int, qv=None, alt: bool = False) -> list:
-    """All Gaussian binomials up to n_max in one recursion pass; returns
-    rows[n][k].  alt=True uses the mirrored recursion form."""
-    if qv is None:
-        qv = q
-    one = qv ** 0
-    qpows = [one]
-    for _ in range(n_max):
-        qpows.append(qpows[-1] * qv)
-    rows = [[one]]
-    for m in range(1, n_max + 1):
-        prev = rows[-1]
-        row = [one]
-        for j in range(1, m):
-            if alt:
-                row.append(qpows[m - j] * prev[j - 1] + prev[j])
-            else:
-                row.append(prev[j - 1] + qpows[j] * prev[j])
-        row.append(one)
-        rows.append(row)
-    return rows
-
-
-def gauss_binom_alt(n: int, k: int, qv=None):
-    """Gaussian binomial by the mirrored recursion
-    C(n+1,k) = q^(n+1-k) C(n,k-1) + C(n,k)."""
-    if qv is None:
-        qv = q
-    if k < 0 or k > n:
-        return _domain_zero(qv)
+def _gauss_rows(n: int, k: int, qv, alt: bool):
+    """Rows 0..n of the Gaussian triangle, each cut off at column k, by the
+    additive recursion C(m,j) = C(m-1,j-1) + q^j C(m-1,j), or with alt=True
+    the mirrored form C(m,j) = q^(m-j) C(m-1,j-1) + C(m-1,j)."""
     one = qv ** 0
     qpows = [one]
     for _ in range(n):
         qpows.append(qpows[-1] * qv)
     row = [one]
+    yield row
     for m in range(1, n + 1):
         prev = row
         row = [one]
-        for j in range(1, min(m, k) + 1):
-            left = qpows[m - j] * prev[j - 1]
-            if j < len(prev):
-                row.append(left + prev[j])
+        for j in range(1, min(m - 1, k) + 1):
+            if alt:
+                row.append(qpows[m - j] * prev[j - 1] + prev[j])
             else:
-                row.append(left)
+                row.append(prev[j - 1] + qpows[j] * prev[j])
+        if m <= k:
+            row.append(one)
+        yield row
+
+
+def _gauss_entry(n: int, k: int, qv, alt: bool):
+    if qv is None:
+        qv = q
+    if k < 0 or k > n:
+        return _domain_zero(qv)
+    for row in _gauss_rows(n, k, qv, alt):
+        pass
     return row[k]
+
+
+def gauss_binom(n: int, k: int, qv=None):
+    """Gaussian binomial coefficient, computed by the additive recursion
+    C(n+1,k) = C(n,k-1) + q^k C(n,k) with a per-call row table."""
+    return _gauss_entry(n, k, qv, False)
+
+
+def gauss_binom_triangle(n_max: int, qv=None, alt: bool = False) -> list:
+    """All Gaussian binomials up to n_max in one recursion pass; returns
+    rows[n][k].  alt=True uses the mirrored recursion form."""
+    return list(_gauss_rows(n_max, n_max, q if qv is None else qv, alt))
+
+
+def gauss_binom_alt(n: int, k: int, qv=None):
+    """Gaussian binomial by the mirrored recursion
+    C(n+1,k) = q^(n+1-k) C(n,k-1) + C(n,k)."""
+    return _gauss_entry(n, k, qv, True)
 
 
 def gauss_binom_factorial(n: int, k: int, qv=None):

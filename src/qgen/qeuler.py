@@ -8,7 +8,9 @@ The closed form for the order-k family with weight h, twist w, and shift x is
                               / prod_{l=0}^{k-1} (1 + w q^{h+j-l}),
 
 which the fermionic level sums of `padic` approximate p-adically and the
-series below approximate for 0 < q < 1."""
+series below approximate for 0 < q < 1.  This is the only closed-form code
+path: the twisted q-Euler number and every q-Genocchi value (`qgenocchi`)
+are this sum at fixed parameters times an integer scale."""
 
 from __future__ import annotations
 
@@ -16,12 +18,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import qgenocchi as _qgenocchi
 from .padic import DivergenceError, SeriesParams, cesaro1_value
 from .qcore import (
     DomainError,
     Poly,
     QRat,
+    falling,
     is_zero_scalar,
     q as _qgen,
     q_int,
@@ -47,17 +49,18 @@ class QEulerSpec:
 
 
 def _normalize_q(qv):
-    """Returns (qv, symbolic).  Symbolic computation happens in QRat."""
+    """The evaluation domain: QRat for symbolic q (omitted, a Poly or a
+    QRat), otherwise an exact rational outside {0, 1, -1}."""
     if qv is None:
-        return QRat(_qgen), True
+        return QRat(_qgen)
     if isinstance(qv, Poly):
-        return QRat(qv), True
+        return QRat(qv)
     if isinstance(qv, QRat):
-        return qv, True
+        return qv
     qf = to_frac(qv)
     if qf in (0, 1, -1):
         raise DomainError("exact mode needs q outside {0, 1, -1}")
-    return qf, False
+    return qf
 
 
 def _denominator_product(qv, w: Fraction, h: int, j: int, k: int):
@@ -72,22 +75,30 @@ def _denominator_product(qv, w: Fraction, h: int, j: int, k: int):
     return acc
 
 
+def _euler_sum(m: int, h: int, k: int, x: int, w, qv, scale: int = 1):
+    """The one closed form, times an integer scale:
+    scale [2]_q^k (1-q)^{-m} sum_j C(m,j) (-1)^j q^{xj} / prod_l (1 + w q^{h+j-l}).
+
+    The scale joins the prefactor before the final product, so a scaled
+    family costs no extra full-degree reduction."""
+    qv = _normalize_q(qv)
+    w = to_frac(w)
+    acc = qv * 0
+    for j in range(m + 1):
+        den = _denominator_product(qv, w, h, j, k)
+        acc = acc + math.comb(m, j) * (-1) ** j * q_power(qv, x * j) / den
+    pref = scale * q_int(2, qv) ** k
+    if m:
+        pref = pref * q_power(1 - qv, -m)
+    return pref * acc
+
+
 def qeuler_hk(spec: QEulerSpec, qv=None):
     """Closed form of the order-k q-Euler value E_m^{(h,k)}(x; w).
 
     Pass a Fraction q for an exact value, or omit q (or pass the symbolic
     generator) for the reduced rational function in q."""
-    qv, _ = _normalize_q(qv)
-    w = to_frac(spec.w)
-    acc = qv * 0
-    for j in range(spec.m + 1):
-        den = _denominator_product(qv, w, spec.h, j, spec.k)
-        term = math.comb(spec.m, j) * (-1) ** j * q_power(qv, spec.x * j) / den
-        acc = acc + term
-    scale = q_int(2, qv) ** spec.k
-    if spec.m:
-        scale = scale * q_power(1 - qv, -spec.m)
-    return scale * acc
+    return _euler_sum(spec.m, spec.h, spec.k, spec.x, spec.w, qv)
 
 
 def qeuler_twisted(n: int, w, qv=None):
@@ -97,18 +108,7 @@ def qeuler_twisted(n: int, w, qv=None):
     Coincides with the order-1, weight-1 family at x = 0."""
     if n < 0:
         raise DomainError("need n >= 0")
-    qv, _ = _normalize_q(qv)
-    w = to_frac(w)
-    acc = qv * 0
-    for j in range(n + 1):
-        factor = w * q_power(qv, j + 1) + 1
-        if is_zero_scalar(factor):
-            raise DomainError(f"vanishing denominator 1 + w q^({j + 1}) at j={j}")
-        acc = acc + math.comb(n, j) * (-1) ** j / factor
-    scale = q_int(2, qv)
-    if n:
-        scale = scale * q_power(1 - qv, -n)
-    return scale * acc
+    return _euler_sum(n, 1, 1, 0, w, qv)
 
 
 def _series_mode(w: Fraction, sp: SeriesParams):
@@ -122,22 +122,18 @@ def _series_mode(w: Fraction, sp: SeriesParams):
     return boundary
 
 
-def _bracket_series_terms(m: int, k: int, x: int, w: Fraction, qf: Fraction, M: int):
-    """Terms C(k+n-1, n)_q (-w)^n [n+x]_q^m for n = 0..M-1, with the
-    Gaussian weight and the bracket updated incrementally."""
-    terms = []
+def _gauss_weight_terms(k: int, x: int, w: Fraction, qf: Fraction, M: int):
+    """Yields (C(k+n-1, n)_q (-w)^n, [n+x]_q) for n = 0..M-1, with the
+    signed Gaussian weight and the bracket updated incrementally."""
     c = Fraction(1)
     br = (1 - qf ** x) / (1 - qf)
     qpow = qf ** x
-    sign = Fraction(1)
     for n in range(M):
         if n > 0:
-            c *= (1 - qf ** (k + n - 1)) / (1 - qf ** n)
+            c *= -w * (1 - qf ** (k + n - 1)) / (1 - qf ** n)
             br += qpow
             qpow *= qf
-            sign *= -w
-        terms.append(c * sign * br ** m)
-    return terms
+        yield c, br
 
 
 def _gauss_weight_bound(k: int, qf: Fraction) -> Fraction:
@@ -161,12 +157,11 @@ def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams) -> tuple[Fraction, 
         raise DomainError("series mode needs 0 < q < 1")
     w = to_frac(spec.w)
     boundary = _series_mode(w, sp)
-    terms = _bracket_series_terms(spec.m, spec.k, spec.x, w, qf, sp.M)
     pref = (1 + qf) ** spec.k
     partials = []
     s = Fraction(0)
-    for t in terms:
-        s += t
+    for c, br in _gauss_weight_terms(spec.k, spec.x, w, qf, sp.M):
+        s += c * br ** spec.m
         partials.append(s)
     if boundary or sp.mode == "cesaro1":
         value, gap = cesaro1_value(partials)
@@ -175,13 +170,6 @@ def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams) -> tuple[Fraction, 
     tail = (_gauss_weight_bound(spec.k, qf) * q_power(1 - qf, -spec.m)
             * aw ** sp.M / (1 - aw))
     return pref * s, pref * tail
-
-
-def qeuler_twisted_hk_series(spec: QEulerSpec, qv, sp: SeriesParams):
-    """Series route for the multiple twisted family; identical expansion,
-    with the twist taken from the spec (w = 1 reduces to the untwisted
-    boundary series)."""
-    return qeuler_hk_series(spec, qv, sp)
 
 
 def _truncated_exp(a: Fraction, t: Fraction, terms: int, inv_fact) -> Fraction:
@@ -216,42 +204,24 @@ def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
         if x != 0:
             raise DomainError("the Genocchi generating functions have no shift")
     _series_mode(w, SeriesParams(sp.M, "cesaro1"))
+    if k < 1 or x < 0:
+        raise DomainError("need k >= 1, x >= 0")
     inv_fact = [Fraction(1, math.factorial(j)) for j in range(t_terms + k + 1)]
 
-    c = Fraction(1)
-    br = (1 - qf ** x) / (1 - qf)
-    qpow = qf ** x
-    sign = Fraction(1)
     partials = []
     s = Fraction(0)
-    for n in range(sp.M):
-        if n > 0:
-            c *= (1 - qf ** (k + n - 1)) / (1 - qf ** n)
-            br += qpow
-            qpow *= qf
-            sign *= -w
-        s += c * sign * _truncated_exp(br, t, t_terms, inv_fact)
+    for c, br in _gauss_weight_terms(k, x, w, qf, sp.M):
+        s += c * _truncated_exp(br, t, t_terms, inv_fact)
         partials.append(s)
     core, _ = cesaro1_value(partials)
     pref = (1 + qf) ** k
 
     if kind == "fqk":
         lhs = pref * core
-        rhs = Fraction(0)
-        tp = Fraction(1)
-        for m in range(t_terms):
-            val = qeuler_hk(QEulerSpec(m=m, h=k - 1, k=k, x=x, w=w), qf)
-            rhs += val * tp * inv_fact[m]
-            tp *= t
-        return lhs, rhs
-
-    lhs = pref * t ** k * core
-    rhs = Fraction(0)
-    tp = Fraction(1)
-    for n in range(k + t_terms):
-        if n >= k:
-            val = _qgenocchi.qgenocchi_hk(
-                _qgenocchi.QGenocchiSpec(n=n - k, h=k - 1, k=k, w=w), qf)
-            rhs += val * tp * inv_fact[n]
-        tp *= t
+        coeffs = [_euler_sum(m, k - 1, k, x, w, qf) for m in range(t_terms)]
+    else:
+        lhs = pref * t ** k * core
+        coeffs = [0] * k + [_euler_sum(n - k, k - 1, k, 0, w, qf, falling(n, k))
+                            for n in range(k, k + t_terms)]
+    rhs = sum((c * t ** n * inv_fact[n] for n, c in enumerate(coeffs)), Fraction(0))
     return lhs, rhs

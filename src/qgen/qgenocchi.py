@@ -2,14 +2,17 @@
 numbers, the higher-order values with weight h and order k, their twisted
 versions, and the boundary series route.
 
-The order-k closed form reports the index-shifted value: the number of
-index n + k is
+Every q-Genocchi value is an integer scale times the q-Euler closed form
+of `qeuler`; the closed form and the Gaussian-weight series are written
+only there.  The order-k closed form reports the index-shifted value: the
+number of index n + k is
 
     k! C(n+k, k) [2]_q^k (1-q)^{-n} sum_{l=0}^{n} C(n,l) (-1)^l
                         / prod_{i=0}^{k-1} (1 + w q^{h+l-i}),
 
-and the indices 0 .. k-1 vanish identically (the t^k prefactor of the
-generating function)."""
+that is k! C(n+k, k) times the q-Euler value of degree n, weight h, order
+k, shift 0 and twist w.  The indices 0 .. k-1 vanish identically (the t^k
+prefactor of the generating function)."""
 
 from __future__ import annotations
 
@@ -17,17 +20,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import SeriesParams, cesaro1_value
-from .qcore import (
-    DomainError,
-    Poly,
-    QRat,
-    is_zero_scalar,
-    q as _qgen,
-    q_int,
-    q_power,
-    to_frac,
-)
+from .padic import SeriesParams
+from .qcore import DomainError
+from .qeuler import QEulerSpec, _euler_sum, _normalize_q, qeuler_hk_series
 
 
 @dataclass(frozen=True)
@@ -44,82 +39,32 @@ class QGenocchiSpec:
         if self.n < 0 or self.k < 1:
             raise DomainError("need n >= 0, k >= 1")
 
+    @property
+    def scale(self) -> int:
+        """k! C(n+k, k): the integer multiple of the q-Euler kernel."""
+        return math.factorial(self.k) * math.comb(self.n + self.k, self.k)
 
-def _normalize_q(qv):
-    if qv is None:
-        return QRat(_qgen)
-    if isinstance(qv, Poly):
-        return QRat(qv)
-    if isinstance(qv, QRat):
-        return qv
-    qf = to_frac(qv)
-    if qf in (0, 1, -1):
-        raise DomainError("exact mode needs q outside {0, 1, -1}")
-    return qf
+    def euler_spec(self) -> QEulerSpec:
+        """The q-Euler kernel this value scales: degree n, shift 0."""
+        return QEulerSpec(m=self.n, h=self.h, k=self.k, w=self.w)
 
 
 def qgenocchi(n: int, qv=None):
     """Base q-Genocchi number
     n [2]_q (1-q)^{-(n-1)} sum_{l<n} C(n-1,l) (-1)^l / (1 + q^{l+1});
     the index-0 value is 0 and the index-1 value is 1 for every q."""
-    if n < 0:
-        raise DomainError("need n >= 0")
-    qv = _normalize_q(qv)
-    if n == 0:
-        return qv * 0
-    acc = qv * 0
-    for l in range(n):
-        factor = q_power(qv, l + 1) + 1
-        if is_zero_scalar(factor):
-            raise DomainError(f"vanishing denominator 1 + q^({l + 1})")
-        acc = acc + math.comb(n - 1, l) * (-1) ** l / factor
-    scale = n * q_int(2, qv)
-    if n > 1:
-        scale = scale * q_power(1 - qv, -(n - 1))
-    return scale * acc
+    return qgenocchi_twisted(n, qv)
 
 
 def qgenocchi_twisted(n: int, qv=None, w=Fraction(1)):
     """Twisted q-Genocchi number; the denominators carry the twist:
     1 + q^{l+1} w.  w = 1 recovers the untwisted value."""
-    if n < 0:
-        raise DomainError("need n >= 0")
-    qv = _normalize_q(qv)
-    w = to_frac(w)
-    if n == 0:
-        return qv * 0
-    acc = qv * 0
-    for l in range(n):
-        factor = w * q_power(qv, l + 1) + 1
-        if is_zero_scalar(factor):
-            raise DomainError(f"vanishing denominator 1 + w q^({l + 1}) at l={l}")
-        acc = acc + math.comb(n - 1, l) * (-1) ** l / factor
-    scale = n * q_int(2, qv)
-    if n > 1:
-        scale = scale * q_power(1 - qv, -(n - 1))
-    return scale * acc
+    return qgenocchi_hk_at_index(n, 1, 1, qv, w)
 
 
 def qgenocchi_hk(spec: QGenocchiSpec, qv=None):
     """Order-k q-Genocchi value of shifted index n (reported index n + k)."""
-    qv = _normalize_q(qv)
-    w = to_frac(spec.w)
-    acc = qv * 0
-    for l in range(spec.n + 1):
-        den = qv ** 0
-        for i in range(spec.k):
-            factor = w * q_power(qv, spec.h + l - i) + 1
-            if is_zero_scalar(factor):
-                raise DomainError(
-                    f"vanishing denominator factor 1 + w q^({spec.h + l - i}) "
-                    f"at l={l}, i={i}")
-            den = den * factor
-        acc = acc + math.comb(spec.n, l) * (-1) ** l / den
-    scale = math.factorial(spec.k) * math.comb(spec.n + spec.k, spec.k)
-    scale = scale * q_int(2, qv) ** spec.k
-    if spec.n:
-        scale = scale * q_power(1 - qv, -spec.n)
-    return scale * acc
+    return _euler_sum(spec.n, spec.h, spec.k, 0, spec.w, qv, spec.scale)
 
 
 def qgenocchi_hk_at_index(index: int, h: int, k: int, qv=None, w=Fraction(1)):
@@ -139,43 +84,5 @@ def qgenocchi_hk_series(spec: QGenocchiSpec, qv, sp: SeriesParams) -> tuple[Frac
 
     Direct mode needs |w| < 1; |w| = 1 is the boundary case (cesaro1).
     Returns (value, bound)."""
-    if spec.h != spec.k - 1:
-        raise DomainError("the series expansion exists only for h = k - 1")
-    qf = to_frac(qv)
-    if not 0 < qf < 1:
-        raise DomainError("series mode needs 0 < q < 1")
-    from .padic import DivergenceError
-    w = to_frac(spec.w)
-    aw = abs(w)
-    if aw > 1:
-        raise DivergenceError("series diverges for |w| > 1")
-    if w == -1:
-        raise DivergenceError("positively divergent series (twist w = -1)")
-    boundary = w == 1
-    if boundary and sp.mode == "direct":
-        raise DivergenceError("boundary alternating series: use cesaro1")
-
-    scale = math.factorial(spec.k) * math.comb(spec.n + spec.k, spec.k)
-    pref = scale * (1 + qf) ** spec.k
-    c = Fraction(1)
-    br = Fraction(0)
-    qpow = Fraction(1)
-    sign = Fraction(1)
-    partials = []
-    s = Fraction(0)
-    for m in range(sp.M):
-        if m > 0:
-            c *= (1 - qf ** (spec.k + m - 1)) / (1 - qf ** m)
-            br += qpow
-            qpow *= qf
-            sign *= -w
-        s += c * sign * br ** spec.n
-        partials.append(s)
-    if boundary or sp.mode == "cesaro1":
-        value, gap = cesaro1_value(partials)
-        return pref * value, pref * gap
-    bound = Fraction(1)
-    for i in range(1, spec.k):
-        bound /= 1 - qf ** i
-    tail = bound * q_power(1 - qf, -spec.n) * aw ** sp.M / (1 - aw)
-    return pref * s, pref * tail
+    value, bound = qeuler_hk_series(spec.euler_spec(), qv, sp)
+    return spec.scale * value, spec.scale * bound

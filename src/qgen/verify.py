@@ -40,11 +40,6 @@ class CheckResult:
     points: int
     detail: str = ""
 
-    def line(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        extra = f" ({self.detail})" if self.detail else ""
-        return f"[{status}] {self.name}: {self.points} points{extra}"
-
 
 def _run_grid(name: str, points) -> CheckResult:
     """points yields (label, ok, info); collects the first failure."""
@@ -396,8 +391,8 @@ def suite_qgenocchi(cfg: VerifyConfig) -> list[CheckResult]:
             for n in range(4):
                 for h in (k - 1, k, k + 1):
                     for w in (Fraction(1), Fraction(4)):
-                        g = qgenocchi_hk(QGenocchiSpec(n=n, h=h, k=k, w=w), q4)
-                        target = g / (math.factorial(k) * math.comb(n + k, k))
+                        spec = QGenocchiSpec(n=n, h=h, k=k, w=w)
+                        target = qgenocchi_hk(spec, q4) / spec.scale
                         f = QBracketMonomial(m=n, k=k, h=h, w=w)
                         ok, vals = _oracle_point(f, target, q4, levels, cfg.term_budget)
                         yield (n, k, h, w), ok, f"valuations {vals}"

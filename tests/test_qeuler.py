@@ -18,7 +18,6 @@ from qgen.qeuler import (
     qeuler_hk,
     qeuler_hk_series,
     qeuler_twisted,
-    qeuler_twisted_hk_series,
 )
 
 F = Fraction
@@ -178,27 +177,27 @@ class TestTwisted:
 class TestTwistedSeries:
     def test_direct_small_twist(self):
         spec = QEulerSpec(m=1, h=0, k=1, w=F(1, 2))
-        v, bound = qeuler_twisted_hk_series(spec, QH, SeriesParams(60, "direct"))
+        v, bound = qeuler_hk_series(spec, QH, SeriesParams(60, "direct"))
         target = qeuler_twisted(1, F(1, 2), QH)
         assert qeuler_hk(spec, QH) != target  # different h; sanity of the fixture
         assert abs(v - qeuler_hk(spec, QH)) <= bound
 
     def test_unit_twist_is_untwisted_series(self):
-        a, _ = qeuler_twisted_hk_series(QEulerSpec(m=1, h=0, k=1, w=F(1)), QH,
-                                        SeriesParams(200, "cesaro1"))
+        a, _ = qeuler_hk_series(QEulerSpec(m=1, h=0, k=1, w=F(1)), QH,
+                                SeriesParams(200, "cesaro1"))
         b, _ = qeuler_hk_series(QEulerSpec(m=1, h=0, k=1), QH, SeriesParams(200, "cesaro1"))
         assert a == b
 
     def test_order_two_closed_form(self):
         spec = QEulerSpec(m=0, h=1, k=2, w=F(1, 2))
-        v, bound = qeuler_twisted_hk_series(spec, QH, SeriesParams(60, "direct"))
+        v, bound = qeuler_hk_series(spec, QH, SeriesParams(60, "direct"))
         assert qeuler_hk(spec, QH) == F(6, 5)
         assert abs(v - F(6, 5)) <= bound
 
     def test_large_twist_diverges(self):
         with pytest.raises(DivergenceError):
-            qeuler_twisted_hk_series(QEulerSpec(m=0, h=0, k=1, w=F(2)), QH,
-                                     SeriesParams(50, "direct"))
+            qeuler_hk_series(QEulerSpec(m=0, h=0, k=1, w=F(2)), QH,
+                             SeriesParams(50, "direct"))
 
     def test_weight_shift_absorbs_into_twist(self):
         # raising h by one multiplies every denominator exponent by one more
@@ -209,7 +208,7 @@ class TestTwistedSeries:
                 assert qeuler_twisted(n, w, QH) == \
                     qeuler_hk(QEulerSpec(m=n, h=0, k=1, w=w * QH), QH)
         spec = QEulerSpec(m=1, h=0, k=1, w=QH * F(1, 2))
-        v, bound = qeuler_twisted_hk_series(spec, QH, SeriesParams(60, "direct"))
+        v, bound = qeuler_hk_series(spec, QH, SeriesParams(60, "direct"))
         assert qeuler_twisted(1, F(1, 2), QH) == F(-4, 15)
         assert abs(v - F(-4, 15)) <= bound
 
