@@ -7,7 +7,10 @@ Grammar:
   qgen verify <suite> [--padic-level N] [--report-json PATH]
 
 Exit codes: 0 success, 1 domain error (vanishing denominator, divergence,
-budget), 2 usage or parse error.  All rationals serialize as exact strings
+budget, unwritable result file), 2 usage or parse error (including a
+malformed configuration).  The p-adic term count (p^N)^k and a symbolic
+result's degree are checked against the term budget before any work.
+All rationals serialize as exact strings
 ("num/den"), never as floating point; symbolic values serialize as
 {"num": [...], "den": [...]} with coefficients lowest degree first.
 Configuration precedence: flags > JSON file named by QGEN_CONFIG > defaults."""
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -29,6 +33,7 @@ from .padic import (
     PadicParams,
     QBracketMonomial,
     SeriesParams,
+    check_level_budget,
     fermionic_sum,
     real_series,
 )
@@ -41,12 +46,23 @@ from .qcore import (
     q_int,
     rat_str,
 )
-from .qeuler import QEulerSpec, gf_eval, qeuler_hk, qeuler_hk_series, qeuler_twisted
+from .qeuler import (
+    QEulerSpec,
+    check_symbolic_budget,
+    gf_eval,
+    qeuler_hk,
+    qeuler_hk_series,
+    qeuler_twisted,
+)
 from .qgenocchi import QGenocchiSpec, qgenocchi, qgenocchi_hk, qgenocchi_hk_series, qgenocchi_twisted
 
 
 class UsageError(Exception):
     """Malformed query: wrong flags for the family or mode."""
+
+
+class OutputError(Exception):
+    """A result file could not be written."""
 
 
 FAMILIES = [
@@ -77,12 +93,34 @@ def load_config() -> Config:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise UsageError(f"config {path} must hold a JSON object")
         for key in ("p", "N", "M", "term_budget", "table_budget"):
             if key in data:
-                cfg.__dict__[key] = int(data[key])
+                cfg.__dict__[key] = _config_int(path, key, data[key])
         if "cesaro_tol" in data:
-            cfg.cesaro_tol = parse_rat(str(data["cesaro_tol"]))
+            try:
+                cfg.cesaro_tol = parse_rat(str(data["cesaro_tol"]))
+            except DomainError as exc:
+                raise UsageError(f"config {path}: cesaro_tol: {exc}") from exc
     return cfg
+
+
+def _config_int(path: str, key: str, value) -> int:
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise UsageError(f"config {path}: {key} must be an integer, not {value!r}")
+
+
+def _write_file(path: str, text: str, newline=None) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _add_family_flags(sub):
@@ -244,6 +282,9 @@ def _dispatch_q_family(fam: QFamily, params: dict, mode: str, qv, cfg: Config, s
     _require(params, *fam.flags)
     spec = fam.spec(params)
     if mode == "symbolic":
+        kernel = fam.kernel(spec)
+        if kernel is not None:
+            check_symbolic_budget(kernel[0], cfg.term_budget)
         return fam.closed(spec, None), {}
     if mode == "exact" and "q" not in params and fam.classical:
         return fam.classical(spec), {}
@@ -257,7 +298,10 @@ def _dispatch_q_family(fam: QFamily, params: dict, mode: str, qv, cfg: Config, s
     f = QBracketMonomial(m=espec.m, k=espec.k, h=espec.h, w=espec.w, x=espec.x)
     scale_meta = {"scale": str(scale)} if fam.scaled else {}
     if mode == "padic":
-        pp = PadicParams(params.get("p", cfg.p), params.get("N", cfg.N))
+        p, N = params.get("p", cfg.p), params.get("N", cfg.N)
+        # before PadicParams, whose primality test is trial division
+        check_level_budget(p, N, f.num_vars, cfg.term_budget)
+        pp = PadicParams(p, N)
         meta = {"p": pp.p, "N": pp.N, **scale_meta}
         return scale * fermionic_sum(f, qv, pp, cfg.term_budget), meta
     if fam.gauss_series:
@@ -274,6 +318,13 @@ def _dispatch_q_family(fam: QFamily, params: dict, mode: str, qv, cfg: Config, s
     return value, meta
 
 
+def _check_degree(degree: int, cfg: Config) -> None:
+    """Symbolic results are budgeted by degree, before any work."""
+    if degree > cfg.term_budget:
+        raise BudgetExceeded(
+            f"symbolic degree {degree} exceeds the budget of {cfg.term_budget}")
+
+
 def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None):
     """Compute one family value; returns (value, meta)."""
     meta: dict = {}
@@ -287,7 +338,9 @@ def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None
             _require(params, "q")
             return q_int(_int_param(params, "n"), qv), meta
         if mode == "symbolic":
-            return q_int(_int_param(params, "n")), meta
+            n = _int_param(params, "n")
+            _check_degree(n - 1, cfg)
+            return q_int(n), meta
         raise UsageError(f"qnum does not support mode {mode!r}")
 
     if family == "qbinom":
@@ -297,6 +350,7 @@ def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None
             _require(params, "q")
             return gauss_binom(n, k, qv), meta
         if mode == "symbolic":
+            _check_degree(k * (n - k), cfg)
             return gauss_binom(n, k), meta
         raise UsageError(f"qbinom does not support mode {mode!r}")
 
@@ -397,20 +451,20 @@ def run_table(args, cfg: Config) -> int:
             rows.append((key, serialize_value(value)))
 
     if args.format == "csv":
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for key, value in rows:
-                cell = value if isinstance(value, str) else json.dumps(value, separators=(",", ":"))
-                writer.writerow([*key, cell])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for key, value in rows:
+            cell = value if isinstance(value, str) else json.dumps(value, separators=(",", ":"))
+            writer.writerow([*key, cell])
+        _write_file(args.out, buf.getvalue(), newline="")
     else:
         doc = []
         for key, value in rows:
             row = {name: v for name, v in zip(header, key)}
             row["value"] = value
             doc.append(row)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        _write_file(args.out, json.dumps(doc, separators=(",", ":")) + "\n")
     return 0
 
 
@@ -431,8 +485,7 @@ def run_verify(args, cfg: Config) -> int:
                 f"{check['points']} points{detail}\n")
     sys.stdout.write(("all suites passed" if report["ok"] else "FAILURES detected") + "\n")
     if args.report_json:
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, separators=(",", ":")) + "\n")
+        _write_file(args.report_json, json.dumps(report, separators=(",", ":")) + "\n")
     return 0 if report["ok"] else 1
 
 
@@ -452,7 +505,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except (DomainError, BudgetExceeded) as exc:
+    except (DomainError, BudgetExceeded, OutputError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

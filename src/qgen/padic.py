@@ -182,6 +182,19 @@ def _qbracket_tables(f: QBracketMonomial, qf: Fraction, length: int):
     return tables
 
 
+def check_level_budget(p: int, N: int, k: int, term_budget: int) -> None:
+    """Raise BudgetExceeded when a level-N sum in k variables, (p^N)^k
+    terms, exceeds the budget.  Takes O(log term_budget) steps for any p
+    and N, so it can run before the primality test of p."""
+    if abs(p) < 2:
+        return
+    terms = 1
+    for _ in range(N * k):
+        terms *= abs(p)
+        if terms > term_budget:
+            raise BudgetExceeded(f"({p}^{N})^{k} terms exceed the budget of {term_budget}")
+
+
 def fermionic_sum(f: IntegrandFamily, qv, params: PadicParams,
                   term_budget: int = DEFAULT_TERM_BUDGET) -> Fraction:
     """Level-N approximation of the fermionic integral:
@@ -189,10 +202,9 @@ def fermionic_sum(f: IntegrandFamily, qv, params: PadicParams,
     qf = to_frac(qv)
     if qf == -1:
         raise DomainError("fermionic sum undefined at q = -1")
-    span = params.p ** params.N
     k = f.num_vars
-    if span ** k > term_budget:
-        raise BudgetExceeded(f"{span}^{k} terms exceed the budget of {term_budget}")
+    check_level_budget(params.p, params.N, k, term_budget)
+    span = params.p ** params.N
     norm = q_bracket_neg(span, qf) ** k
 
     if isinstance(f, ClassicalMonomial):

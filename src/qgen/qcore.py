@@ -2,10 +2,13 @@
 q-combinatorial primitives built on them.
 
 All arithmetic is exact: scalars are `fractions.Fraction`, polynomials are
-dense coefficient tuples over Fraction (lowest degree first), and rational
-functions are kept fully reduced with a monic denominator, so equality is
-structural and evaluation at an admissible rational point (including the
-q -> 1 limit of a reduced quotient) is total and exact.
+dense coefficient tuples over the rationals (lowest degree first) that hold
+an integral coefficient as a Python `int` and only a non-integral one as a
+`Fraction`, and rational functions are kept fully reduced with a monic
+denominator, so equality is structural and evaluation at an admissible
+rational point (including the q -> 1 limit of a reduced quotient) is total
+and exact.  Every coefficient division builds a `Fraction` (`_quot`), so no
+float ever appears.
 
 Every q-primitive is generic over the evaluation domain: pass a Fraction
 for a fixed rational q, or the symbolic generator (`q` / `QRat(q)`) to get
@@ -50,6 +53,25 @@ def rat_str(v) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
+def _coeff(v):
+    """Canonical coefficient: an int when integral, else a Fraction."""
+    if type(v) is int:
+        return v
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(v, int):  # bool and other int subclasses
+        return int(v)
+    return _coeff(to_frac(v))
+
+
+def _quot(a, b):
+    """Exact coefficient quotient a/b, canonical as in `_coeff`."""
+    if type(a) is int and type(b) is int:
+        quo, rem = divmod(a, b)
+        return Fraction(a, b) if rem else quo
+    return _coeff(Fraction(a, b))
+
+
 def binom_int(n: int, k: int) -> int:
     """Ordinary binomial coefficient over the integers."""
     if k < 0 or k > n:
@@ -66,14 +88,17 @@ def falling(n: int, r: int) -> int:
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction; coefficient i is the
-    coefficient of var**i.  Normalized: no trailing zero coefficients, so
-    the empty tuple is the zero polynomial.  Immutable and hashable."""
+    """Dense univariate polynomial over the rationals; coefficient i is the
+    coefficient of var**i, an `int` when integral and a `Fraction`
+    otherwise.  Normalized: no trailing zero coefficients, so the empty
+    tuple is the zero polynomial.  Immutable and hashable; since
+    3 == Fraction(3) and both hash alike, equality and hashing do not
+    depend on the coefficient type."""
 
     __slots__ = ("coeffs", "var")
 
     def __init__(self, coeffs: Iterable = (), var: str = "q"):
-        cs = [to_frac(c) for c in coeffs]
+        cs = [c if type(c) is int else _coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -84,7 +109,7 @@ class Poly:
 
     @classmethod
     def const(cls, c, var: str = "q") -> "Poly":
-        return cls((to_frac(c),), var)
+        return cls((c,), var)
 
     @property
     def degree(self) -> int:
@@ -102,7 +127,7 @@ class Poly:
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise DomainError(f"{self} is not a constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.coeffs[0]) if self.coeffs else Fraction(0)
 
     def _join_var(self, other: "Poly") -> str:
         if self.var == other.var or other.is_constant:
@@ -169,7 +194,7 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly((), var)
         a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -198,14 +223,17 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         var = self._join_var(other)
         rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
+        quo = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
         dlead = other.coeffs[-1]
         dd = other.degree
+        # only the nonzero divisor terms: a sparse divisor such as 1 + q^e
+        # costs two updates per step, not e + 1
+        terms = [(i, c) for i, c in enumerate(other.coeffs) if c]
         while len(rem) - 1 >= dd and rem:
             shift = len(rem) - 1 - dd
-            factor = rem[-1] / dlead
+            factor = _quot(rem[-1], dlead)
             quo[shift] = factor
-            for i, c in enumerate(other.coeffs):
+            for i, c in terms:
                 rem[shift + i] -= factor * c
             while rem and rem[-1] == 0:
                 rem.pop()
@@ -230,7 +258,7 @@ class Poly:
         lead = self.coeffs[-1]
         if lead == 1:
             return self
-        return Poly((c / lead for c in self.coeffs), self.var)
+        return Poly((_quot(c, lead) for c in self.coeffs), self.var)
 
     def __call__(self, point):
         """Evaluate by Horner's rule.  `point` may be a Fraction (exact
@@ -273,15 +301,46 @@ class Poly:
         return f"Poly({list(self.coeffs)!r}, var={self.var!r})"
 
 
+def _primitive(cs) -> list:
+    """The coefficients scaled to coprime integers with a positive leading
+    one (the primitive part)."""
+    lcm = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * lcm) for c in cs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if ints[-1] > 0 else [-c // g for c in ints]
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic polynomial GCD over the rationals (Euclid)."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic polynomial GCD over the rationals.
+
+    Euclid on primitive integer parts: each remainder is a pseudo-remainder
+    (the dividend scaled by the divisor's leading coefficient as needed)
+    divided by its content.  A GCD over Q is defined up to a constant, so
+    the monic result is the one Fraction remainders give, without their
+    coefficient swell."""
+    if a.is_zero or b.is_zero:
+        return (a + b).monic()
+    a_cs, b_cs = _primitive(a.coeffs), _primitive(b.coeffs)
+    while b_cs:
+        r = list(a_cs)
+        lead, db = b_cs[-1], len(b_cs) - 1
+        terms = [(i, c) for i, c in enumerate(b_cs) if c]
+        while len(r) > db:
+            top, shift = r[-1], len(r) - 1 - db
+            g = math.gcd(top, lead)
+            if lead != g:
+                r = [c * (lead // g) for c in r]
+            top //= g
+            for i, c in terms:
+                r[shift + i] -= top * c
+            while r and not r[-1]:
+                r.pop()
+        a_cs, b_cs = b_cs, _primitive(r) if r else r
+    return Poly(a_cs, a._join_var(b)).monic()
 
 
 class QRat:
-    """Reduced rational function num/den over Fraction coefficients.
+    """Reduced rational function num/den with rational coefficients.
 
     Invariants: den is nonzero, monic, and coprime to num, so structural
     equality is semantic equality and evaluation at q0 with den(q0) != 0
@@ -306,10 +365,20 @@ class QRat:
                 den = den.exact_div(g)
             lead = den.coeffs[-1]
             if lead != 1:
-                num = num * (1 / lead)
+                num = num * Fraction(1, lead)
                 den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _from_reduced(cls, num: Poly, den: Poly) -> "QRat":
+        """Trusted constructor: the caller guarantees the invariants (den
+        nonzero and monic, coprime to num, den = 1 when num = 0), so no
+        GCD runs.  Only for callers that reduced the pair themselves."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("QRat is immutable")

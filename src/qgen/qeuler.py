@@ -14,20 +14,25 @@ are this sum at fixed parameters times an integer scale."""
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .padic import DivergenceError, SeriesParams, cesaro1_value
+from .padic import BudgetExceeded, DivergenceError, SeriesParams, cesaro1_value
 from .qcore import (
     DomainError,
     Poly,
     QRat,
     falling,
     is_zero_scalar,
+    poly_gcd,
     q as _qgen,
     q_int,
     q_power,
+    q_sym,
     to_frac,
 )
 
@@ -75,14 +80,235 @@ def _denominator_product(qv, w: Fraction, h: int, j: int, k: int):
     return acc
 
 
+def _divisors(n: int) -> list[int]:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _totient(n: int) -> int:
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            out -= out // p
+        p += 1
+    return out - out // n if n > 1 else out
+
+
+@functools.lru_cache(maxsize=256)
+def _cyclotomic(d: int) -> Poly:
+    """The cyclotomic polynomial Phi_d: q^d - 1 divided by Phi_e for the
+    proper divisors e of d (exact integer division by monic divisors)."""
+    acc = Poly((-1,) + (0,) * (d - 1) + (1,))
+    for e in _divisors(d)[:-1]:
+        acc = acc.exact_div(_cyclotomic(e))
+    return acc
+
+
+_PHI1, _PHI2 = ("phi", 1), ("phi", 2)
+
+
+class _Factor(NamedTuple):
+    """1 + w q^e = content * q^(-shift) * P, where the integer polynomial
+    P is the product of the known factors named by `keys`: ("phi", d) is
+    Phi_d, ("w", e) is b + a q^e for e > 0 and a + b q^|e| for e < 0,
+    with w = a/b in lowest terms."""
+
+    content: Fraction
+    shift: int
+    keys: tuple
+    degree: int
+
+
+def _split_factor(w: Fraction, e: int) -> _Factor:
+    n = abs(e)
+    if w == 0 or e == 0:
+        return _Factor(1 + w, 0, (), 0)
+    shift = n if e < 0 else 0
+    if w == 1:  # 1 + q^n = prod_{d | 2n, d does not divide n} Phi_d
+        return _Factor(Fraction(1), shift,
+                       tuple(("phi", d) for d in _divisors(2 * n) if n % d), n)
+    if w == -1:  # q^n - 1 = prod_{d | n} Phi_d, and 1 - q^n is its negative
+        return _Factor(Fraction(1 if e < 0 else -1), shift,
+                       tuple(("phi", d) for d in _divisors(n)), n)
+    return _Factor(Fraction(1, w.denominator), shift, (("w", e),), n)
+
+
+def _factor_poly(key, w: Fraction) -> Poly:
+    kind, e = key
+    if kind == "phi":
+        return _cyclotomic(e)
+    a, b = w.numerator, w.denominator
+    lo, hi = (b, a) if e > 0 else (a, b)
+    return Poly((lo,) + (0,) * (abs(e) - 1) + (hi,))
+
+
+def _binomial_poly(w: Fraction, e: int) -> Poly:
+    """The integer polynomial P of `_split_factor(w, e)`, for e != 0."""
+    if abs(w) == 1:
+        return Poly((w,) + (0,) * (abs(e) - 1) + (1,))
+    return _factor_poly(("w", e), w)
+
+
+class _KnownDenominator(NamedTuple):
+    """The closed form over its known denominator.  Row j of the sum
+    divides by the factors of the exponents h + j - l, l < k; `powers`
+    gives each known factor's exponent in the rows' common denominator D,
+    and `cancel` the powers of Phi_2 = 1 + q that [2]_q^k cancels from
+    it.  `degree` bounds the degree of the result: it is the larger degree
+    of the unreduced numerator and denominator."""
+
+    factors: dict
+    powers: dict
+    cancel: int
+    degree: int
+
+
+def _known_denominator(m: int, h: int, k: int, x: int, w: Fraction,
+                       budget: int | None = None) -> _KnownDenominator:
+    """Plan the symbolic closed form in O(m + k) steps without a product.
+    With a budget, raise BudgetExceeded when the result's degree bound
+    exceeds it; two lower bounds reject a huge request before the loops."""
+    if budget is not None:
+        # (1 - q)^m stays in the denominator; with w = 0 the numerator
+        # keeps (1 + q)^k; otherwise row 0 divides by factors of total
+        # degree sum_l |h - l|, of which [2]_q^k cancels at most k
+        low = max(m, k) if w == 0 else m + _abs_sum(h - k + 1, h) - k
+        if low > budget:
+            raise BudgetExceeded(
+                f"symbolic degree of at least {low} exceeds the budget of {budget}")
+    if w == -1:  # the first (j, l) in loop order with h + j - l = 0
+        j = max(0, -h)
+        if j <= m and h + j < k:
+            raise DomainError(f"vanishing denominator factor 1 + w q^(0) at j={j}, l={h + j}")
+    lo = h - k + 1
+    factors = {e: _split_factor(w, e) for e in range(lo, h + m + 1)}
+    # slide a window of k exponents: at e >= h it holds row j = e - h; the
+    # windows before are prefixes of row 0, so their counts raise no power
+    live: Counter = Counter()
+    powers: dict = {}
+    shift = degree = 0
+    rows = []
+    for e in range(lo, h + m + 1):
+        new = factors[e]
+        live.update(new.keys)
+        shift += new.shift
+        degree += new.degree
+        if e - k >= lo:
+            old = factors[e - k]
+            live.subtract(old.keys)
+            shift -= old.shift
+            degree -= old.degree
+        for key in new.keys:
+            powers[key] = max(powers.get(key, 0), live[key])
+        if e >= h:
+            rows.append(x * (e - h) + shift - degree)
+    cancel = min(k, powers.get(_PHI2, 0))
+    den_degree = sum(_factor_degree(key) * e for key, e in powers.items())
+    total = max(m + den_degree - cancel, k - cancel + den_degree + max(rows))
+    if budget is not None and total > budget:
+        raise BudgetExceeded(f"symbolic degree {total} exceeds the budget of {budget}")
+    return _KnownDenominator(factors, powers, cancel, total)
+
+
+def _abs_sum(lo: int, hi: int) -> int:
+    """sum |v| over lo <= v <= hi."""
+    def tri(n):
+        return n * (n + 1) // 2
+    if lo >= 0:
+        return tri(hi) - tri(lo - 1)
+    if hi <= 0:
+        return tri(-lo) - tri(-hi - 1)
+    return tri(-lo) + tri(hi)
+
+
+def _factor_degree(key) -> int:
+    kind, e = key
+    return _totient(e) if kind == "phi" else abs(e)
+
+
+def check_symbolic_budget(spec: QEulerSpec, budget: int) -> None:
+    """Raise BudgetExceeded when the symbolic closed form of `spec` may
+    have a degree above `budget`, before any polynomial work."""
+    _known_denominator(spec.m, spec.h, spec.k, spec.x, to_frac(spec.w), budget)
+
+
+def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int) -> QRat:
+    """The closed form at the symbolic generator, over its known
+    denominator: one integer numerator N and one rational content C, so
+    that the value is C (1 + q)^(k - t) N / (Phi_1^m D / Phi_2^t).
+
+    The known factors are pairwise coprime.  Distinct Phi_d are, and a
+    common root of two twist factors, or of a twist factor and some Phi_d,
+    would need |q| = 1, which forces |w| = 1 (q^e = -1/w and q^e' = -1/w
+    give q^(e-e') = 1; q^e = -1/w and q^e' = -w with e, e' > 0 put |q|^e
+    and |q|^e' on opposite sides of 1; the roots of Phi_d have |q| = 1).
+    So gcd(N, denominator) is the product of gcd(N, P) over the factor
+    powers P, each found at a degree below deg P, and dividing each P by
+    its own GCD leaves a denominator coprime to the numerator: the pair is
+    reduced without a second full-degree GCD."""
+    plan = _known_denominator(m, h, k, x, w)
+    polys = {key: _factor_poly(key, w) for key in (*plan.powers, _PHI1, _PHI2)}
+    common = Poly((1,))
+    for key, e in plan.powers.items():
+        common = common * polys[key] ** e
+    binomials = {e: _binomial_poly(w, e) for e, f in plan.factors.items() if f.keys}
+    rows = []
+    for j in range(m + 1):
+        exps = range(h + j - k + 1, h + j + 1)
+        coef = Fraction(math.comb(m, j) * (-1) ** j)
+        for e in exps:
+            coef /= plan.factors[e].content
+        rows.append((coef, exps))
+    lcm = math.lcm(*(coef.denominator for coef, _ in rows))
+    num = Poly()
+    for j, (coef, exps) in enumerate(rows):
+        cof = common
+        shift = x * j
+        for e in exps:
+            shift += plan.factors[e].shift
+            if e in binomials:
+                cof = cof.exact_div(binomials[e])
+        num = num + Poly((0,) * shift + (int(coef * lcm),)) * cof
+    if num.is_zero or not scale:
+        return QRat._from_reduced(Poly(), Poly((1,)))
+    num = num * Poly((1, 1)) ** (k - plan.cancel)
+    powers = Counter(plan.powers)
+    powers[_PHI1] += m
+    powers[_PHI2] -= plan.cancel
+    den = Poly((1,))
+    for key, e in powers.items():
+        if e > 0:
+            power = polys[key] ** e
+            g = poly_gcd(num, power)
+            if g.degree > 0:
+                num = num.exact_div(g)
+                power = power.exact_div(g)
+            den = den * power
+    lead = den.coeffs[-1]
+    # reduced by the per-factor GCDs above (pairwise-coprime factors)
+    return QRat._from_reduced(num * Fraction(scale * (-1) ** m, lcm * lead), den.monic())
+
+
 def _euler_sum(m: int, h: int, k: int, x: int, w, qv, scale: int = 1):
     """The one closed form, times an integer scale:
     scale [2]_q^k (1-q)^{-m} sum_j C(m,j) (-1)^j q^{xj} / prod_l (1 + w q^{h+j-l}).
 
-    The scale joins the prefactor before the final product, so a scaled
-    family costs no extra full-degree reduction."""
+    At the symbolic generator the value is built over its known
+    denominator (`_euler_sum_symbolic`); exact mode and other symbolic
+    arguments take the general loop (`_euler_sum_loop`)."""
     qv = _normalize_q(qv)
     w = to_frac(w)
+    if isinstance(qv, QRat) and qv == q_sym and qv.num.var == _qgen.var:
+        return _euler_sum_symbolic(m, h, k, x, w, scale)
+    return _euler_sum_loop(m, h, k, x, w, qv, scale)
+
+
+def _euler_sum_loop(m: int, h: int, k: int, x: int, w: Fraction, qv, scale: int):
+    """The closed form term by term in the domain of qv (a Fraction or a
+    QRat).  The scale joins the prefactor before the final product, so a
+    scaled family costs no extra full-degree reduction."""
     acc = qv * 0
     for j in range(m + 1):
         den = _denominator_product(qv, w, h, j, k)

@@ -1,0 +1,118 @@
+"""The command-line contract at its edges: exit 1 with `error: ...` for an
+unwritable result file or a request over its budget, exit 2 with
+`usage error: ...` for a malformed configuration, and never a traceback.
+Each budget is checked before the work it guards starts."""
+
+import json
+import time
+from fractions import Fraction
+
+import pytest
+
+from qgen import cli, qeuler
+
+
+def run(capsys, *argv):
+    code = cli.main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, out, err
+
+
+@pytest.fixture
+def config(tmp_path, monkeypatch):
+    def write(text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        monkeypatch.setenv("QGEN_CONFIG", str(path))
+    return write
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_table_out_in_missing_directory(self, capsys, tmp_path, fmt):
+        out = tmp_path / "missing" / "table.out"
+        code, _, err = run(capsys, "table", "--family", "genocchi", "--range", "n=0..3",
+                           "--format", fmt, "--out", out)
+        assert code == 1 and err.startswith("error: cannot write")
+
+    def test_table_out_is_a_directory(self, capsys, tmp_path):
+        code, _, err = run(capsys, "table", "--family", "genocchi", "--range", "n=0..3",
+                           "--format", "json", "--out", tmp_path)
+        assert code == 1 and err.startswith("error: cannot write")
+
+    def test_verify_report_json(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "classical", "--report-json",
+                             tmp_path / "missing" / "report.json")
+        assert code == 1 and err.startswith("error: cannot write")
+        assert "all suites passed" in out
+
+
+class TestConfig:
+    @pytest.mark.parametrize("text", [
+        '{"M": "abc"}', '{"term_budget": 1.5}', '{"p": true}', '{"N": null}',
+        '{"cesaro_tol": "1/0"}', '[1, 2]', '5', '"M"'])
+    def test_malformed_config_is_usage_error(self, capsys, config, text):
+        config(text)
+        code, _, err = run(capsys, "qnum", "--n", 3, "--q", "1/2")
+        assert code == 2 and err.startswith("usage error: config")
+
+    def test_integer_strings_still_accepted(self, capsys, config):
+        config('{"M": "50"}')
+        code, out, _ = run(capsys, "qeuler", "--m", 0, "--h", 0, "--q", "1/2",
+                           "--mode", "series")
+        assert code == 0 and json.loads(out)["meta"]["truncation"] == 50
+
+
+class TestBudgetsBeforeWork:
+    def test_huge_prime_is_rejected_at_once(self, capsys):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "qeuler", "--m", 1, "--h", 1, "--q", 4, "--mode", "padic",
+                           "--p", 1000000000000000003)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and "exceed the budget" in err
+
+    def test_huge_level_is_rejected_at_once(self, capsys):
+        code, _, err = run(capsys, "qeuler", "--m", 1, "--h", 1, "--q", 4, "--mode", "padic",
+                           "--N", 10 ** 15)
+        assert code == 1 and "exceed the budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("qnum", "--n", 10 ** 9),
+        ("qbinom", "--n", 1000, "--k", 500),
+        ("qeuler", "--m", 10 ** 8, "--h", 1),
+        ("qeuler", "--m", 1, "--h", 0, "--k", 10 ** 9),
+        ("qeuler", "--m", 1, "--h", 10 ** 12),
+        ("qeuler", "--m", 1, "--h", 1, "--x", 10 ** 9),
+        ("qeuler", "--m", 1, "--h", 1, "--w", 0, "--x", 10 ** 9),
+        ("qgenocchi", "--n", 10 ** 8, "--h", 1),
+        ("twisted-euler", "--n", 10 ** 8, "--w", 2),
+        ("twisted-genocchi", "--n", 10 ** 8, "--w", "1/2"),
+    ])
+    def test_symbolic_degree_over_budget(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, *argv, "--mode", "symbolic")
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and "symbolic degree" in err and "exceeds the budget" in err
+
+    @pytest.mark.parametrize("argv,degree", [
+        (("qnum", "--n", 9), 8),
+        (("qbinom", "--n", 7, "--k", 3), 12),
+        # the q-families budget the degree of the unreduced quotient
+        (("qeuler", "--m", 2, "--h", 1, "--k", 2, "--x", 1), (2, 1, 2, 1, 1)),
+        (("qgenocchi", "--n", 2, "--h", 0, "--k", 2, "--w=-1/4"), (2, 0, 2, 0, "-1/4")),
+        (("twisted-euler", "--n", 3, "--w", 2), (3, 1, 1, 0, 2)),
+    ])
+    def test_degree_budget_is_tight(self, capsys, config, argv, degree):
+        code, out, _ = run(capsys, *argv, "--mode", "symbolic")
+        assert code == 0
+        if isinstance(degree, tuple):
+            m, h, k, x, w = degree
+            degree = qeuler._known_denominator(m, h, k, x, Fraction(w)).degree
+            value = json.loads(out)["value"]
+            assert max(len(value["num"]), len(value["den"])) - 1 <= degree
+        config(json.dumps({"term_budget": degree}))
+        assert run(capsys, *argv, "--mode", "symbolic")[0] == 0
+        config(json.dumps({"term_budget": degree - 1}))
+        code, _, err = run(capsys, *argv, "--mode", "symbolic")
+        assert code == 1 and f"symbolic degree {degree} exceeds" in err

@@ -58,6 +58,58 @@ class TestPoly:
             Poly([0, 1], var="q") + Poly([0, 1], var="x")
 
 
+def _polys(max_degree=5):
+    coeff = st.one_of(st.integers(-9, 9), st.fractions(max_denominator=6))
+    return st.lists(coeff, max_size=max_degree + 1).map(Poly)
+
+
+def _canonical(p: Poly) -> bool:
+    """Integral coefficients are ints, the others Fractions; never a float."""
+    return all(type(c) is int or (type(c) is F and c.denominator != 1) for c in p.coeffs)
+
+
+class TestCoefficientTypes:
+    @given(_polys(), _polys(), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_poly_operations_stay_canonical(self, a, b, e):
+        results = [a + b, a - b, a * b, a ** e, a.monic(), b.monic()]
+        if not b.is_zero:
+            results.extend(divmod(a, b))
+        assert all(_canonical(p) for p in results)
+        for p in results:
+            if p.is_constant:
+                assert type(p.constant_value()) is F
+
+    @given(_polys(3), _polys(3).filter(bool), _polys(3).filter(bool), st.integers(-2, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_qrat_operations_stay_canonical(self, a, b, c, e):
+        r, s = QRat(a, b), QRat(c, b)
+        results = [r + s, r - s, r * s, r / s, s ** e, r ** abs(e)]
+        for v in results:
+            assert _canonical(v.num) and _canonical(v.den)
+            if v.is_constant:
+                assert type(v.constant_value()) is F
+
+    @given(_polys(), _polys(), _polys(3))
+    @settings(max_examples=80, deadline=None)
+    def test_gcd_matches_fraction_euclid(self, a, b, c):
+        a, b = a * c, b * c  # a nontrivial common factor, most of the time
+        ref_a, ref_b = a, b
+        while not ref_b.is_zero:  # Euclid on Fraction remainders, the reference
+            ref_a, ref_b = ref_b, ref_a % ref_b
+        g = poly_gcd(a, b)
+        assert g == ref_a.monic() and _canonical(g)
+        if not g.is_zero:
+            assert (a % g).is_zero and (b % g).is_zero
+
+    def test_integral_coefficients_are_ints(self):
+        p = Poly([F(4, 2), F(1, 2), "3", True])
+        assert [type(c) for c in p.coeffs] == [int, F, int, int]
+        assert p == Poly([2, F(1, 2), 3, 1]) and hash(p) == hash(Poly([2, F(1, 2), 3, 1]))
+        with pytest.raises(TypeError):
+            Poly([0.5])
+
+
 class TestQRat:
     def test_reduction_is_canonical(self):
         r = QRat(Poly([0, -1]), Poly([1, 0, 1]))

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qgen import qeuler
 from qgen.classical import frobenius_euler, higher_euler_poly, twisted_euler_classical
 from qgen.padic import (
     DivergenceError,
@@ -11,7 +14,7 @@ from qgen.padic import (
     padic_limit_check,
     real_series,
 )
-from qgen.qcore import DomainError, Poly, QRat
+from qgen.qcore import DomainError, Poly, QRat, q_sym
 from qgen.qeuler import (
     QEulerSpec,
     gf_eval,
@@ -64,6 +67,49 @@ class TestClosedForm:
         v = qeuler_hk(QEulerSpec(m=1, h=-2, k=1), QH)
         sym = qeuler_hk(QEulerSpec(m=1, h=-2, k=1))
         assert sym.evaluate(QH) == v
+
+
+# Twists for the known-denominator route: cyclotomic (1, -1), none (0),
+# and coprime twist factors, some reducible over Q (-1/4, -4, 9/4).
+ROUTE_TWISTS = tuple(map(F, ("1", "-1", "0", "2", "-2", "1/2", "-1/4", "-4", "9/4", "3/5")))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestKnownDenominatorRoute:
+    """The symbolic generator takes the known-denominator route; the
+    general loop (`_euler_sum_loop`, any other argument) is its reference."""
+
+    @given(st.integers(0, 6), st.integers(-2, 4), st.integers(1, 3), st.integers(0, 5),
+           st.sampled_from(ROUTE_TWISTS), st.sampled_from((1, 6, 24)),
+           st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    @settings(max_examples=40, deadline=None)
+    def test_route_matches_general_loop_and_exact_mode(self, m, h, k, x, w, scale, q0):
+        routed = _outcome(qeuler._euler_sum, m, h, k, x, w, None, scale)
+        general = _outcome(qeuler._euler_sum_loop, m, h, k, x, w, q_sym, scale)
+        if isinstance(routed, str):  # a vanishing factor: same message, same (j, l)
+            assert routed == general
+            return
+        assert (routed.num.coeffs, routed.den.coeffs) == (general.num.coeffs, general.den.coeffs)
+        plan = qeuler._known_denominator(m, h, k, x, w)
+        assert max(routed.num.degree, routed.den.degree) <= plan.degree
+        assume(q0 not in (0, 1, -1))
+        exact = _outcome(qeuler._euler_sum, m, h, k, x, w, q0, scale)
+        assume(not isinstance(exact, str))  # q0 is a pole of an unreduced factor
+        assert routed.evaluate(q0) == exact
+
+    def test_order_two_matches_general_loop_to_m_10(self):
+        for m in range(11):
+            spec = QEulerSpec(m=m, h=2, k=2)
+            assert qeuler_hk(spec) == qeuler._euler_sum_loop(m, 2, 2, 0, F(1), q_sym, 1)
+
+    def test_order_two_m_20_has_classical_limit(self):
+        assert qeuler_hk(QEulerSpec(m=20, h=2, k=2)).at_one() == higher_euler_poly(20, 2)(F(0))
 
 
 class TestPadicOracle:
