@@ -7,11 +7,12 @@ Grammar:
   qgen verify <suite> [--padic-level N] [--report-json PATH]
 
 Exit codes: 0 success, 1 domain error (vanishing denominator, divergence,
-budget, unwritable result file), 2 usage or parse error (including a
-malformed configuration).  The p-adic term count (p^N)^k and a symbolic
-result's degree are checked against the term budget before any work.
-All rationals serialize as exact strings
-("num/den"), never as floating point; symbolic values serialize as
+budget, unwritable result file, an exact value too long to render), 2 usage
+or parse error (including a malformed configuration).  The p-adic term
+count (p^N)^k, the series term counts (M^k for the k-variable box, M for
+the Gaussian-weight series) and a symbolic result's degree are checked
+against the term budget before any work.  All rationals serialize as exact
+strings ("num/den"), never as floating point; symbolic values serialize as
 {"num": [...], "den": [...]} with coefficients lowest degree first.
 Configuration precedence: flags > JSON file named by QGEN_CONFIG > defaults."""
 
@@ -202,6 +203,12 @@ def _series_params(params: dict, cfg: Config, default_mode: str, series_mode) ->
     return SeriesParams(M, series_mode or default_mode)
 
 
+def _check_series_terms(sp: SeriesParams, cfg: Config) -> None:
+    """A Gaussian-weight series sums M terms; budgeted before any work."""
+    if sp.M > cfg.term_budget:
+        raise BudgetExceeded(f"{sp.M} terms exceed the budget of {cfg.term_budget}")
+
+
 def serialize_value(v):
     if isinstance(v, Poly):
         v = QRat(v)
@@ -307,6 +314,7 @@ def _dispatch_q_family(fam: QFamily, params: dict, mode: str, qv, cfg: Config, s
     if fam.gauss_series:
         sp = _series_params(params, cfg, "cesaro1" if abs(espec.w) == 1 else "direct",
                             series_mode)
+        _check_series_terms(sp, cfg)
         value, bound = fam.gauss_series(spec, qv, sp)
         meta = {"truncation": sp.M, "series_mode": sp.mode}
     else:
@@ -383,6 +391,7 @@ def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None
     if family == "gf":
         _require(params, "kind", "k", "q", "t")
         sp = _series_params(params, cfg, "cesaro1", series_mode)
+        _check_series_terms(sp, cfg)
         x = _int_param(params, "x") if "x" in params else 0
         w = params.get("w", Fraction(1))
         lhs, rhs = gf_eval(params["kind"], _int_param(params, "k", 1), x, w,

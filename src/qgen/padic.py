@@ -6,14 +6,19 @@ regularization for boundary alternating series.
 This module is the universal brute-force oracle: every closed form in
 qeuler/qgenocchi is validated against these level sums (p-adically, via
 valuation growth of exact residuals) and against the real series (via
-exact tail bounds or the smoothed boundary value)."""
+exact tail bounds or the smoothed boundary value).
+
+Every sum here is one box sum: an integrand times prod_j (-q)^{x_j}
+equals prod_j b_j^{x_j} g[x1 + ... + xk] for per-variable ratios b_j and
+a table g over s = x1 + ... + xk, so `_box_sum` convolves the k geometric
+weight tables into one weight per s and never enumerates the box."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .qcore import DomainError, q_bracket_neg, q_power, to_frac
 
@@ -148,38 +153,48 @@ def measure_value(a: int, params: PadicParams, qv) -> Fraction:
     return (-qf) ** a / q_bracket_neg(span, qf)
 
 
-def _bracket_powers(qf: Fraction, x0: int, max_s: int, m: int) -> list[Fraction]:
-    """Table of [s + x0]_q^m for s = 0..max_s, built incrementally."""
+def _ratios(f: IntegrandFamily, qf: Fraction) -> list[Fraction]:
+    """Per-variable ratios b_j of the signed integrand: f(x) prod_j (-q)^{x_j}
+    = prod_j b_j^{x_j} g[x1 + ... + xk].  Classical: -q w; bracket variable
+    j: w q^{h-j} (-q) = -w q^{h-j+1}."""
+    w = to_frac(f.w)
+    if isinstance(f, ClassicalMonomial):
+        return [-qf * w]
+    return [-w * q_power(qf, f.h - j + 1) for j in range(1, f.k + 1)]
+
+
+def _sum_table(f: IntegrandFamily, qf: Fraction, size: int) -> list[Fraction]:
+    """The factor g[s] of the integrand that depends only on s = x1 + ... + xk,
+    for s = 0..size-1: (s + c)^n, or [s + x]_q^m built incrementally."""
+    if isinstance(f, ClassicalMonomial):
+        return [Fraction(s + f.c) ** f.n for s in range(size)]
+    qpow = q_power(qf, f.x)
+    br = Fraction(f.x) if qf == 1 else (1 - qpow) / (1 - qf)
     out = []
-    br = Fraction(0)
-    qpow = Fraction(1)
-    for _ in range(x0):
-        br += qpow
-        qpow *= qf
-    for _ in range(max_s + 1):
-        out.append(br ** m)
+    for _ in range(size):
+        out.append(br ** f.m)
         br += qpow
         qpow *= qf
     return out
 
 
-def _signed_weight_table(base: Fraction, length: int) -> list[Fraction]:
-    out = []
-    cur = Fraction(1)
-    for _ in range(length):
-        out.append(cur)
-        cur *= base
-    return out
+def _box_sum(bases: Sequence[Fraction], g: Sequence[Fraction], L: int) -> Fraction:
+    """Sum over x in [0, L)^k of prod_j b_j^{x_j} g[x1 + ... + xk].
 
-
-def _qbracket_tables(f: QBracketMonomial, qf: Fraction, length: int):
-    """Per-variable signed weight tables: variable j carries
-    (w q^{h-j} * (-q))^{x_j} = (-w q^{h-j+1})^{x_j}."""
-    tables = []
-    for j in range(1, f.k + 1):
-        base = -to_frac(f.w) * q_power(qf, f.h - j + 1)
-        tables.append(_signed_weight_table(base, length))
-    return tables
+    Only s = x1 + ... + xk reaches g, so the k geometric tables
+    (b_j^0, ..., b_j^{L-1}) are convolved into one weight per s, each by the
+    running form d'[s] = d[s] + b d'[s-1] - b^L d[s-L], starting from the
+    unit table.  Costs O(k^2 L) operations instead of L^k."""
+    dist = [Fraction(1)]
+    for b in bases:
+        bL = b ** L
+        padded = dist + [0] * (L - 1)
+        cur = 0
+        dist = []
+        for s, d in enumerate(padded):
+            cur = d + b * cur - (bL * padded[s - L] if s >= L else 0)
+            dist.append(cur)
+    return sum((d * v for d, v in zip(dist, g)), Fraction(0))
 
 
 def check_level_budget(p: int, N: int, k: int, term_budget: int) -> None:
@@ -205,32 +220,8 @@ def fermionic_sum(f: IntegrandFamily, qv, params: PadicParams,
     k = f.num_vars
     check_level_budget(params.p, params.N, k, term_budget)
     span = params.p ** params.N
-    norm = q_bracket_neg(span, qf) ** k
-
-    if isinstance(f, ClassicalMonomial):
-        w = to_frac(f.w)
-        total = Fraction(0)
-        weight = Fraction(1)
-        for y in range(span):
-            total += weight * Fraction(y + f.c) ** f.n
-            weight *= -qf * w
-        return total / norm
-
-    tables = _qbracket_tables(f, qf, span)
-    brk = _bracket_powers(qf, f.x, k * (span - 1), f.m)
-    total = Fraction(0)
-
-    def rec(j: int, weight: Fraction, s: int):
-        nonlocal total
-        if j == k:
-            total += weight * brk[s]
-            return
-        tab = tables[j]
-        for xv in range(span):
-            rec(j + 1, weight * tab[xv], s + xv)
-
-    rec(0, Fraction(1), 0)
-    return total / norm
+    total = _box_sum(_ratios(f, qf), _sum_table(f, qf, k * (span - 1) + 1), span)
+    return total / q_bracket_neg(span, qf) ** k
 
 
 def padic_limit_check(f: IntegrandFamily, target, qv, p: int = 3,
@@ -258,12 +249,6 @@ def convergence_envelope_ok(report: ValuationReport) -> bool:
     if any(v < lvl - 1 for lvl, v in zip(report.levels, report.valuations)):
         return False
     return report.valuations[-1] >= max(report.levels) - 1
-
-
-def cesaro_mean(partials: Sequence[Fraction]) -> Fraction:
-    """Plain running mean of the partial sums (diagnostic; its bias decays
-    only like 1/M for boundary alternating series)."""
-    return sum(partials, Fraction(0)) / len(partials)
 
 
 def cesaro1_value(partials: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
@@ -294,28 +279,6 @@ def _classical_tail_bound(f: ClassicalMonomial, rho: Fraction, M: int) -> Fracti
     return t_M / (1 - r_hat)
 
 
-def _box_partials(tables: list[list[Fraction]], brk: list[Fraction], M: int) -> list[Fraction]:
-    """Partial sums over the expanding boxes [0, J]^k, J = 0..M-1."""
-    k = len(tables)
-    partials = []
-    running = Fraction(0)
-
-    def shell(j: int, weight: Fraction, s: int, hit: bool, J: int):
-        nonlocal running
-        if j == k:
-            if hit:
-                running += weight * brk[s]
-            return
-        tab = tables[j]
-        for xv in range(J + 1):
-            shell(j + 1, weight * tab[xv], s + xv, hit or xv == J, J)
-
-    for J in range(M):
-        shell(0, Fraction(1), 0, False, J)
-        partials.append(running)
-    return partials
-
-
 def real_series(f: IntegrandFamily, qv, sp: SeriesParams,
                 term_budget: int = DEFAULT_TERM_BUDGET) -> tuple[Fraction, Fraction]:
     """Series value of the fermionic integral in the real regime:
@@ -329,52 +292,36 @@ def real_series(f: IntegrandFamily, qv, sp: SeriesParams,
     k = f.num_vars
     if sp.M ** k > term_budget:
         raise BudgetExceeded(f"{sp.M}^{k} terms exceed the budget of {term_budget}")
-    pref = (1 + qf) ** k
-
-    if isinstance(f, ClassicalMonomial):
-        w = to_frac(f.w)
-        base = -qf * w
-        if abs(base) > 1:
-            raise DivergenceError("effective ratio |q w| exceeds 1")
-        if base == 1:
-            raise DivergenceError("positively divergent series (q w = -1)")
-        boundary = base == -1
-        if boundary and f.n >= 1:
-            raise DivergenceError(
-                "alternating series with polynomially growing terms; "
-                "first-order averaging does not sum it")
-        partials = []
-        running = Fraction(0)
-        weight = Fraction(1)
-        for y in range(sp.M):
-            running += weight * Fraction(y + f.c) ** f.n
-            weight *= base
-            partials.append(running)
-        if sp.mode == "direct":
-            if boundary:
-                raise DivergenceError("boundary alternating series: use cesaro1")
-            return pref * running, pref * _classical_tail_bound(f, abs(base), sp.M)
-        value, gap = cesaro1_value(partials)
-        return pref * value, pref * gap
-
+    classical = isinstance(f, ClassicalMonomial)
     # bracket integrands: [s + x]_q stays below 1/(1-q) only for q < 1
-    if qf == 1:
+    if not classical and qf == 1:
         raise DomainError("bracket integrands need 0 < q < 1 in series mode")
-    w = to_frac(f.w)
-    bases = [-w * q_power(qf, f.h - j + 1) for j in range(1, k + 1)]
+    bases = _ratios(f, qf)
     if any(abs(b) > 1 for b in bases):
-        raise DivergenceError("an effective per-variable ratio exceeds 1")
-    if any(b == 1 for b in bases):
-        raise DivergenceError("positively divergent variable (w q^(h-j+1) = -1)")
-    boundary = any(b == -1 for b in bases)
+        raise DivergenceError("effective ratio |q w| exceeds 1" if classical
+                              else "an effective per-variable ratio exceeds 1")
+    if 1 in bases:
+        raise DivergenceError("positively divergent series (q w = -1)" if classical
+                              else "positively divergent variable (w q^(h-j+1) = -1)")
+    boundary = -1 in bases
+    if classical and boundary and f.n >= 1:
+        raise DivergenceError(
+            "alternating series with polynomially growing terms; "
+            "first-order averaging does not sum it")
     if sp.mode == "direct" and boundary:
         raise DivergenceError("boundary alternating series: use cesaro1")
-    tables = _qbracket_tables(f, qf, sp.M)
-    brk = _bracket_powers(qf, f.x, k * (sp.M - 1), f.m)
-    partials = _box_partials(tables, brk, sp.M)
-    if sp.mode == "direct":
+    pref = (1 + qf) ** k
+    g = _sum_table(f, qf, k * (sp.M - 1) + 1)
+    if sp.mode == "cesaro1":
+        # the last three boxes [0, L)^k; for M < 3 there are fewer, and
+        # cesaro1_value rejects them
+        value, gap = cesaro1_value(
+            [_box_sum(bases, g, L) for L in range(max(sp.M - 2, 1), sp.M + 1)])
+        return pref * value, pref * gap
+    if classical:
+        tail = _classical_tail_bound(f, abs(bases[0]), sp.M)
+    else:
         ratios = [abs(b) for b in bases]
-        bmax = q_power(1 - qf, -f.m)
         tail = Fraction(0)
         for j, r in enumerate(ratios):
             piece = r ** sp.M / (1 - r)
@@ -382,28 +329,8 @@ def real_series(f: IntegrandFamily, qv, sp: SeriesParams,
                 if i != j:
                     piece *= 1 / (1 - ri)
             tail += piece
-        return pref * partials[-1], pref * bmax * tail
-    value, gap = cesaro1_value(partials)
-    return pref * value, pref * gap
-
-
-def _eval_single(f: IntegrandFamily, y: int, qf: Fraction) -> Fraction:
-    """Evaluate a single-variable integrand at the integer point y."""
-    if isinstance(f, ClassicalMonomial):
-        return to_frac(f.w) ** y * Fraction(y + f.c) ** f.n
-    if f.k != 1:
-        raise DomainError("single-variable evaluation needs k = 1")
-    bracket = Fraction(y + f.x) if qf == 1 else (1 - qf ** (y + f.x)) / (1 - qf)
-    return to_frac(f.w) ** y * q_power(qf, (f.h - 1) * y) * bracket ** f.m
-
-
-def _level_sum_single(g: Callable[[int], Fraction], qf: Fraction, span: int) -> Fraction:
-    total = Fraction(0)
-    weight = Fraction(1)
-    for y in range(span):
-        total += weight * g(y)
-        weight *= -qf
-    return total / q_bracket_neg(span, qf)
+        tail *= q_power(1 - qf, -f.m)
+    return pref * _box_sum(bases, g, sp.M), pref * tail
 
 
 def shift_identity_residual(f: IntegrandFamily, n_shift: int, qv,
@@ -411,7 +338,10 @@ def shift_identity_residual(f: IntegrandFamily, n_shift: int, qv,
                             term_budget: int = DEFAULT_TERM_BUDGET) -> Fraction:
     """Level-N residual of the translation identity
     q^n I(f(.+n)) = (-1)^n I(f) + [2]_q sum_{l<n} (-1)^{n-1-l} q^l f(l),
-    with both integrals replaced by their level-N sums."""
+    with both integrals replaced by their level-N sums.
+
+    With f(y) (-q)^y = b^y g[y], the shifted integrand is q^n f(y+n) (-q)^y
+    = (-b)^n b^y g[y+n], and the correction is (-1)^{n-1} sum_{l<n} b^l g[l]."""
     if n_shift < 1:
         raise DomainError("shift identity needs n >= 1")
     qf = to_frac(qv)
@@ -420,10 +350,12 @@ def shift_identity_residual(f: IntegrandFamily, n_shift: int, qv,
     span = params.p ** params.N
     if span > term_budget:
         raise BudgetExceeded(f"{span} terms exceed the budget of {term_budget}")
-    lhs = qf ** n_shift * _level_sum_single(lambda y: _eval_single(f, y + n_shift, qf), qf, span)
-    rhs = Fraction(-1) ** n_shift * _level_sum_single(lambda y: _eval_single(f, y, qf), qf, span)
-    corr = Fraction(0)
-    for l in range(n_shift):
-        corr += Fraction(-1) ** (n_shift - 1 - l) * qf ** l * _eval_single(f, l, qf)
-    rhs += (1 + qf) * corr
-    return lhs - rhs
+    if f.num_vars != 1:
+        raise DomainError("single-variable evaluation needs k = 1")
+    bases = _ratios(f, qf)
+    g = _sum_table(f, qf, span + n_shift)
+    norm = q_bracket_neg(span, qf)
+    lhs = (-bases[0]) ** n_shift * _box_sum(bases, g[n_shift:], span) / norm
+    rhs = (-1) ** n_shift * _box_sum(bases, g, span) / norm
+    corr = (-1) ** (n_shift - 1) * _box_sum(bases, g, n_shift)
+    return lhs - rhs - (1 + qf) * corr

@@ -18,6 +18,7 @@ a polynomial or rational function in q.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -48,9 +49,13 @@ def parse_rat(text: str) -> Fraction:
 def rat_str(v) -> str:
     """Canonical rendering: "num/den", with the "/den" omitted when den == 1."""
     v = to_frac(v)
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    try:
+        if v.denominator == 1:
+            return str(v.numerator)
+        return f"{v.numerator}/{v.denominator}"
+    except ValueError as exc:  # the interpreter's limit on int-to-str digits
+        raise DomainError(f"exact value has more than {sys.get_int_max_str_digits()} "
+                          "digits, the interpreter's limit for rendering an integer") from exc
 
 
 def _coeff(v):

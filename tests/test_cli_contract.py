@@ -1,9 +1,11 @@
 """The command-line contract at its edges: exit 1 with `error: ...` for an
-unwritable result file or a request over its budget, exit 2 with
+unwritable result file, a request over its budget or an exact value too
+long to render, exit 2 with
 `usage error: ...` for a malformed configuration, and never a traceback.
 Each budget is checked before the work it guards starts."""
 
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -26,6 +28,17 @@ def config(tmp_path, monkeypatch):
         path.write_text(text)
         monkeypatch.setenv("QGEN_CONFIG", str(path))
     return write
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit on rendering an int as decimal digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter renders integers of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 class TestUnwritableOutput:
@@ -76,6 +89,33 @@ class TestBudgetsBeforeWork:
         code, _, err = run(capsys, "qeuler", "--m", 1, "--h", 1, "--q", 4, "--mode", "padic",
                            "--N", 10 ** 15)
         assert code == 1 and "exceed the budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        # the Gaussian-weight series routes sum M terms, one per n
+        ("qeuler", "--m", 0, "--h", 0, "--q", "1/2", "--mode", "series", "--M", 10 ** 11),
+        ("gf", "--kind", "fqk", "--k", 1, "--q", "1/2", "--t", "1/3", "--M", 10 ** 11),
+    ])
+    def test_series_truncation_over_budget(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and err.startswith(f"error: {10 ** 11} terms exceed the budget")
+
+    @pytest.mark.parametrize("argv", [
+        ("qnum", "--n", 20000, "--q", 2),
+        ("qeuler", "--m", 0, "--h", 15000, "--q", 2),
+    ])
+    def test_exact_value_over_digit_limit(self, capsys, digit_limit, argv):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and out == "" and err.startswith("error: exact value has more than")
+
+    def test_table_cell_over_digit_limit(self, capsys, digit_limit, tmp_path):
+        code, _, err = run(capsys, "table", "--family", "qnum", "--range", "n=19999..20000",
+                           "--q", 2, "--format", "json", "--out", tmp_path / "t.json")
+        assert code == 1 and err.startswith("error: exact value has more than")
+        assert not (tmp_path / "t.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ("qnum", "--n", 10 ** 9),

@@ -1,7 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgen.classical import euler_number, higher_euler_poly
 from qgen.padic import (
@@ -13,7 +16,6 @@ from qgen.padic import (
     SeriesParams,
     ValuationReport,
     cesaro1_value,
-    cesaro_mean,
     convergence_envelope_ok,
     fermionic_sum,
     measure_value,
@@ -22,7 +24,7 @@ from qgen.padic import (
     shift_identity_residual,
     val_p,
 )
-from qgen.qcore import DomainError
+from qgen.qcore import DomainError, q_bracket_neg
 
 F = Fraction
 
@@ -206,9 +208,6 @@ class TestCesaroHelpers:
             partials.append(s)
         value, gap = cesaro1_value(partials)
         assert value == F(1, 2) and gap == 0
-        # the plain mean carries the 1/M bias
-        assert cesaro_mean(partials) == F(1, 2)
-        assert cesaro_mean(partials[:99]) != F(1, 2)
 
     def test_needs_three_partials(self):
         with pytest.raises(DomainError):
@@ -238,3 +237,106 @@ class TestShiftIdentity:
             r = shift_identity_residual(ClassicalMonomial(n=1), 2, F(1), PadicParams(3, N))
             vals.append(val_p(r, 3))
         assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
+
+
+def _integrand(f, xs, qf):
+    """f(x1..xk) evaluated from its definition at one integer point."""
+    if isinstance(f, ClassicalMonomial):
+        (y,) = xs
+        return f.w ** y * F(y + f.c) ** f.n
+    s = sum(xs) + f.x
+    bracket = F(s) if qf == 1 else (1 - qf ** s) / (1 - qf)
+    weight = F(1)
+    for j, xj in enumerate(xs, start=1):
+        weight *= f.w ** xj * qf ** ((f.h - j) * xj)
+    return weight * bracket ** f.m
+
+
+def _enumerate(f, qf, L):
+    """Reference box sum, term by term: sum over x in [0, L)^k of
+    f(x) prod_j (-q)^{x_j}."""
+    return sum((_integrand(f, xs, qf) * (-qf) ** sum(xs)
+                for xs in itertools.product(range(L), repeat=f.num_vars)), F(0))
+
+
+def _level_reference(f, qf, N):
+    span = 3 ** N
+    return _enumerate(f, qf, span) / q_bracket_neg(span, qf) ** f.num_vars
+
+
+class TestBoxSumAgainstEnumeration:
+    @pytest.mark.parametrize("qv", [F(4), F(1, 4), F(-2)])
+    @pytest.mark.parametrize("w", [F(1), F(4), F(1, 3)])
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fermionic_bracket(self, k, N, w, qv):
+        for m, h, x in ((0, k, 0), (2, k - 2, 1), (2, k, 2), (1, k + 1, -1)):
+            f = QBracketMonomial(m=m, k=k, h=h, w=w, x=x)
+            assert fermionic_sum(f, qv, PadicParams(3, N)) == _level_reference(f, qv, N)
+
+    @pytest.mark.parametrize("qv", [F(4), F(1, 4), F(-2)])
+    @pytest.mark.parametrize("w", [F(1), F(4), F(1, 3)])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_fermionic_classical(self, N, w, qv):
+        for n, c in itertools.product(range(4), (0, 2)):
+            f = ClassicalMonomial(n=n, w=w, c=c)
+            assert fermionic_sum(f, qv, PadicParams(3, N)) == _level_reference(f, qv, N)
+
+    @pytest.mark.parametrize("f,qv,boundary", [
+        (QBracketMonomial(m=1, k=1, h=1, x=2), F(1, 2), False),
+        (QBracketMonomial(m=2, k=2, h=2, w=F(-1, 3), x=1), F(2, 3), False),
+        (QBracketMonomial(m=1, k=3, h=3, w=F(1, 2)), F(1, 2), False),
+        (QBracketMonomial(m=1, k=2, h=1), F(1, 2), True),
+        (ClassicalMonomial(n=2, w=F(1, 3), c=1), F(1), False),
+        (ClassicalMonomial(n=0, w=F(1)), F(1), True),
+    ])
+    @pytest.mark.parametrize("M", [3, 4, 7])
+    def test_real_series_both_modes(self, f, qv, boundary, M):
+        pref = (1 + qv) ** f.num_vars
+        boxes = [_enumerate(f, qv, L) for L in (M - 2, M - 1, M)]
+        value, gap = cesaro1_value(boxes)
+        assert real_series(f, qv, SeriesParams(M, "cesaro1")) == (pref * value, pref * gap)
+        if boundary:
+            with pytest.raises(DivergenceError):
+                real_series(f, qv, SeriesParams(M, "direct"))
+        else:
+            assert real_series(f, qv, SeriesParams(M, "direct"))[0] == pref * boxes[-1]
+
+    @pytest.mark.parametrize("M", [1, 2])
+    @pytest.mark.parametrize("f", [QBracketMonomial(m=1, k=2, h=1), ClassicalMonomial(n=0)])
+    def test_cesaro1_needs_three_boxes(self, f, M):
+        qv = F(1, 2) if isinstance(f, QBracketMonomial) else F(1)
+        with pytest.raises(DomainError):
+            real_series(f, qv, SeriesParams(M, "cesaro1"))
+
+    @pytest.mark.parametrize("n_shift", [1, 2, 3])
+    @pytest.mark.parametrize("f", [ClassicalMonomial(n=2, w=F(1, 3), c=1),
+                                   QBracketMonomial(m=2, k=1, h=0, w=F(4), x=1)])
+    @pytest.mark.parametrize("qv", [F(4), F(1, 4), F(1)])
+    def test_shift_identity_residual(self, f, n_shift, qv):
+        span = 9
+        norm = q_bracket_neg(span, qv)
+
+        def level(shift):
+            return sum(_integrand(f, (y + shift,), qv) * (-qv) ** y for y in range(span)) / norm
+
+        corr = sum((-1) ** (n_shift - 1 - l) * qv ** l * _integrand(f, (l,), qv)
+                   for l in range(n_shift))
+        expected = qv ** n_shift * level(n_shift) - (-1) ** n_shift * level(0) - (1 + qv) * corr
+        assert shift_identity_residual(f, n_shift, qv, PadicParams(3, 2)) == expected
+
+    @given(st.integers(0, 4), st.integers(1, 3), st.integers(-1, 4), st.integers(0, 3),
+           st.sampled_from([F(1), F(-1), F(4), F(1, 3), F(-1, 4), F(2), F(0)]),
+           st.sampled_from([F(4), F(1, 4), F(-2), F(1, 2), F(2, 3), F(1), F(3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_specs(self, m, k, h, x, w, qv):
+        f = QBracketMonomial(m=m, k=k, h=h, w=w, x=x)
+        N = 1 if k == 3 else 2
+        assert fermionic_sum(f, qv, PadicParams(3, N)) == _level_reference(f, qv, N)
+        if 0 < qv < 1:
+            try:
+                v, _ = real_series(f, qv, SeriesParams(5, "cesaro1"))
+            except DivergenceError:
+                return
+            boxes = [_enumerate(f, qv, L) for L in (3, 4, 5)]
+            assert v == (1 + qv) ** k * cesaro1_value(boxes)[0]
