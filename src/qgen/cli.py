@@ -35,6 +35,7 @@ from .padic import (
     QBracketMonomial,
     SeriesParams,
     check_level_budget,
+    check_shift_budget,
     fermionic_sum,
     real_series,
 )
@@ -204,7 +205,8 @@ def _series_params(params: dict, cfg: Config, default_mode: str, series_mode) ->
 
 
 def _check_series_terms(sp: SeriesParams, cfg: Config) -> None:
-    """A Gaussian-weight series sums M terms; budgeted before any work."""
+    """A Gaussian-weight series sums M terms; budgeted before any work.
+    Its q exponents reach x + k(M - 1), which `check_shift_budget` takes."""
     if sp.M > cfg.term_budget:
         raise BudgetExceeded(f"{sp.M} terms exceed the budget of {cfg.term_budget}")
 
@@ -315,6 +317,7 @@ def _dispatch_q_family(fam: QFamily, params: dict, mode: str, qv, cfg: Config, s
         sp = _series_params(params, cfg, "cesaro1" if abs(espec.w) == 1 else "direct",
                             series_mode)
         _check_series_terms(sp, cfg)
+        check_shift_budget(espec.x, espec.k * (sp.M - 1), cfg.term_budget)
         value, bound = fam.gauss_series(spec, qv, sp)
         meta = {"truncation": sp.M, "series_mode": sp.mode}
     else:
@@ -393,9 +396,10 @@ def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None
         sp = _series_params(params, cfg, "cesaro1", series_mode)
         _check_series_terms(sp, cfg)
         x = _int_param(params, "x") if "x" in params else 0
+        k = _int_param(params, "k", 1)
+        check_shift_budget(x, k * (sp.M - 1), cfg.term_budget)
         w = params.get("w", Fraction(1))
-        lhs, rhs = gf_eval(params["kind"], _int_param(params, "k", 1), x, w,
-                           qv, params["t"], sp)
+        lhs, rhs = gf_eval(params["kind"], k, x, w, qv, params["t"], sp)
         meta = {"rhs": rat_str(rhs), "abs_diff": rat_str(abs(lhs - rhs)),
                 "truncation": sp.M}
         return lhs, meta

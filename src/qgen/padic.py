@@ -11,7 +11,8 @@ exact tail bounds or the smoothed boundary value).
 Every sum here is one box sum: an integrand times prod_j (-q)^{x_j}
 equals prod_j b_j^{x_j} g[x1 + ... + xk] for per-variable ratios b_j and
 a table g over s = x1 + ... + xk, so `_box_sum` convolves the k geometric
-weight tables into one weight per s and never enumerates the box."""
+weight tables into one weight per s and never enumerates the box.  It runs
+on integers over one common denominator, exactly or modulo p^L."""
 
 from __future__ import annotations
 
@@ -131,15 +132,16 @@ def val_p(value: Fraction, p: int):
     value = to_frac(value)
     if value == 0:
         return math.inf
+    return _val_int(value.numerator, p) - _val_int(value.denominator, p)
 
-    def vint(n: int) -> int:
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
 
-    return vint(abs(value.numerator)) - vint(value.denominator)
+def _val_int(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def measure_value(a: int, params: PadicParams, qv) -> Fraction:
@@ -163,38 +165,85 @@ def _ratios(f: IntegrandFamily, qf: Fraction) -> list[Fraction]:
     return [-w * q_power(qf, f.h - j + 1) for j in range(1, f.k + 1)]
 
 
-def _sum_table(f: IntegrandFamily, qf: Fraction, size: int) -> list[Fraction]:
+def check_shift_budget(x: int, last: int, term_budget: int) -> None:
+    """Raise BudgetExceeded when [s + x]_q for s = 0..last reaches a q
+    exponent beyond the budget; an entry then has about that many digits."""
+    top = max(abs(x), abs(x + last))
+    if top > term_budget:
+        raise BudgetExceeded(f"q exponent {top} exceeds the budget of {term_budget}")
+
+
+def _sum_table(f: IntegrandFamily, qf: Fraction, size: int, term_budget: int,
+               modulus: int | None = None) -> tuple[list[int], int, int]:
     """The factor g[s] of the integrand that depends only on s = x1 + ... + xk,
-    for s = 0..size-1: (s + c)^n, or [s + x]_q^m built incrementally."""
+    for s = 0..size-1: (s + c)^n, or [s + x]_q^m.  Returned as integers
+    (G, R, C) with g[s] = G[s] / (R^s C), G reduced modulo `modulus` when
+    one is given.
+
+    With q = a/c and br_s = [s + x]_q = U_s / (K c^s), where K is a common
+    denominator of [x]_q and q^x = X / K, the step br_{s+1} = br_s + q^{x+s}
+    is U_{s+1} = c (U_s + X a^s), so R = c^m and C = K^m."""
     if isinstance(f, ClassicalMonomial):
-        return [Fraction(s + f.c) ** f.n for s in range(size)]
+        if f.n < 0:
+            raise DomainError("integrand exponent n must be >= 0")
+        return [pow(s + f.c, f.n, modulus) for s in range(size)], 1, 1
+    if f.m < 0:
+        raise DomainError("integrand exponent m must be >= 0")
+    check_shift_budget(f.x, size - 1, term_budget)
     qpow = q_power(qf, f.x)
     br = Fraction(f.x) if qf == 1 else (1 - qpow) / (1 - qf)
-    out = []
+    K = math.lcm(br.denominator, qpow.denominator)
+    a, c = qf.numerator, qf.denominator
+    u = br.numerator * (K // br.denominator)
+    t = qpow.numerator * (K // qpow.denominator)
+    G = []
     for _ in range(size):
-        out.append(br ** f.m)
-        br += qpow
-        qpow *= qf
-    return out
+        G.append(pow(u, f.m, modulus))
+        u = c * (u + t)
+        t *= a
+        if modulus:
+            u %= modulus
+            t %= modulus
+    return G, c ** f.m, K ** f.m
 
 
-def _box_sum(bases: Sequence[Fraction], g: Sequence[Fraction], L: int) -> Fraction:
-    """Sum over x in [0, L)^k of prod_j b_j^{x_j} g[x1 + ... + xk].
+def _box_sum(bases: Sequence[Fraction], table: tuple[list[int], int, int], L: int,
+             modulus: int | None = None):
+    """Sum over x in [0, L)^k of prod_j b_j^{x_j} g[x1 + ... + xk]: a Fraction,
+    or its residue modulo `modulus` when one is given (every denominator
+    must then be a unit).
 
     Only s = x1 + ... + xk reaches g, so the k geometric tables
     (b_j^0, ..., b_j^{L-1}) are convolved into one weight per s, each by the
     running form d'[s] = d[s] + b d'[s-1] - b^L d[s-L], starting from the
-    unit table.  Costs O(k^2 L) operations instead of L^k."""
-    dist = [Fraction(1)]
+    unit table.  Costs O(k^2 L) operations instead of L^k.  The bases run
+    as integers B_j = E b_j over their common denominator E, so the weight
+    of s is D[s] / E^s, and the sum is
+    sum_s D[s] G[s] (E R)^(S-s) / (C (E R)^S), accumulated by Horner's rule."""
+    E = math.lcm(*(b.denominator for b in bases))
+    dist = [1]
     for b in bases:
-        bL = b ** L
+        B = b.numerator * (E // b.denominator)
+        BL = pow(B, L, modulus)
         padded = dist + [0] * (L - 1)
         cur = 0
         dist = []
         for s, d in enumerate(padded):
-            cur = d + b * cur - (bL * padded[s - L] if s >= L else 0)
+            cur = d + B * cur - (BL * padded[s - L] if s >= L else 0)
+            if modulus:
+                cur %= modulus
             dist.append(cur)
-    return sum((d * v for d, v in zip(dist, g)), Fraction(0))
+    G, R, C = table
+    ER = E * R
+    acc = 0
+    for d, v in zip(dist, G):
+        acc = acc * ER + d * v
+        if modulus:
+            acc %= modulus
+    den = C * pow(ER, len(dist) - 1, modulus)
+    if modulus:
+        return acc * pow(den, -1, modulus) % modulus
+    return Fraction(acc, den)
 
 
 def check_level_budget(p: int, N: int, k: int, term_budget: int) -> None:
@@ -210,29 +259,84 @@ def check_level_budget(p: int, N: int, k: int, term_budget: int) -> None:
             raise BudgetExceeded(f"({p}^{N})^{k} terms exceed the budget of {term_budget}")
 
 
+def _units_mod_p(f: IntegrandFamily, qf: Fraction, p: int) -> bool:
+    """True when q, 1 + q and w are p-adic units.  Then so are every
+    denominator of the level sum (E, R and C of `_box_sum`, products of
+    numerators and denominators of q and w) and the norm [p^N]_{-q}, which
+    is 1 mod p because (-q)^(p^N) = -q mod p; so the level sum is
+    p-integral and can be read modulo p^L."""
+    return all(v.numerator % p and v.denominator % p for v in (qf, 1 + qf, to_frac(f.w)))
+
+
 def fermionic_sum(f: IntegrandFamily, qv, params: PadicParams,
-                  term_budget: int = DEFAULT_TERM_BUDGET) -> Fraction:
+                  term_budget: int = DEFAULT_TERM_BUDGET, modulus: int | None = None):
     """Level-N approximation of the fermionic integral:
-    (1/[p^N]_{-q})^k  sum over x in [0, p^N)^k of f(x) prod_j (-q)^{x_j}."""
+    (1/[p^N]_{-q})^k  sum over x in [0, p^N)^k of f(x) prod_j (-q)^{x_j}.
+
+    Exact as a Fraction; with `modulus` a power of p, its residue as an int
+    in [0, modulus), which needs q, 1 + q and w to be p-adic units."""
     qf = to_frac(qv)
     if qf == -1:
         raise DomainError("fermionic sum undefined at q = -1")
     k = f.num_vars
     check_level_budget(params.p, params.N, k, term_budget)
+    if modulus is not None and not _units_mod_p(f, qf, params.p):
+        raise DomainError(f"a level sum modulo {params.p}^L needs q, 1 + q and w "
+                          f"to be {params.p}-adic units")
     span = params.p ** params.N
-    total = _box_sum(_ratios(f, qf), _sum_table(f, qf, k * (span - 1) + 1), span)
-    return total / q_bracket_neg(span, qf) ** k
+    bases = _ratios(f, qf)
+    total = _box_sum(bases, _sum_table(f, qf, k * (span - 1) + 1, term_budget, modulus),
+                     span, modulus)
+    if modulus is None:
+        return total / q_bracket_neg(span, qf) ** k
+    # [p^N]_{-q} = (c^span - (-a)^span) / (c^(span-1) (c + a)) with q = a/c
+    a, c = qf.numerator, qf.denominator
+    norm = ((pow(c, span, modulus) - pow(-a, span, modulus))
+            * pow(pow(c, span - 1, modulus) * (c + a), -1, modulus))
+    return total * pow(norm, -k, modulus) % modulus
+
+
+# Residues are read modulo p^(max(levels) + MODULAR_MARGIN); a residue of
+# zero there sends the level to the exact route, so the margin moves only
+# the speed, never a valuation.
+MODULAR_MARGIN = 10
+
+
+def _residual_valuation(r: int, target: Fraction, p: int, modulus: int):
+    """v_p(S - target) for a p-integral S with residue r modulo a power of
+    p, or None when the residual is 0 there and only the exact sum can
+    tell its valuation."""
+    if target.denominator % p == 0:
+        return val_p(target, p)
+    res = (r - target.numerator * pow(target.denominator, -1, modulus)) % modulus
+    return _val_int(res, p) if res else None
 
 
 def padic_limit_check(f: IntegrandFamily, target, qv, p: int = 3,
                       levels: Sequence[int] = (1, 2, 3),
                       term_budget: int = DEFAULT_TERM_BUDGET) -> ValuationReport:
-    """Residual valuations v_p(S_N - target) over the given levels."""
+    """Residual valuations v_p(S_N - target) over the given levels.
+
+    When q, 1 + q and w are p-adic units, S_N is p-integral and is computed
+    modulo P = p^L, L = max(levels) + MODULAR_MARGIN: a target with p in
+    its denominator has residual valuation v_p(target), and any other
+    residual that is nonzero mod P has the valuation of its residue.  A
+    level whose residual is 0 mod P, or any level when a unit condition
+    fails, is summed exactly, so every valuation equals the exact one."""
     target = to_frac(target)
+    qf = to_frac(qv)
+    check_level_budget(p, max(levels), f.num_vars, term_budget)
+    modulus = p ** (max(levels) + MODULAR_MARGIN) if _units_mod_p(f, qf, p) else None
     vals = []
     for N in levels:
-        s = fermionic_sum(f, qv, PadicParams(p=p, N=N), term_budget)
-        vals.append(val_p(s - target, p))
+        params = PadicParams(p=p, N=N)
+        v = None
+        if modulus is not None:
+            r = fermionic_sum(f, qf, params, term_budget, modulus=modulus)
+            v = _residual_valuation(r, target, p, modulus)
+        if v is None:
+            v = val_p(fermionic_sum(f, qf, params, term_budget) - target, p)
+        vals.append(v)
     ok = all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
     ok = ok and vals[-1] >= max(levels) - 1
     return ValuationReport(list(levels), vals, ok)
@@ -311,7 +415,7 @@ def real_series(f: IntegrandFamily, qv, sp: SeriesParams,
     if sp.mode == "direct" and boundary:
         raise DivergenceError("boundary alternating series: use cesaro1")
     pref = (1 + qf) ** k
-    g = _sum_table(f, qf, k * (sp.M - 1) + 1)
+    g = _sum_table(f, qf, k * (sp.M - 1) + 1, term_budget)
     if sp.mode == "cesaro1":
         # the last three boxes [0, L)^k; for M < 3 there are fewer, and
         # cesaro1_value rejects them
@@ -353,9 +457,10 @@ def shift_identity_residual(f: IntegrandFamily, n_shift: int, qv,
     if f.num_vars != 1:
         raise DomainError("single-variable evaluation needs k = 1")
     bases = _ratios(f, qf)
-    g = _sum_table(f, qf, span + n_shift)
+    g = G, R, C = _sum_table(f, qf, span + n_shift, term_budget)
     norm = q_bracket_neg(span, qf)
-    lhs = (-bases[0]) ** n_shift * _box_sum(bases, g[n_shift:], span) / norm
+    shifted = G[n_shift:], R, C * R ** n_shift  # the table of g[s + n]
+    lhs = (-bases[0]) ** n_shift * _box_sum(bases, shifted, span) / norm
     rhs = (-1) ** n_shift * _box_sum(bases, g, span) / norm
     corr = (-1) ** (n_shift - 1) * _box_sum(bases, g, n_shift)
     return lhs - rhs - (1 + qf) * corr

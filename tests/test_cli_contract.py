@@ -102,6 +102,19 @@ class TestBudgetsBeforeWork:
         assert code == 1 and err.startswith(f"error: {10 ** 11} terms exceed the budget")
 
     @pytest.mark.parametrize("argv", [
+        # the bracket table [s + x]_q of a level sum or a series reaches
+        # q^(x + k(L - 1)), with L = p^N or M
+        ("qeuler", "--m", 2, "--h", 1, "--x", 300000, "--q", 4, "--mode", "padic", "--N", 2),
+        ("qeuler", "--m", 2, "--h", 1, "--x", 300000, "--q", "1/2", "--mode", "series"),
+        ("gf", "--kind", "fqk", "--k", 1, "--x", 300000, "--q", "1/2", "--t", "1/3"),
+    ])
+    def test_shift_over_budget(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and out == "" and err.startswith("error: q exponent")
+
+    @pytest.mark.parametrize("argv", [
         ("qnum", "--n", 20000, "--q", 2),
         ("qeuler", "--m", 0, "--h", 15000, "--q", 2),
     ])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgen.classical import euler_number, higher_euler_poly
+from qgen.qeuler import QEulerSpec, qeuler_hk
 from qgen.padic import (
     BudgetExceeded,
     ClassicalMonomial,
@@ -259,8 +261,8 @@ def _enumerate(f, qf, L):
                 for xs in itertools.product(range(L), repeat=f.num_vars)), F(0))
 
 
-def _level_reference(f, qf, N):
-    span = 3 ** N
+def _level_reference(f, qf, N, p=3):
+    span = p ** N
     return _enumerate(f, qf, span) / q_bracket_neg(span, qf) ** f.num_vars
 
 
@@ -340,3 +342,104 @@ class TestBoxSumAgainstEnumeration:
                 return
             boxes = [_enumerate(f, qv, L) for L in (3, 4, 5)]
             assert v == (1 + qv) ** k * cesaro1_value(boxes)[0]
+
+
+class TestBudgetsBeforeWork:
+    def test_limit_check_budget_before_primality(self):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            padic_limit_check(QBracketMonomial(m=1), 1, F(4), p=10 ** 18 + 3, levels=[1])
+        assert time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize("x", [10 ** 6, -10 ** 6, 99_999])
+    def test_shift_budget(self, x):
+        f = QBracketMonomial(m=2, k=2, h=2, x=x)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="q exponent"):
+            fermionic_sum(f, F(4), PadicParams(3, 2))
+        with pytest.raises(BudgetExceeded, match="q exponent"):
+            real_series(f, F(1, 2), SeriesParams(20, "direct"))
+        with pytest.raises(BudgetExceeded, match="q exponent"):
+            shift_identity_residual(QBracketMonomial(m=1, x=x), 2, F(4), PadicParams(3, 2))
+        assert time.perf_counter() - t0 < 1
+
+    def test_shift_budget_is_tight(self):
+        # the table of a level-2 sum in two variables reaches q^(x + 2 (9 - 1))
+        f = QBracketMonomial(m=1, k=2, h=2, x=84)
+        fermionic_sum(f, F(4), PadicParams(3, 2), term_budget=100)
+        with pytest.raises(BudgetExceeded, match="q exponent 100 exceeds the budget of 99"):
+            fermionic_sum(f, F(4), PadicParams(3, 2), term_budget=99)
+
+
+class TestModularRoute:
+    """`padic_limit_check` reads residuals modulo p^L when q, 1 + q and w
+    are p-adic units, and sums exactly otherwise; its reports must equal
+    those of the term-by-term enumeration."""
+
+    def test_modular_level_sum_is_the_exact_residue(self):
+        P = 3 ** 12
+        for f in (QBracketMonomial(m=2, k=2, h=1, w=F(4), x=1), ClassicalMonomial(n=3, c=1)):
+            for qv in (F(4), F(1, 4), F(-2)):
+                exact = fermionic_sum(f, qv, PadicParams(3, 3))
+                residue = exact.numerator * pow(exact.denominator, -1, P) % P
+                assert fermionic_sum(f, qv, PadicParams(3, 3), modulus=P) == residue
+
+    @pytest.mark.parametrize("qv,w", [(F(3), F(1)), (F(2), F(1)), (F(4), F(1, 3)), (F(4), F(0))])
+    def test_modular_level_sum_needs_units(self, qv, w):
+        with pytest.raises(DomainError):
+            fermionic_sum(QBracketMonomial(m=1, w=w), qv, PadicParams(3, 2), modulus=3 ** 12)
+
+    @given(st.sampled_from([3, 5, 7]), st.integers(1, 3), st.integers(0, 4),
+           st.integers(-1, 3), st.integers(-1, 3),
+           st.sampled_from([F(1), F(4), F(-2), F(7), F(1, 4), F(2), F(1, 2), F(3), F(1, 3),
+                            F(0), F(6), F(5), F(-1), F(11, 6)]),
+           st.sampled_from([F(4), F(7), F(-2), F(1, 4), F(2), F(1, 2), F(3), F(1, 3), F(6),
+                            F(5), F(1, 5), F(11), F(-4), F(1), F(8), F(2, 3), F(9, 2)]),
+           st.integers(1, 4), st.integers(0, 6), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_report_equals_exact_report(self, p, k, m, h, x, w, qv, N, kind, e):
+        # at most 7^4 terms per level keeps the enumeration quick
+        N = min(N, 5 - k)
+        while (p ** N) ** k > 7 ** 4:
+            N -= 1
+        levels = list(range(1, N + 1))
+        f = QBracketMonomial(m=m, k=k, h=h, w=w, x=x)
+        try:
+            closed = qeuler_hk(QEulerSpec(m=m, h=h, k=k, x=max(x, 0), w=w), qv)
+        except DomainError:
+            closed = F(2, 7)
+        # the closed form, a near miss by p^e, a target with p^e in its
+        # denominator, the exact level-1 value (a zero residual), a miss of
+        # it by a multiple of p^(N + 10) (0 modulo p^L), and plain rationals
+        level1 = _level_reference(f, qv, 1, p)
+        target = [closed, closed + p ** e, closed + F(1, p ** (e + 1)), level1,
+                  level1 + p ** (N + 10 + e), F(0), F(5, 11)][kind]
+        vals = [val_p(_level_reference(f, qv, n, p) - target, p) for n in levels]
+        verdict = all(a <= b for a, b in zip(vals, vals[1:])) and vals[-1] >= N - 1
+        assert padic_limit_check(f, target, qv, p, levels) == ValuationReport(levels, vals, verdict)
+
+
+def _p_adic_one(p, i, j):
+    """(1 + p i) / (1 + p j): a rational that is 1 mod p."""
+    return F(1 + p * i, 1 + p * j)
+
+
+class TestClosedFormAgainstValuationFloor:
+    """For q = w = 1 mod p the level sums converge p-adically to the
+    closed form; beside the fixed grids of the acceptance tests."""
+
+    @given(st.sampled_from([3, 5, 7]), st.integers(1, 3), st.integers(0, 6), st.integers(-1, 4),
+           st.integers(0, 3), st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+           st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    @settings(max_examples=60, deadline=None)
+    def test_certifies(self, p, k, m, h, x, qij, wij):
+        qv, w = _p_adic_one(p, *qij), _p_adic_one(p, *wij)
+        if qv == 1:
+            qv = _p_adic_one(p, 1, 0)
+        N = {1: 5, 2: 3, 3: 2}[k]
+        while (p ** N) ** k > 100_000:
+            N -= 1
+        levels = list(range(1, N + 1))
+        target = qeuler_hk(QEulerSpec(m=m, h=h, k=k, x=x, w=w), qv)
+        rep = padic_limit_check(QBracketMonomial(m=m, k=k, h=h, w=w, x=x), target, qv, p, levels)
+        assert rep.verdict or convergence_envelope_ok(rep), (rep.valuations, qv, w)
