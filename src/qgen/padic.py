@@ -11,8 +11,13 @@ exact tail bounds or the smoothed boundary value).
 Every sum here is one box sum: an integrand times prod_j (-q)^{x_j}
 equals prod_j b_j^{x_j} g[x1 + ... + xk] for per-variable ratios b_j and
 a table g over s = x1 + ... + xk, so `_box_sum` convolves the k geometric
-weight tables into one weight per s and never enumerates the box.  It runs
-on integers over one common denominator, exactly or modulo p^L."""
+weight tables into one weight per s (`_distribution`) and never enumerates
+the box, then sums the weights against g by Horner's rule (`_prefix_sums`).
+It runs on integers over one common denominator, exactly or modulo p^L.
+
+The simplex sum over x1 + ... + xk < L is the box sum truncated at s < L:
+below s = L the two distributions agree.  The Gaussian-weight series and
+the generating-function comparator of `qeuler` run through it."""
 
 from __future__ import annotations
 
@@ -207,25 +212,26 @@ def _sum_table(f: IntegrandFamily, qf: Fraction, size: int, term_budget: int,
     return G, c ** f.m, K ** f.m
 
 
-def _box_sum(bases: Sequence[Fraction], table: tuple[list[int], int, int], L: int,
-             modulus: int | None = None):
-    """Sum over x in [0, L)^k of prod_j b_j^{x_j} g[x1 + ... + xk]: a Fraction,
-    or its residue modulo `modulus` when one is given (every denominator
-    must then be a unit).
+def _distribution(bases: Sequence[Fraction], L: int, modulus: int | None = None,
+                  size: int | None = None) -> tuple[list[int], int]:
+    """The s-distribution of the k geometric tables (b_j^0, ..., b_j^{L-1}):
+    integers D[s] with sum over x1 + ... + xk = s of prod_j b_j^{x_j} equal
+    to D[s] / E^s, where E is the common denominator of the bases.  With a
+    `size`, only s < size is kept.
 
-    Only s = x1 + ... + xk reaches g, so the k geometric tables
-    (b_j^0, ..., b_j^{L-1}) are convolved into one weight per s, each by the
-    running form d'[s] = d[s] + b d'[s-1] - b^L d[s-L], starting from the
-    unit table.  Costs O(k^2 L) operations instead of L^k.  The bases run
-    as integers B_j = E b_j over their common denominator E, so the weight
-    of s is D[s] / E^s, and the sum is
-    sum_s D[s] G[s] (E R)^(S-s) / (C (E R)^S), accumulated by Horner's rule."""
+    Each table is convolved in by the running form
+    d'[s] = d[s] + b d'[s-1] - b^L d[s-L], starting from the unit table, in
+    O(k^2 L) operations instead of L^k.  The b^L term first acts at s = L,
+    so below it the distribution is the simplex's: for s < L the weight is
+    the complete homogeneous sum h_s(b_1, ..., b_k)."""
     E = math.lcm(*(b.denominator for b in bases))
     dist = [1]
     for b in bases:
         B = b.numerator * (E // b.denominator)
         BL = pow(B, L, modulus)
         padded = dist + [0] * (L - 1)
+        if size is not None:
+            del padded[size:]
         cur = 0
         dist = []
         for s, d in enumerate(padded):
@@ -233,6 +239,19 @@ def _box_sum(bases: Sequence[Fraction], table: tuple[list[int], int, int], L: in
             if modulus:
                 cur %= modulus
             dist.append(cur)
+    return dist, E
+
+
+def _prefix_sums(dist: list[int], E: int, table: tuple[list[int], int, int],
+                 last: int = 1, modulus: int | None = None) -> list:
+    """The last `last` prefix sums P_n = sum_{s<=n} (D[s] / E^s) g[s] over the
+    distribution, as Fractions; with a `modulus`, the residue of the full
+    sum alone.
+
+    With g[s] = G[s] / (R^s C), Horner's rule accumulates the integer
+    A_n = sum_{s<=n} D[s] G[s] (E R)^(n-s), and P_n = A_n / (C (E R)^n).  The
+    earlier ones come back by the exact division
+    A_(n-1) = (A_n - D[n] G[n]) / (E R)."""
     G, R, C = table
     ER = E * R
     acc = 0
@@ -240,10 +259,24 @@ def _box_sum(bases: Sequence[Fraction], table: tuple[list[int], int, int], L: in
         acc = acc * ER + d * v
         if modulus:
             acc %= modulus
-    den = C * pow(ER, len(dist) - 1, modulus)
+    top = len(dist) - 1
     if modulus:
-        return acc * pow(den, -1, modulus) % modulus
-    return Fraction(acc, den)
+        return [acc * pow(C * pow(ER, top, modulus), -1, modulus) % modulus]
+    sums = []
+    for n in range(top, max(top - last, -1), -1):
+        sums.append(Fraction(acc, C * ER ** n))
+        acc = (acc - dist[n] * G[n]) // ER
+    return sums[::-1]
+
+
+def _box_sum(bases: Sequence[Fraction], table: tuple[list[int], int, int], L: int,
+             modulus: int | None = None):
+    """Sum over x in [0, L)^k of prod_j b_j^{x_j} g[x1 + ... + xk]: a Fraction,
+    or its residue modulo `modulus` when one is given (every denominator
+    must then be a unit).  Only s = x1 + ... + xk reaches g, so this is the
+    full sum over the s-distribution of the box."""
+    dist, E = _distribution(bases, L, modulus)
+    return _prefix_sums(dist, E, table, modulus=modulus)[0]
 
 
 def check_level_budget(p: int, N: int, k: int, term_budget: int) -> None:

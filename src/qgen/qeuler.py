@@ -21,7 +21,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .padic import BudgetExceeded, DivergenceError, SeriesParams, cesaro1_value
+from .padic import (
+    BudgetExceeded,
+    DivergenceError,
+    QBracketMonomial,
+    SeriesParams,
+    _distribution,
+    _prefix_sums,
+    _sum_table,
+    cesaro1_value,
+)
 from .qcore import (
     DomainError,
     Poly,
@@ -348,18 +357,11 @@ def _series_mode(w: Fraction, sp: SeriesParams):
     return boundary
 
 
-def _gauss_weight_terms(k: int, x: int, w: Fraction, qf: Fraction, M: int):
-    """Yields (C(k+n-1, n)_q (-w)^n, [n+x]_q) for n = 0..M-1, with the
-    signed Gaussian weight and the bracket updated incrementally."""
-    c = Fraction(1)
-    br = (1 - qf ** x) / (1 - qf)
-    qpow = qf ** x
-    for n in range(M):
-        if n > 0:
-            c *= -w * (1 - qf ** (k + n - 1)) / (1 - qf ** n)
-            br += qpow
-            qpow *= qf
-        yield c, br
+def _gauss_weights(k: int, w: Fraction, qf: Fraction, M: int) -> tuple[list[int], int]:
+    """The signed Gaussian weights C(k+s-1, s)_q (-w)^s = D[s] / E^s for
+    s < M: the s-distribution of the k geometric tables with bases
+    -w q^(k-j), j = 1..k, kept below s = M, where it is the simplex's."""
+    return _distribution([-w * qf ** (k - j) for j in range(1, k + 1)], M, size=M)
 
 
 def _gauss_weight_bound(k: int, qf: Fraction) -> Fraction:
@@ -384,27 +386,17 @@ def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams) -> tuple[Fraction, 
     w = to_frac(spec.w)
     boundary = _series_mode(w, sp)
     pref = (1 + qf) ** spec.k
-    partials = []
-    s = Fraction(0)
-    for c, br in _gauss_weight_terms(spec.k, spec.x, w, qf, sp.M):
-        s += c * br ** spec.m
-        partials.append(s)
+    dist, E = _gauss_weights(spec.k, w, qf, sp.M)
+    # [n+x]_q^m as integers; the series take no term budget (the CLI checks
+    # the q exponent before it calls them)
+    table = _sum_table(QBracketMonomial(m=spec.m, x=spec.x), qf, sp.M, math.inf)
     if boundary or sp.mode == "cesaro1":
-        value, gap = cesaro1_value(partials)
+        value, gap = cesaro1_value(_prefix_sums(dist, E, table, 3))
         return pref * value, pref * gap
     aw = abs(w)
     tail = (_gauss_weight_bound(spec.k, qf) * q_power(1 - qf, -spec.m)
             * aw ** sp.M / (1 - aw))
-    return pref * s, pref * tail
-
-
-def _truncated_exp(a: Fraction, t: Fraction, terms: int, inv_fact) -> Fraction:
-    acc = Fraction(0)
-    pw = Fraction(1)
-    for j in range(terms):
-        acc += inv_fact[j] * pw
-        pw *= a * t
-    return acc
+    return pref * _prefix_sums(dist, E, table)[0], pref * tail
 
 
 def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
@@ -434,11 +426,18 @@ def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
         raise DomainError("need k >= 1, x >= 0")
     inv_fact = [Fraction(1, math.factorial(j)) for j in range(t_terms + k + 1)]
 
-    partials = []
-    s = Fraction(0)
-    for c, br in _gauss_weight_terms(k, x, w, qf, sp.M):
-        s += c * _truncated_exp(br, t, t_terms, inv_fact)
-        partials.append(s)
+    # lhs core: sum_{j<T} t^j/j! S_j, with S_j the m = j series; the three
+    # partial sums that cesaro1 reads are linear in the S_j
+    dist, E = _gauss_weights(k, w, qf, sp.M)
+    U, R, C = _sum_table(QBracketMonomial(m=1, x=x), qf, sp.M, math.inf)
+    partials = [Fraction(0)] * min(3, sp.M)
+    power = [1] * sp.M
+    for j in range(t_terms):
+        if j:
+            power = [a * u for a, u in zip(power, U)]
+        coef = t ** j * inv_fact[j]
+        for i, p in enumerate(_prefix_sums(dist, E, (power, R ** j, C ** j), 3)):
+            partials[i] += coef * p
     core, _ = cesaro1_value(partials)
     pref = (1 + qf) ** k
 

@@ -17,6 +17,9 @@ from qgen.padic import (
     QBracketMonomial,
     SeriesParams,
     ValuationReport,
+    _distribution,
+    _prefix_sums,
+    _sum_table,
     cesaro1_value,
     convergence_envelope_ok,
     fermionic_sum,
@@ -303,6 +306,28 @@ class TestBoxSumAgainstEnumeration:
                 real_series(f, qv, SeriesParams(M, "direct"))
         else:
             assert real_series(f, qv, SeriesParams(M, "direct"))[0] == pref * boxes[-1]
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 6])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_simplex_prefix_sums(self, k, L):
+        # the size-capped distribution is the box's below s = L, and its
+        # prefix sums are the sums over the simplices x1 + ... + xk <= n
+        bases = [F(-1, 2), F(2, 3), F(-3)][:k]
+        qf = F(2, 3)
+        f = QBracketMonomial(m=2, x=1)
+        box, E = _distribution(bases, L)
+        simplex, E_simplex = _distribution(bases, L, size=L)
+        assert (simplex, E_simplex) == (box[:L], E)
+        table = _sum_table(f, qf, L, 100)
+        sums = _prefix_sums(simplex, E, table, 3)
+        assert len(sums) == min(3, L)
+        for n, got in zip(range(L - len(sums), L), sums):
+            expected = F(0)
+            for xs in itertools.product(range(n + 1), repeat=k):
+                if sum(xs) <= n:
+                    weight = math.prod(b ** xj for b, xj in zip(bases, xs))
+                    expected += weight * ((1 - qf ** (sum(xs) + 1)) / (1 - qf)) ** 2
+            assert got == expected, n
 
     @pytest.mark.parametrize("M", [1, 2])
     @pytest.mark.parametrize("f", [QBracketMonomial(m=1, k=2, h=1), ClassicalMonomial(n=0)])

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,11 +12,12 @@ from qgen.padic import (
     DivergenceError,
     QBracketMonomial,
     SeriesParams,
+    cesaro1_value,
     convergence_envelope_ok,
     padic_limit_check,
     real_series,
 )
-from qgen.qcore import DomainError, Poly, QRat, q_sym
+from qgen.qcore import DomainError, Poly, QRat, gauss_binom_factorial, gauss_binom_triangle, q_sym
 from qgen.qeuler import (
     QEulerSpec,
     gf_eval,
@@ -22,6 +25,7 @@ from qgen.qeuler import (
     qeuler_hk_series,
     qeuler_twisted,
 )
+from qgen.qgenocchi import QGenocchiSpec, qgenocchi_hk, qgenocchi_hk_series
 
 F = Fraction
 QH = F(1, 2)
@@ -53,6 +57,12 @@ class TestClosedForm:
                     for xx in (0, 1, 2):
                         sym = qeuler_hk(QEulerSpec(m=m, h=h, k=k, x=xx))
                         assert sym.at_one() == higher_euler_poly(m, k)(F(xx))
+
+    @given(st.integers(0, 6), st.integers(1, 3), st.integers(-2, 5), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_classical_limit_random_specs(self, m, k, h, xx):
+        sym = qeuler_hk(QEulerSpec(m=m, h=h, k=k, x=xx))
+        assert sym.at_one() == higher_euler_poly(m, k)(F(xx))
 
     def test_exact_mode_guards(self):
         for bad in (F(0), F(1), F(-1)):
@@ -288,3 +298,166 @@ class TestGeneratingFunction:
             gf_eval("nope", 1, 0, F(1), QH, F(0), SeriesParams(50, "cesaro1"))
         with pytest.raises(DomainError):
             gf_eval("hqk", 1, 1, F(1), QH, F(0), SeriesParams(50, "cesaro1"))
+
+
+# ---------------------------------------------------------------------------
+# The Gaussian-weight series summed term by term in Fractions: the reference
+# for the integer kernel that `qeuler_hk_series` and `gf_eval` run on.
+
+def _gauss_weight_terms(k, x, w, qf, M):
+    """(C(k+n-1, n)_q (-w)^n, [n+x]_q) for n < M, each updated from the last."""
+    c = F(1)
+    br = (1 - qf ** x) / (1 - qf)
+    qpow = qf ** x
+    for n in range(M):
+        if n > 0:
+            c *= -w * (1 - qf ** (k + n - 1)) / (1 - qf ** n)
+            br += qpow
+            qpow *= qf
+        yield c, br
+
+
+def _truncated_exp(a, t, terms):
+    acc, pw = F(0), F(1)
+    for j in range(terms):
+        acc += pw / math.factorial(j)
+        pw *= a * t
+    return acc
+
+
+def _series_reference(spec, qf, sp):
+    """`qeuler_hk_series` with one Fraction partial sum per term."""
+    w = F(spec.w)
+    boundary = qeuler._series_mode(w, sp)
+    partials, s = [], F(0)
+    for c, br in _gauss_weight_terms(spec.k, spec.x, w, qf, sp.M):
+        s += c * br ** spec.m
+        partials.append(s)
+    pref = (1 + qf) ** spec.k
+    if boundary or sp.mode == "cesaro1":
+        value, gap = cesaro1_value(partials)
+        return pref * value, pref * gap
+    aw = abs(w)
+    tail = (qeuler._gauss_weight_bound(spec.k, qf) * (1 - qf) ** -spec.m
+            * aw ** sp.M / (1 - aw))
+    return pref * s, pref * tail
+
+
+def _gf_reference(kind, k, x, w, qf, t, sp, t_terms=8):
+    """`gf_eval` with a truncated exponential per term and the right side
+    from the public closed forms."""
+    w = F(1) if kind == "hqk" else w
+    partials, s = [], F(0)
+    for c, br in _gauss_weight_terms(k, x, w, qf, sp.M):
+        s += c * _truncated_exp(br, t, t_terms)
+        partials.append(s)
+    core, _ = cesaro1_value(partials)
+    pref = (1 + qf) ** k
+    if kind == "fqk":
+        lhs = pref * core
+        coeffs = [qeuler_hk(QEulerSpec(m, k - 1, k, x, w), qf) for m in range(t_terms)]
+    else:
+        lhs = pref * t ** k * core
+        coeffs = [0] * k + [qgenocchi_hk(QGenocchiSpec(n - k, k - 1, k, w), qf)
+                            for n in range(k, k + t_terms)]
+    return lhs, sum((c * t ** n / math.factorial(n) for n, c in enumerate(coeffs)), F(0))
+
+
+SERIES_TWISTS = (F(1), F(0), F(1, 2), F(-1, 2), F(-1, 3))
+
+
+class TestSeriesAgainstTermByTerm:
+    """The integer kernel returns the same Fractions as the term-by-term sum
+    (compared by repr, so also their types), errors included: cesaro1 needs
+    three partial sums, direct mode |w| < 1."""
+
+    @pytest.mark.parametrize("mode", ["direct", "cesaro1"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_qeuler_and_qgenocchi(self, k, mode):
+        for m, x, w, M, qv in itertools.product(range(5), range(3), SERIES_TWISTS,
+                                                (1, 2, 3, 4, 25), (QH, F(2, 3))):
+            sp = SeriesParams(M, mode)
+            spec = QEulerSpec(m=m, h=k - 1, k=k, x=x, w=w)
+            got = _outcome(lambda: qeuler_hk_series(spec, qv, sp))
+            ref = _outcome(lambda: _series_reference(spec, qv, sp))
+            assert repr(got) == repr(ref), (spec, qv, sp)
+            if x == 0:
+                gspec = QGenocchiSpec(n=m, h=k - 1, k=k, w=w)
+                got = _outcome(lambda: qgenocchi_hk_series(gspec, qv, sp))
+                ref = _outcome(lambda: tuple(gspec.scale * v
+                                             for v in _series_reference(spec, qv, sp)))
+                assert repr(got) == repr(ref), (gspec, qv, sp)
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_short_truncations(self, M):
+        spec = QEulerSpec(m=2, h=1, k=2, x=1, w=F(-1, 3))
+        with pytest.raises(DomainError, match="cesaro1 needs at least 3 partial sums"):
+            qeuler_hk_series(spec, QH, SeriesParams(M, "cesaro1"))
+        with pytest.raises(DomainError, match="cesaro1 needs at least 3 partial sums"):
+            qeuler_hk_series(QEulerSpec(m=1, h=0, k=1), QH, SeriesParams(M, "cesaro1"))
+        got = qeuler_hk_series(spec, QH, SeriesParams(M, "direct"))
+        assert repr(got) == repr(_series_reference(spec, QH, SeriesParams(M, "direct")))
+        with pytest.raises(DomainError, match="cesaro1 needs at least 3 partial sums"):
+            gf_eval("fqk", 1, 0, F(1), QH, F(1, 4), SeriesParams(M, "cesaro1"))
+
+    @pytest.mark.parametrize("kind,twists,shifts", [
+        ("fqk", (F(1), F(1, 2)), (0, 1)),
+        ("hqk", (F(1),), (0,)),
+        ("hqkw", (F(1, 2), F(-1, 3)), (0,)),
+    ])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_gf_eval(self, kind, twists, shifts, k):
+        for w, x, t, t_terms, M in itertools.product(twists, shifts, (F(0), F(1, 4), F(1, 2)),
+                                                     (8, 3), (3, 4, 30)):
+            sp = SeriesParams(M, "cesaro1")
+            got = gf_eval(kind, k, x, w, QH, t, sp, t_terms)
+            ref = _gf_reference(kind, k, x, w, QH, t, sp, t_terms)
+            assert repr(got) == repr(ref), (w, x, t, t_terms, M)
+
+
+class TestGaussWeights:
+    """The kernel's weights D[s] / E^s against two independent routes to the
+    Gaussian binomial: the additive triangle and the q-factorial quotient."""
+
+    @pytest.mark.parametrize("qv", [F(1, 3), F(2, 3), F(3, 4)])
+    @pytest.mark.parametrize("w", [F(1), F(-1, 2), F(1, 3)])
+    def test_weights_are_signed_gaussian_binomials(self, w, qv):
+        rows = gauss_binom_triangle(32, qv)
+        for k in range(1, 5):
+            dist, E = qeuler._gauss_weights(k, w, qv, 30)
+            assert len(dist) == 30
+            for s, d in enumerate(dist):
+                weight = F(d, E ** s)
+                assert weight == rows[k + s - 1][s] * (-w) ** s, (k, s)
+                assert weight == gauss_binom_factorial(k + s - 1, s, qv) * (-w) ** s, (k, s)
+
+
+@st.composite
+def _fractions(draw, lo, hi, max_den):
+    """A fraction strictly inside (lo, hi) with denominator at most max_den."""
+    b = draw(st.integers(2, max_den))
+    a = draw(st.integers(math.floor(lo * b) + 1, math.ceil(hi * b) - 1))
+    return F(a, b)
+
+
+class TestDirectTailBound:
+    """The direct-mode bound is a proven majorant of the truncation error.
+    It is attained (m = 0, k = 1: the tail is one geometric series), so the
+    comparison is <=."""
+
+    @given(st.integers(0, 5), st.integers(1, 3), st.integers(0, 3),
+           _fractions(-1, 1, 5), _fractions(0, 1, 7), st.integers(5, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_within_bound(self, m, k, x, w, qv, M):
+        sp = SeriesParams(M, "direct")
+        spec = QEulerSpec(m=m, h=k - 1, k=k, x=x, w=w)
+        value, bound = qeuler_hk_series(spec, qv, sp)
+        assert abs(value - qeuler_hk(spec, qv)) <= bound
+        gspec = QGenocchiSpec(n=m, h=k - 1, k=k, w=w)
+        value, bound = qgenocchi_hk_series(gspec, qv, sp)
+        assert abs(value - qgenocchi_hk(gspec, qv)) <= bound
+
+    def test_bound_is_attained(self):
+        spec = QEulerSpec(m=0, h=0, k=1, w=F(-1, 3))
+        value, bound = qeuler_hk_series(spec, QH, SeriesParams(7, "direct"))
+        assert abs(value - qeuler_hk(spec, QH)) == bound
