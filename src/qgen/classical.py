@@ -3,18 +3,44 @@ functions: Euler, Genocchi, Bernoulli, Frobenius-Euler, twisted variants,
 and their higher-order versions.
 
 Every sequence here is extracted from its generating function by exact
-truncated-series algebra over Fraction (products, powers, reciprocals);
-closed-form literature values appear only in the tests."""
+truncated-series algebra in integers.  Each base generating function is a
+reciprocal 1/a(t) of a series with integer coefficients a_i; with c = a_0
+its coefficient of t^n/n! is I_n / c^(n+1), where I_0 = 1 and
+
+    I_n = -sum_{i>=1} C(n, i) a_i I_(n-i) c^(i-1)
+
+(the per-index denominator of `padic`'s kernel).  A series whose
+coefficients are N_n / c^n is an integer series in t/c, so its powers are
+integer binomial convolutions, and a Fraction is built only for the value
+that is returned.  The x-polynomials are Appell sums
+P_n(x) = sum_j C(n, j) a_(n-j) x^j.  `ExpSeries` is the same algebra over
+Fraction (or Poly) coefficients, kept as the reference route; closed-form
+literature values appear only in the tests."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .qcore import DomainError, Poly, to_frac
+from .qcore import DomainError, Poly, falling, to_frac
 
 #: the polynomial argument of the x-polynomials
 x = Poly((0, 1), "x")
+
+
+def _power(base, e: int, mul, one):
+    """base ** e by repeated squaring: e's bit length + popcount - 2
+    products, none by `one` and no squaring after the top bit."""
+    if e < 0:
+        raise DomainError("negative series power; use reciprocal first")
+    result = None
+    while e:
+        if e & 1:
+            result = base if result is None else mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return one if result is None else result
 
 
 class ExpSeries:
@@ -57,16 +83,7 @@ class ExpSeries:
         return ExpSeries(out, order)
 
     def __pow__(self, e: int) -> "ExpSeries":
-        if e < 0:
-            raise DomainError("negative series power; use reciprocal first")
-        result = ExpSeries([Fraction(1)], self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, ExpSeries.__mul__, ExpSeries([Fraction(1)], self.order))
 
     def reciprocal(self) -> "ExpSeries":
         a0 = self.c[0]
@@ -91,93 +108,129 @@ class ExpSeries:
         return ExpSeries(out, self.order)
 
 
-def _euler_base(order: int) -> ExpSeries:
-    """Series of 2/(e^t + 1)."""
-    ept1 = ExpSeries([Fraction(2)] + [Fraction(1)] * order, order)
-    return ept1.reciprocal().scale(Fraction(2))
+# ------------------------------------------------------ the integer kernel
+
+def _reciprocal(a: list[int]) -> list[int]:
+    """I_0..I_n, n = len(a) - 1, with 1/a(t) = sum I_j / a_0^(j+1) t^j/j!."""
+    c = a[0]
+    b, cp = [0], 1  # b_i = a_i c^(i-1)
+    for ai in a[1:]:
+        b.append(ai * cp)
+        cp *= c
+    inv = [1]
+    for n in range(1, len(a)):
+        inv.append(-sum(math.comb(n, i) * b[i] * inv[n - i] for i in range(1, n + 1)))
+    return inv
 
 
-def _as_xpoly(v) -> Poly:
-    return v if isinstance(v, Poly) else Poly((to_frac(v),), "x")
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """Binomial convolution of two integer series of the same length."""
+    return [sum(math.comb(n, i) * a[i] * b[n - i] for i in range(n + 1))
+            for n in range(len(a))]
 
+
+def _euler_nums(order: int) -> list[int]:
+    """N_0..N_order with E_n = N_n / 2^n: 2/(e^t + 1) is 2 I_n / 2^(n+1)."""
+    return _reciprocal([2] + [1] * order)
+
+
+def _frobenius_nums(u, order: int) -> tuple[list[int], int]:
+    """(N, c) with H_n(u) = N_n / c^n: for u = p/d, (1 - u)/(e^t - u) is
+    (d - p)/(d e^t - p), the reciprocal of [d - p, d, d, ...] times d - p."""
+    u = to_frac(u)
+    if u == 1:
+        raise DomainError("Frobenius-Euler numbers are undefined at u = 1")
+    c = u.denominator - u.numerator
+    return _reciprocal([c] + [u.denominator] * order), c
+
+
+def _appell(nums: list[int], c: int) -> Poly:
+    """P_n(x) = sum_j C(n, j) a_(n-j) x^j with a_i = nums[i] / c^i."""
+    n = len(nums) - 1
+    return Poly((Fraction(math.comb(n, j) * nums[n - j], c ** (n - j))
+                 for j in range(n + 1)), "x")
+
+
+def _higher_euler_nums(n: int, r: int) -> list[int]:
+    """Numerators of (2/(e^t + 1))^r to order n, over 2^j at index j."""
+    return _power(_euler_nums(n), r, _product, [1] + [0] * n)
+
+
+# ------------------------------------------------------- the public families
 
 def euler_number(n: int) -> Fraction:
     """E_n, the coefficient of t^n/n! in 2/(e^t + 1)."""
-    return _euler_base(n).coeff(n)
+    return Fraction(_euler_nums(n)[n], 2 ** n)
 
 
 def euler_poly(n: int) -> Poly:
     """E_n(x) from the generating function 2 e^{xt}/(e^t + 1)."""
-    s = _euler_base(n) * ExpSeries.exp_linear(x, n)
-    return _as_xpoly(s.coeff(n))
+    return _appell(_euler_nums(n), 2)
 
 
 def higher_euler_number(n: int, r: int = 1) -> Fraction:
     """E_n^{(r)} = E_n^{(r)}(0), from (2/(e^t + 1))^r."""
-    return (_euler_base(n) ** r).coeff(n)
+    return Fraction(_higher_euler_nums(n, r)[n], 2 ** n)
 
 
 def higher_euler_poly(n: int, r: int = 1) -> Poly:
     """E_n^{(r)}(x), from (2/(e^t + 1))^r e^{xt}."""
-    s = (_euler_base(n) ** r) * ExpSeries.exp_linear(x, n)
-    return _as_xpoly(s.coeff(n))
+    return _appell(_higher_euler_nums(n, r), 2)
 
 
 def genocchi(n: int) -> Fraction:
-    """G_n, the coefficient of t^n/n! in 2t/(e^t + 1)."""
-    return _euler_base(n).shift_t().coeff(n)
+    """G_n, the coefficient of t^n/n! in 2t/(e^t + 1): n E_(n-1)."""
+    if n == 0:
+        return Fraction(0)
+    return n * Fraction(_euler_nums(n - 1)[n - 1], 2 ** (n - 1))
 
 
 def genocchi_poly(n: int) -> Poly:
-    """G_n(x), from 2t e^{xt}/(e^t + 1)."""
-    s = (_euler_base(n) * ExpSeries.exp_linear(x, n)).shift_t()
-    return _as_xpoly(s.coeff(n))
+    """G_n(x), from 2t e^{xt}/(e^t + 1); G_j = j E_(j-1) = 2j N_(j-1) / 2^j."""
+    nums = _euler_nums(n - 1)
+    return _appell([0] + [2 * j * nums[j - 1] for j in range(1, n + 1)], 2)
 
 
 def higher_genocchi(n: int, r: int = 1) -> Fraction:
-    """G_n^{(r)}, from (2t/(e^t + 1))^r; identically zero below index r."""
+    """G_n^{(r)}, from (2t/(e^t + 1))^r = t^r (2/(e^t + 1))^r: zero below
+    index r, and n!/(n-r)! E_(n-r)^{(r)} from index r on."""
     if n < r:
         return Fraction(0)
-    s = _euler_base(n) ** r
-    for _ in range(r):
-        s = s.shift_t()
-    return s.coeff(n)
+    return falling(n, r) * Fraction(_higher_euler_nums(n - r, r)[n - r], 2 ** (n - r))
 
 
 def bernoulli(n: int) -> Fraction:
-    """B_n, via the reciprocal of the series of (e^t - 1)/t."""
-    base = ExpSeries([Fraction(1, k + 1) for k in range(n + 1)], n)
-    return base.reciprocal().coeff(n)
-
-
-def _frobenius_base(u: Fraction, order: int) -> ExpSeries:
-    u = to_frac(u)
-    if u == 1:
-        raise DomainError("Frobenius-Euler numbers are undefined at u = 1")
-    etu = ExpSeries([Fraction(1) - u] + [Fraction(1)] * order, order)
-    return etu.reciprocal().scale(1 - u)
+    """B_n, the coefficient of t^n/n! in t/(e^t - 1), the reciprocal of
+    sum t^k/(k+1)!; over D = lcm(1..n+1) that series has integer
+    coefficients D/(k+1), so B_n = D I_n / D^(n+1)."""
+    d = math.lcm(*range(1, n + 2))
+    return Fraction(_reciprocal([d // (k + 1) for k in range(n + 1)])[n], d ** n)
 
 
 def frobenius_euler(n: int, u) -> Fraction:
     """H_n(u), the coefficient of t^n/n! in (1 - u)/(e^t - u)."""
-    return _frobenius_base(u, n).coeff(n)
+    nums, c = _frobenius_nums(u, n)
+    return Fraction(nums[n], c ** n)
 
 
 def frobenius_euler_poly(n: int, u) -> Poly:
     """H_n(u, x), from the e^{xt}-weighted generating function."""
-    s = _frobenius_base(u, n) * ExpSeries.exp_linear(x, n)
-    return _as_xpoly(s.coeff(n))
+    return _appell(*_frobenius_nums(u, n))
 
 
 def twisted_euler_classical(n: int, w) -> Fraction:
-    """Twisted Euler number E_n(w) = 2/(w + 1) * H_n(-1/w).
+    """Twisted Euler number E_n(w), the coefficient of t^n/n! in
+    2/(w e^t + 1), which equals 2/(w + 1) * H_n(-1/w).  With w = a/b it
+    is 2b times the reciprocal of a e^t + b, whose integer coefficients
+    are [a + b, a, a, ...].
 
     w = 1 recovers the plain Euler numbers; the alternating series
     2 sum (-w)^m m^n provides the independent oracle for |w| < 1."""
     w = to_frac(w)
     if w == 0 or w == -1:
         raise DomainError("twisted Euler numbers need w not in {0, -1}")
-    return Fraction(2) / (w + 1) * frobenius_euler(n, -1 / w)
+    a, b = w.numerator, w.denominator
+    return Fraction(2 * b * _reciprocal([a + b] + [a] * n)[n], (a + b) ** (n + 1))
 
 
 def twisted_genocchi_classical(n: int, w) -> Fraction:

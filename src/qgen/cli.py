@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -141,15 +142,19 @@ def _add_family_flags(sub):
                      choices=["direct", "cesaro1"])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and then reused:
+    argparse keeps no state between `parse_args` calls."""
     parser = argparse.ArgumentParser(
         prog="qgen",
         description="Exact computation of Gaussian binomials and the Euler/"
                     "Genocchi families, classical, q-extended, and twisted.")
     subs = parser.add_subparsers(dest="command", required=True)
+    family_flags = argparse.ArgumentParser(add_help=False)
+    _add_family_flags(family_flags)
     for fam in FAMILIES:
-        sub = subs.add_parser(fam, help=f"compute the {fam} family")
-        _add_family_flags(sub)
+        subs.add_parser(fam, help=f"compute the {fam} family", parents=[family_flags])
 
     table = subs.add_parser("table", help="emit a table over integer ranges")
     table.add_argument("--family", required=True, choices=FAMILIES)

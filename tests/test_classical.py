@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgen.classical import (
     ExpSeries,
@@ -47,6 +49,28 @@ class TestExpSeries:
     def test_shift_t(self):
         e = ExpSeries.exp_linear(F(1), 5).shift_t()   # t e^t
         assert [e.coeff(n) for n in range(6)] == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("e", range(6))
+    def test_power_is_repeated_product(self, e, monkeypatch):
+        s = ExpSeries([F(3), F(-1, 2), F(2, 3), F(5), F(-7, 4)], 4)
+        expect = ExpSeries([F(1)], 4)
+        for _ in range(e):
+            expect = expect * s
+        products = []
+        mul = ExpSeries.__mul__
+        monkeypatch.setattr(ExpSeries, "__mul__",
+                            lambda a, b: products.append(1) or mul(a, b))
+        assert (s ** e).c == expect.c
+        # squaring: no product by the unit series, no squaring past the top bit
+        assert len(products) == max(0, e.bit_length() + bin(e).count("1") - 2)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(DomainError):
+            ExpSeries([F(1), F(1)], 1) ** -1
+        with pytest.raises(DomainError):
+            higher_euler_number(3, -1)
+        with pytest.raises(DomainError):
+            higher_genocchi(3, -1)
 
 
 class TestEuler:
@@ -200,3 +224,74 @@ class TestTwistedClassical:
         for n in range(1, 7):
             for w in (F(1, 2), F(2)):
                 assert twisted_genocchi_classical(n, w) == n * twisted_euler_classical(n - 1, w)
+
+
+# ---------------------------------------------------------------------------
+# The library extracts every sequence with integer numerators over powers of
+# one denominator.  These references run the same generating functions
+# through `ExpSeries` over Fraction, with e^{xt} carried as Poly
+# coefficients, the way the library computed them before; every public
+# function must agree with them exactly.
+
+def _euler_base(order):
+    """2/(e^t + 1)."""
+    return ExpSeries([F(2)] + [F(1)] * order, order).reciprocal().scale(F(2))
+
+
+def _frobenius_base(u, order):
+    """(1 - u)/(e^t - u)."""
+    return ExpSeries([1 - u] + [F(1)] * order, order).reciprocal().scale(1 - u)
+
+
+def _times_exp_x(s):
+    """s(t) e^{xt}."""
+    return s * ExpSeries.exp_linear(x, s.order)
+
+
+def _xpoly(v):
+    return v if isinstance(v, Poly) else Poly((v,), "x")
+
+
+def _shifted(s, times):
+    for _ in range(times):
+        s = s.shift_t()
+    return s
+
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+class TestIntegerKernel:
+    @given(st.integers(0, 30), st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_euler_and_genocchi_families(self, n, r):
+        base = _euler_base(n)
+        power = base ** r
+        assert euler_number(n) == base.coeff(n)
+        assert higher_euler_number(n, r) == power.coeff(n)
+        assert genocchi(n) == base.shift_t().coeff(n)
+        assert higher_genocchi(n, r) == _shifted(power, r).coeff(n)
+        assert euler_poly(n) == _xpoly(_times_exp_x(base).coeff(n))
+        assert higher_euler_poly(n, r) == _xpoly(_times_exp_x(power).coeff(n))
+        assert genocchi_poly(n) == _xpoly(_times_exp_x(base).shift_t().coeff(n))
+
+    @given(st.integers(0, 30))
+    @settings(max_examples=20, deadline=None)
+    def test_bernoulli(self, n):
+        series = ExpSeries([F(1, k + 1) for k in range(n + 1)], n)  # (e^t - 1)/t
+        assert bernoulli(n) == series.reciprocal().coeff(n)
+
+    @given(st.integers(0, 30), RATIONALS.filter(lambda u: u != 1))
+    @settings(max_examples=40, deadline=None)
+    def test_frobenius_euler(self, n, u):
+        base = _frobenius_base(u, n)
+        assert frobenius_euler(n, u) == base.coeff(n)
+        assert frobenius_euler_poly(n, u) == _xpoly(_times_exp_x(base).coeff(n))
+
+    @given(st.integers(0, 30), RATIONALS.filter(lambda w: w not in (0, -1)))
+    @settings(max_examples=40, deadline=None)
+    def test_twisted(self, n, w):
+        # 2/(w e^t + 1) = 2/(w + 1) * H(-1/w)
+        base = _frobenius_base(-1 / w, n).scale(2 / (w + 1))
+        assert twisted_euler_classical(n, w) == base.coeff(n)
+        assert twisted_genocchi_classical(n, w) == base.shift_t().coeff(n)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from qgen import cli
 from qgen.qcore import Poly, QRat, parse_rat
 
 F = Fraction
@@ -202,3 +205,38 @@ class TestVerifyCommand:
 
     def test_unknown_suite_is_two(self):
         assert qgen("verify", "nosuchsuite").returncode == 2
+
+
+class TestParserReuse:
+    def test_one_parser_serves_a_command_mix(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps to the same width in both routes
+        commands = [
+            ["qnum", "--n", "3", "--q", "1/2"],
+            ["qnum", "--mode", "bogus"],            # argparse usage error
+            ["qnum", "--help"],
+            ["euler", "--n", "9", "--k", "2"],
+            ["verify", "classical"],
+            ["table", "--family", "genocchi", "--range", "n=0..8", "--format", "csv",
+             "--out", "{out}"],
+            ["frobenius", "--n", "4", "--u", "2", "--x", "1/3"],
+            ["qnum", "--n", "3"],                   # usage error after parsing
+            ["frobenius", "--n", "2", "--u", "1"],  # domain error
+            ["nosuchfamily"],
+            ["twisted-genocchi", "--n", "5", "--w", "1/2"],
+            ["qeuler", "--m", "2", "--h", "1", "--k", "2", "--q", "1/3"],
+        ]
+        cli.build_parser.cache_clear()
+        for i, argv in enumerate(commands):
+            outs = [tmp_path / f"in{i}", tmp_path / f"sub{i}"]
+            args = [[str(out) if a == "{out}" else a for a in argv] for out in outs]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(args[0])
+            fresh = qgen(*args[1])
+            assert (code, stdout.getvalue(), stderr.getvalue()) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            written = [out.read_bytes() if out.exists() else None for out in outs]
+            assert written[0] == written[1], argv
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in5", "sub5"]  # the table
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(commands) - 1)
