@@ -39,12 +39,47 @@ class BudgetExceeded(RuntimeError):
     """A sum would need more terms than the configured budget."""
 
 
+# Miller-Rabin with the prime bases up to 41 is deterministic below this
+# bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017: psi_13 = 3317044064679887385961981)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Odd n > 41 passes Miller-Rabin to every base in `_MR_BASES`."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _is_prime(n: int) -> bool:
+    """Primality: deterministic Miller-Rabin below `_MR_LIMIT`, trial
+    division above it."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < _MR_LIMIT:
+        return _strong_probable_prime(n)
+    return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
+
+
 def _check_odd_prime(p: int):
-    if p < 3 or p % 2 == 0:
+    if p == 2 or not _is_prime(p):
         raise DomainError(f"p = {p} is not an odd prime")
-    for d in range(3, int(math.isqrt(p)) + 1, 2):
-        if p % d == 0:
-            raise DomainError(f"p = {p} is not an odd prime")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,17 @@ rational point (including the q -> 1 limit of a reduced quotient) is total
 and exact.  Every coefficient division builds a `Fraction` (`_quot`), so no
 float ever appears.
 
+Polynomials whose coefficients are all `int` run on integer kernels:
+products of two factors longer than `_KRONECKER_MIN` terms go through
+signed Kronecker substitution (`_kronecker_mul`: one big-integer product
+over byte-aligned slots), a monomial factor is a shift and a scale, and
+division by a divisor with leading coefficient 1 or -1 (`_unit_divmod`)
+builds no `Fraction`.  At the symbolic generator the Gaussian triangle
+(`_gauss_poly_rows`) adds shifted coefficient tuples, with no product, and
+wraps each entry once through the trusted constructor `Poly._from_coeffs`;
+q-integers are built directly.  `Fraction` polynomials, short factors and
+a rational q take the generic loops, which give the same values.
+
 Every q-primitive is generic over the evaluation domain: pass a Fraction
 for a fixed rational q, or the symbolic generator (`q` / `QRat(q)`) to get
 a polynomial or rational function in q.
@@ -18,6 +29,7 @@ a polynomial or rational function in q.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Iterable, Union
@@ -77,6 +89,73 @@ def _quot(a, b):
     return _coeff(Fraction(a, b))
 
 
+_INT_ONLY = {int}
+
+#: both factors need more terms than this for the Kronecker product; below
+#: it, packing costs more than the schoolbook loop saves
+_KRONECKER_MIN = 12
+
+
+def _all_int(cs) -> bool:
+    """Every canonical coefficient is an `int` (the others are Fractions)."""
+    return set(map(type, cs)) <= _INT_ONLY
+
+
+def _kronecker_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two nonzero int coefficient tuples by signed Kronecker
+    substitution: evaluate each at var = 2^(8s) as one int, multiply once,
+    and read the product's coefficients back from s-byte slots.
+
+    The slot holds every product coefficient, |c| <= min(len) max|a| max|b|,
+    as a signed s-byte integer.  Slot i of the bias Z holds 2^(8s-1), so
+    (U ^ Z) - Z turns the unsigned packing U of the two's-complement slots
+    into the signed value, and (P + Z) ^ Z turns the signed product P back
+    into two's-complement slots (P + Z has every slot in [0, 2^(8s)), so
+    nothing carries)."""
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    size = (bound.bit_length() + 8) // 8
+    top = b"\x00" * (size - 1) + b"\x80"
+
+    def pack(cs):
+        bias = int.from_bytes(top * len(cs), "little")
+        raw = b"".join([c.to_bytes(size, "little", signed=True) for c in cs])
+        return (int.from_bytes(raw, "little") ^ bias) - bias
+
+    n = len(a) + len(b) - 1
+    bias = int.from_bytes(top * n, "little")
+    pa = pack(a)
+    pb = pa if b is a else pack(b)  # one object: the big-integer squaring
+    data = ((pa * pb + bias) ^ bias).to_bytes(n * size, "little")
+    return tuple([int.from_bytes(data[i:i + size], "little", signed=True)
+                  for i in range(0, n * size, size)])
+
+
+def _unit_divmod(a, d) -> tuple:
+    """Quotient and remainder, as tuples, of int coefficient sequences by a
+    divisor whose leading coefficient is 1 or -1: every quotient
+    coefficient is an int (the top remainder coefficient times that unit),
+    so no Fraction is built.  Only the divisor's nonzero lower terms are
+    visited, so a sparse divisor such as 1 + q^e costs one update per step,
+    not e."""
+    dd = len(d) - 1
+    if len(a) <= dd:
+        return (), tuple(a)
+    unit = d[-1]
+    terms = [(i, c) for i, c in enumerate(d[:-1]) if c]
+    rem = list(a)
+    quo = [0] * (len(a) - dd)
+    for shift in range(len(quo) - 1, -1, -1):
+        top = rem[shift + dd]
+        if top:
+            f = quo[shift] = top * unit
+            for i, c in terms:
+                rem[shift + i] -= f * c
+    del rem[dd:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return tuple(quo), tuple(rem)
+
+
 def binom_int(n: int, k: int) -> int:
     """Ordinary binomial coefficient over the integers."""
     if k < 0 or k > n:
@@ -111,6 +190,15 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def _from_coeffs(cls, coeffs: tuple, var: str = "q") -> "Poly":
+        """Trusted constructor: the caller guarantees a tuple of canonical
+        coefficients without a trailing zero, so none is coerced."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", coeffs)
+        object.__setattr__(out, "var", var)
+        return out
 
     @classmethod
     def const(cls, c, var: str = "q") -> "Poly":
@@ -199,6 +287,13 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly((), var)
         a, b = self.coeffs, other.coeffs
+        if not any(a[:-1]):
+            a, b = b, a
+        if not any(b[:-1]):  # b = c var^s: a shift and a scale
+            c = b[-1]
+            return Poly((0,) * (len(b) - 1) + tuple(c * x for x in a), var)
+        if min(len(a), len(b)) > _KRONECKER_MIN and _all_int(a) and _all_int(b):
+            return Poly._from_coeffs(_kronecker_mul(a, b), var)
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -211,14 +306,16 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise DomainError("negative power of a Poly; promote to QRat")
-        result = Poly((1,), self.var)
-        base = self
+        # square-and-multiply from the low bit, with no product by the
+        # initial 1 and no squaring after the top bit: self ** 1 is self
+        result, base = None, self
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return Poly((1,), self.var) if result is None else result
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -227,9 +324,12 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         var = self._join_var(other)
+        dlead = other.coeffs[-1]
+        if (dlead == 1 or dlead == -1) and _all_int(self.coeffs) and _all_int(other.coeffs):
+            quo, rem = _unit_divmod(self.coeffs, other.coeffs)
+            return Poly._from_coeffs(quo, var), Poly._from_coeffs(rem, var)
         rem = list(self.coeffs)
         quo = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dlead = other.coeffs[-1]
         dd = other.degree
         # only the nonzero divisor terms: a sparse divisor such as 1 + q^e
         # costs two updates per step, not e + 1
@@ -309,8 +409,11 @@ class Poly:
 def _primitive(cs) -> list:
     """The coefficients scaled to coprime integers with a positive leading
     one (the primitive part)."""
-    lcm = math.lcm(*(c.denominator for c in cs))
-    ints = [int(c * lcm) for c in cs]
+    if _all_int(cs):
+        ints = cs
+    else:
+        lcm = math.lcm(*(c.denominator for c in cs))
+        ints = [int(c * lcm) for c in cs]
     g = math.gcd(*ints)
     return [c // g for c in ints] if ints[-1] > 0 else [-c // g for c in ints]
 
@@ -327,8 +430,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return (a + b).monic()
     a_cs, b_cs = _primitive(a.coeffs), _primitive(b.coeffs)
     while b_cs:
-        r = list(a_cs)
         lead, db = b_cs[-1], len(b_cs) - 1
+        if lead == 1:  # a monic divisor: the remainder itself, no scaling
+            r = _unit_divmod(a_cs, b_cs)[1]
+            a_cs, b_cs = b_cs, _primitive(r) if r else r
+            continue
+        r = list(a_cs)
         terms = [(i, c) for i, c in enumerate(b_cs) if c]
         while len(r) > db:
             top, shift = r[-1], len(r) - 1 - db
@@ -534,6 +641,11 @@ def _domain_zero(qv):
     return Fraction(0)
 
 
+def _is_generator(qv) -> bool:
+    """qv is the symbolic generator as a Poly (in any variable)."""
+    return isinstance(qv, Poly) and qv.coeffs == (0, 1)
+
+
 def q_int(n: int, qv=None):
     """[n]_q = (1 - q^n)/(1 - q) = 1 + q + ... + q^(n-1)."""
     if n < 0:
@@ -545,6 +657,8 @@ def q_int(n: int, qv=None):
         if qf == 1:
             return Fraction(n)
         return (1 - qf ** n) / (1 - qf)
+    if _is_generator(qv):
+        return Poly._from_coeffs((1,) * n, qv.var)
     acc = _domain_zero(qv)
     pw = qv ** 0
     for _ in range(n):
@@ -582,10 +696,20 @@ def q_factorial(n: int, qv=None):
     return acc
 
 
+def _shift_add(a: tuple, b: tuple, s: int) -> tuple:
+    """Coefficients of a + var^s b, for int tuples with len(a) <= s + len(b)."""
+    if len(a) <= s:
+        return a + (0,) * (s - len(a)) + b
+    return a[:s] + tuple(map(operator.add, a[s:], b)) + b[len(a) - s:]
+
+
 def _gauss_rows(n: int, k: int, qv, alt: bool):
     """Rows 0..n of the Gaussian triangle, each cut off at column k, by the
     additive recursion C(m,j) = C(m-1,j-1) + q^j C(m-1,j), or with alt=True
     the mirrored form C(m,j) = q^(m-j) C(m-1,j-1) + C(m-1,j)."""
+    if _is_generator(qv):
+        yield from _gauss_poly_rows(n, k, qv.var, alt)
+        return
     one = qv ** 0
     qpows = [one]
     for _ in range(n):
@@ -602,6 +726,32 @@ def _gauss_rows(n: int, k: int, qv, alt: bool):
                 row.append(prev[j - 1] + qpows[j] * prev[j])
         if m <= k:
             row.append(one)
+        yield row
+
+
+def _gauss_poly_rows(n: int, k: int, var: str, alt: bool):
+    """`_gauss_rows` at the symbolic generator: each entry is the shifted
+    sum of two int coefficient tuples above it, with no product, wrapped
+    once as a Poly.  Only the primary form uses the symmetry
+    C(m,j) = C(m,m-j), computing columns j <= m/2 and reusing them above,
+    so the mirrored form stays an independent recursion."""
+    one = Poly._from_coeffs((1,), var)
+    row = [one]
+    yield row
+    for m in range(1, n + 1):
+        prev, row = row, [one]
+        top = min(m, k)
+        last = top if alt else min(top, m // 2)
+        for j in range(1, last + 1):
+            if j == m:
+                row.append(one)
+                continue
+            if alt:
+                cs = _shift_add(prev[j].coeffs, prev[j - 1].coeffs, m - j)
+            else:
+                cs = _shift_add(prev[j - 1].coeffs, prev[j].coeffs, j)
+            row.append(Poly._from_coeffs(cs, var))
+        row += [row[m - j] for j in range(last + 1, top + 1)]
         yield row
 
 

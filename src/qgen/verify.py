@@ -89,9 +89,11 @@ def suite_qcore(cfg: VerifyConfig) -> list[CheckResult]:
     out.append(_run_grid("gauss-binom-compositions", compositions()))
 
     def symmetry():
+        # the mirrored form: the primary one builds columns above n/2 by
+        # this symmetry, so only the mirrored form can break it
         for n in range(21):
             for k in range(n + 1):
-                yield (n, k), tri[n][k] == tri[n][n - k], "asymmetric"
+                yield (n, k), tri_alt[n][k] == tri_alt[n][n - k], "asymmetric"
 
     out.append(_run_grid("gauss-binom-symmetry", symmetry()))
 
@@ -147,9 +149,30 @@ def suite_qcore(cfg: VerifyConfig) -> list[CheckResult]:
 
 # ------------------------------------------------------------- classical
 
+def _euler_numerators(n: int) -> list[int]:
+    """a_0..a_n with E_j = a_j / 2^j, by the binomial recurrence of
+    (e^t + 1) A(t) = 2, a_j = [j = 0] - sum_{i<j} C(j, i) 2^(j-i-1) a_i:
+    a route apart from `classical`, which inverts the series."""
+    a: list[int] = []
+    for j in range(n + 1):
+        a.append((1 if j == 0 else 0)
+                 - sum(math.comb(j, i) * a[i] << (j - i - 1) for i in range(j)))
+    return a
+
+
+def _binomial_convolution(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients of the product of two exponential series, to len(a)."""
+    return [sum(math.comb(j, i) * a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))]
+
+
 def suite_classical(cfg: VerifyConfig) -> list[CheckResult]:
     out = []
     xp = classical.x
+    # E_j = euler[j] / 2^j; an order-r convolution keeps the scale 2^j
+    euler = _euler_numerators(20)
+
+    def euler_number(n):
+        return Fraction(euler[n], 2 ** n)
 
     def complementarity():
         for n in range(16):
@@ -160,10 +183,12 @@ def suite_classical(cfg: VerifyConfig) -> list[CheckResult]:
     out.append(_run_grid("euler-complementarity", complementarity()))
 
     def order_coefficients():
+        order_r = [1] + [0] * 10
         for r in range(1, 5):
+            order_r = _binomial_convolution(order_r, euler[:11])
             for n in range(11):
                 lhs = classical.higher_genocchi(n + r, r)
-                rhs = qcore.falling(n + r, r) * classical.higher_euler_number(n, r)
+                rhs = qcore.falling(n + r, r) * Fraction(order_r[n], 2 ** n)
                 yield (n, r), lhs == rhs, f"{lhs} != {rhs}"
 
     out.append(_run_grid("higher-genocchi-euler-coefficients", order_coefficients()))
@@ -175,7 +200,7 @@ def suite_classical(cfg: VerifyConfig) -> list[CheckResult]:
             yield ("bernoulli", n), lhs == rhs, f"{lhs} != {rhs}"
         for n in range(1, 21):
             lhs = classical.genocchi(n)
-            rhs = n * classical.euler_number(n - 1)
+            rhs = n * euler_number(n - 1)
             yield ("euler", n), lhs == rhs, f"{lhs} != {rhs}"
         for n in range(3, 20, 2):
             yield ("odd", n), classical.genocchi(n) == 0, "odd index not zero"
@@ -184,8 +209,11 @@ def suite_classical(cfg: VerifyConfig) -> list[CheckResult]:
 
     def order_one():
         for n in range(13):
-            yield ("euler", n), classical.higher_euler_poly(n, 1) == classical.euler_poly(n), "order-1 euler"
-            yield ("genocchi", n), classical.higher_genocchi(n, 1) == classical.genocchi(n), "order-1 genocchi"
+            # E_n(x) = sum_j C(n, j) E_(n-j) x^j and G_n = n E_(n-1)
+            appell = qcore.Poly([math.comb(n, j) * euler_number(n - j) for j in range(n + 1)], "x")
+            yield ("euler", n), classical.higher_euler_poly(n, 1) == appell, "order-1 euler"
+            genocchi = n * euler_number(n - 1) if n else 0
+            yield ("genocchi", n), classical.higher_genocchi(n, 1) == genocchi, "order-1 genocchi"
 
     out.append(_run_grid("order-one-reduction", order_one()))
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgen import classical, verify
 from qgen.classical import (
     ExpSeries,
     bernoulli,
@@ -295,3 +296,31 @@ class TestIntegerKernel:
         base = _frobenius_base(-1 / w, n).scale(2 / (w + 1))
         assert twisted_euler_classical(n, w) == base.coeff(n)
         assert twisted_genocchi_classical(n, w) == base.shift_t().coeff(n)
+
+
+class TestVerifySuiteIsIndependent:
+    """`verify classical` compares the library with a binomial recurrence
+    of its own, so a fault in the integer kernel that both sides of a
+    self-restating check would share still fails the check."""
+
+    @staticmethod
+    def _verdicts(monkeypatch, name, corrupt):
+        orig = getattr(classical, name)
+        monkeypatch.setattr(classical, name, lambda *args: corrupt(orig(*args), *args))
+        return {r.name: r.ok for r in verify.suite_classical(verify.VerifyConfig())}
+
+    def test_clean_library_passes(self):
+        assert all(r.ok for r in verify.suite_classical(verify.VerifyConfig()))
+
+    def test_euler_kernel_fault(self, monkeypatch):
+        def corrupt(nums, order):
+            return nums[:5] + [nums[5] + 2] + nums[6:] if order >= 5 else nums
+        verdicts = self._verdicts(monkeypatch, "_euler_nums", corrupt)
+        assert not verdicts["genocchi-identities"]
+        assert not verdicts["order-one-reduction"]
+
+    def test_higher_order_kernel_fault(self, monkeypatch):
+        def corrupt(nums, n, r):
+            return nums[:3] + [nums[3] + 1] + nums[4:] if r > 1 and n >= 3 else nums
+        verdicts = self._verdicts(monkeypatch, "_higher_euler_nums", corrupt)
+        assert not verdicts["higher-genocchi-euler-coefficients"]

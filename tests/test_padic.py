@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgen import padic
 from qgen.classical import euler_number, higher_euler_poly
 from qgen.qeuler import QEulerSpec, qeuler_hk
 from qgen.padic import (
@@ -17,8 +18,11 @@ from qgen.padic import (
     QBracketMonomial,
     SeriesParams,
     ValuationReport,
+    _MR_LIMIT,
     _distribution,
+    _is_prime,
     _prefix_sums,
+    _strong_probable_prime,
     _sum_table,
     cesaro1_value,
     convergence_envelope_ok,
@@ -52,6 +56,44 @@ class TestParams:
             SeriesParams(0)
         with pytest.raises(DomainError):
             SeriesParams(10, "chebyshev")
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestPrimality:
+    def test_matches_trial_division_below_1e5(self):
+        assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+            [n for n in range(10 ** 5) if _trial_division(n)]
+
+    @pytest.mark.parametrize("n", [
+        2047,                 # strong pseudoprime to base 2
+        1373653,              # to bases 2 and 3
+        3215031751,           # to bases 2, 3, 5 and 7
+        3825123056546413051,  # to the nine prime bases up to 23
+        318665857834031151167461,  # to the twelve prime bases up to 37
+    ])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not _is_prime(n)
+        with pytest.raises(DomainError):
+            PadicParams(p=n)
+
+    def test_large_prime_at_once(self):
+        t0 = time.perf_counter()
+        assert PadicParams(p=10 ** 18 + 3).p == 10 ** 18 + 3
+        assert _is_prime(2 ** 61 - 1) and not _is_prime((2 ** 31 - 1) * (10 ** 9 + 7))
+        assert time.perf_counter() - t0 < 1
+
+    def test_trial_division_above_the_proven_bound(self, monkeypatch):
+        # the bound is the least strong pseudoprime to all thirteen bases,
+        # so above it the test divides instead
+        assert _strong_probable_prime(_MR_LIMIT)
+        assert _MR_LIMIT == 1287836182261 * 2575672364521
+        monkeypatch.setattr(padic, "_strong_probable_prime",
+                            lambda n: pytest.fail("Miller-Rabin used above its bound"))
+        assert 43 ** 16 > _MR_LIMIT and not _is_prime(43 ** 16)
+        assert not _is_prime(47 * 43 ** 15)
 
 
 class TestValuation:

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgen import qcore
 from qgen.qcore import (
     DomainError,
     Poly,
@@ -286,3 +288,210 @@ class TestInvPochhammer:
             for i in range(min(d, n) + 1):
                 acc = acc + prod[i] * inv[d - i]
             assert acc == (q ** 0 if d == 0 else q * 0)
+
+
+# ------------------------------------------------ integer kernel references
+
+def _schoolbook_mul(a: Poly, b: Poly) -> Poly:
+    """The coefficient-by-coefficient product: the reference for
+    `Poly.__mul__`, whose integer operands above a cutoff take the
+    Kronecker route and whose monomials take a shift and a scale."""
+    if a.is_zero or b.is_zero:
+        return Poly()
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] += ca * cb
+    return Poly(out)
+
+
+def _long_divmod(a: Poly, b: Poly):
+    """Long division with a Fraction quotient per step: the reference for
+    `divmod`, whose integer dividends over a unit-lead divisor stay in ints."""
+    rem = [F(c) for c in a.coeffs]
+    quo = [F(0)] * max(len(rem) - len(b.coeffs) + 1, 0)
+    while len(rem) >= len(b.coeffs) and rem:
+        shift = len(rem) - len(b.coeffs)
+        factor = rem[-1] / b.coeffs[-1]
+        quo[shift] = factor
+        for i, c in enumerate(b.coeffs):
+            rem[shift + i] -= factor * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return Poly(quo), Poly(rem)
+
+
+@functools.lru_cache(maxsize=None)
+def _poly_triangle(n: int, alt: bool) -> list:
+    """Rows 0..n of the Gaussian triangle by the Poly recursion with powers
+    of q and reference products, with no symmetry."""
+    one = Poly([1])
+    qpows = [Poly([0] * j + [1]) for j in range(n + 1)]
+    rows = [[one]]
+    for m in range(1, n + 1):
+        prev, row = rows[-1], [one]
+        for j in range(1, m):
+            if alt:
+                row.append(_schoolbook_mul(qpows[m - j], prev[j - 1]) + prev[j])
+            else:
+                row.append(prev[j - 1] + _schoolbook_mul(qpows[j], prev[j]))
+        rows.append(row + [one])
+    return rows
+
+
+BIG = 2 ** 70
+CUT = qcore._KRONECKER_MIN
+
+
+def _int_coeffs(max_size=3 * CUT):
+    return st.lists(st.integers(-BIG, BIG), max_size=max_size)
+
+
+def _monomials():
+    coeff = st.one_of(st.integers(-BIG, BIG), st.fractions(max_denominator=9)).filter(bool)
+    return st.tuples(st.integers(0, 20), coeff).map(lambda sc: Poly([0] * sc[0] + [sc[1]]))
+
+
+class TestKroneckerMultiply:
+    @given(_int_coeffs(), _int_coeffs())
+    @settings(max_examples=120, deadline=None)
+    def test_signed_ints_match_reference(self, a, b):
+        a, b = Poly(a), Poly(b)
+        product = a * b
+        assert product == _schoolbook_mul(a, b) and _canonical(product)
+        assert all(type(c) is int for c in product.coeffs)
+
+    @given(st.lists(st.integers(-BIG, BIG), min_size=1, max_size=2 * CUT).filter(lambda c: c[-1]),
+           st.lists(st.integers(-BIG, BIG), min_size=1, max_size=2 * CUT).filter(lambda c: c[-1]))
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_at_every_length(self, a, b):
+        # the kernel itself, also below the cutoff the product never routes it at
+        assert qcore._kronecker_mul(tuple(a), tuple(b)) == _schoolbook_mul(Poly(a), Poly(b)).coeffs
+
+    @pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64, 200])
+    @pytest.mark.parametrize("n", [CUT, CUT + 1, 3 * CUT])
+    def test_slot_boundaries(self, bits, n):
+        # extreme coefficients of both signs put product coefficients at the
+        # edge of a byte-aligned slot
+        for lo, hi in ((-(2 ** bits), 2 ** bits - 1), (2 ** bits - 1, 2 ** bits - 1),
+                       (-(2 ** bits), -(2 ** bits))):
+            a = Poly([lo, hi] * n)
+            b = Poly([hi, lo] * n)
+            assert a * b == _schoolbook_mul(a, b)
+            assert a * a == _schoolbook_mul(a, a)
+
+    @given(_monomials(), _polys(3 * CUT))
+    @settings(max_examples=60, deadline=None)
+    def test_monomial_is_shift_and_scale(self, mono, p):
+        for product in (mono * p, p * mono):
+            assert product == _schoolbook_mul(mono, p) and _canonical(product)
+
+    @given(_polys(3 * CUT), _polys(3 * CUT))
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_int_and_fraction(self, a, b):
+        product = a * b
+        assert product == _schoolbook_mul(a, b) and _canonical(product)
+
+    def test_zero_and_cutoff_lengths(self):
+        for la in (0, 1, CUT, CUT + 1, 2 * CUT):
+            for lb in (0, 1, CUT, CUT + 1, 2 * CUT):
+                a = Poly([(-3) ** i for i in range(la)])
+                b = Poly([7 - i for i in range(lb)])
+                assert a * b == _schoolbook_mul(a, b)
+
+    def test_power(self):
+        p = Poly([1, -2, 0, 5] * 5)
+        for e in range(6):
+            ref = Poly([1])
+            for _ in range(e):
+                ref = _schoolbook_mul(ref, p)
+            assert p ** e == ref
+
+
+def _unit_divisors():
+    lead = st.sampled_from([1, -1])
+    return st.tuples(st.lists(st.integers(-BIG, BIG), max_size=12), lead).map(
+        lambda cl: Poly(cl[0] + [cl[1]]))
+
+
+class TestIntegerDivmod:
+    @given(_int_coeffs(), _unit_divisors())
+    @settings(max_examples=120, deadline=None)
+    def test_unit_lead_matches_reference(self, a, d):
+        a = Poly(a)
+        quo, rem = divmod(a, d)
+        assert (quo, rem) == _long_divmod(a, d)
+        assert all(type(c) is int for c in quo.coeffs + rem.coeffs)
+        assert _canonical(quo) and _canonical(rem)
+
+    @given(_int_coeffs(), st.lists(st.integers(-9, 9), max_size=6),
+           st.integers(2, 9).flatmap(lambda v: st.sampled_from([v, -v])))
+    @settings(max_examples=80, deadline=None)
+    def test_non_unit_lead_matches_reference(self, a, low, lead):
+        a, d = Poly(a), Poly(low + [lead])
+        quo, rem = divmod(a, d)
+        assert (quo, rem) == _long_divmod(a, d)
+        assert _canonical(quo) and _canonical(rem)
+
+    @given(_polys(20), _polys(6).filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_fraction_dividends_match_reference(self, a, d):
+        assert divmod(a, d) == _long_divmod(a, d)
+
+    @given(_int_coeffs(2 * CUT).filter(any), _unit_divisors().filter(lambda d: d.degree > 0))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_division(self, a, d):
+        a = Poly(a)
+        assert (a * d).exact_div(d) == a
+        off = a * d + Poly([1])  # a nonzero remainder of degree 0 < deg d
+        with pytest.raises(ArithmeticError):
+            off.exact_div(d)
+        with pytest.raises(ArithmeticError):
+            (a * d * 2 + 1).exact_div(d * 2)
+
+
+class TestGaussianTriangleKernel:
+    def test_rows_match_poly_recursion_to_forty(self):
+        for alt in (False, True):
+            assert gauss_binom_triangle(40, alt=alt) == _poly_triangle(40, alt)
+
+    @pytest.mark.parametrize("alt", [False, True])
+    def test_rows_match_compositions_to_twelve(self, alt):
+        tri = gauss_binom_triangle(12, alt=alt)
+        for n in range(13):
+            for k in range(n + 1):
+                assert tri[n][k] == gauss_binom_compositions(n, k)
+
+    def test_mirrored_form_is_symmetric(self):
+        # the primary form builds its upper half by symmetry; the mirrored
+        # form does not, so only it can show an asymmetry
+        tri = gauss_binom_triangle(30, alt=True)
+        for n in range(31):
+            for k in range(n + 1):
+                assert tri[n][k] == tri[n][n - k]
+
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(-1, n + 1))))
+    @settings(max_examples=40, deadline=None)
+    def test_cut_rows_match_full_triangle(self, nk):
+        n, k = nk
+        full = _poly_triangle(40, False)[n][k] if 0 <= k <= n else Poly()
+        assert gauss_binom(n, k) == full and gauss_binom_alt(n, k) == full
+        assert _canonical(gauss_binom(n, k))
+
+    @given(st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+    @settings(max_examples=25, deadline=None)
+    def test_factorial_quotient_equals_triangle(self, nk):
+        n, k = nk
+        assert gauss_binom_factorial(n, k) == _poly_triangle(40, False)[n][k]
+
+    def test_other_variable(self):
+        x = Poly([0, 1], var="x")
+        entry = gauss_binom(6, 3, x)
+        assert entry.var == "x" and entry == gauss_binom(6, 3)
+        assert q_int(4, x).var == "x"
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_q_int_is_all_ones(self, n):
+        assert q_int(n).coeffs == (1,) * n
+        assert all(type(c) is int for c in q_int(n).coeffs)
+
