@@ -487,8 +487,12 @@ def run_table(args, cfg: Config) -> int:
 
 
 def run_verify(args, cfg: Config) -> int:
+    level = args.padic_level if args.padic_level is not None else cfg.N
+    if level < 1:
+        source = "--padic-level" if args.padic_level is not None else "config N"
+        raise UsageError(f"{source} must be >= 1, not {level}")
     vcfg = verify_mod.VerifyConfig(
-        padic_level=args.padic_level if args.padic_level is not None else cfg.N,
+        padic_level=level,
         M=args.M if args.M is not None else cfg.M,
         cesaro_tol=cfg.cesaro_tol,
         term_budget=cfg.term_budget,

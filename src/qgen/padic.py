@@ -15,12 +15,20 @@ weight tables into one weight per s (`_distribution`) and never enumerates
 the box, then sums the weights against g by Horner's rule (`_prefix_sums`).
 It runs on integers over one common denominator, exactly or modulo p^L.
 
+`padic_limit_check` sums all its levels from shared work (`_level_sums`):
+one table of g at the deepest level's size, whose prefixes serve the
+shallower levels; for k = 1 one Horner pass over the deepest box, read at
+s = p^N - 1 for each level N, and for k >= 2 one distribution per level.
+The levels are read modulo p^L in one such pass, and the levels whose
+residue cannot decide the valuation are summed exactly in a second one.
+
 The simplex sum over x1 + ... + xk < L is the box sum truncated at s < L:
 below s = L the two distributions agree.  The Gaussian-weight series and
 the generating-function comparator of `qeuler` run through it."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,19 +73,21 @@ def _strong_probable_prime(n: int) -> bool:
 
 
 def _is_prime(n: int) -> bool:
-    """Primality: deterministic Miller-Rabin below `_MR_LIMIT`, trial
-    division above it."""
+    """Primality of n < `_MR_LIMIT`, by deterministic Miller-Rabin."""
     if n < 2:
         return False
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
-    if n < _MR_LIMIT:
-        return _strong_probable_prime(n)
-    return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
+    return _strong_probable_prime(n)
 
 
 def _check_odd_prime(p: int):
+    # a level-1 sum at such p has at least p > 3.3e24 terms, so no
+    # computation is lost by refusing them
+    if p >= _MR_LIMIT:
+        raise DomainError(f"p = {p} is too large: primality cannot be certified "
+                          f"deterministically at or above {_MR_LIMIT}")
     if p == 2 or not _is_prime(p):
         raise DomainError(f"p = {p} is not an odd prime")
 
@@ -231,6 +241,8 @@ def _sum_table(f: IntegrandFamily, qf: Fraction, size: int, term_budget: int,
         raise DomainError("integrand exponent m must be >= 0")
     check_shift_budget(f.x, size - 1, term_budget)
     qpow = q_power(qf, f.x)
+    if f.m == 0:
+        return [1] * size, 1, 1
     br = Fraction(f.x) if qf == 1 else (1 - qpow) / (1 - qf)
     K = math.lcm(br.denominator, qpow.denominator)
     a, c = qf.numerator, qf.denominator
@@ -278,30 +290,28 @@ def _distribution(bases: Sequence[Fraction], L: int, modulus: int | None = None,
 
 
 def _prefix_sums(dist: list[int], E: int, table: tuple[list[int], int, int],
-                 last: int = 1, modulus: int | None = None) -> list:
-    """The last `last` prefix sums P_n = sum_{s<=n} (D[s] / E^s) g[s] over the
-    distribution, as Fractions; with a `modulus`, the residue of the full
-    sum alone.
+                 reads: Sequence[int], modulus: int | None = None) -> list:
+    """The prefix sums P_n = sum_{s<=n} (D[s] / E^s) g[s] at each n of the
+    ascending `reads`, from one pass over the distribution: Fractions, or
+    residues when a `modulus` is given.
 
     With g[s] = G[s] / (R^s C), Horner's rule accumulates the integer
-    A_n = sum_{s<=n} D[s] G[s] (E R)^(n-s), and P_n = A_n / (C (E R)^n).  The
-    earlier ones come back by the exact division
-    A_(n-1) = (A_n - D[n] G[n]) / (E R)."""
+    A_n = sum_{s<=n} D[s] G[s] (E R)^(n-s), and P_n = A_n / (C (E R)^n)."""
     G, R, C = table
     ER = E * R
-    acc = 0
-    for d, v in zip(dist, G):
-        acc = acc * ER + d * v
+    terms = zip(dist, G)
+    acc, done, sums = 0, 0, []
+    for n in reads:
+        for d, v in itertools.islice(terms, n + 1 - done):
+            acc = acc * ER + d * v
+            if modulus:
+                acc %= modulus
+        done = n + 1
         if modulus:
-            acc %= modulus
-    top = len(dist) - 1
-    if modulus:
-        return [acc * pow(C * pow(ER, top, modulus), -1, modulus) % modulus]
-    sums = []
-    for n in range(top, max(top - last, -1), -1):
-        sums.append(Fraction(acc, C * ER ** n))
-        acc = (acc - dist[n] * G[n]) // ER
-    return sums[::-1]
+            sums.append(acc * pow(C * pow(ER, n, modulus), -1, modulus) % modulus)
+        else:
+            sums.append(Fraction(acc, C * ER ** n))
+    return sums
 
 
 def _box_sum(bases: Sequence[Fraction], table: tuple[list[int], int, int], L: int,
@@ -309,9 +319,9 @@ def _box_sum(bases: Sequence[Fraction], table: tuple[list[int], int, int], L: in
     """Sum over x in [0, L)^k of prod_j b_j^{x_j} g[x1 + ... + xk]: a Fraction,
     or its residue modulo `modulus` when one is given (every denominator
     must then be a unit).  Only s = x1 + ... + xk reaches g, so this is the
-    full sum over the s-distribution of the box."""
+    full sum over the s-distribution of the box; `table` may run past it."""
     dist, E = _distribution(bases, L, modulus)
-    return _prefix_sums(dist, E, table, modulus=modulus)[0]
+    return _prefix_sums(dist, E, table, [len(dist) - 1], modulus)[0]
 
 
 def check_level_budget(p: int, N: int, k: int, term_budget: int) -> None:
@@ -336,32 +346,65 @@ def _units_mod_p(f: IntegrandFamily, qf: Fraction, p: int) -> bool:
     return all(v.numerator % p and v.denominator % p for v in (qf, 1 + qf, to_frac(f.w)))
 
 
+def _level_sums(f: IntegrandFamily, qf: Fraction, p: int, levels: Sequence[int],
+                term_budget: int, modulus: int | None = None) -> dict:
+    """The level-N sums of `fermionic_sum` for each N in `levels`, from one
+    table of g at the deepest level's size: the level-N table is its prefix.
+
+    For k = 1 the level-N box [0, p^N) is a prefix of the deepest one too,
+    so one Horner pass reads every level at s = p^N - 1; for k >= 2 the
+    box distributions differ, so each level rebuilds its own."""
+    k = f.num_vars
+    spans = {N: p ** N for N in sorted(set(levels))}
+    bases = _ratios(f, qf)
+    top = max(spans.values())
+    try:
+        table = _sum_table(f, qf, k * (top - 1) + 1, term_budget, modulus)
+    except BudgetExceeded:
+        for N in levels:  # name the first level over the budget, as its own table would
+            check_shift_budget(f.x, k * (spans[N] - 1), term_budget)
+        raise
+    if k == 1:
+        dist, E = _distribution(bases, top, modulus)
+        boxes = _prefix_sums(dist, E, table, [span - 1 for span in spans.values()], modulus)
+    else:
+        boxes = [_box_sum(bases, table, span, modulus) for span in spans.values()]
+    if modulus is None:
+        return {N: box / q_bracket_neg(span, qf) ** k
+                for (N, span), box in zip(spans.items(), boxes)}
+    # [p^N]_{-q} = (c^span - (-a)^span) / (c^(span-1) (c + a)) with q = a/c
+    a, c = qf.numerator, qf.denominator
+    sums = {}
+    for (N, span), box in zip(spans.items(), boxes):
+        norm = ((pow(c, span, modulus) - pow(-a, span, modulus))
+                * pow(pow(c, span - 1, modulus) * (c + a), -1, modulus))
+        sums[N] = box * pow(norm, -k, modulus) % modulus
+    return sums
+
+
 def fermionic_sum(f: IntegrandFamily, qv, params: PadicParams,
-                  term_budget: int = DEFAULT_TERM_BUDGET, modulus: int | None = None):
+                  term_budget: int = DEFAULT_TERM_BUDGET, modulus: int | None = None,
+                  *, _sums: dict | None = None):
     """Level-N approximation of the fermionic integral:
     (1/[p^N]_{-q})^k  sum over x in [0, p^N)^k of f(x) prod_j (-q)^{x_j}.
 
     Exact as a Fraction; with `modulus` a power of p, its residue as an int
-    in [0, modulus), which needs q, 1 + q and w to be p-adic units."""
+    in [0, modulus), which needs q, 1 + q and w to be p-adic units.
+
+    `_sums` maps each level of one check to its sum, or to None before the
+    first call: that call sums every level in it from shared work
+    (`_level_sums`), and each call returns its own level's entry."""
     qf = to_frac(qv)
     if qf == -1:
         raise DomainError("fermionic sum undefined at q = -1")
-    k = f.num_vars
-    check_level_budget(params.p, params.N, k, term_budget)
+    check_level_budget(params.p, params.N, f.num_vars, term_budget)
     if modulus is not None and not _units_mod_p(f, qf, params.p):
         raise DomainError(f"a level sum modulo {params.p}^L needs q, 1 + q and w "
                           f"to be {params.p}-adic units")
-    span = params.p ** params.N
-    bases = _ratios(f, qf)
-    total = _box_sum(bases, _sum_table(f, qf, k * (span - 1) + 1, term_budget, modulus),
-                     span, modulus)
-    if modulus is None:
-        return total / q_bracket_neg(span, qf) ** k
-    # [p^N]_{-q} = (c^span - (-a)^span) / (c^(span-1) (c + a)) with q = a/c
-    a, c = qf.numerator, qf.denominator
-    norm = ((pow(c, span, modulus) - pow(-a, span, modulus))
-            * pow(pow(c, span - 1, modulus) * (c + a), -1, modulus))
-    return total * pow(norm, -k, modulus) % modulus
+    sums = {params.N: None} if _sums is None else _sums
+    if sums[params.N] is None:
+        sums.update(_level_sums(f, qf, params.p, list(sums), term_budget, modulus))
+    return sums[params.N]
 
 
 # Residues are read modulo p^(max(levels) + MODULAR_MARGIN); a residue of
@@ -380,6 +423,13 @@ def _residual_valuation(r: int, target: Fraction, p: int, modulus: int):
     return _val_int(res, p) if res else None
 
 
+def _shared_levels(levels: Sequence[int]) -> dict:
+    """The `_sums` dict of one route of a check: its levels up to the first
+    one below 1, which `PadicParams` rejects before that level's call, so
+    no level after it is summed."""
+    return dict.fromkeys(itertools.takewhile(lambda N: N >= 1, levels))
+
+
 def padic_limit_check(f: IntegrandFamily, target, qv, p: int = 3,
                       levels: Sequence[int] = (1, 2, 3),
                       term_budget: int = DEFAULT_TERM_BUDGET) -> ValuationReport:
@@ -390,24 +440,34 @@ def padic_limit_check(f: IntegrandFamily, target, qv, p: int = 3,
     its denominator has residual valuation v_p(target), and any other
     residual that is nonzero mod P has the valuation of its residue.  A
     level whose residual is 0 mod P, or any level when a unit condition
-    fails, is summed exactly, so every valuation equals the exact one."""
+    fails, is summed exactly, so every valuation equals the exact one.
+
+    Each route sums all its levels from one table and, for k = 1, one
+    Horner pass over the deepest box (`_level_sums`), inside its first
+    `fermionic_sum` call; the module's `fermionic_sum` is still called once
+    per level and route."""
+    if not levels:
+        raise DomainError("a limit check needs at least one level")
     target = to_frac(target)
     qf = to_frac(qv)
     check_level_budget(p, max(levels), f.num_vars, term_budget)
-    modulus = p ** (max(levels) + MODULAR_MARGIN) if _units_mod_p(f, qf, p) else None
-    vals = []
-    for N in levels:
-        params = PadicParams(p=p, N=N)
-        v = None
-        if modulus is not None:
-            r = fermionic_sum(f, qf, params, term_budget, modulus=modulus)
-            v = _residual_valuation(r, target, p, modulus)
-        if v is None:
-            v = val_p(fermionic_sum(f, qf, params, term_budget) - target, p)
-        vals.append(v)
-    ok = all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
-    ok = ok and vals[-1] >= max(levels) - 1
-    return ValuationReport(list(levels), vals, ok)
+    vals = dict.fromkeys(levels)
+    if _units_mod_p(f, qf, p):
+        modulus = p ** (max(levels) + MODULAR_MARGIN)
+        residues = _shared_levels(levels)
+        for N in levels:
+            r = fermionic_sum(f, qf, PadicParams(p=p, N=N), term_budget, modulus=modulus,
+                              _sums=residues)
+            vals[N] = _residual_valuation(r, target, p, modulus)
+    inexact = [N for N in levels if vals[N] is None]
+    sums = _shared_levels(inexact)
+    for N in inexact:
+        vals[N] = val_p(fermionic_sum(f, qf, PadicParams(p=p, N=N), term_budget,
+                                      _sums=sums) - target, p)
+    valuations = [vals[N] for N in levels]
+    ok = all(a <= b for a, b in zip(valuations, valuations[1:]))
+    ok = ok and valuations[-1] >= max(levels) - 1
+    return ValuationReport(list(levels), valuations, ok)
 
 
 def convergence_envelope_ok(report: ValuationReport) -> bool:

@@ -364,6 +364,12 @@ def _gauss_weights(k: int, w: Fraction, qf: Fraction, M: int) -> tuple[list[int]
     return _distribution([-w * qf ** (k - j) for j in range(1, k + 1)], M, size=M)
 
 
+def _last_three(M: int) -> range:
+    """The indices of the last three partial sums of M terms, which
+    cesaro1 reads; fewer when M < 3."""
+    return range(max(M - 3, 0), M)
+
+
 def _gauss_weight_bound(k: int, qf: Fraction) -> Fraction:
     """C(k+n-1, n)_q increases in n to 1/prod_{i=1}^{k-1}(1 - q^i)."""
     out = Fraction(1)
@@ -391,12 +397,12 @@ def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams) -> tuple[Fraction, 
     # the q exponent before it calls them)
     table = _sum_table(QBracketMonomial(m=spec.m, x=spec.x), qf, sp.M, math.inf)
     if boundary or sp.mode == "cesaro1":
-        value, gap = cesaro1_value(_prefix_sums(dist, E, table, 3))
+        value, gap = cesaro1_value(_prefix_sums(dist, E, table, _last_three(sp.M)))
         return pref * value, pref * gap
     aw = abs(w)
     tail = (_gauss_weight_bound(spec.k, qf) * q_power(1 - qf, -spec.m)
             * aw ** sp.M / (1 - aw))
-    return pref * _prefix_sums(dist, E, table)[0], pref * tail
+    return pref * _prefix_sums(dist, E, table, [sp.M - 1])[0], pref * tail
 
 
 def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
@@ -436,7 +442,8 @@ def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
         if j:
             power = [a * u for a, u in zip(power, U)]
         coef = t ** j * inv_fact[j]
-        for i, p in enumerate(_prefix_sums(dist, E, (power, R ** j, C ** j), 3)):
+        for i, p in enumerate(_prefix_sums(dist, E, (power, R ** j, C ** j),
+                                           _last_three(sp.M))):
             partials[i] += coef * p
     core, _ = cesaro1_value(partials)
     pref = (1 + qf) ** k

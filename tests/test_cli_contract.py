@@ -12,6 +12,8 @@ from fractions import Fraction
 import pytest
 
 from qgen import cli, qeuler
+from qgen.padic import QBracketMonomial, padic_limit_check
+from qgen.qcore import DomainError
 
 
 def run(capsys, *argv):
@@ -75,6 +77,33 @@ class TestConfig:
         code, out, _ = run(capsys, "qeuler", "--m", 0, "--h", 0, "--q", "1/2",
                            "--mode", "series")
         assert code == 0 and json.loads(out)["meta"]["truncation"] == 50
+
+
+class TestPadicLevel:
+    """A p-adic level below 1 is refused before any work: by `verify` as a
+    usage error, by `padic_limit_check` as a domain error."""
+
+    @pytest.fixture
+    def no_suite(self, monkeypatch):
+        monkeypatch.setattr(cli.verify_mod, "run_suites",
+                            lambda *args: pytest.fail("a suite ran"))
+
+    @pytest.mark.parametrize("suite", ["padic", "qeuler", "qgenocchi", "all", "classical"])
+    @pytest.mark.parametrize("level", [0, -2])
+    def test_verify_level_below_one(self, capsys, no_suite, suite, level):
+        code, out, err = run(capsys, "verify", suite, "--padic-level", level)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: --padic-level must be >= 1, not {level}\n"
+
+    def test_configured_level_below_one(self, capsys, config, no_suite):
+        config('{"N": 0}')
+        code, out, err = run(capsys, "verify", "padic")
+        assert (code, out) == (2, "")
+        assert err == "usage error: config N must be >= 1, not 0\n"
+
+    def test_limit_check_needs_a_level(self):
+        with pytest.raises(DomainError, match="at least one level"):
+            padic_limit_check(QBracketMonomial(m=1), 1, Fraction(4), 3, [])
 
 
 class TestBudgetsBeforeWork:

@@ -85,15 +85,21 @@ class TestPrimality:
         assert _is_prime(2 ** 61 - 1) and not _is_prime((2 ** 31 - 1) * (10 ** 9 + 7))
         assert time.perf_counter() - t0 < 1
 
-    def test_trial_division_above_the_proven_bound(self, monkeypatch):
+    @pytest.mark.parametrize("p", [_MR_LIMIT, 2 ** 89 - 1, (2 ** 31 - 1) * (2 ** 61 - 1)])
+    def test_rejected_above_the_proven_bound(self, p):
         # the bound is the least strong pseudoprime to all thirteen bases,
-        # so above it the test divides instead
+        # so at and above it no p is certified, prime or not
         assert _strong_probable_prime(_MR_LIMIT)
         assert _MR_LIMIT == 1287836182261 * 2575672364521
-        monkeypatch.setattr(padic, "_strong_probable_prime",
-                            lambda n: pytest.fail("Miller-Rabin used above its bound"))
-        assert 43 ** 16 > _MR_LIMIT and not _is_prime(43 ** 16)
-        assert not _is_prime(47 * 43 ** 15)
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="cannot be certified deterministically"):
+            PadicParams(p=p)
+        assert time.perf_counter() - t0 < 1
+
+    def test_small_p_messages_unchanged(self):
+        for p in (2, 9, _MR_LIMIT - 2):
+            with pytest.raises(DomainError, match=f"^p = {p} is not an odd prime$"):
+                PadicParams(p=p)
 
 
 class TestValuation:
@@ -361,7 +367,7 @@ class TestBoxSumAgainstEnumeration:
         simplex, E_simplex = _distribution(bases, L, size=L)
         assert (simplex, E_simplex) == (box[:L], E)
         table = _sum_table(f, qf, L, 100)
-        sums = _prefix_sums(simplex, E, table, 3)
+        sums = _prefix_sums(simplex, E, table, range(max(L - 3, 0), L))
         assert len(sums) == min(3, L)
         for n, got in zip(range(L - len(sums), L), sums):
             expected = F(0)
@@ -510,3 +516,153 @@ class TestClosedFormAgainstValuationFloor:
         target = qeuler_hk(QEulerSpec(m=m, h=h, k=k, x=x, w=w), qv)
         rep = padic_limit_check(QBracketMonomial(m=m, k=k, h=h, w=w, x=x), target, qv, p, levels)
         assert rep.verdict or convergence_envelope_ok(rep), (rep.valuations, qv, w)
+
+
+def _limit_check_per_level(f, target, qv, p, levels, term_budget=padic.DEFAULT_TERM_BUDGET):
+    """Reference for `padic_limit_check`: each level summed on its own by
+    `fermionic_sum`, modulo p^L when q, 1 + q and w are units, and exactly
+    when that fails or the residue is 0."""
+    target, qf = F(target), F(qv)
+    padic.check_level_budget(p, max(levels), f.num_vars, term_budget)
+    modulus = (p ** (max(levels) + padic.MODULAR_MARGIN)
+               if padic._units_mod_p(f, qf, p) else None)
+    vals = []
+    for N in levels:
+        params = PadicParams(p=p, N=N)
+        v = None
+        if modulus is not None:
+            r = fermionic_sum(f, qf, params, term_budget, modulus=modulus)
+            v = padic._residual_valuation(r, target, p, modulus)
+        if v is None:
+            v = val_p(fermionic_sum(f, qf, params, term_budget) - target, p)
+        vals.append(v)
+    ok = all(a <= b for a, b in zip(vals, vals[1:])) and vals[-1] >= max(levels) - 1
+    return ValuationReport(list(levels), vals, ok)
+
+
+def _targets(f, qv, p, levels):
+    """The closed form, its miss by 1/p (p in the denominator), the exact
+    lowest level sum (a zero residual there) and a plain rational."""
+    try:
+        closed = qeuler_hk(QEulerSpec(m=f.m, h=f.h, k=f.k, x=max(f.x, 0), w=f.w), qv)
+    except DomainError:
+        closed = F(2, 7)
+    low = fermionic_sum(f, qv, PadicParams(p, min(levels)))
+    return [closed, closed + F(1, p), low, F(5, 11)]
+
+
+def _deepest(p, k, span=729):
+    """The deepest level N <= 4 with p^N <= span whose (p^N)^k box is
+    within the default term budget."""
+    N = 1
+    while N < 4 and p ** (N + 1) <= span and (p ** (N + 1)) ** k <= padic.DEFAULT_TERM_BUDGET:
+        N += 1
+    return N
+
+
+class TestSharedLevels:
+    """`padic_limit_check` sums all levels of a check from one table and,
+    for k = 1, one Horner pass; its reports must equal the level-by-level
+    loop's, valuations included."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_grid(self, p, k):
+        top = _deepest(p, k)
+        level_sets = [list(range(1, top + 1)), list(range(top, 0, -1)), [top, 1, top],
+                      [1, top] if top > 2 else [1, 1]]
+        # unit and non-unit twists and q
+        for m, w, qv in itertools.product((0, 2), (F(1), F(p), F(1, p + 1)),
+                                          (F(1 + p), F(p), F(1, 2))):
+            f = QBracketMonomial(m=m, k=k, h=k - 1 + m // 2, w=w, x=m % 3)
+            for levels in level_sets:
+                for target in _targets(f, qv, p, levels):
+                    expected = _limit_check_per_level(f, target, qv, p, levels)
+                    assert padic_limit_check(f, target, qv, p, levels) == expected, \
+                        (f, qv, target, levels)
+
+    @given(st.sampled_from([3, 5, 7]), st.integers(1, 3), st.integers(0, 4),
+           st.integers(-1, 3), st.integers(-1, 3),
+           st.sampled_from([F(1), F(-1), F(4), F(-2), F(1, 4), F(3), F(1, 3), F(5), F(7),
+                            F(0), F(6), F(11, 6)]),
+           st.sampled_from([F(4), F(-2), F(1, 4), F(2), F(3), F(1, 3), F(5), F(1, 5), F(7),
+                            F(8), F(1), F(11), F(2, 3)]),
+           st.lists(st.integers(1, 6), min_size=1, max_size=5), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_reports_equal_per_level_loop(self, p, k, m, h, x, w, qv, levels, kind):
+        top = _deepest(p, k, span=125)
+        levels = [min(N, top) for N in levels]
+        f = QBracketMonomial(m=m, k=k, h=h, w=w, x=x)
+        target = _targets(f, qv, p, levels)[kind]
+        assert padic_limit_check(f, target, qv, p, levels) == \
+            _limit_check_per_level(f, target, qv, p, levels)
+
+    def test_classical_integrand(self):
+        for n, w, qv, levels in itertools.product(range(3), (F(1), F(-1, 2), F(3)),
+                                                  (F(1), F(4), F(3)), ([1, 2, 3], [3, 1, 1])):
+            f = ClassicalMonomial(n=n, w=w, c=1)
+            assert padic_limit_check(f, F(1, 2), qv, 3, levels) == \
+                _limit_check_per_level(f, F(1, 2), qv, 3, levels)
+
+    @pytest.mark.parametrize("p,k,levels", [
+        (3, 1, [4, 1, 3, 3]), (5, 1, [3, 1]), (7, 1, [1, 3, 2]),
+        (3, 2, [2, 1, 2]), (5, 2, [2, 1]), (7, 2, [1]), (3, 3, [1, 2]), (5, 3, [1])])
+    def test_shared_sums_against_enumeration(self, p, k, levels):
+        # every level a shared pass fills, exactly and modulo p^L
+        P = p ** (max(levels) + padic.MODULAR_MARGIN)
+        # q, 1 + q and w are units at every odd p
+        for f, qv in ((QBracketMonomial(m=2, k=k, h=k - 1, w=F(4), x=1), F(1 + p)),
+                      (QBracketMonomial(m=0, k=k, h=k, w=F(-2)), F(1, 1 + p)),
+                      (QBracketMonomial(m=1, k=k, h=k + 1, w=F(1, 2), x=-1), F(-1, 2))):
+            exact, residues = dict.fromkeys(levels), dict.fromkeys(levels)
+            for N in levels:
+                ref = _level_reference(f, qv, N, p)
+                assert fermionic_sum(f, qv, PadicParams(p, N), _sums=exact) == ref
+                assert fermionic_sum(f, qv, PadicParams(p, N), modulus=P, _sums=residues) == \
+                    ref.numerator * pow(ref.denominator, -1, P) % P
+            assert None not in exact.values() and None not in residues.values()
+
+    def test_first_call_sums_every_level(self, monkeypatch):
+        # the module's fermionic_sum is still called once per level and
+        # route, which the benchmark's tracer counts; only the first call
+        # of a route sums
+        calls, summed = [], []
+        level_sums, level_sum = padic._level_sums, padic.fermionic_sum
+
+        def traced(f, qv, params, *args, **kwargs):
+            calls.append((params.N, kwargs.get("modulus") is not None))
+            return level_sum(f, qv, params, *args, **kwargs)
+
+        monkeypatch.setattr(padic, "fermionic_sum", traced)
+        monkeypatch.setattr(padic, "_level_sums",
+                            lambda *args: summed.append(args[3]) or level_sums(*args))
+        f = QBracketMonomial(m=2, k=1, h=1)
+        rep = padic_limit_check(f, F(12, 221), F(4), 3, [3, 1, 2, 1])
+        assert calls == [(3, True), (1, True), (2, True), (1, True)]
+        assert summed == [[3, 1, 2]]
+        assert rep == _limit_check_per_level(f, F(12, 221), F(4), 3, [3, 1, 2, 1])
+        assert rep.valuations == [3, 1, 2, 1]
+        calls.clear()
+        summed.clear()
+        # a zero residual is summed exactly, in a second shared pass
+        rep = padic_limit_check(QBracketMonomial(m=0, k=1, h=1), F(1), F(4), 3, [2, 1, 2])
+        assert calls == [(2, True), (1, True), (2, True), (2, False), (1, False), (2, False)]
+        assert summed == [[2, 1], [2, 1]] and rep.valuations == [math.inf] * 3
+
+    def test_level_below_one_stops_the_check(self):
+        # as the level-by-level loop: levels before it are summed, then
+        # PadicParams refuses it
+        for x, levels in ((0, [1, 0, 2]), (0, [0, 1]), (0, [2, -1]), (99_995, [1, 0, 3])):
+            f = QBracketMonomial(m=1, x=x)
+            for check in (padic_limit_check, _limit_check_per_level):
+                with pytest.raises(DomainError, match="level N must be >= 1"):
+                    check(f, F(1), F(4), 3, levels)
+
+    def test_shift_budget_names_the_first_level_over_it(self):
+        # levels 2 and 3 both reach past q^100000; the first in order is named
+        f = QBracketMonomial(m=1, x=99_995)
+        for levels, top in (([1, 2, 3], 100_003), ([3, 2, 1], 100_021)):
+            with pytest.raises(BudgetExceeded, match=f"q exponent {top} exceeds"):
+                padic_limit_check(f, F(1), F(4), 3, levels)
+            with pytest.raises(BudgetExceeded, match=f"q exponent {top} exceeds"):
+                _limit_check_per_level(f, F(1), F(4), 3, levels)
