@@ -31,9 +31,9 @@ from typing import Callable, NamedTuple
 
 from . import classical, verify as verify_mod
 from .padic import (
+    DEFAULT_TERM_BUDGET,
     BudgetExceeded,
     PadicParams,
-    QBracketMonomial,
     SeriesParams,
     check_level_budget,
     check_shift_budget,
@@ -82,7 +82,7 @@ class Config:
     p: int = 3
     N: int = 2
     M: int = 400
-    term_budget: int = 100000
+    term_budget: int = DEFAULT_TERM_BUDGET
     cesaro_tol: Fraction = Fraction(1, 1000)
     table_budget: int = 10000
 
@@ -247,13 +247,14 @@ class QFamily(NamedTuple):
     """How one q-family maps onto the q-Euler closed form.
 
     `spec` builds the family's parameters from the query and `closed`
-    evaluates them through the family's public closed form.  `kernel` maps
-    them to the q-Euler parameters and integer scale that the p-adic and
-    series routes use, or to None where the value vanishes identically.
-    `classical` answers exact mode without --q, where the family allows it.
-    `gauss_series` is the Gaussian-weight series route; without it the
-    series mode sums the k-variable box of `real_series`.  A Genocchi
-    family (`scaled`) reports the scale it applies to an oracle sum."""
+    evaluates them through the family's public closed form.  `kernel`
+    returns the spec type's `kernel()`, the q-Euler parameters and integer
+    scale that the p-adic and series routes use, or None where the value
+    vanishes identically.  `classical` answers exact mode without --q,
+    where the family allows it.  `gauss_series` is the Gaussian-weight
+    series route; without it the series mode sums the k-variable box of
+    `real_series`.  A Genocchi family (`scaled`) reports the scale it
+    applies to an oracle sum."""
 
     flags: tuple[str, ...]
     spec: Callable
@@ -270,23 +271,23 @@ Q_FAMILIES = {
     "qeuler": QFamily(
         flags=("m", "h"), spec=_euler_spec,
         closed=lambda s, qv: qeuler_hk(s, qv),
-        kernel=lambda s: (s, 1),
+        kernel=QEulerSpec.kernel,
         gauss_series=lambda s, qv, sp: qeuler_hk_series(s, qv, sp)),
     "qgenocchi": QFamily(
         flags=("n", "h"), spec=_genocchi_spec,
         closed=lambda s, qv: qgenocchi_hk(s, qv),
-        kernel=lambda s: (s.euler_spec(), s.scale),
+        kernel=QGenocchiSpec.kernel,
         gauss_series=lambda s, qv, sp: qgenocchi_hk_series(s, qv, sp),
         scaled=True),
     "twisted-euler": QFamily(
         flags=("n", "w"), spec=_twist,
         closed=lambda s, qv: qeuler_twisted(s[0], s[1], qv),
-        kernel=lambda s: (QEulerSpec(m=s[0], h=1, k=1, w=s[1]), 1),
+        kernel=lambda s: QEulerSpec(m=s[0], h=1, k=1, w=s[1]).kernel(),
         classical=lambda s: classical.twisted_euler_classical(*s)),
     "twisted-genocchi": QFamily(
         flags=("n", "w"), spec=_twist,
         closed=lambda s, qv: qgenocchi_twisted(s[0], qv, s[1]),
-        kernel=lambda s: (QEulerSpec(m=s[0] - 1, h=1, k=1, w=s[1]), s[0]) if s[0] else None,
+        kernel=lambda s: QGenocchiSpec(n=s[0] - 1, h=1, k=1, w=s[1]).kernel() if s[0] else None,
         classical=lambda s: classical.twisted_genocchi_classical(*s),
         scaled=True),
 }
@@ -309,11 +310,11 @@ def _dispatch_q_family(fam: QFamily, params: dict, mode: str, qv, cfg: Config, s
     if kernel is None:
         return Fraction(0), {}
     espec, scale = kernel
-    f = QBracketMonomial(m=espec.m, k=espec.k, h=espec.h, w=espec.w, x=espec.x)
+    f = espec.integrand()
     scale_meta = {"scale": str(scale)} if fam.scaled else {}
     if mode == "padic":
         p, N = params.get("p", cfg.p), params.get("N", cfg.N)
-        # before PadicParams, whose primality test is trial division
+        # checked before PadicParams tests p for primality, as README documents
         check_level_budget(p, N, f.num_vars, cfg.term_budget)
         pp = PadicParams(p, N)
         meta = {"p": pp.p, "N": pp.N, **scale_meta}

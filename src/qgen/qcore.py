@@ -156,13 +156,6 @@ def _unit_divmod(a, d) -> tuple:
     return tuple(quo), tuple(rem)
 
 
-def binom_int(n: int, k: int) -> int:
-    """Ordinary binomial coefficient over the integers."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def falling(n: int, r: int) -> int:
     """Falling factorial n(n-1)...(n-r+1)."""
     out = 1

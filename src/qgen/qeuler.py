@@ -61,6 +61,15 @@ class QEulerSpec:
         if self.m < 0 or self.k < 1 or self.x < 0:
             raise DomainError("need m >= 0, k >= 1, x >= 0")
 
+    def kernel(self) -> tuple[QEulerSpec, int]:
+        """The q-Euler parameters and integer scale of this value: itself, 1."""
+        return self, 1
+
+    def integrand(self) -> QBracketMonomial:
+        """The k-variable integrand whose fermionic level sums and real
+        series approximate this closed form."""
+        return QBracketMonomial(m=self.m, k=self.k, h=self.h, w=self.w, x=self.x)
+
 
 def _normalize_q(qv):
     """The evaluation domain: QRat for symbolic q (omitted, a Poly or a

@@ -39,14 +39,11 @@ class QGenocchiSpec:
         if self.n < 0 or self.k < 1:
             raise DomainError("need n >= 0, k >= 1")
 
-    @property
-    def scale(self) -> int:
-        """k! C(n+k, k): the integer multiple of the q-Euler kernel."""
-        return math.factorial(self.k) * math.comb(self.n + self.k, self.k)
-
-    def euler_spec(self) -> QEulerSpec:
-        """The q-Euler kernel this value scales: degree n, shift 0."""
-        return QEulerSpec(m=self.n, h=self.h, k=self.k, w=self.w)
+    def kernel(self) -> tuple[QEulerSpec, int]:
+        """The q-Euler parameters this value scales (degree n, shift 0) and
+        the integer scale k! C(n+k, k)."""
+        return (QEulerSpec(m=self.n, h=self.h, k=self.k, w=self.w),
+                math.factorial(self.k) * math.comb(self.n + self.k, self.k))
 
 
 def qgenocchi(n: int, qv=None):
@@ -64,7 +61,8 @@ def qgenocchi_twisted(n: int, qv=None, w=Fraction(1)):
 
 def qgenocchi_hk(spec: QGenocchiSpec, qv=None):
     """Order-k q-Genocchi value of shifted index n (reported index n + k)."""
-    return _euler_sum(spec.n, spec.h, spec.k, 0, spec.w, qv, spec.scale)
+    espec, scale = spec.kernel()
+    return _euler_sum(espec.m, espec.h, espec.k, espec.x, espec.w, qv, scale)
 
 
 def qgenocchi_hk_at_index(index: int, h: int, k: int, qv=None, w=Fraction(1)):
@@ -84,5 +82,6 @@ def qgenocchi_hk_series(spec: QGenocchiSpec, qv, sp: SeriesParams) -> tuple[Frac
 
     Direct mode needs |w| < 1; |w| = 1 is the boundary case (cesaro1).
     Returns (value, bound)."""
-    value, bound = qeuler_hk_series(spec.euler_spec(), qv, sp)
-    return spec.scale * value, spec.scale * bound
+    espec, scale = spec.kernel()
+    value, bound = qeuler_hk_series(espec, qv, sp)
+    return scale * value, scale * bound

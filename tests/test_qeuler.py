@@ -384,7 +384,8 @@ class TestSeriesAgainstTermByTerm:
             if x == 0:
                 gspec = QGenocchiSpec(n=m, h=k - 1, k=k, w=w)
                 got = _outcome(lambda: qgenocchi_hk_series(gspec, qv, sp))
-                ref = _outcome(lambda: tuple(gspec.scale * v
+                scale = math.factorial(k) * math.comb(m + k, k)
+                ref = _outcome(lambda: tuple(scale * v
                                              for v in _series_reference(spec, qv, sp)))
                 assert repr(got) == repr(ref), (gspec, qv, sp)
 

@@ -1,0 +1,54 @@
+"""The shape of `qgen verify all`: every check of every suite, in report
+order, with its point count.  The counts do not depend on the p-adic
+level, which sets only how deep each oracle point sums."""
+
+import pytest
+
+from qgen import verify
+
+ALL_CHECKS = [
+    ("qcore", "gauss-binom-recursion-forms", 231),
+    ("qcore", "gauss-binom-factorial-quotient", 91),
+    ("qcore", "gauss-binom-compositions", 91),
+    ("qcore", "gauss-binom-symmetry", 231),
+    ("qcore", "pochhammer-signed-expansion", 66),
+    ("qcore", "pochhammer-reciprocal-truncation", 65),
+    ("qcore", "pochhammer-ratio-inversion", 81),
+    ("qcore", "evaluation-homomorphism", 252),
+    ("classical", "euler-complementarity", 16),
+    ("classical", "higher-genocchi-euler-coefficients", 44),
+    ("classical", "genocchi-identities", 40),
+    ("classical", "order-one-reduction", 26),
+    ("classical", "frobenius-poly-at-zero", 33),
+    ("padic", "constant-integrand-normalization", 18),
+    ("padic", "measure-additivity", 39),
+    ("padic", "closed-form-valuation-growth", 24),
+    ("padic", "absolute-series-tail-bounds", 18),
+    ("padic", "boundary-series-regularization", 4),
+    ("padic", "shift-identity-residuals", 5),
+    ("qeuler", "integral-oracle-valuations", 198),
+    ("qeuler", "real-series-absolute-oracle", 32),
+    ("qeuler", "boundary-series-closed-agreement", 48),
+    ("qeuler", "classical-limit", 135),
+    ("qeuler", "twist-reduction", 18),
+    ("qeuler", "twisted-euler-frobenius-identity", 33),
+    ("qgenocchi", "index-shift-moments", 6),
+    ("qgenocchi", "integral-oracle-valuations", 48),
+    ("qgenocchi", "classical-limit", 26),
+    ("qgenocchi", "order-coefficient-forms", 44),
+    ("qgenocchi", "twist-continuity", 22),
+    ("qgenocchi", "first-value-is-one", 4),
+    ("qgenocchi", "boundary-series-closed-agreement", 16),
+    ("limits", "qeuler-classical-limits", 45),
+    ("limits", "qgenocchi-classical-limits", 15),
+    ("limits", "twist-unity-collapse", 26),
+]
+
+
+@pytest.mark.parametrize("level", [2, 4])
+def test_all_suites_checks_and_points(level):
+    report = verify.run_suites(["all"], verify.VerifyConfig(padic_level=level))
+    got = [(s["suite"], c["name"], c["points"]) for s in report["suites"] for c in s["checks"]]
+    assert got == ALL_CHECKS
+    assert report["ok"]
+    assert all(c["detail"] == "" for s in report["suites"] for c in s["checks"])
