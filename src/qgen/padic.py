@@ -8,23 +8,21 @@ qeuler/qgenocchi is validated against these level sums (p-adically, via
 valuation growth of exact residuals) and against the real series (via
 exact tail bounds or the smoothed boundary value).
 
-Every sum here is one box sum: an integrand times prod_j (-q)^{x_j}
+Every sum here is a box sum: an integrand times prod_j (-q)^{x_j}
 equals prod_j b_j^{x_j} g[x1 + ... + xk] for per-variable ratios b_j and
-a table g over s = x1 + ... + xk, so `_box_sum` convolves the k geometric
+a table g over s = x1 + ... + xk, so `_box_sums` convolves the k geometric
 weight tables into one weight per s (`_distribution`) and never enumerates
 the box, then sums the weights against g by Horner's rule (`_prefix_sums`).
 It runs on integers over one common denominator, exactly or modulo p^L.
-
-`padic_limit_check` sums all its levels from shared work (`_level_sums`):
-one table of g at the deepest level's size, whose prefixes serve the
-shallower levels; for k = 1 one Horner pass over the deepest box, read at
-s = p^N - 1 for each level N, and for k >= 2 one distribution per level.
-The levels are read modulo p^L in one such pass, and the levels whose
-residue cannot decide the valuation are summed exactly in a second one.
+Boxes of several sides share one table of g, and for k = 1 one Horner
+pass.  `padic_limit_check` reads its levels so modulo p^L (`_level_sums`),
+then sums exactly the levels whose residue cannot decide the valuation;
+a cesaro1 `real_series` reads its last three boxes so.
 
 The simplex sum over x1 + ... + xk < L is the box sum truncated at s < L:
 below s = L the two distributions agree.  The Gaussian-weight series and
-the generating-function comparator of `qeuler` run through it."""
+the generating-function comparator of `qeuler` run through it, with the
+ratios, regime (`_series_regime`) and cesaro1 window of their integrand."""
 
 from __future__ import annotations
 
@@ -94,19 +92,15 @@ def _check_odd_prime(p: int):
 
 @dataclass(frozen=True)
 class PadicParams:
-    """Evaluation context for level-N sums: odd prime p, level N, and the
-    conductor d, which this engine fixes to 1."""
+    """Evaluation context for level-N sums: odd prime p and level N."""
 
     p: int = 3
     N: int = 2
-    d: int = 1
 
     def __post_init__(self):
         _check_odd_prime(self.p)
         if self.N < 1:
             raise DomainError("level N must be >= 1")
-        if self.d != 1:
-            raise DomainError("only conductor d = 1 is supported")
 
 
 @dataclass(frozen=True)
@@ -314,14 +308,25 @@ def _prefix_sums(dist: list[int], E: int, table: tuple[list[int], int, int],
     return sums
 
 
-def _box_sum(bases: Sequence[Fraction], table: tuple[list[int], int, int], L: int,
-             modulus: int | None = None):
-    """Sum over x in [0, L)^k of prod_j b_j^{x_j} g[x1 + ... + xk]: a Fraction,
-    or its residue modulo `modulus` when one is given (every denominator
-    must then be a unit).  Only s = x1 + ... + xk reaches g, so this is the
-    full sum over the s-distribution of the box; `table` may run past it."""
-    dist, E = _distribution(bases, L, modulus)
-    return _prefix_sums(dist, E, table, [len(dist) - 1], modulus)[0]
+def _box_sums(bases: Sequence[Fraction], table: tuple[list[int], int, int],
+              sides: Sequence[int], modulus: int | None = None) -> list:
+    """The sums over x in [0, L)^k of prod_j b_j^{x_j} g[x1 + ... + xk] for
+    each L of the ascending `sides`: Fractions, or residues modulo
+    `modulus` when one is given (every denominator must then be a unit).
+    Only s = x1 + ... + xk reaches g, so each is the full sum over the
+    s-distribution of its box; `table` may run past the largest.
+
+    For k = 1 the box [0, L) is a prefix of the largest one, so one
+    distribution and one Horner pass read every side at s = L - 1; for
+    k >= 2 the box distributions differ, so each side builds its own."""
+    if len(bases) == 1:
+        dist, E = _distribution(bases, sides[-1], modulus)
+        return _prefix_sums(dist, E, table, [L - 1 for L in sides], modulus)
+    sums = []
+    for L in sides:
+        dist, E = _distribution(bases, L, modulus)
+        sums += _prefix_sums(dist, E, table, [len(dist) - 1], modulus)
+    return sums
 
 
 def check_level_budget(p: int, N: int, k: int, term_budget: int) -> None:
@@ -339,7 +344,7 @@ def check_level_budget(p: int, N: int, k: int, term_budget: int) -> None:
 
 def _units_mod_p(f: IntegrandFamily, qf: Fraction, p: int) -> bool:
     """True when q, 1 + q and w are p-adic units.  Then so are every
-    denominator of the level sum (E, R and C of `_box_sum`, products of
+    denominator of the level sum (E, R and C of `_box_sums`, products of
     numerators and denominators of q and w) and the norm [p^N]_{-q}, which
     is 1 mod p because (-q)^(p^N) = -q mod p; so the level sum is
     p-integral and can be read modulo p^L."""
@@ -349,11 +354,8 @@ def _units_mod_p(f: IntegrandFamily, qf: Fraction, p: int) -> bool:
 def _level_sums(f: IntegrandFamily, qf: Fraction, p: int, levels: Sequence[int],
                 term_budget: int, modulus: int | None = None) -> dict:
     """The level-N sums of `fermionic_sum` for each N in `levels`, from one
-    table of g at the deepest level's size: the level-N table is its prefix.
-
-    For k = 1 the level-N box [0, p^N) is a prefix of the deepest one too,
-    so one Horner pass reads every level at s = p^N - 1; for k >= 2 the
-    box distributions differ, so each level rebuilds its own."""
+    table of g at the deepest level's size, whose prefixes serve the
+    shallower levels, and the level boxes [0, p^N)^k of `_box_sums`."""
     k = f.num_vars
     spans = {N: p ** N for N in sorted(set(levels))}
     bases = _ratios(f, qf)
@@ -364,11 +366,7 @@ def _level_sums(f: IntegrandFamily, qf: Fraction, p: int, levels: Sequence[int],
         for N in levels:  # name the first level over the budget, as its own table would
             check_shift_budget(f.x, k * (spans[N] - 1), term_budget)
         raise
-    if k == 1:
-        dist, E = _distribution(bases, top, modulus)
-        boxes = _prefix_sums(dist, E, table, [span - 1 for span in spans.values()], modulus)
-    else:
-        boxes = [_box_sum(bases, table, span, modulus) for span in spans.values()]
+    boxes = _box_sums(bases, table, list(spans.values()), modulus)
     if modulus is None:
         return {N: box / q_bracket_neg(span, qf) ** k
                 for (N, span), box in zip(spans.items(), boxes)}
@@ -498,6 +496,35 @@ def cesaro1_value(partials: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
     return t_last, abs(t_last - t_prev)
 
 
+def _last_three(M: int) -> range:
+    """The indices of the last three partial sums of M terms, which
+    cesaro1 reads; fewer when M < 3, which `cesaro1_value` rejects."""
+    return range(max(M - 3, 0), M)
+
+
+def _series_regime(f: IntegrandFamily, bases: Sequence[Fraction], sp: SeriesParams) -> bool:
+    """Raise DivergenceError unless the series of f with per-variable ratios
+    `bases` is summed by mode `sp.mode`: every |b_j| <= 1 and no b_j = 1;
+    a b_j = -1 is the alternating boundary, which only cesaro1 sums, and
+    only for bracket integrands or a constant classical one.  Returns
+    whether the series is at that boundary."""
+    classical = isinstance(f, ClassicalMonomial)
+    if any(abs(b) > 1 for b in bases):
+        raise DivergenceError("effective ratio |q w| exceeds 1" if classical
+                              else "an effective per-variable ratio exceeds 1")
+    if 1 in bases:
+        raise DivergenceError("positively divergent series (q w = -1)" if classical
+                              else "positively divergent variable (w q^(h-j+1) = -1)")
+    boundary = -1 in bases
+    if classical and boundary and f.n >= 1:
+        raise DivergenceError(
+            "alternating series with polynomially growing terms; "
+            "first-order averaging does not sum it")
+    if sp.mode == "direct" and boundary:
+        raise DivergenceError("boundary alternating series: use cesaro1")
+    return boundary
+
+
 def _classical_tail_bound(f: ClassicalMonomial, rho: Fraction, M: int) -> Fraction:
     """Exact ratio majorant for sum_{y >= M} (y + c)^n rho^y with rho < 1:
     successive term ratios are at most rho ((M + 1 + c)/(M + c))^n."""
@@ -529,26 +556,13 @@ def real_series(f: IntegrandFamily, qv, sp: SeriesParams,
     if not classical and qf == 1:
         raise DomainError("bracket integrands need 0 < q < 1 in series mode")
     bases = _ratios(f, qf)
-    if any(abs(b) > 1 for b in bases):
-        raise DivergenceError("effective ratio |q w| exceeds 1" if classical
-                              else "an effective per-variable ratio exceeds 1")
-    if 1 in bases:
-        raise DivergenceError("positively divergent series (q w = -1)" if classical
-                              else "positively divergent variable (w q^(h-j+1) = -1)")
-    boundary = -1 in bases
-    if classical and boundary and f.n >= 1:
-        raise DivergenceError(
-            "alternating series with polynomially growing terms; "
-            "first-order averaging does not sum it")
-    if sp.mode == "direct" and boundary:
-        raise DivergenceError("boundary alternating series: use cesaro1")
+    _series_regime(f, bases, sp)
     pref = (1 + qf) ** k
     g = _sum_table(f, qf, k * (sp.M - 1) + 1, term_budget)
     if sp.mode == "cesaro1":
-        # the last three boxes [0, L)^k; for M < 3 there are fewer, and
-        # cesaro1_value rejects them
+        # the boxes [0, L)^k of the last three partial sums
         value, gap = cesaro1_value(
-            [_box_sum(bases, g, L) for L in range(max(sp.M - 2, 1), sp.M + 1)])
+            _box_sums(bases, g, [L + 1 for L in _last_three(sp.M)]))
         return pref * value, pref * gap
     if classical:
         tail = _classical_tail_bound(f, abs(bases[0]), sp.M)
@@ -562,7 +576,7 @@ def real_series(f: IntegrandFamily, qv, sp: SeriesParams,
                     piece *= 1 / (1 - ri)
             tail += piece
         tail *= q_power(1 - qf, -f.m)
-    return pref * _box_sum(bases, g, sp.M), pref * tail
+    return pref * _box_sums(bases, g, [sp.M])[0], pref * tail
 
 
 def shift_identity_residual(f: IntegrandFamily, n_shift: int, qv,
@@ -588,7 +602,7 @@ def shift_identity_residual(f: IntegrandFamily, n_shift: int, qv,
     g = G, R, C = _sum_table(f, qf, span + n_shift, term_budget)
     norm = q_bracket_neg(span, qf)
     shifted = G[n_shift:], R, C * R ** n_shift  # the table of g[s + n]
-    lhs = (-bases[0]) ** n_shift * _box_sum(bases, shifted, span) / norm
-    rhs = (-1) ** n_shift * _box_sum(bases, g, span) / norm
-    corr = (-1) ** (n_shift - 1) * _box_sum(bases, g, n_shift)
+    lhs = (-bases[0]) ** n_shift * _box_sums(bases, shifted, [span])[0] / norm
+    rhs = (-1) ** n_shift * _box_sums(bases, g, [span])[0] / norm
+    corr = (-1) ** (n_shift - 1) * _box_sums(bases, g, [n_shift])[0]
     return lhs - rhs - (1 + qf) * corr

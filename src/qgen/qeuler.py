@@ -23,11 +23,13 @@ from typing import NamedTuple
 
 from .padic import (
     BudgetExceeded,
-    DivergenceError,
     QBracketMonomial,
     SeriesParams,
     _distribution,
+    _last_three,
     _prefix_sums,
+    _ratios,
+    _series_regime,
     _sum_table,
     cesaro1_value,
 )
@@ -355,30 +357,6 @@ def qeuler_twisted(n: int, w, qv=None):
     return _euler_sum(n, 1, 1, 0, w, qv)
 
 
-def _series_mode(w: Fraction, sp: SeriesParams):
-    if abs(w) > 1:
-        raise DivergenceError("series diverges for |w| > 1")
-    if w == -1:
-        raise DivergenceError("positively divergent series (twist w = -1)")
-    boundary = w == 1
-    if boundary and sp.mode == "direct":
-        raise DivergenceError("boundary alternating series: use cesaro1")
-    return boundary
-
-
-def _gauss_weights(k: int, w: Fraction, qf: Fraction, M: int) -> tuple[list[int], int]:
-    """The signed Gaussian weights C(k+s-1, s)_q (-w)^s = D[s] / E^s for
-    s < M: the s-distribution of the k geometric tables with bases
-    -w q^(k-j), j = 1..k, kept below s = M, where it is the simplex's."""
-    return _distribution([-w * qf ** (k - j) for j in range(1, k + 1)], M, size=M)
-
-
-def _last_three(M: int) -> range:
-    """The indices of the last three partial sums of M terms, which
-    cesaro1 reads; fewer when M < 3."""
-    return range(max(M - 3, 0), M)
-
-
 def _gauss_weight_bound(k: int, qf: Fraction) -> Fraction:
     """C(k+n-1, n)_q increases in n to 1/prod_{i=1}^{k-1}(1 - q^i)."""
     out = Fraction(1)
@@ -398,17 +376,18 @@ def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams) -> tuple[Fraction, 
     qf = to_frac(qv)
     if not 0 < qf < 1:
         raise DomainError("series mode needs 0 < q < 1")
-    w = to_frac(spec.w)
-    boundary = _series_mode(w, sp)
+    f = spec.integrand()
+    bases = _ratios(f, qf)
+    _series_regime(f, bases, sp)
     pref = (1 + qf) ** spec.k
-    dist, E = _gauss_weights(spec.k, w, qf, sp.M)
+    dist, E = _distribution(bases, sp.M, size=sp.M)
     # [n+x]_q^m as integers; the series take no term budget (the CLI checks
     # the q exponent before it calls them)
-    table = _sum_table(QBracketMonomial(m=spec.m, x=spec.x), qf, sp.M, math.inf)
-    if boundary or sp.mode == "cesaro1":
+    table = _sum_table(f, qf, sp.M, math.inf)
+    if sp.mode == "cesaro1":
         value, gap = cesaro1_value(_prefix_sums(dist, E, table, _last_three(sp.M)))
         return pref * value, pref * gap
-    aw = abs(w)
+    aw = abs(to_frac(spec.w))
     tail = (_gauss_weight_bound(spec.k, qf) * q_power(1 - qf, -spec.m)
             * aw ** sp.M / (1 - aw))
     return pref * _prefix_sums(dist, E, table, [sp.M - 1])[0], pref * tail
@@ -436,15 +415,17 @@ def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
     if kind in ("hqk", "hqkw"):
         if x != 0:
             raise DomainError("the Genocchi generating functions have no shift")
-    _series_mode(w, SeriesParams(sp.M, "cesaro1"))
+    f = QBracketMonomial(m=1, k=k, h=k - 1, w=w, x=x)
+    bases = _ratios(f, qf)
+    _series_regime(f, bases, SeriesParams(sp.M, "cesaro1"))
     if k < 1 or x < 0:
         raise DomainError("need k >= 1, x >= 0")
     inv_fact = [Fraction(1, math.factorial(j)) for j in range(t_terms + k + 1)]
 
     # lhs core: sum_{j<T} t^j/j! S_j, with S_j the m = j series; the three
     # partial sums that cesaro1 reads are linear in the S_j
-    dist, E = _gauss_weights(k, w, qf, sp.M)
-    U, R, C = _sum_table(QBracketMonomial(m=1, x=x), qf, sp.M, math.inf)
+    dist, E = _distribution(bases, sp.M, size=sp.M)
+    U, R, C = _sum_table(f, qf, sp.M, math.inf)
     partials = [Fraction(0)] * min(3, sp.M)
     power = [1] * sp.M
     for j in range(t_terms):

@@ -368,7 +368,8 @@ def suite_qeuler(cfg: VerifyConfig) -> list[CheckResult]:
              for xx in (0, 1, 2) for w in twists)
     k3 = (((m, 3, h, 0, w), QEulerSpec(m=m, h=h, k=3, w=w))
           for m in range(3) for h in (2, 3, 4) for w in twists)
-    k3_levels = levels[: max(1, min(2, len(levels)))]
+    # the k = 3 oracle goes as deep as the budget allows, level 3 by default
+    k3_levels = [N for N in levels if (3 ** N) ** 3 <= cfg.term_budget] or levels[:1]
     out.append(_run_grid("integral-oracle-valuations", itertools.chain(
         _oracle_points(specs, qeuler_hk, q4, levels, cfg.term_budget),
         _oracle_points(k3, qeuler_hk, q4, k3_levels, cfg.term_budget))))

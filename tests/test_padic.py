@@ -48,8 +48,6 @@ class TestParams:
             PadicParams(p=9)
         with pytest.raises(DomainError):
             PadicParams(p=3, N=0)
-        with pytest.raises(DomainError):
-            PadicParams(p=3, N=1, d=2)
 
     def test_series_params(self):
         with pytest.raises(DomainError):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qgen import qeuler
+from qgen import padic, qeuler
 from qgen.classical import frobenius_euler, higher_euler_poly, twisted_euler_classical
 from qgen.padic import (
+    BudgetExceeded,
     DivergenceError,
     QBracketMonomial,
     SeriesParams,
@@ -328,7 +329,8 @@ def _truncated_exp(a, t, terms):
 def _series_reference(spec, qf, sp):
     """`qeuler_hk_series` with one Fraction partial sum per term."""
     w = F(spec.w)
-    boundary = qeuler._series_mode(w, sp)
+    f = spec.integrand()
+    boundary = padic._series_regime(f, padic._ratios(f, qf), sp)
     partials, s = [], F(0)
     for c, br in _gauss_weight_terms(spec.k, spec.x, w, qf, sp.M):
         s += c * br ** spec.m
@@ -416,6 +418,41 @@ class TestSeriesAgainstTermByTerm:
             assert repr(got) == repr(ref), (w, x, t, t_terms, M)
 
 
+def _typed_outcome(fn):
+    """The result of fn, or the type of the error it raises."""
+    try:
+        return fn()
+    except (DomainError, BudgetExceeded) as exc:
+        return type(exc)
+
+
+CROSS_TWISTS = (F(1), F(0), F(1, 2), F(-1, 3), F(2), F(-1), F(-3, 2))
+
+
+class TestSeriesCrossRoute:
+    """The Gaussian-weight series and the k-box series of `real_series` sum
+    the same integrand of the spec.  At k = 1 the simplex and the box
+    coincide, so the two routes agree exactly (value, bound and error
+    type); at k >= 2 they truncate differently but share the regime rules
+    and the cesaro1 window, so they refuse the same inputs, by the same
+    error type."""
+
+    @pytest.mark.parametrize("mode", ["direct", "cesaro1"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_routes_agree(self, k, mode):
+        for m, x, w, qv, M in itertools.product(range(5), range(3), CROSS_TWISTS,
+                                                (F(1, 3), F(3, 4)), (1, 2, 3, 5, 40)):
+            sp = SeriesParams(M, mode)
+            spec = QEulerSpec(m=m, h=k - 1, k=k, x=x, w=w)
+            gauss = _typed_outcome(lambda: qeuler_hk_series(spec, qv, sp))
+            box = _typed_outcome(lambda: real_series(spec.integrand(), qv, sp))
+            if k == 1:
+                assert repr(gauss) == repr(box), (spec, qv, sp)
+            else:
+                errors = [v if isinstance(v, type) else None for v in (gauss, box)]
+                assert errors[0] == errors[1], (spec, qv, sp)
+
+
 class TestGaussWeights:
     """The kernel's weights D[s] / E^s against two independent routes to the
     Gaussian binomial: the additive triangle and the q-factorial quotient."""
@@ -425,7 +462,8 @@ class TestGaussWeights:
     def test_weights_are_signed_gaussian_binomials(self, w, qv):
         rows = gauss_binom_triangle(32, qv)
         for k in range(1, 5):
-            dist, E = qeuler._gauss_weights(k, w, qv, 30)
+            bases = padic._ratios(QEulerSpec(m=0, h=k - 1, k=k, w=w).integrand(), qv)
+            dist, E = padic._distribution(bases, 30, size=30)
             assert len(dist) == 30
             for s, d in enumerate(dist):
                 weight = F(d, E ** s)

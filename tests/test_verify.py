@@ -52,3 +52,24 @@ def test_all_suites_checks_and_points(level):
     assert got == ALL_CHECKS
     assert report["ok"]
     assert all(c["detail"] == "" for s in report["suites"] for c in s["checks"])
+
+
+@pytest.mark.parametrize("level,budget,k3_levels", [
+    (2, 100_000, (1, 2)),
+    (5, 100_000, (1, 2, 3)),
+    (3, 10_000, (1, 2)),
+])
+def test_k3_oracle_depth_follows_the_budget(monkeypatch, level, budget, k3_levels):
+    """The k = 3 oracle sums every level whose (3^N)^3 box is within the
+    term budget; the k <= 2 oracle sums every requested level."""
+    seen = set()
+    check = verify.padic_limit_check
+
+    def spy(f, target, qv, p, levels, term_budget):
+        seen.add((f.num_vars, tuple(levels)))
+        return check(f, target, qv, p, levels, term_budget)
+
+    monkeypatch.setattr(verify, "padic_limit_check", spy)
+    verify.suite_qeuler(verify.VerifyConfig(padic_level=level, term_budget=budget))
+    requested = tuple(range(1, level + 1))
+    assert seen == {(1, requested), (2, requested), (3, k3_levels)}
