@@ -15,9 +15,11 @@ weight tables into one weight per s (`_distribution`) and never enumerates
 the box, then sums the weights against g by Horner's rule (`_prefix_sums`).
 It runs on integers over one common denominator, exactly or modulo p^L.
 Boxes of several sides share one table of g, and for k = 1 one Horner
-pass.  `padic_limit_check` reads its levels so modulo p^L (`_level_sums`),
-then sums exactly the levels whose residue cannot decide the valuation;
-a cesaro1 `real_series` reads its last three boxes so.
+pass.  The parts that do not depend on the degree m (the bracket
+numerators of g and the distributions) come from one bounded memo.
+`padic_limit_check` reads its levels so modulo p^L (`_level_sums`), then
+sums exactly the levels whose residue cannot decide the valuation; a
+cesaro1 `real_series` reads its last three boxes so.
 
 The simplex sum over x1 + ... + xk < L is the box sum truncated at s < L:
 below s = L the two distributions agree.  The Gaussian-weight series and
@@ -28,6 +30,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -217,16 +221,92 @@ def check_shift_budget(x: int, last: int, term_budget: int) -> None:
         raise BudgetExceeded(f"q exponent {top} exceeds the budget of {term_budget}")
 
 
+class _TableMemo:
+    """Degree-independent tables of the level sums and box series, kept by
+    their exact inputs for reuse up to `MEMO_BITS` retained bits: each
+    integer's bits plus `_INT_HEADER_BITS` for its object.  The least
+    recently used entries are dropped first, and a table larger than the
+    whole budget is returned without being kept.  Entries are tuples, so no
+    caller can change one; one lock keeps the bookkeeping whole when
+    threads share the memo."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.bits = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, build):
+        """The entry for `key`, from `build()` when it is not kept; an
+        entry is a pair whose first item is a tuple of integers."""
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                return hit[0]
+            entry = build()
+            bits = sum(map(int.bit_length, entry[0])) + _INT_HEADER_BITS * len(entry[0])
+            if bits <= self.budget:
+                self._entries[key] = entry, bits
+                self.bits += bits
+                while self.bits > self.budget:
+                    _, (_, old) = self._entries.popitem(last=False)
+                    self.bits -= old
+            return entry
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.bits = 0
+
+
+# The memo holds the bracket numerators and weight distributions of recent
+# calls: a sweep over the degree m at fixed q, w, k, h, x and level reads
+# the same ones.  2^22 bits is 512 KiB: a level-7 table at p = 3 modulo
+# p^17 takes about a seventh of it, and a larger budget adds no reuse in a
+# verify grid or the benchmark's passes, while a level-9 exact table
+# (about 48 MB) is never kept.
+MEMO_BITS = 1 << 22
+_INT_HEADER_BITS = 256  # a small int's object and its tuple slot, in bits
+_MEMO = _TableMemo(MEMO_BITS)
+
+
+def _bracket_numerators(qf: Fraction, x: int, size: int,
+                        modulus: int | None) -> tuple[tuple[int, ...], int, int]:
+    """(U, c, K) with [s + x]_q = U[s] / (K c^s) for s < size, U reduced
+    modulo `modulus` when one is given.
+
+    With q = a/c and K a common denominator of [x]_q and q^x = X / K, the
+    step br_{s+1} = br_s + q^{x+s} is U_{s+1} = c (U_s + X a^s)."""
+    qpow = q_power(qf, x)
+    br = Fraction(x) if qf == 1 else (1 - qpow) / (1 - qf)
+    K = math.lcm(br.denominator, qpow.denominator)
+    a, c = qf.numerator, qf.denominator
+    u = br.numerator * (K // br.denominator)
+    t = qpow.numerator * (K // qpow.denominator)
+    if modulus:
+        u %= modulus
+    U = []
+    for _ in range(size):
+        U.append(u)
+        u = c * (u + t)
+        t *= a
+        if modulus:
+            u %= modulus
+            t %= modulus
+    return tuple(U), c, K
+
+
 def _sum_table(f: IntegrandFamily, qf: Fraction, size: int, term_budget: int,
-               modulus: int | None = None) -> tuple[list[int], int, int]:
+               modulus: int | None = None) -> tuple[Sequence[int], int, int]:
     """The factor g[s] of the integrand that depends only on s = x1 + ... + xk,
     for s = 0..size-1: (s + c)^n, or [s + x]_q^m.  Returned as integers
     (G, R, C) with g[s] = G[s] / (R^s C), G reduced modulo `modulus` when
     one is given.
 
-    With q = a/c and br_s = [s + x]_q = U_s / (K c^s), where K is a common
-    denominator of [x]_q and q^x = X / K, the step br_{s+1} = br_s + q^{x+s}
-    is U_{s+1} = c (U_s + X a^s), so R = c^m and C = K^m."""
+    For brackets, G[s] = U[s]^m with the numerators U of
+    `_bracket_numerators`, which do not depend on m and are read from the
+    memo, so R = c^m and C = K^m."""
     if isinstance(f, ClassicalMonomial):
         if f.n < 0:
             raise DomainError("integrand exponent n must be >= 0")
@@ -234,37 +314,32 @@ def _sum_table(f: IntegrandFamily, qf: Fraction, size: int, term_budget: int,
     if f.m < 0:
         raise DomainError("integrand exponent m must be >= 0")
     check_shift_budget(f.x, size - 1, term_budget)
-    qpow = q_power(qf, f.x)
     if f.m == 0:
         return [1] * size, 1, 1
-    br = Fraction(f.x) if qf == 1 else (1 - qpow) / (1 - qf)
-    K = math.lcm(br.denominator, qpow.denominator)
-    a, c = qf.numerator, qf.denominator
-    u = br.numerator * (K // br.denominator)
-    t = qpow.numerator * (K // qpow.denominator)
-    G = []
-    for _ in range(size):
-        G.append(pow(u, f.m, modulus))
-        u = c * (u + t)
-        t *= a
-        if modulus:
-            u %= modulus
-            t %= modulus
+    U, c, K = _MEMO.get(("bracket", qf, f.x, size, modulus),
+                        lambda: _bracket_numerators(qf, f.x, size, modulus))
+    G = U if f.m == 1 else [pow(u, f.m, modulus) for u in U]
     return G, c ** f.m, K ** f.m
 
 
 def _distribution(bases: Sequence[Fraction], L: int, modulus: int | None = None,
-                  size: int | None = None) -> tuple[list[int], int]:
+                  size: int | None = None) -> tuple[tuple[int, ...], int]:
     """The s-distribution of the k geometric tables (b_j^0, ..., b_j^{L-1}):
     integers D[s] with sum over x1 + ... + xk = s of prod_j b_j^{x_j} equal
     to D[s] / E^s, where E is the common denominator of the bases.  With a
-    `size`, only s < size is kept.
+    `size`, only s < size is kept.  Read from the memo by its inputs.
 
     Each table is convolved in by the running form
     d'[s] = d[s] + b d'[s-1] - b^L d[s-L], starting from the unit table, in
     O(k^2 L) operations instead of L^k.  The b^L term first acts at s = L,
     so below it the distribution is the simplex's: for s < L the weight is
     the complete homogeneous sum h_s(b_1, ..., b_k)."""
+    return _MEMO.get(("dist", tuple(bases), L, modulus, size),
+                     lambda: _build_distribution(bases, L, modulus, size))
+
+
+def _build_distribution(bases: Sequence[Fraction], L: int, modulus: int | None,
+                        size: int | None) -> tuple[tuple[int, ...], int]:
     E = math.lcm(*(b.denominator for b in bases))
     dist = [1]
     for b in bases:
@@ -280,10 +355,10 @@ def _distribution(bases: Sequence[Fraction], L: int, modulus: int | None = None,
             if modulus:
                 cur %= modulus
             dist.append(cur)
-    return dist, E
+    return tuple(dist), E
 
 
-def _prefix_sums(dist: list[int], E: int, table: tuple[list[int], int, int],
+def _prefix_sums(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, int],
                  reads: Sequence[int], modulus: int | None = None) -> list:
     """The prefix sums P_n = sum_{s<=n} (D[s] / E^s) g[s] at each n of the
     ascending `reads`, from one pass over the distribution: Fractions, or
@@ -308,7 +383,7 @@ def _prefix_sums(dist: list[int], E: int, table: tuple[list[int], int, int],
     return sums
 
 
-def _box_sums(bases: Sequence[Fraction], table: tuple[list[int], int, int],
+def _box_sums(bases: Sequence[Fraction], table: tuple[Sequence[int], int, int],
               sides: Sequence[int], modulus: int | None = None) -> list:
     """The sums over x in [0, L)^k of prod_j b_j^{x_j} g[x1 + ... + xk] for
     each L of the ascending `sides`: Fractions, or residues modulo
@@ -525,17 +600,38 @@ def _series_regime(f: IntegrandFamily, bases: Sequence[Fraction], sp: SeriesPara
     return boundary
 
 
-def _classical_tail_bound(f: ClassicalMonomial, rho: Fraction, M: int) -> Fraction:
-    """Exact ratio majorant for sum_{y >= M} (y + c)^n rho^y with rho < 1:
-    successive term ratios are at most rho ((M + 1 + c)/(M + c))^n."""
+def _classical_tail_bound(f: ClassicalMonomial, rho: Fraction, M: int,
+                          term_budget: int) -> Fraction:
+    """Exact majorant for sum_{y >= M} |y + c|^n rho^y with rho < 1.
+
+    Where y + c >= 1, successive term ratios are at most
+    rho ((y0 + 1 + c)/(y0 + c))^n for y >= y0, so from the first
+    y0 >= max(M, 1 - c) where that bound r is below 1 the tail is at most
+    its first term over 1 - r; the terms for M <= y < y0 are added exactly.
+    Raises DivergenceError when those are more than the term budget."""
     if rho == 0:
         return Fraction(0)
-    base = M + f.c if M + f.c > 0 else 1
-    r_hat = rho * Fraction(base + 1, base) ** f.n
-    if r_hat >= 1:
+    r, d = rho.numerator, rho.denominator
+
+    def ratio_below_one(b):  # rho ((b + 1) / b)^n < 1
+        return r * (b + 1) ** f.n < d * b ** f.n
+
+    lo = hi = max(M + f.c, 1)  # the least admissible y0 + c
+    while not ratio_below_one(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:  # the ratio bound decreases in b: bisect for the first b
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ratio_below_one(mid) else (mid + 1, hi)
+    y0 = hi - f.c
+    if y0 - M > term_budget:
         raise DivergenceError("truncation too small for an exact tail majorant")
-    t_M = Fraction(M + f.c) ** f.n * rho ** M
-    return t_M / (1 - r_hat)
+    # sum_{M <= y < y0} |y + c|^n r^y d^(y0-1-y), by Horner's rule
+    acc, power = 0, r ** M
+    for y in range(M, y0):
+        acc = acc * d + abs(y + f.c) ** f.n * power
+        power *= r
+    r_hat = rho * Fraction(hi + 1, hi) ** f.n
+    return Fraction(acc, d ** (y0 - 1)) + Fraction(hi) ** f.n * rho ** y0 / (1 - r_hat)
 
 
 def real_series(f: IntegrandFamily, qv, sp: SeriesParams,
@@ -565,7 +661,7 @@ def real_series(f: IntegrandFamily, qv, sp: SeriesParams,
             _box_sums(bases, g, [L + 1 for L in _last_three(sp.M)]))
         return pref * value, pref * gap
     if classical:
-        tail = _classical_tail_bound(f, abs(bases[0]), sp.M)
+        tail = _classical_tail_bound(f, abs(bases[0]), sp.M, term_budget)
     else:
         ratios = [abs(b) for b in bases]
         tail = Fraction(0)

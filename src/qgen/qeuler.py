@@ -316,13 +316,59 @@ def _euler_sum(m: int, h: int, k: int, x: int, w, qv, scale: int = 1):
     scale [2]_q^k (1-q)^{-m} sum_j C(m,j) (-1)^j q^{xj} / prod_l (1 + w q^{h+j-l}).
 
     At the symbolic generator the value is built over its known
-    denominator (`_euler_sum_symbolic`); exact mode and other symbolic
+    denominator (`_euler_sum_symbolic`), and at a rational q as one integer
+    numerator over one denominator (`_euler_sum_exact`); other symbolic
     arguments take the general loop (`_euler_sum_loop`)."""
     qv = _normalize_q(qv)
     w = to_frac(w)
-    if isinstance(qv, QRat) and qv == q_sym and qv.num.var == _qgen.var:
+    if isinstance(qv, Fraction):
+        return _euler_sum_exact(m, h, k, x, w, qv, scale)
+    if qv == q_sym and qv.num.var == _qgen.var:
         return _euler_sum_symbolic(m, h, k, x, w, scale)
     return _euler_sum_loop(m, h, k, x, w, qv, scale)
+
+
+def _euler_sum_exact(m: int, h: int, k: int, x: int, w: Fraction, qf: Fraction,
+                     scale: int) -> Fraction:
+    """The closed form at q = a/c in integers.  With w = u/v, each factor
+    is 1 + w q^e = n_e / d_e: n_e = v c^e + u a^e, d_e = v c^e for e >= 0,
+    and n_e = v a^|e| + u c^|e|, d_e = v a^|e| for e < 0.  Over the common
+    denominator c^(xm) prod_e n_e (e = h-k+1 .. h+m), row j's numerator is
+    T_j prod_{e outside its window} n_e, with
+    T_j = C(m,j) (-1)^j a^(xj) c^(x(m-j)) prod_{window} d_e.  One pass
+    accumulates A_j = A_{j-1} n_{h+j} + T_j P_j, where P_j is the running
+    product of the n_e below row j's window, and the prefactor
+    [2]_q^k (1-q)^-m = (c+a)^k c^(m-k) / (c-a)^m joins A_m in one Fraction."""
+    a, c = qf.numerator, qf.denominator
+    u, v = w.numerator, w.denominator
+    lo = h - k + 1
+    nums, dens = {}, {}
+    for e in range(lo, h + m + 1):
+        d = v * c ** e if e >= 0 else v * a ** -e
+        nums[e] = d + (u * a ** e if e >= 0 else u * c ** -e)
+        dens[e] = d
+    # the first vanishing factor in the loop's (j, l) order: row 0 from
+    # l = 0, then the one new exponent h + j (l = 0) of each later row
+    for e in [*range(h, lo - 1, -1), *range(h + 1, h + m + 1)]:
+        if nums[e] == 0:
+            j = max(e - h, 0)
+            raise DomainError(
+                f"vanishing denominator factor 1 + w q^({e}) at j={j}, l={h + j - e}")
+    acc, below = 0, 1
+    for j in range(m + 1):
+        if j:
+            below *= nums[h + j - k]
+            acc *= nums[h + j]
+        window = math.prod(dens[e] for e in range(h + j - k + 1, h + j + 1))
+        acc += (-1) ** j * math.comb(m, j) * a ** (x * j) * c ** (x * (m - j)) * window * below
+    num = scale * (c + a) ** k * acc
+    den = (c - a) ** m * below * math.prod(nums[e] for e in range(h + m - k + 1, h + m + 1))
+    c_exp = m - k - x * m
+    if c_exp >= 0:
+        num *= c ** c_exp
+    else:
+        den *= c ** -c_exp
+    return Fraction(num, den)
 
 
 def _euler_sum_loop(m: int, h: int, k: int, x: int, w: Fraction, qv, scale: int):

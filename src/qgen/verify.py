@@ -394,7 +394,7 @@ def suite_qeuler(cfg: VerifyConfig) -> list[CheckResult]:
             a = qeuler_twisted(n, Fraction(1), qh)
             b = qeuler_hk(QEulerSpec(m=n, h=1, k=1), qh)
             yield ("exact", n), a == b, f"{a} != {b}"
-            # the known-denominator route against the term-by-term loop
+            # the known-denominator route against the integer exact route
             sym = qeuler_twisted(n, Fraction(1))
             yield ("symbolic", n), sym.evaluate(qh) == a, "symbolic twist mismatch"
 
@@ -453,7 +453,7 @@ def suite_qgenocchi(cfg: VerifyConfig) -> list[CheckResult]:
         for n in range(9):
             exact = qgenocchi(n, qh)
             yield ("exact", n), qgenocchi_twisted(n, qh, Fraction(1)) == exact, "w=1 exact"
-            # the known-denominator route against the term-by-term loop
+            # the known-denominator route against the integer exact route
             sym = qgenocchi_twisted(n, w=Fraction(1))
             yield ("symbolic", n), sym.evaluate(qh) == exact, "w=1 symbolic"
         for n in range(4):
@@ -505,7 +505,7 @@ def suite_limits(cfg: VerifyConfig) -> list[CheckResult]:
                 b = qeuler_hk(QEulerSpec(m=m, h=k, k=k), qh)
                 yield ("hk", m, k), a == b, "hk twist"
         for n in range(4):
-            # the known-denominator route against the term-by-term loop
+            # the known-denominator route against the integer exact route
             sym = qgenocchi_twisted(n, w=one)
             yield ("tgen-sym", n), sym.evaluate(qh) == tgen[n], "symbolic twisted genocchi"
 

@@ -664,3 +664,97 @@ class TestSharedLevels:
                 padic_limit_check(f, F(1), F(4), 3, levels)
             with pytest.raises(BudgetExceeded, match=f"q exponent {top} exceeds"):
                 _limit_check_per_level(f, F(1), F(4), 3, levels)
+
+
+class TestClassicalTailBound:
+    """The direct-mode majorant of sum_{y >= M} |y + c|^n rho^y holds for
+    every shift c, including y + c <= 0 inside the tail."""
+
+    def test_negative_shift_bounds_the_truncation_error(self):
+        # sum_y b^y (y + c) = b / (1 - b)^2 + c / (1 - b), with b = -q w
+        qv, c = F(1, 4), -10
+        b = -qv
+        exact = (1 + qv) * (b / (1 - b) ** 2 + c / (1 - b))
+        value, bound = real_series(ClassicalMonomial(n=1, c=c), qv, SeriesParams(10, "direct"))
+        assert 0 < abs(value - exact) <= bound
+
+    def test_no_spurious_divergence(self):
+        f = ClassicalMonomial(n=2, c=-3)
+        value, bound = real_series(f, F(1, 4), SeriesParams(2, "direct"))
+        reference, _ = real_series(f, F(1, 4), SeriesParams(200, "direct"))
+        assert abs(value - reference) <= bound
+
+    @given(st.integers(-20, 5), st.integers(0, 4), st.integers(1, 30),
+           st.integers(1, 3), st.integers(2, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_majorant(self, c, n, M, num, den):
+        rho = F(min(num, den - 1), den)
+        bound = padic._classical_tail_bound(ClassicalMonomial(n=n, c=c), rho, M, 10 ** 5)
+        assert bound >= sum(abs(y + c) ** n * rho ** y for y in range(M, M + 400))
+
+    def test_long_head_is_refused(self):
+        with pytest.raises(DivergenceError, match="truncation too small"):
+            padic._classical_tail_bound(ClassicalMonomial(n=1, c=-10 ** 6), F(1, 2), 1, 10 ** 5)
+
+
+class TestTableMemo:
+    """Bracket numerators and weight distributions are read from one bounded
+    memo; what it returns does not depend on what it holds."""
+
+    CALLS = (
+        lambda: fermionic_sum(QBracketMonomial(m=3, k=2, h=1, w=F(1, 2), x=1), F(4),
+                              PadicParams(3, 2)),
+        lambda: fermionic_sum(QBracketMonomial(m=1, k=1, h=2, x=2), F(-2, 3),
+                              PadicParams(5, 2), modulus=5 ** 12),
+        lambda: padic_limit_check(QBracketMonomial(m=2, k=1, h=1), F(1), F(4), 3, [1, 2, 3]),
+        lambda: real_series(QBracketMonomial(m=2, k=2, h=1, w=F(1, 3)), F(1, 2),
+                            SeriesParams(40, "direct")),
+        lambda: real_series(QBracketMonomial(m=1, k=1, h=0), F(1, 2),
+                            SeriesParams(40, "cesaro1")),
+        lambda: shift_identity_residual(QBracketMonomial(m=2, k=1, h=1), 2, F(4),
+                                        PadicParams(3, 2)),
+    )
+
+    def test_cold_equals_warm(self):
+        cold = []
+        for call in self.CALLS:
+            padic._MEMO.clear()
+            cold.append(call())
+        for _ in range(2):
+            assert [call() for call in self.CALLS] == cold
+
+    def test_entries_are_immutable(self):
+        padic._MEMO.clear()
+        for call in self.CALLS:
+            call()
+        dist, _ = _distribution([F(-1, 2), F(2, 3)], 9, size=10)
+        assert isinstance(dist, tuple)
+        assert padic._MEMO._entries
+        for entry, _ in padic._MEMO._entries.values():
+            assert isinstance(entry[0], tuple)
+
+    def test_least_recent_dropped_and_oversized_not_kept(self):
+        memo = padic._TableMemo(2 * padic._INT_HEADER_BITS + 5)
+        for key, value in (("a", 3), ("b", 3), ("a", 9), ("c", 3)):
+            memo.get(key, lambda value=value: ((value,), 0))
+        assert list(memo._entries) == ["a", "c"] and memo.bits == 2 * padic._INT_HEADER_BITS + 4
+        assert memo.get("a", lambda: ((0,), 0)) == ((3,), 0)  # kept: not rebuilt
+        big = ((1 << 2000,), 0)
+        assert memo.get("big", lambda: big) is big
+        assert "big" not in memo._entries and memo.bits <= memo.budget
+
+    def test_bits_within_budget_after_verify_all(self):
+        from qgen.verify import run_suites
+        padic._MEMO.clear()
+        cold = run_suites(["all"])
+        assert 0 < padic._MEMO.bits <= padic.MEMO_BITS
+        assert padic._MEMO.bits == sum(bits for _, bits in padic._MEMO._entries.values())
+        assert run_suites(["all"]) == cold
+
+    def test_level_nine_tables_are_not_kept(self):
+        # the tables of `qgen qeuler --m 2 --h 1 --q 4 --mode padic --N 9`,
+        # about 48 MB of integers each; they do not depend on m, and m = 1
+        # skips the squaring of every entry
+        padic._MEMO.clear()
+        fermionic_sum(QBracketMonomial(m=1, k=1, h=1), F(4), PadicParams(3, 9))
+        assert padic._MEMO.bits == 0

@@ -123,6 +123,42 @@ class TestKnownDenominatorRoute:
         assert qeuler_hk(QEulerSpec(m=20, h=2, k=2)).at_one() == higher_euler_poly(20, 2)(F(0))
 
 
+_EXACT_QS = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(
+    lambda v: v not in (0, 1, -1))
+
+
+class TestExactRoute:
+    """A rational q takes the integer route (`_euler_sum_exact`); the
+    general loop (`_euler_sum_loop`) in Fractions is its reference."""
+
+    @given(st.integers(0, 12), st.integers(-3, 6), st.integers(1, 3), st.integers(0, 3),
+           _EXACT_QS, st.sampled_from((1, 2, 6)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_general_loop(self, m, h, k, x, q0, scale, data):
+        if data.draw(st.booleans()):
+            # a twist that makes one factor 1 + w q^e vanish
+            w = -1 / q0 ** data.draw(st.integers(h - k + 1, h + m))
+        else:
+            w = data.draw(st.sampled_from(ROUTE_TWISTS + (F(-3, 2), F(-5))))
+        exact = _outcome(qeuler._euler_sum, m, h, k, x, w, q0, scale)
+        assert exact == _outcome(qeuler._euler_sum_loop, m, h, k, x, w, q0, scale)
+
+    def test_degree_300(self):
+        args = (300, 2, 3, 2, F(2, 3), F(-5, 4), 6)
+        assert qeuler._euler_sum(*args) == qeuler._euler_sum_loop(*args)
+
+    @pytest.mark.parametrize("qv", [F(1, 2), F(4), F(2, 3), F(-3, 5)])
+    @pytest.mark.parametrize("w", [F(1), F(4), F(1, 2), F(-2, 3)])
+    def test_translation_recurrence(self, qv, w):
+        # the translation identity at f(x) = w^x [x]_q^m:
+        # E_m (1 + w q^(m+1)) = [2]_q delta_(m,0) - q w sum_(j<m) C(m,j) q^j E_j
+        E = [qeuler_twisted(m, w, qv) for m in range(9)]
+        for m, e in enumerate(E):
+            rhs = (1 + qv if m == 0 else 0) - qv * w * sum(
+                math.comb(m, j) * qv ** j * E[j] for j in range(m))
+            assert e * (1 + w * qv ** (m + 1)) == rhs, m
+
+
 class TestPadicOracle:
     def test_grid(self):
         q4 = F(4)
