@@ -13,13 +13,16 @@ float ever appears.
 Polynomials whose coefficients are all `int` run on integer kernels:
 products of two factors longer than `_KRONECKER_MIN` terms go through
 signed Kronecker substitution (`_kronecker_mul`: one big-integer product
-over byte-aligned slots), a monomial factor is a shift and a scale, and
-division by a divisor with leading coefficient 1 or -1 (`_unit_divmod`)
-builds no `Fraction`.  At the symbolic generator the Gaussian triangle
-(`_gauss_poly_rows`) adds shifted coefficient tuples, with no product, and
-wraps each entry once through the trusted constructor `Poly._from_coeffs`;
-q-integers are built directly.  `Fraction` polynomials, short factors and
-a rational q take the generic loops, which give the same values.
+over byte-aligned slots), a monomial factor is a shift and a scale, and a
+division whose quotient is integral (`_int_divmod`: always by a divisor
+with leading coefficient 1 or -1, and an exact division by a primitive
+divisor) builds no `Fraction`.  At the symbolic generator the Gaussian
+triangle (`_gauss_poly_rows`) adds shifted coefficient tuples, with no
+product, and wraps each entry once through the trusted constructor
+`Poly._from_coeffs`; the factorial quotient is telescoped
+(`_telescoped_binom`), and q-integers are built directly.  `Fraction`
+polynomials, short factors and a rational q take the generic loops, which
+give the same values.
 
 Every q-primitive is generic over the evaluation domain: pass a Fraction
 for a fixed rational q, or the symbolic generator (`q` / `QRat(q)`) to get
@@ -28,6 +31,7 @@ a polynomial or rational function in q.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
@@ -130,24 +134,32 @@ def _kronecker_mul(a: tuple, b: tuple) -> tuple:
                   for i in range(0, n * size, size)])
 
 
-def _unit_divmod(a, d) -> tuple:
-    """Quotient and remainder, as tuples, of int coefficient sequences by a
-    divisor whose leading coefficient is 1 or -1: every quotient
-    coefficient is an int (the top remainder coefficient times that unit),
-    so no Fraction is built.  Only the divisor's nonzero lower terms are
-    visited, so a sparse divisor such as 1 + q^e costs one update per step,
-    not e."""
+def _int_divmod(a, d):
+    """Quotient and remainder, as tuples, of int coefficient sequences, or
+    None when a quotient coefficient is not an int.  Each quotient
+    coefficient is the top remainder coefficient over the divisor's
+    leading one, always an int when that is 1 or -1 (the top times that
+    unit) and when the division is exact by a primitive divisor, so no
+    Fraction is built.  Only the divisor's nonzero lower terms are visited,
+    so a sparse divisor such as 1 + q^e costs one update per step, not e."""
     dd = len(d) - 1
     if len(a) <= dd:
         return (), tuple(a)
-    unit = d[-1]
+    lead = d[-1]
+    unit = lead if lead in (1, -1) else 0
     terms = [(i, c) for i, c in enumerate(d[:-1]) if c]
     rem = list(a)
     quo = [0] * (len(a) - dd)
     for shift in range(len(quo) - 1, -1, -1):
         top = rem[shift + dd]
         if top:
-            f = quo[shift] = top * unit
+            if unit:
+                f = top * unit
+            else:
+                f, r = divmod(top, lead)
+                if r:
+                    return None
+            quo[shift] = f
             for i, c in terms:
                 rem[shift + i] -= f * c
     del rem[dd:]
@@ -317,10 +329,11 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         var = self._join_var(other)
+        if _all_int(self.coeffs) and _all_int(other.coeffs):
+            out = _int_divmod(self.coeffs, other.coeffs)
+            if out is not None:
+                return Poly._from_coeffs(out[0], var), Poly._from_coeffs(out[1], var)
         dlead = other.coeffs[-1]
-        if (dlead == 1 or dlead == -1) and _all_int(self.coeffs) and _all_int(other.coeffs):
-            quo, rem = _unit_divmod(self.coeffs, other.coeffs)
-            return Poly._from_coeffs(quo, var), Poly._from_coeffs(rem, var)
         rem = list(self.coeffs)
         quo = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
         dd = other.degree
@@ -425,7 +438,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while b_cs:
         lead, db = b_cs[-1], len(b_cs) - 1
         if lead == 1:  # a monic divisor: the remainder itself, no scaling
-            r = _unit_divmod(a_cs, b_cs)[1]
+            r = _int_divmod(a_cs, b_cs)[1]
             a_cs, b_cs = b_cs, _primitive(r) if r else r
             continue
         r = list(a_cs)
@@ -777,11 +790,20 @@ def gauss_binom_alt(n: int, k: int, qv=None):
 
 
 def gauss_binom_factorial(n: int, k: int, qv=None):
-    """Gaussian binomial as the q-factorial quotient [n]!/([n-k]! [k]!)."""
+    """Gaussian binomial as the q-factorial quotient [n]!/([n-k]! [k]!).
+
+    At the symbolic generator the quotient is telescoped: with
+    r = min(k, n-k), it is prod_{i=1}^{r} (1 - q^(n-r+i)) / (1 - q^i), and
+    after step i the partial product is the polynomial C(n-r+i, i)_q.  Each
+    step is a shift-subtract and an exact division by 1 - q^i, a prefix sum
+    along each residue class mod i.  Any other q takes the three
+    q-factorials and one division."""
     if qv is None:
         qv = q
     if k < 0 or k > n:
         return _domain_zero(qv)
+    if _is_generator(qv):
+        return Poly._from_coeffs(_telescoped_binom(n, min(k, n - k)), qv.var)
     num = q_factorial(n, qv)
     den = q_factorial(n - k, qv) * q_factorial(k, qv)
     if isinstance(qv, Poly):
@@ -789,6 +811,20 @@ def gauss_binom_factorial(n: int, k: int, qv=None):
     if is_zero_scalar(den):
         raise DomainError("q-factorial quotient undefined at this q")
     return num / den
+
+
+def _telescoped_binom(n: int, r: int) -> tuple:
+    """Coefficients of C(n, r)_q as the telescoped factorial quotient."""
+    cs = (1,)
+    for i in range(1, r + 1):
+        s = n - r + i
+        prod = tuple(map(operator.sub, cs + (0,) * s, (0,) * s + cs))
+        # B (1 - q^i) = A gives B_j = A_j + B_(j-i); B has i fewer terms
+        out = [0] * (len(prod) - i)
+        for c in range(i):
+            out[c::i] = itertools.accumulate(prod[c:len(out):i])
+        cs = tuple(out)
+    return cs
 
 
 def gauss_binom_compositions(n: int, k: int) -> Poly:

@@ -37,6 +37,7 @@ from .qcore import (
     DomainError,
     Poly,
     QRat,
+    _int_divmod,
     falling,
     is_zero_scalar,
     poly_gcd,
@@ -75,9 +76,11 @@ class QEulerSpec:
 
 def _normalize_q(qv):
     """The evaluation domain: QRat for symbolic q (omitted, a Poly or a
-    QRat), otherwise an exact rational outside {0, 1, -1}."""
-    if qv is None:
-        return QRat(_qgen)
+    QRat), the shared `q_sym` for the generator, otherwise an exact
+    rational outside {0, 1, -1}."""
+    if qv is None or (isinstance(qv, Poly) and qv.coeffs == _qgen.coeffs
+                      and qv.var == _qgen.var):
+        return q_sym
     if isinstance(qv, Poly):
         return QRat(qv)
     if isinstance(qv, QRat):
@@ -105,15 +108,21 @@ def _divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def _totient(n: int) -> int:
-    out, p = n, 2
+def _prime_factors(n: int) -> list[int]:
+    out, p = [], 2
     while p * p <= n:
         if n % p == 0:
+            out.append(p)
             while n % p == 0:
                 n //= p
-            out -= out // p
         p += 1
-    return out - out // n if n > 1 else out
+    return out + [n] if n > 1 else out
+
+
+def _totient(n: int) -> int:
+    for p in _prime_factors(n):
+        n -= n // p
+    return n
 
 
 @functools.lru_cache(maxsize=256)
@@ -169,6 +178,102 @@ def _binomial_poly(w: Fraction, e: int) -> Poly:
     if abs(w) == 1:
         return Poly((w,) + (0,) * (abs(e) - 1) + (1,))
     return _factor_poly(("w", e), w)
+
+
+def _remainder(cs: tuple, key, base: Poly) -> tuple:
+    """A nonzero constant times the remainder of the int coefficients cs
+    by the base polynomial of a known factor, in integers: zero exactly
+    when the base divides cs.  For Phi_d, the fold of cs modulo q^d - 1 (d
+    slice sums, so q - 1 gives the coefficient sum) divided by the monic
+    Phi_d.  For lo + hi q^e, the substitution q^e -> -lo/hi over chunks of
+    e coefficients, scaled by hi^T for a top chunk T."""
+    kind, d = key
+    if kind == "phi":
+        return _int_divmod([sum(cs[i::d]) for i in range(min(d, len(cs)))], base.coeffs)[1]
+    e, lo, hi = base.degree, base.coeffs[0], base.coeffs[-1]
+    cs = tuple(cs) + (0,) * (-len(cs) % e)
+    acc, scale = cs[-e:], 1
+    # Horner from the top chunk T: acc_t = hi^(T-t) C_t - lo acc_(t+1)
+    for i in range(len(cs) - 2 * e, -1, -e):
+        scale *= hi
+        acc = [scale * c - lo * a for c, a in zip(cs[i:i + e], acc)]
+    return tuple(acc)
+
+
+def _is_power(v: Fraction, p: int) -> bool:
+    """v is a p-th power in Q."""
+    if v < 0:
+        return p % 2 == 1 and _is_power(-v, p)
+    return all(_iroot(n, p) ** p == n for n in (v.numerator, v.denominator))
+
+
+def _iroot(n: int, p: int) -> int:
+    """floor(n^(1/p)) for n >= 0, by integer Newton steps from above."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // p)
+    while True:
+        y = ((p - 1) * x + n // x ** (p - 1)) // p
+        if y >= x:
+            return x
+        x = y
+
+
+def _may_split(lo: int, hi: int, e: int) -> bool:
+    """Whether lo + hi q^e, that is q^e - c with c = -lo/hi, may factor over
+    Q.  By Capelli's theorem it is irreducible unless c is a p-th power in
+    Q for a prime p dividing e, or 4 divides e and c is in -4 Q^4 (as in
+    q^4 + 4 = (q^2 + 2q + 2)(q^2 - 2q + 2))."""
+    c = Fraction(-lo, hi)
+    return (any(_is_power(c, p) for p in _prime_factors(e))
+            or (e % 4 == 0 and c < 0 and _is_power(-c / 4, 4)))
+
+
+#: the prime of the coprimality test: a safe prime 2p + 1 (p prime), so
+#: every residue other than 0 and +-1 has order p or 2p and the prime
+#: divides no Phi_d(a) of small d at an integer a, as 2^61 - 1 = Phi_61(2)
+#: would divide the numerator at the root 2 of 4 - q^2
+_MOD_PRIME = 2 ** 61 - 2373
+
+
+def _coprime_mod(a: tuple, b: tuple) -> bool:
+    """Whether the int coefficient tuples a and b are shown coprime over Q
+    by Euclid over GF(ell), ell = `_MOD_PRIME`.  When ell does not divide
+    a's leading coefficient, a common factor over Q keeps its degree
+    modulo ell, so coprime modulo ell proves coprime; False proves
+    nothing."""
+    ell = _MOD_PRIME
+    if a[-1] % ell == 0:
+        return False
+    a, b = [c % ell for c in a], [c % ell for c in b]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, ell)
+        while len(a) >= len(b):
+            f, shift = a[-1] * inv % ell, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * c) % ell
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _shares_factor(cs: tuple, key, base: Poly) -> bool:
+    """Whether the int coefficients cs share a nonconstant factor with the
+    base of a known factor.  A nonzero remainder settles it when the base
+    is irreducible, which every Phi_d is.  For a binomial that may split,
+    the remainder and the binomial coprime modulo a prime settle it, and
+    otherwise one GCD of the two, below the binomial's degree."""
+    rem = _remainder(cs, key, base)
+    if not any(rem):
+        return True
+    if key[0] == "phi" or not _may_split(base.coeffs[0], base.coeffs[-1], base.degree):
+        return False
+    if _coprime_mod(base.coeffs, rem):
+        return False
+    return poly_gcd(base, Poly(rem)).degree > 0
 
 
 class _KnownDenominator(NamedTuple):
@@ -264,10 +369,12 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
     would need |q| = 1, which forces |w| = 1 (q^e = -1/w and q^e' = -1/w
     give q^(e-e') = 1; q^e = -1/w and q^e' = -w with e, e' > 0 put |q|^e
     and |q|^e' on opposite sides of 1; the roots of Phi_d have |q| = 1).
-    So gcd(N, denominator) is the product of gcd(N, P) over the factor
-    powers P, each found at a degree below deg P, and dividing each P by
-    its own GCD leaves a denominator coprime to the numerator: the pair is
-    reduced without a second full-degree GCD."""
+    So gcd(N, denominator) is the product of gcd(N, P^e) over the factor
+    powers P^e, and dividing each P^e by its own GCD leaves a denominator
+    coprime to the numerator: the pair is reduced without a second
+    full-degree GCD.  Most factors share nothing with N, which one integer
+    remainder of N by each base P shows (`_shares_factor`), so `poly_gcd`
+    runs only where a shared factor exists, such as (q - 1)^m."""
     plan = _known_denominator(m, h, k, x, w)
     polys = {key: _factor_poly(key, w) for key in (*plan.powers, _PHI1, _PHI2)}
     common = Poly((1,))
@@ -297,12 +404,15 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
     powers = Counter(plan.powers)
     powers[_PHI1] += m
     powers[_PHI2] -= plan.cancel
+    # the remainder tests read the integer numerator before any division:
+    # dividing out a shared factor keeps it coprime to every other factor
+    ints = num.coeffs
     den = Poly((1,))
     for key, e in powers.items():
         if e > 0:
             power = polys[key] ** e
-            g = poly_gcd(num, power)
-            if g.degree > 0:
+            if _shares_factor(ints, key, polys[key]):
+                g = poly_gcd(num, power)
                 num = num.exact_div(g)
                 power = power.exact_div(g)
             den = den * power

@@ -433,6 +433,14 @@ class TestIntegerDivmod:
         assert (quo, rem) == _long_divmod(a, d)
         assert _canonical(quo) and _canonical(rem)
 
+    @given(_int_coeffs(2 * CUT).filter(any), st.lists(st.integers(-9, 9), max_size=6),
+           st.integers(2, 9).flatmap(lambda v: st.sampled_from([v, -v])))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_non_unit_lead_stays_int(self, a, low, lead):
+        a, d = Poly(a), Poly(low + [lead])
+        quo = (a * d).exact_div(d)
+        assert quo == a and all(type(c) is int for c in quo.coeffs)
+
     @given(_polys(20), _polys(6).filter(bool))
     @settings(max_examples=60, deadline=None)
     def test_fraction_dividends_match_reference(self, a, d):
@@ -478,11 +486,30 @@ class TestGaussianTriangleKernel:
         assert gauss_binom(n, k) == full and gauss_binom_alt(n, k) == full
         assert _canonical(gauss_binom(n, k))
 
-    @given(st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
-    @settings(max_examples=25, deadline=None)
-    def test_factorial_quotient_equals_triangle(self, nk):
-        n, k = nk
-        assert gauss_binom_factorial(n, k) == _poly_triangle(40, False)[n][k]
+    def test_factorial_quotient_equals_triangle(self):
+        # the telescoped product at the generator, against the reference
+        # triangle at every entry up to n = 40
+        tri = _poly_triangle(40, False)
+        for n in range(41):
+            for k in range(n + 1):
+                entry = gauss_binom_factorial(n, k)
+                assert entry == tri[n][k] and _canonical(entry), (n, k)
+
+    @pytest.mark.parametrize("qv", [F(-1), F(1), F(1, 2)])
+    def test_factorial_quotient_at_rational_q(self, qv):
+        # a rational q keeps the three q-factorials and one division; at
+        # q = -1 [2]_q! = 0, so only the quotients without it exist
+        at_minus_one = {(0, 0): 1, (1, 0): 1, (1, 1): 1, (2, 1): 0}
+        for n in range(7):
+            for k in range(n + 1):
+                if qv == -1 and (n, k) not in at_minus_one:
+                    with pytest.raises(DomainError, match="q-factorial quotient undefined"):
+                        gauss_binom_factorial(n, k, qv)
+                    continue
+                value = gauss_binom_factorial(n, k, qv)
+                expected = (at_minus_one[n, k] if qv == -1 else
+                            math.comb(n, k) if qv == 1 else gauss_binom(n, k)(qv))
+                assert type(value) is F and value == expected, (n, k)
 
     def test_other_variable(self):
         x = Poly([0, 1], var="x")

@@ -18,7 +18,15 @@ from qgen.padic import (
     padic_limit_check,
     real_series,
 )
-from qgen.qcore import DomainError, Poly, QRat, gauss_binom_factorial, gauss_binom_triangle, q_sym
+from qgen.qcore import (
+    DomainError,
+    Poly,
+    QRat,
+    gauss_binom_factorial,
+    gauss_binom_triangle,
+    poly_gcd,
+    q_sym,
+)
 from qgen.qeuler import (
     QEulerSpec,
     gf_eval,
@@ -81,8 +89,12 @@ class TestClosedForm:
 
 
 # Twists for the known-denominator route: cyclotomic (1, -1), none (0),
-# and coprime twist factors, some reducible over Q (-1/4, -4, 9/4).
-ROUTE_TWISTS = tuple(map(F, ("1", "-1", "0", "2", "-2", "1/2", "-1/4", "-4", "9/4", "3/5")))
+# and coprime twist factors, some reducible over Q: 4 - q^e and 1 - 4q^e
+# split at even e (-1/4, -4), 4 + q^e and 1 + 4q^e when 4 divides e (1/4),
+# 8 - q^e and 8q^e - 1 when 3 divides e (-1/8), 4 - 9q^e and 4q^e - 9 at
+# even e (-9/4); 4 + 9q^e (9/4) never splits.
+ROUTE_TWISTS = tuple(map(F, ("1", "-1", "0", "2", "-2", "1/2", "-1/4", "-4", "9/4", "3/5",
+                             "1/4", "-1/8", "-9/4")))
 
 
 def _outcome(fn, *args):
@@ -121,6 +133,97 @@ class TestKnownDenominatorRoute:
 
     def test_order_two_m_20_has_classical_limit(self):
         assert qeuler_hk(QEulerSpec(m=20, h=2, k=2)).at_one() == higher_euler_poly(20, 2)(F(0))
+
+
+def _binomial(lo, hi, e):
+    return Poly([lo] + [0] * (e - 1) + [hi])
+
+
+class TestKnownFactorTests:
+    """The remainder test and the splitting rule that let the symbolic
+    route skip the GCD with a known factor that shares nothing with it."""
+
+    @pytest.mark.parametrize("lo, hi, e, factors", [
+        (4, 1, 4, ([2, 2, 1], [2, -2, 1])),
+        (-8, 1, 6, ([-2, 0, 1], [4, 0, 2, 0, 1])),
+        (-4, 9, 2, ([-2, 3], [2, 3])),
+    ])
+    def test_split_binomials_may_split(self, lo, hi, e, factors):
+        product = Poly([1])
+        for f in factors:
+            product = product * Poly(f)
+        assert product == _binomial(lo, hi, e)
+        assert qeuler._may_split(lo, hi, e)
+
+    @pytest.mark.parametrize("lo, hi, e, split", [
+        # q^2 + 4, q^4 - 2 and 2q^3 + 1 are irreducible
+        (4, 1, 2, False), (-2, 1, 4, False), (1, 2, 3, False),
+        (-3 ** 200, 1, 2, True), (-3 ** 201, 1, 2, False),
+        (-(10 ** 20 + 1) ** 3, 7 ** 6, 3, True), (1 - (10 ** 20 + 1) ** 3, 1, 3, False),
+        (4 * 5 ** 40, 3 ** 80, 8, True), (4 * 5 ** 40 + 1, 3 ** 80, 8, False),
+    ])
+    def test_split_rule(self, lo, hi, e, split):
+        assert qeuler._may_split(lo, hi, e) is split
+
+    @given(st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool),
+           st.sampled_from([2, 3, 5]), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_capelli_factors_divide(self, t, p, k):
+        # q^(pk) - t^p has the factor q^k - t, and q^(4k) + 4t^4 the factor
+        # q^(2k) + 2t q^k + 2t^2, so the rule must say "may split" for both
+        pad = [0] * (k - 1)
+        for c, e, factor in ((t ** p, p * k, [-t, *pad, 1]),
+                             (-4 * t ** 4, 4 * k, [2 * t * t, *pad, 2 * t, *pad, 1])):
+            lo, hi = -c.numerator, c.denominator
+            assert qeuler._may_split(lo, hi, e), (c, e)
+            assert (_binomial(lo, hi, e) % Poly(factor)).is_zero
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=40),
+           st.one_of(st.integers(1, 30).map(lambda d: (("phi", d), qeuler._cyclotomic(d))),
+                     st.tuples(st.integers(-9, 9).filter(bool), st.integers(-9, 9).filter(bool),
+                               st.integers(1, 7)).map(
+                         lambda t: (("w", t[2]), _binomial(*t)))))
+    @settings(max_examples=200, deadline=None)
+    def test_remainder_is_scaled_divmod(self, cs, factor):
+        key, base = factor
+        cs = tuple(Poly(cs).coeffs)
+        rem = Poly(qeuler._remainder(cs, key, base))
+        # a binomial's remainder is scaled by hi^T, T the top chunk of cs
+        scale = 1 if key[0] == "phi" else base.coeffs[-1] ** max(
+            -(-len(cs) // base.degree) - 1, 0)
+        assert rem == (Poly(cs) % base) * scale
+
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=12).filter(any),
+           st.sampled_from([
+               ((4, 1, 4), ([2, 2, 1], [2, -2, 1])),
+               ((1, 4, 4), ([1, 2, 2], [1, -2, 2])),
+               ((-1, 4, 2), ([-1, 2], [1, 2])),
+               ((-4, 9, 2), ([-2, 3], [2, 3])),
+               ((8, -1, 3), ([2, -1], [4, 2, 1])),
+               ((-1, 8, 6), ([-1, 0, 2], [1, 0, 2, 0, 4])),
+               ((2, 3, 1), ()),
+               ((3, 2, 5), ()),
+           ]),
+           st.sampled_from([None, 0, 1]))
+    @settings(max_examples=150, deadline=None)
+    def test_shares_factor_matches_gcd(self, cs, binomial, pick):
+        # a multiple of one irreducible factor of the binomial shares it
+        (lo, hi, e), pieces = binomial
+        a = Poly(cs)
+        if pick is not None and pieces:
+            a = a * Poly(pieces[pick])
+        shared = qeuler._shares_factor(a.coeffs, ("w", e), _binomial(lo, hi, e))
+        assert shared == (poly_gcd(a, _binomial(lo, hi, e)).degree > 0)
+
+    def test_modulus_is_a_safe_prime(self):
+        ell = qeuler._MOD_PRIME
+        assert padic._is_prime(ell) and padic._is_prime((ell - 1) // 2)
+
+    def test_normalize_q_shares_the_generator(self):
+        assert qeuler._normalize_q(None) is q_sym
+        assert qeuler._normalize_q(Poly([0, 1])) is q_sym
+        other = qeuler._normalize_q(Poly([0, 1], var="x"))
+        assert other is not q_sym and other.num.var == "x"
 
 
 _EXACT_QS = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(
