@@ -12,11 +12,15 @@ Every sum here is a box sum: an integrand times prod_j (-q)^{x_j}
 equals prod_j b_j^{x_j} g[x1 + ... + xk] for per-variable ratios b_j and
 a table g over s = x1 + ... + xk, so `_box_sums` convolves the k geometric
 weight tables into one weight per s (`_distribution`) and never enumerates
-the box, then sums the weights against g by Horner's rule (`_prefix_sums`).
-It runs on integers over one common denominator, exactly or modulo p^L.
-Boxes of several sides share one table of g, and for k = 1 one Horner
-pass.  The parts that do not depend on the degree m (the bracket
-numerators of g and the distributions) come from one bounded memo.
+the box, then sums the weights against g by Horner's rule.  That pass
+(`_horner`) runs on integers over one common denominator, exactly or modulo
+p^L, and returns the numerators of the prefix sums it reads;
+`_prefix_sums` divides them out into Fractions or residues, and
+`_cesaro1_sums` combines the last three into the cesaro1 value and gap
+while they are still integers.  Boxes of several sides share one table of
+g, and for k = 1 one Horner pass.  The parts that do not depend on the
+degree m (the bracket numerators of g and the distributions) come from one
+bounded memo.
 `padic_limit_check` reads its levels so modulo p^L (`_level_sums`), then
 sums exactly the levels whose residue cannot decide the valuation; a
 cesaro1 `real_series` reads its last three boxes so.
@@ -24,7 +28,9 @@ cesaro1 `real_series` reads its last three boxes so.
 The simplex sum over x1 + ... + xk < L is the box sum truncated at s < L:
 below s = L the two distributions agree.  The Gaussian-weight series and
 the generating-function comparator of `qeuler` run through it, with the
-ratios, regime (`_series_regime`) and cesaro1 window of their integrand."""
+ratios, regime (`_series_regime`) and cesaro1 window of their integrand;
+they read `_horner` and `_cesaro1_sums` and build one Fraction per value
+they return."""
 
 from __future__ import annotations
 
@@ -358,29 +364,38 @@ def _build_distribution(bases: Sequence[Fraction], L: int, modulus: int | None,
     return tuple(dist), E
 
 
-def _prefix_sums(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, int],
-                 reads: Sequence[int], modulus: int | None = None) -> list:
-    """The prefix sums P_n = sum_{s<=n} (D[s] / E^s) g[s] at each n of the
-    ascending `reads`, from one pass over the distribution: Fractions, or
-    residues when a `modulus` is given.
-
-    With g[s] = G[s] / (R^s C), Horner's rule accumulates the integer
-    A_n = sum_{s<=n} D[s] G[s] (E R)^(n-s), and P_n = A_n / (C (E R)^n)."""
-    G, R, C = table
+def _horner(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, int],
+            reads: Sequence[int], modulus: int | None = None) -> list[int]:
+    """The integers A_n = sum_{s<=n} D[s] G[s] (E R)^(n-s) at each n of the
+    ascending `reads`, from one Horner pass over the distribution, reduced
+    modulo `modulus` when one is given.  With g[s] = G[s] / (R^s C), the
+    prefix sum sum_{s<=n} (D[s] / E^s) g[s] is A_n / (C (E R)^n)."""
+    G, R, _ = table
     ER = E * R
     terms = zip(dist, G)
-    acc, done, sums = 0, 0, []
+    acc, done, accs = 0, 0, []
     for n in reads:
         for d, v in itertools.islice(terms, n + 1 - done):
             acc = acc * ER + d * v
             if modulus:
                 acc %= modulus
         done = n + 1
-        if modulus:
-            sums.append(acc * pow(C * pow(ER, n, modulus), -1, modulus) % modulus)
-        else:
-            sums.append(Fraction(acc, C * ER ** n))
-    return sums
+        accs.append(acc)
+    return accs
+
+
+def _prefix_sums(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, int],
+                 reads: Sequence[int], modulus: int | None = None) -> list:
+    """The prefix sums P_n = sum_{s<=n} (D[s] / E^s) g[s] at each n of the
+    ascending `reads`, A_n / (C (E R)^n) from `_horner`: Fractions, or
+    residues when a `modulus` is given."""
+    _, R, C = table
+    ER = E * R
+    accs = _horner(dist, E, table, reads, modulus)
+    if modulus:
+        return [a * pow(C * pow(ER, n, modulus), -1, modulus) % modulus
+                for n, a in zip(reads, accs)]
+    return [Fraction(a, C * ER ** n) for n, a in zip(reads, accs)]
 
 
 def _box_sums(bases: Sequence[Fraction], table: tuple[Sequence[int], int, int],
@@ -569,6 +584,22 @@ def cesaro1_value(partials: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
     t_last = (partials[-1] + partials[-2]) / 2
     t_prev = (partials[-2] + partials[-3]) / 2
     return t_last, abs(t_last - t_prev)
+
+
+def _cesaro1_sums(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, int],
+                  M: int) -> tuple[int, int, int]:
+    """`cesaro1_value` of the last three of M prefix sums, as integers
+    (V, W, D): value V / D and gap W / D.
+
+    With P_i = A_i / (C X^i) from `_horner`, X = E R and n = M - 1,
+    value = (P_n + P_(n-1)) / 2 = (A_n + X A_(n-1)) / (2 C X^n) and
+    gap = |P_n - P_(n-2)| / 2 = |A_n - X^2 A_(n-2)| / (2 C X^n)."""
+    if M < 3:
+        raise DomainError("cesaro1 needs at least 3 partial sums")
+    _, R, C = table
+    X = E * R
+    a2, a1, a0 = _horner(dist, E, table, _last_three(M))
+    return a0 + X * a1, abs(a0 - X * X * a2), 2 * C * X ** (M - 1)
 
 
 def _last_three(M: int) -> range:

@@ -25,13 +25,12 @@ from .padic import (
     BudgetExceeded,
     QBracketMonomial,
     SeriesParams,
+    _cesaro1_sums,
     _distribution,
-    _last_three,
-    _prefix_sums,
+    _horner,
     _ratios,
     _series_regime,
     _sum_table,
-    cesaro1_value,
 )
 from .qcore import (
     DomainError,
@@ -521,12 +520,15 @@ def _gauss_weight_bound(k: int, qf: Fraction) -> Fraction:
     return out
 
 
-def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams) -> tuple[Fraction, Fraction]:
+def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams,
+                     scale: int = 1) -> tuple[Fraction, Fraction]:
     """Series route for the weight h = k - 1 family:
-    [2]_q^k sum_n C(k+n-1, n)_q (-w)^n [n+x]_q^m.
+    scale [2]_q^k sum_n C(k+n-1, n)_q (-w)^n [n+x]_q^m.
 
     Direct mode needs |w| < 1 and returns an exact geometric tail bound;
-    |w| = 1 is the boundary case and needs cesaro1.  Returns (value, bound)."""
+    |w| = 1 is the boundary case and needs cesaro1.  The integer `scale`
+    (a q-Genocchi value's) multiplies value and bound.  Returns
+    (value, bound)."""
     if spec.h != spec.k - 1:
         raise DomainError("the series expansion exists only for h = k - 1")
     qf = to_frac(qv)
@@ -535,18 +537,53 @@ def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams) -> tuple[Fraction, 
     f = spec.integrand()
     bases = _ratios(f, qf)
     _series_regime(f, bases, sp)
-    pref = (1 + qf) ** spec.k
+    # scale [2]_q^k = num / den
+    num, den = scale * (qf.numerator + qf.denominator) ** spec.k, qf.denominator ** spec.k
     dist, E = _distribution(bases, sp.M, size=sp.M)
     # [n+x]_q^m as integers; the series take no term budget (the CLI checks
     # the q exponent before it calls them)
     table = _sum_table(f, qf, sp.M, math.inf)
     if sp.mode == "cesaro1":
-        value, gap = cesaro1_value(_prefix_sums(dist, E, table, _last_three(sp.M)))
-        return pref * value, pref * gap
+        value, gap, D = _cesaro1_sums(dist, E, table, sp.M)
+        return Fraction(num * value, den * D), Fraction(num * gap, den * D)
     aw = abs(to_frac(spec.w))
     tail = (_gauss_weight_bound(spec.k, qf) * q_power(1 - qf, -spec.m)
             * aw ** sp.M / (1 - aw))
-    return pref * _prefix_sums(dist, E, table, [sp.M - 1])[0], pref * tail
+    _, R, C = table
+    n = sp.M - 1
+    (A,) = _horner(dist, E, table, [n])
+    return Fraction(num * A, den * C * (E * R) ** n), Fraction(num, den) * tail
+
+
+def _exp_table(qf: Fraction, x: int, t: Fraction, T: int,
+               size: int) -> tuple[list[int], int, int]:
+    """The table (G, R, C) of the truncated exponential
+    e(s) = sum_{j<T} (t [s+x]_q)^j / j! = G[s] / (R^s C), for s < size.
+
+    With t [s+x]_q = rho (1 - q^x q^s) and rho = t / (1 - q), e(s) is a
+    polynomial in q^s: sum_{l<T} gamma_l q^(ls), where
+    gamma_l = (-rho q^x)^l / l! sum_{i<T-l} rho^i / i!.  For q = a/c,
+    t = tau/sigma and r = T - 1, the integers Gamma_l = C gamma_l with
+    C = r! (sigma (c - a))^r c^(xr) give G[s] = sum_l Gamma_l z_l^s with
+    z_l = a^l c^(r-l), and R = c^r; each term steps to the next s by its
+    small factor z_l."""
+    if T == 0:
+        return [0] * size, 1, 1
+    r = T - 1
+    a, c = qf.numerator, qf.denominator
+    N, Dn = t.numerator * c, t.denominator * (c - a)  # rho = N / Dn
+    fact = math.factorial
+    # Gamma_l = (-N a^x)^l c^(x(r-l)) sum_i r!/(l! i!) N^i Dn^(r-l-i)
+    terms = [(-N * a ** x) ** l * c ** (x * (r - l))
+             * sum(fact(r) // (fact(l) * fact(i)) * N ** i * Dn ** (r - l - i)
+                   for i in range(T - l))
+             for l in range(T)]
+    steps = [a ** l * c ** (r - l) for l in range(T)]
+    G = []
+    for _ in range(size):
+        G.append(sum(terms))
+        terms = [v * z for v, z in zip(terms, steps)]
+    return G, c ** r, fact(r) * Dn ** r * c ** (x * r)
 
 
 def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
@@ -559,8 +596,12 @@ def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
                  t^k prefactor and vanishing low coefficients (x must be 0;
                  "hqk" forces w = 1).
 
-    Exponentials are truncated exact series in t; the boundary n-sum is
-    evaluated with the cesaro1 smoothing.  Returns (lhs, rhs)."""
+    Each exponential is truncated to its first T = t_terms terms in t.  On
+    the left, that truncation at every [n+x]_q is one integer table
+    (`_exp_table`), and the boundary n-sum over it is one Horner pass
+    smoothed by cesaro1 (`padic._cesaro1_sums`); the prefactors join its
+    integer numerator and denominator, so the left side is one Fraction.
+    Returns (lhs, rhs)."""
     if kind not in ("fqk", "hqk", "hqkw"):
         raise DomainError(f"unknown generating function kind {kind!r}")
     qf = to_frac(qv)
@@ -576,29 +617,19 @@ def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
     _series_regime(f, bases, SeriesParams(sp.M, "cesaro1"))
     if k < 1 or x < 0:
         raise DomainError("need k >= 1, x >= 0")
-    inv_fact = [Fraction(1, math.factorial(j)) for j in range(t_terms + k + 1)]
+    if t_terms < 0:
+        raise DomainError("need t_terms >= 0")
 
-    # lhs core: sum_{j<T} t^j/j! S_j, with S_j the m = j series; the three
-    # partial sums that cesaro1 reads are linear in the S_j
     dist, E = _distribution(bases, sp.M, size=sp.M)
-    U, R, C = _sum_table(f, qf, sp.M, math.inf)
-    partials = [Fraction(0)] * min(3, sp.M)
-    power = [1] * sp.M
-    for j in range(t_terms):
-        if j:
-            power = [a * u for a, u in zip(power, U)]
-        coef = t ** j * inv_fact[j]
-        for i, p in enumerate(_prefix_sums(dist, E, (power, R ** j, C ** j),
-                                           _last_three(sp.M))):
-            partials[i] += coef * p
-    core, _ = cesaro1_value(partials)
-    pref = (1 + qf) ** k
-
+    core, _, D = _cesaro1_sums(dist, E, _exp_table(qf, x, t, t_terms, sp.M), sp.M)
+    # [2]_q^k, and t^k for the Genocchi kinds
+    num, den = (qf.numerator + qf.denominator) ** k * core, qf.denominator ** k * D
+    inv_fact = [Fraction(1, math.factorial(j)) for j in range(t_terms + k + 1)]
     if kind == "fqk":
-        lhs = pref * core
+        lhs = Fraction(num, den)
         coeffs = [_euler_sum(m, k - 1, k, x, w, qf) for m in range(t_terms)]
     else:
-        lhs = pref * t ** k * core
+        lhs = Fraction(num * t.numerator ** k, den * t.denominator ** k)
         coeffs = [0] * k + [_euler_sum(n - k, k - 1, k, 0, w, qf, falling(n, k))
                             for n in range(k, k + t_terms)]
     rhs = sum((c * t ** n * inv_fact[n] for n, c in enumerate(coeffs)), Fraction(0))

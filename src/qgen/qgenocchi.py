@@ -83,5 +83,4 @@ def qgenocchi_hk_series(spec: QGenocchiSpec, qv, sp: SeriesParams) -> tuple[Frac
     Direct mode needs |w| < 1; |w| = 1 is the boundary case (cesaro1).
     Returns (value, bound)."""
     espec, scale = spec.kernel()
-    value, bound = qeuler_hk_series(espec, qv, sp)
-    return scale * value, scale * bound
+    return qeuler_hk_series(espec, qv, sp, scale)

@@ -19,6 +19,7 @@ from qgen.padic import (
     SeriesParams,
     ValuationReport,
     _MR_LIMIT,
+    _cesaro1_sums,
     _distribution,
     _is_prime,
     _prefix_sums,
@@ -374,6 +375,13 @@ class TestBoxSumAgainstEnumeration:
                     weight = math.prod(b ** xj for b, xj in zip(bases, xs))
                     expected += weight * ((1 - qf ** (sum(xs) + 1)) / (1 - qf)) ** 2
             assert got == expected, n
+        # the integer cesaro1 of the same three prefix sums
+        if L < 3:
+            with pytest.raises(DomainError, match="cesaro1 needs at least 3 partial sums"):
+                _cesaro1_sums(simplex, E, table, L)
+        else:
+            value, gap, den = _cesaro1_sums(simplex, E, table, L)
+            assert (F(value, den), F(gap, den)) == cesaro1_value(sums)
 
     @pytest.mark.parametrize("M", [1, 2])
     @pytest.mark.parametrize("f", [QBracketMonomial(m=1, k=2, h=1), ClassicalMonomial(n=0)])

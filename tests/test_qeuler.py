@@ -543,18 +543,41 @@ class TestSeriesAgainstTermByTerm:
             gf_eval("fqk", 1, 0, F(1), QH, F(1, 4), SeriesParams(M, "cesaro1"))
 
     @pytest.mark.parametrize("kind,twists,shifts", [
-        ("fqk", (F(1), F(1, 2)), (0, 1)),
+        ("fqk", (F(1), F(1, 2), F(0)), (0, 1, 2)),
         ("hqk", (F(1),), (0,)),
         ("hqkw", (F(1, 2), F(-1, 3)), (0,)),
     ])
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_gf_eval(self, kind, twists, shifts, k):
-        for w, x, t, t_terms, M in itertools.product(twists, shifts, (F(0), F(1, 4), F(1, 2)),
-                                                     (8, 3), (3, 4, 30)):
+        for w, x, t, t_terms, M in itertools.product(
+                twists, shifts, (F(0), F(1, 4), F(1, 2), F(-1, 2), F(3, 7)),
+                (8, 3, 2, 1, 0), (1, 2, 3, 4, 30)):
             sp = SeriesParams(M, "cesaro1")
-            got = gf_eval(kind, k, x, w, QH, t, sp, t_terms)
-            ref = _gf_reference(kind, k, x, w, QH, t, sp, t_terms)
+            got = _outcome(gf_eval, kind, k, x, w, QH, t, sp, t_terms)
+            ref = _outcome(_gf_reference, kind, k, x, w, QH, t, sp, t_terms)
             assert repr(got) == repr(ref), (w, x, t, t_terms, M)
+
+    def test_gf_eval_one_horner_pass(self, monkeypatch):
+        # the truncated exponential is one table: a pass per power of t
+        # would read the distribution t_terms times
+        reads = []
+        horner = padic._horner
+
+        def counted(dist, E, table, *rest):
+            reads.append(len(table[0]))
+            return horner(dist, E, table, *rest)
+
+        monkeypatch.setattr(padic, "_horner", counted)
+        for kind in ("fqk", "hqk", "hqkw"):
+            reads.clear()
+            gf_eval(kind, 2, 0, F(1, 2), QH, F(1, 2), SeriesParams(40, "cesaro1"), 8)
+            assert reads == [40], kind
+
+    @pytest.mark.parametrize("t_terms", [-1, -5])
+    @pytest.mark.parametrize("kind", ["fqk", "hqk", "hqkw"])
+    def test_gf_eval_rejects_negative_t_terms(self, kind, t_terms):
+        with pytest.raises(DomainError, match="need t_terms >= 0"):
+            gf_eval(kind, 2, 0, F(1, 2), QH, F(1, 2), SeriesParams(30, "cesaro1"), t_terms)
 
 
 def _typed_outcome(fn):
@@ -616,6 +639,22 @@ def _fractions(draw, lo, hi, max_den):
     b = draw(st.integers(2, max_den))
     a = draw(st.integers(math.floor(lo * b) + 1, math.ceil(hi * b) - 1))
     return F(a, b)
+
+
+class TestGfEvalProperty:
+    """`gf_eval` against the term-by-term reference at sampled points,
+    beside the fixed grid of `TestSeriesAgainstTermByTerm`."""
+
+    @given(st.sampled_from(["fqk", "hqk", "hqkw"]), st.integers(1, 3), st.integers(0, 2),
+           _fractions(0, 1, 7), st.one_of(st.just(F(1)), _fractions(-1, 1, 5)),
+           _fractions(-2, 2, 7), st.integers(0, 8), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_term_by_term(self, kind, k, x, qv, w, t, t_terms, M):
+        x = x if kind == "fqk" else 0
+        sp = SeriesParams(M, "cesaro1")
+        got = _outcome(gf_eval, kind, k, x, w, qv, t, sp, t_terms)
+        ref = _outcome(_gf_reference, kind, k, x, w, qv, t, sp, t_terms)
+        assert repr(got) == repr(ref)
 
 
 class TestDirectTailBound:
