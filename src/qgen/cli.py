@@ -36,7 +36,6 @@ from .padic import (
     PadicParams,
     SeriesParams,
     check_level_budget,
-    check_shift_budget,
     fermionic_sum,
     real_series,
 )
@@ -209,13 +208,6 @@ def _series_params(params: dict, cfg: Config, default_mode: str, series_mode) ->
     return SeriesParams(M, series_mode or default_mode)
 
 
-def _check_series_terms(sp: SeriesParams, cfg: Config) -> None:
-    """A Gaussian-weight series sums M terms; budgeted before any work.
-    Its q exponents reach x + k(M - 1), which `check_shift_budget` takes."""
-    if sp.M > cfg.term_budget:
-        raise BudgetExceeded(f"{sp.M} terms exceed the budget of {cfg.term_budget}")
-
-
 def serialize_value(v):
     if isinstance(v, Poly):
         v = QRat(v)
@@ -252,8 +244,8 @@ class QFamily(NamedTuple):
     scale that the p-adic and series routes use, or None where the value
     vanishes identically.  `classical` answers exact mode without --q,
     where the family allows it.  `gauss_series` is the Gaussian-weight
-    series route; without it the series mode sums the k-variable box of
-    `real_series`.  A Genocchi family (`scaled`) reports the scale it
+    series route, which checks the term budget it is passed; without it
+    the series mode sums the k-variable box of `real_series`.  A Genocchi family (`scaled`) reports the scale it
     applies to an oracle sum."""
 
     flags: tuple[str, ...]
@@ -272,12 +264,12 @@ Q_FAMILIES = {
         flags=("m", "h"), spec=_euler_spec,
         closed=lambda s, qv: qeuler_hk(s, qv),
         kernel=QEulerSpec.kernel,
-        gauss_series=lambda s, qv, sp: qeuler_hk_series(s, qv, sp)),
+        gauss_series=lambda s, qv, sp, budget: qeuler_hk_series(s, qv, sp, budget)),
     "qgenocchi": QFamily(
         flags=("n", "h"), spec=_genocchi_spec,
         closed=lambda s, qv: qgenocchi_hk(s, qv),
         kernel=QGenocchiSpec.kernel,
-        gauss_series=lambda s, qv, sp: qgenocchi_hk_series(s, qv, sp),
+        gauss_series=lambda s, qv, sp, budget: qgenocchi_hk_series(s, qv, sp, budget),
         scaled=True),
     "twisted-euler": QFamily(
         flags=("n", "w"), spec=_twist,
@@ -322,9 +314,7 @@ def _dispatch_q_family(fam: QFamily, params: dict, mode: str, qv, cfg: Config, s
     if fam.gauss_series:
         sp = _series_params(params, cfg, "cesaro1" if abs(espec.w) == 1 else "direct",
                             series_mode)
-        _check_series_terms(sp, cfg)
-        check_shift_budget(espec.x, espec.k * (sp.M - 1), cfg.term_budget)
-        value, bound = fam.gauss_series(spec, qv, sp)
+        value, bound = fam.gauss_series(spec, qv, sp, cfg.term_budget)
         meta = {"truncation": sp.M, "series_mode": sp.mode}
     else:
         sp = _series_params(params, cfg, "direct", series_mode)
@@ -400,12 +390,11 @@ def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None
     if family == "gf":
         _require(params, "kind", "k", "q", "t")
         sp = _series_params(params, cfg, "cesaro1", series_mode)
-        _check_series_terms(sp, cfg)
         x = _int_param(params, "x") if "x" in params else 0
         k = _int_param(params, "k", 1)
-        check_shift_budget(x, k * (sp.M - 1), cfg.term_budget)
         w = params.get("w", Fraction(1))
-        lhs, rhs = gf_eval(params["kind"], k, x, w, qv, params["t"], sp)
+        lhs, rhs = gf_eval(params["kind"], k, x, w, qv, params["t"], sp,
+                           term_budget=cfg.term_budget)
         meta = {"rhs": rat_str(rhs), "abs_diff": rat_str(abs(lhs - rhs)),
                 "truncation": sp.M}
         return lhs, meta

@@ -205,10 +205,6 @@ class Poly:
         object.__setattr__(out, "var", var)
         return out
 
-    @classmethod
-    def const(cls, c, var: str = "q") -> "Poly":
-        return cls((c,), var)
-
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""

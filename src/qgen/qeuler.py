@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .padic import (
+    DEFAULT_TERM_BUDGET,
     BudgetExceeded,
     QBracketMonomial,
     SeriesParams,
@@ -31,6 +32,7 @@ from .padic import (
     _ratios,
     _series_regime,
     _sum_table,
+    check_shift_budget,
 )
 from .qcore import (
     DomainError,
@@ -90,16 +92,16 @@ def _normalize_q(qv):
     return qf
 
 
-def _denominator_product(qv, w: Fraction, h: int, j: int, k: int):
-    """prod_{l=0}^{k-1} (1 + w q^{h+j-l}), guarding vanishing factors."""
-    acc = qv ** 0
-    for l in range(k):
-        factor = w * q_power(qv, h + j - l) + 1
-        if is_zero_scalar(factor):
+def _check_factors(m: int, h: int, k: int, vanishes) -> None:
+    """Raise DomainError at the first factor 1 + w q^(h+j-l) of the closed
+    form, in its (j, l) loop order, whose exponent e has `vanishes(e)`:
+    row 0 from l = 0, then the one new exponent h + j (l = 0) of each
+    later row."""
+    for e in [*range(h, h - k, -1), *range(h + 1, h + m + 1)]:
+        if vanishes(e):
+            j = max(e - h, 0)
             raise DomainError(
-                f"vanishing denominator factor 1 + w q^({h + j - l}) at j={j}, l={l}")
-        acc = acc * factor
-    return acc
+                f"vanishing denominator factor 1 + w q^({e}) at j={j}, l={h + j - e}")
 
 
 def _divisors(n: int) -> list[int]:
@@ -302,10 +304,8 @@ def _known_denominator(m: int, h: int, k: int, x: int, w: Fraction,
         if low > budget:
             raise BudgetExceeded(
                 f"symbolic degree of at least {low} exceeds the budget of {budget}")
-    if w == -1:  # the first (j, l) in loop order with h + j - l = 0
-        j = max(0, -h)
-        if j <= m and h + j < k:
-            raise DomainError(f"vanishing denominator factor 1 + w q^(0) at j={j}, l={h + j}")
+    if w == -1:  # 1 - q^e vanishes at e = 0
+        _check_factors(m, h, k, lambda e: e == 0)
     lo = h - k + 1
     factors = {e: _split_factor(w, e) for e in range(lo, h + m + 1)}
     # slide a window of k exponents: at e >= h it holds row j = e - h; the
@@ -456,13 +456,7 @@ def _euler_sum_exact(m: int, h: int, k: int, x: int, w: Fraction, qf: Fraction,
         d = v * c ** e if e >= 0 else v * a ** -e
         nums[e] = d + (u * a ** e if e >= 0 else u * c ** -e)
         dens[e] = d
-    # the first vanishing factor in the loop's (j, l) order: row 0 from
-    # l = 0, then the one new exponent h + j (l = 0) of each later row
-    for e in [*range(h, lo - 1, -1), *range(h + 1, h + m + 1)]:
-        if nums[e] == 0:
-            j = max(e - h, 0)
-            raise DomainError(
-                f"vanishing denominator factor 1 + w q^({e}) at j={j}, l={h + j - e}")
+    _check_factors(m, h, k, lambda e: nums[e] == 0)
     acc, below = 0, 1
     for j in range(m + 1):
         if j:
@@ -484,9 +478,12 @@ def _euler_sum_loop(m: int, h: int, k: int, x: int, w: Fraction, qv, scale: int)
     """The closed form term by term in the domain of qv (a Fraction or a
     QRat).  The scale joins the prefactor before the final product, so a
     scaled family costs no extra full-degree reduction."""
+    factors = {}  # each factor 1 + w q^e once, in the scan's order
+    _check_factors(m, h, k, lambda e: is_zero_scalar(
+        factors.setdefault(e, w * q_power(qv, e) + 1)))
     acc = qv * 0
     for j in range(m + 1):
-        den = _denominator_product(qv, w, h, j, k)
+        den = math.prod(map(factors.get, range(h + j, h + j - k, -1)), start=qv ** 0)
         acc = acc + math.comb(m, j) * (-1) ** j * q_power(qv, x * j) / den
     pref = scale * q_int(2, qv) ** k
     if m:
@@ -520,15 +517,25 @@ def _gauss_weight_bound(k: int, qf: Fraction) -> Fraction:
     return out
 
 
+def _check_series_budget(M: int, x: int, k: int, term_budget: int) -> None:
+    """Budget a Gaussian-weight series of M terms, order k and shift x:
+    its M terms, then its q exponent x + k(M - 1)."""
+    if M > term_budget:
+        raise BudgetExceeded(f"{M} terms exceed the budget of {term_budget}")
+    check_shift_budget(x, k * (M - 1), term_budget)
+
+
 def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams,
+                     term_budget: int = DEFAULT_TERM_BUDGET,
                      scale: int = 1) -> tuple[Fraction, Fraction]:
     """Series route for the weight h = k - 1 family:
     scale [2]_q^k sum_n C(k+n-1, n)_q (-w)^n [n+x]_q^m.
 
     Direct mode needs |w| < 1 and returns an exact geometric tail bound;
     |w| = 1 is the boundary case and needs cesaro1.  The integer `scale`
-    (a q-Genocchi value's) multiplies value and bound.  Returns
-    (value, bound)."""
+    (a q-Genocchi value's) multiplies value and bound.  `term_budget` is
+    checked before anything else.  Returns (value, bound)."""
+    _check_series_budget(sp.M, spec.x, spec.k, term_budget)
     if spec.h != spec.k - 1:
         raise DomainError("the series expansion exists only for h = k - 1")
     qf = to_frac(qv)
@@ -540,9 +547,7 @@ def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams,
     # scale [2]_q^k = num / den
     num, den = scale * (qf.numerator + qf.denominator) ** spec.k, qf.denominator ** spec.k
     dist, E = _distribution(bases, sp.M, size=sp.M)
-    # [n+x]_q^m as integers; the series take no term budget (the CLI checks
-    # the q exponent before it calls them)
-    table = _sum_table(f, qf, sp.M, math.inf)
+    table = _sum_table(f, qf, sp.M, term_budget)  # [n+x]_q^m as integers
     if sp.mode == "cesaro1":
         value, gap, D = _cesaro1_sums(dist, E, table, sp.M)
         return Fraction(num * value, den * D), Fraction(num * gap, den * D)
@@ -587,7 +592,8 @@ def _exp_table(qf: Fraction, x: int, t: Fraction, T: int,
 
 
 def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
-            t_terms: int = 8) -> tuple[Fraction, Fraction]:
+            t_terms: int = 8,
+            term_budget: int = DEFAULT_TERM_BUDGET) -> tuple[Fraction, Fraction]:
     """Compare the two faces of a generating function at a rational point t.
 
     kind "fqk":  lhs = [2]_q^k sum_n C(k+n-1,n)_q (-w)^n e^{[n+x]_q t}
@@ -601,7 +607,8 @@ def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
     (`_exp_table`), and the boundary n-sum over it is one Horner pass
     smoothed by cesaro1 (`padic._cesaro1_sums`); the prefactors join its
     integer numerator and denominator, so the left side is one Fraction.
-    Returns (lhs, rhs)."""
+    `term_budget` is checked first.  Returns (lhs, rhs)."""
+    _check_series_budget(sp.M, x, k, term_budget)
     if kind not in ("fqk", "hqk", "hqkw"):
         raise DomainError(f"unknown generating function kind {kind!r}")
     qf = to_frac(qv)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import SeriesParams
+from .padic import DEFAULT_TERM_BUDGET, SeriesParams
 from .qcore import DomainError
 from .qeuler import QEulerSpec, _euler_sum, _normalize_q, qeuler_hk_series
 
@@ -76,11 +76,12 @@ def qgenocchi_hk_at_index(index: int, h: int, k: int, qv=None, w=Fraction(1)):
     return qgenocchi_hk(QGenocchiSpec(n=index - k, h=h, k=k, w=w), qv)
 
 
-def qgenocchi_hk_series(spec: QGenocchiSpec, qv, sp: SeriesParams) -> tuple[Fraction, Fraction]:
+def qgenocchi_hk_series(spec: QGenocchiSpec, qv, sp: SeriesParams,
+                        term_budget: int = DEFAULT_TERM_BUDGET) -> tuple[Fraction, Fraction]:
     """Series route for the weight h = k - 1 family:
     k! C(n+k, k) [2]_q^k sum_m C(m+k-1, m)_q (-w)^m [m]_q^n.
 
     Direct mode needs |w| < 1; |w| = 1 is the boundary case (cesaro1).
-    Returns (value, bound)."""
+    The budget is checked as in `qeuler_hk_series`.  Returns (value, bound)."""
     espec, scale = spec.kernel()
-    return qeuler_hk_series(espec, qv, sp, scale)
+    return qeuler_hk_series(espec, qv, sp, term_budget, scale=scale)

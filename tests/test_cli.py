@@ -206,6 +206,14 @@ class TestVerifyCommand:
     def test_unknown_suite_is_two(self):
         assert qgen("verify", "nosuchsuite").returncode == 2
 
+    @pytest.mark.parametrize("suite", ["qeuler", "qgenocchi"])
+    def test_truncation_over_budget_is_one(self, capsys, suite):
+        # the Gaussian-weight series check the budget they are passed
+        code = cli.main(["verify", suite, "--M", "300000"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "error: 300000 terms exceed the budget of 100000\n"
+
 
 class TestParserReuse:
     def test_one_parser_serves_a_command_mix(self, tmp_path, monkeypatch):

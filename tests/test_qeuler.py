@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -578,6 +579,63 @@ class TestSeriesAgainstTermByTerm:
     def test_gf_eval_rejects_negative_t_terms(self, kind, t_terms):
         with pytest.raises(DomainError, match="need t_terms >= 0"):
             gf_eval(kind, 2, 0, F(1, 2), QH, F(1, 2), SeriesParams(30, "cesaro1"), t_terms)
+
+
+# Each Gaussian-weight series route as a function of (M, x, k, term_budget);
+# q-Genocchi values have no shift.
+SERIES_ROUTES = {
+    "qeuler_hk_series": lambda M, x, k, b: qeuler_hk_series(
+        QEulerSpec(m=1, h=k - 1, k=k, x=x), QH, SeriesParams(M, "cesaro1"), b),
+    "qgenocchi_hk_series": lambda M, x, k, b: qgenocchi_hk_series(
+        QGenocchiSpec(n=1, h=k - 1, k=k), QH, SeriesParams(M, "cesaro1"), b),
+    "gf_eval": lambda M, x, k, b: gf_eval(
+        "fqk", k, x, F(1), QH, F(1, 3), SeriesParams(M, "cesaro1"), 8, b),
+}
+
+
+def _series_cases(*cases):
+    """Each (M, x, ...) case for each route, without a shift for q-Genocchi."""
+    return [(route, *case) for route in SERIES_ROUTES for case in cases
+            if route != "qgenocchi_hk_series" or case[1] == 0]
+
+
+class TestSeriesBudgets:
+    """The Gaussian-weight series check their M terms and the q exponent
+    x + k(M - 1) against the term budget before any table is built, with
+    the messages the command line prints."""
+
+    @pytest.mark.parametrize("route,M,x,k,message", _series_cases(
+        (10 ** 11, 0, 1, "100000000000 terms exceed the budget of 100000"),
+        (400, 300000, 1, "q exponent 300399 exceeds the budget of 100000"),
+        (50000, 0, 3, "q exponent 149997 exceeds the budget of 100000"),
+    ))
+    def test_refused_before_any_table(self, monkeypatch, route, M, x, k, message):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return padic._distribution(*args, **kwargs)
+
+        monkeypatch.setattr(qeuler, "_distribution", counted)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as info:
+            SERIES_ROUTES[route](M, x, k, padic.DEFAULT_TERM_BUDGET)
+        assert time.perf_counter() - t0 < 1
+        assert str(info.value) == message
+        assert calls == []
+
+    @pytest.mark.parametrize("route,M,x,k,top,message", _series_cases(
+        # M terms bind: the q exponent 29 is below M
+        (30, 0, 1, 30, "30 terms exceed the budget of 29"),
+        # the q exponent x + k(M - 1) binds
+        (30, 0, 2, 58, "q exponent 58 exceeds the budget of 57"),
+        (30, 2, 2, 60, "q exponent 60 exceeds the budget of 59"),
+    ))
+    def test_budget_is_tight(self, route, M, x, k, top, message):
+        SERIES_ROUTES[route](M, x, k, top)
+        with pytest.raises(BudgetExceeded) as info:
+            SERIES_ROUTES[route](M, x, k, top - 1)
+        assert str(info.value) == message
 
 
 def _typed_outcome(fn):

@@ -1,10 +1,14 @@
 """The shape of `qgen verify all`: every check of every suite, in report
 order, with its point count.  The counts do not depend on the p-adic
-level, which sets only how deep each oracle point sums."""
+level, which sets only how deep each oracle point sums.  A check's detail
+names only a failing point."""
+
+from fractions import Fraction
 
 import pytest
 
 from qgen import verify
+from qgen.padic import SeriesParams
 
 ALL_CHECKS = [
     ("qcore", "gauss-binom-recursion-forms", 231),
@@ -73,3 +77,20 @@ def test_k3_oracle_depth_follows_the_budget(monkeypatch, level, budget, k3_level
     verify.suite_qeuler(verify.VerifyConfig(padic_level=level, term_budget=budget))
     requested = tuple(range(1, level + 1))
     assert seen == {(1, requested), (2, requested), (3, k3_levels)}
+
+
+@pytest.mark.parametrize("diff,ok,detail", [
+    # a passing point renders nothing, however many digits its diff has
+    (Fraction(1, 10 ** 5000 + 1), True, ""),
+    (Fraction(1, 3), False, "|diff|=1/3"),
+])
+def test_boundary_detail_only_on_failure(diff, ok, detail):
+    def closed(spec, qv):
+        return Fraction(0)
+
+    def series(spec, qv, sp, budget):
+        return diff, Fraction(0)
+
+    points = verify._boundary_points([("p", None)], closed, series, Fraction(1, 2),
+                                     SeriesParams(3, "cesaro1"), verify.VerifyConfig())
+    assert list(points) == [("p", ok, detail)]
