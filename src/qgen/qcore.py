@@ -105,19 +105,36 @@ def _all_int(cs) -> bool:
     return set(map(type, cs)) <= _INT_ONLY
 
 
+def _slot_size(bound: int) -> int:
+    """The bytes of a signed slot that holds every integer of absolute
+    value at most `bound`: 8 s - 1 >= bound.bit_length() value bits."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _kronecker_read(value: int, n: int, size: int) -> tuple:
+    """The coefficients c_0..c_(n-1) of value = sum_i c_i 2^(8 size i),
+    each read from a signed size-byte slot, when every |c_i| < 2^(8 size - 1).
+
+    Slot i of the bias Z holds 2^(8 size - 1), so value + Z has every slot
+    in [0, 2^(8 size)) (nothing carries) and (value + Z) ^ Z holds each
+    c_i in two's complement."""
+    bias = int.from_bytes((b"\x00" * (size - 1) + b"\x80") * n, "little")
+    data = ((value + bias) ^ bias).to_bytes(n * size, "little")
+    return tuple([int.from_bytes(data[i:i + size], "little", signed=True)
+                  for i in range(0, n * size, size)])
+
+
 def _kronecker_mul(a: tuple, b: tuple) -> tuple:
     """Product of two nonzero int coefficient tuples by signed Kronecker
     substitution: evaluate each at var = 2^(8s) as one int, multiply once,
-    and read the product's coefficients back from s-byte slots.
+    and read the product's coefficients back from s-byte slots
+    (`_kronecker_read`).
 
     The slot holds every product coefficient, |c| <= min(len) max|a| max|b|,
     as a signed s-byte integer.  Slot i of the bias Z holds 2^(8s-1), so
     (U ^ Z) - Z turns the unsigned packing U of the two's-complement slots
-    into the signed value, and (P + Z) ^ Z turns the signed product P back
-    into two's-complement slots (P + Z has every slot in [0, 2^(8s)), so
-    nothing carries)."""
-    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-    size = (bound.bit_length() + 8) // 8
+    into the signed value."""
+    size = _slot_size(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
     top = b"\x00" * (size - 1) + b"\x80"
 
     def pack(cs):
@@ -125,13 +142,9 @@ def _kronecker_mul(a: tuple, b: tuple) -> tuple:
         raw = b"".join([c.to_bytes(size, "little", signed=True) for c in cs])
         return (int.from_bytes(raw, "little") ^ bias) - bias
 
-    n = len(a) + len(b) - 1
-    bias = int.from_bytes(top * n, "little")
     pa = pack(a)
     pb = pa if b is a else pack(b)  # one object: the big-integer squaring
-    data = ((pa * pb + bias) ^ bias).to_bytes(n * size, "little")
-    return tuple([int.from_bytes(data[i:i + size], "little", signed=True)
-                  for i in range(0, n * size, size)])
+    return _kronecker_read(pa * pb, len(a) + len(b) - 1, size)
 
 
 def _int_divmod(a, d):

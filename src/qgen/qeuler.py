@@ -10,7 +10,11 @@ The closed form for the order-k family with weight h, twist w, and shift x is
 which the fermionic level sums of `padic` approximate p-adically and the
 series below approximate for 0 < q < 1.  This is the only closed-form code
 path: the twisted q-Euler number and every q-Genocchi value (`qgenocchi`)
-are this sum at fixed parameters times an integer scale."""
+are this sum at fixed parameters times an integer scale.  It has three
+routes (`_euler_sum`): one integer accumulation (`_accumulate`), run at a
+rational q or, for |w| != 1, at q = X = 2^B and read back into the
+numerator's coefficients; the row build over the known denominator at the
+generator for |w| = 1; and the general loop for any other argument."""
 
 from __future__ import annotations
 
@@ -39,6 +43,8 @@ from .qcore import (
     Poly,
     QRat,
     _int_divmod,
+    _kronecker_read,
+    _slot_size,
     falling,
     is_zero_scalar,
     poly_gcd,
@@ -140,12 +146,12 @@ _PHI1, _PHI2 = ("phi", 1), ("phi", 2)
 
 
 class _Factor(NamedTuple):
-    """1 + w q^e = content * q^(-shift) * P, where the integer polynomial
-    P is the product of the known factors named by `keys`: ("phi", d) is
-    Phi_d, ("w", e) is b + a q^e for e > 0 and a + b q^|e| for e < 0,
-    with w = a/b in lowest terms."""
+    """1 + w q^e = C q^(-shift) P for a rational constant C, where the
+    integer polynomial P of the given degree is the product of the known
+    factors named by `keys`: ("phi", d) is Phi_d, ("w", e) is b + a q^e
+    for e > 0 and a + b q^|e| for e < 0, with w = a/b in lowest terms.
+    A constant factor (w = 0 or e = 0) has no keys and no shift."""
 
-    content: Fraction
     shift: int
     keys: tuple
     degree: int
@@ -154,15 +160,13 @@ class _Factor(NamedTuple):
 def _split_factor(w: Fraction, e: int) -> _Factor:
     n = abs(e)
     if w == 0 or e == 0:
-        return _Factor(1 + w, 0, (), 0)
+        return _Factor(0, (), 0)
     shift = n if e < 0 else 0
     if w == 1:  # 1 + q^n = prod_{d | 2n, d does not divide n} Phi_d
-        return _Factor(Fraction(1), shift,
-                       tuple(("phi", d) for d in _divisors(2 * n) if n % d), n)
+        return _Factor(shift, tuple(("phi", d) for d in _divisors(2 * n) if n % d), n)
     if w == -1:  # q^n - 1 = prod_{d | n} Phi_d, and 1 - q^n is its negative
-        return _Factor(Fraction(1 if e < 0 else -1), shift,
-                       tuple(("phi", d) for d in _divisors(n)), n)
-    return _Factor(Fraction(1, w.denominator), shift, (("w", e),), n)
+        return _Factor(shift, tuple(("phi", d) for d in _divisors(n)), n)
+    return _Factor(shift, (("w", e),), n)
 
 
 def _factor_poly(key, w: Fraction) -> Poly:
@@ -172,13 +176,6 @@ def _factor_poly(key, w: Fraction) -> Poly:
     a, b = w.numerator, w.denominator
     lo, hi = (b, a) if e > 0 else (a, b)
     return Poly((lo,) + (0,) * (abs(e) - 1) + (hi,))
-
-
-def _binomial_poly(w: Fraction, e: int) -> Poly:
-    """The integer polynomial P of `_split_factor(w, e)`, for e != 0."""
-    if abs(w) == 1:
-        return Poly((w,) + (0,) * (abs(e) - 1) + (1,))
-    return _factor_poly(("w", e), w)
 
 
 def _remainder(cs: tuple, key, base: Poly) -> tuple:
@@ -363,6 +360,14 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
     denominator: one integer numerator N and one rational content C, so
     that the value is C (1 + q)^(k - t) N / (Phi_1^m D / Phi_2^t).
 
+    The numerator's build depends on |w| alone.  For |w| != 1 every known
+    factor has power 1 in D, so D is the product of the closed form's
+    factors up to content and q-shift, and the exact route's accumulation
+    at q = 2^B gives N with no division (`_packed_numerator`).  For
+    |w| = 1 the cyclotomic factors repeat across windows, so that product
+    is far larger than D, and each row divides D by its window's factors
+    (`_row_numerator`).
+
     The known factors are pairwise coprime.  Distinct Phi_d are, and a
     common root of two twist factors, or of a twist factor and some Phi_d,
     would need |q| = 1, which forces |w| = 1 (q^e = -1/w and q^e' = -1/w
@@ -376,27 +381,10 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
     runs only where a shared factor exists, such as (q - 1)^m."""
     plan = _known_denominator(m, h, k, x, w)
     polys = {key: _factor_poly(key, w) for key in (*plan.powers, _PHI1, _PHI2)}
-    common = Poly((1,))
-    for key, e in plan.powers.items():
-        common = common * polys[key] ** e
-    binomials = {e: _binomial_poly(w, e) for e, f in plan.factors.items() if f.keys}
-    rows = []
-    for j in range(m + 1):
-        exps = range(h + j - k + 1, h + j + 1)
-        coef = Fraction(math.comb(m, j) * (-1) ** j)
-        for e in exps:
-            coef /= plan.factors[e].content
-        rows.append((coef, exps))
-    lcm = math.lcm(*(coef.denominator for coef, _ in rows))
-    num = Poly()
-    for j, (coef, exps) in enumerate(rows):
-        cof = common
-        shift = x * j
-        for e in exps:
-            shift += plan.factors[e].shift
-            if e in binomials:
-                cof = cof.exact_div(binomials[e])
-        num = num + Poly((0,) * shift + (int(coef * lcm),)) * cof
+    if abs(w) == 1:
+        num, n0 = _row_numerator(m, h, k, x, w, plan, polys)
+    else:
+        num, n0 = _packed_numerator(m, h, k, x, w, plan)
     if num.is_zero or not scale:
         return QRat._from_reduced(Poly(), Poly((1,)))
     num = num * Poly((1, 1)) ** (k - plan.cancel)
@@ -417,16 +405,112 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
             den = den * power
     lead = den.coeffs[-1]
     # reduced by the per-factor GCDs above (pairwise-coprime factors)
-    return QRat._from_reduced(num * Fraction(scale * (-1) ** m, lcm * lead), den.monic())
+    return QRat._from_reduced(num * Fraction(scale * (-1) ** m, n0 * lead), den.monic())
+
+
+def _row_numerator(m: int, h: int, k: int, x: int, w: Fraction, plan: _KnownDenominator,
+                   polys: dict) -> tuple[Poly, int]:
+    """(n_0 N, n_0) for |w| = 1, with N the sum over the common denominator
+    D and n_0 = 2 when 1 + q^0 = 2 is a factor (w = 1), else 1.  Row j is D
+    divided by its window's binomials w + q^|e|, the P of each factor
+    1 + w q^e = ±q^(-shift) P (minus for 1 - q^e, e > 0); a row whose
+    window holds no e = 0 carries n_0."""
+    common = Poly((1,))
+    for key, e in plan.powers.items():
+        common = common * polys[key] ** e
+    n0 = 2 if w == 1 and h - k + 1 <= 0 <= h + m else 1
+    num = Poly()
+    for j in range(m + 1):
+        exps = range(h + j - k + 1, h + j + 1)
+        coef = (-1) ** j * math.comb(m, j) * (1 if 0 in exps else n0)
+        cof = common
+        shift = x * j
+        for e in exps:
+            shift += plan.factors[e].shift
+            if plan.factors[e].keys:
+                cof = cof.exact_div(Poly((w,) + (0,) * (abs(e) - 1) + (1,)))
+                if w == -1 and e > 0:
+                    coef = -coef
+        num = num + Poly((0,) * shift + (coef,)) * cof
+    return num, n0
+
+
+class _PackedBinomial:
+    """The integer lo + hi 2^bits, a factor lo + hi X^s at X = 2^B with
+    bits = B s.  An integer times it is one shift and two products by
+    small integers, linear in that integer's size."""
+
+    __slots__ = ("lo", "hi", "bits")
+
+    def __init__(self, lo: int, hi: int, bits: int):
+        self.lo, self.hi, self.bits = lo, hi, bits
+
+    def __rmul__(self, value: int) -> int:
+        return value * self.lo + (value * self.hi << self.bits)
+
+
+def _packed_numerator(m: int, h: int, k: int, x: int, w: Fraction,
+                      plan: _KnownDenominator) -> tuple[Poly, int]:
+    """(n_0 N, n_0) for |w| != 1, with N the sum over the common
+    denominator: `_accumulate` at q = X = 2^B (a = X, c = 1 in the exact
+    route's terms), read back from B-bit slots.
+
+    With w = u/v, the factor n_e is the P of `_split_factor`: v + u X^e
+    for e > 0 and u + v X^|e| for e < 0; the constant n_0 is
+    v (1 + w) = u + v, and with w = 0 every n_e is 1 and no factor
+    carries a q-shift.  T_j = C(m,j) (-1)^j v^k X^(xj + s_j), s_j the
+    shift of row j's window, is a `_PackedBinomial` with lo = 0.  The
+    sum over prod_e n_e is then n_0 N when e = 0 lies in the range, and
+    N otherwise.
+
+    B = 8 * size comes from a proven bound: every coefficient of the sum
+    is at most its l1 norm, at most sum_j C(m,j) v^k (|u| + v)^m, since
+    each row takes m factors n_e of l1 norm at most |u| + v; its degree
+    is at most x m plus the sum of the factor degrees."""
+    u, v = w.numerator, w.denominator
+    size = _slot_size((v ** k * (abs(u) + v) ** m) << m)
+    bits = 8 * size
+    nums = {e: (u + v if not f.keys else _PackedBinomial(v, u, bits * e) if e > 0
+                else _PackedBinomial(u, v, -bits * e))
+            for e, f in plan.factors.items()}
+    terms = [_PackedBinomial(0, (-1) ** j * math.comb(m, j) * v ** k,
+                             bits * (x * j + sum(plan.factors[e].shift
+                                                 for e in range(h + j - k + 1, h + j + 1))))
+             for j in range(m + 1)]
+    acc, _ = _accumulate(m, h, k, nums, terms)
+    slots = x * m + sum(f.degree for f in plan.factors.values()) + 1
+    n0 = u + v if h - k + 1 <= 0 <= h + m else 1
+    return Poly(_kronecker_read(acc, slots, size)), n0
+
+
+def _accumulate(m: int, h: int, k: int, nums: dict, terms: list) -> tuple:
+    """The closed form's numerator over prod_e n_e (e = h-k+1 .. h+m),
+    where 1 + w q^e = n_e / d_e.  Row j's share is T_j times the n_e
+    outside its window, so one pass accumulates
+    A_j = A_(j-1) n_(h+j) + T_j P_j, where P_j is the running product of
+    the n_e below row j's window.  The factors n_e = nums[e] and
+    T_j = terms[j] are integers at a rational q and `_PackedBinomial`s at
+    the generator, so the two routes differ only in how an integer is
+    multiplied by a factor.  Returns (A_m, P_m)."""
+    acc, below = 0, 1
+    for j in range(m + 1):
+        if j:
+            below *= nums[h + j - k]
+            acc *= nums[h + j]
+        acc += below * terms[j]
+    return acc, below
 
 
 def _euler_sum(m: int, h: int, k: int, x: int, w, qv, scale: int = 1):
     """The one closed form, times an integer scale:
     scale [2]_q^k (1-q)^{-m} sum_j C(m,j) (-1)^j q^{xj} / prod_l (1 + w q^{h+j-l}).
 
-    At the symbolic generator the value is built over its known
-    denominator (`_euler_sum_symbolic`), and at a rational q as one integer
-    numerator over one denominator (`_euler_sum_exact`); other symbolic
+    Three routes give it.  The integer accumulation (`_accumulate`) sums
+    it at a rational q as one integer numerator over one denominator
+    (`_euler_sum_exact`), and at the symbolic generator, for |w| != 1, as
+    one integer at q = 2^B read back into coefficients
+    (`_euler_sum_symbolic`).  At the generator with |w| = 1 the row build
+    divides the known denominator by each row's factors.  Other symbolic
     arguments take the general loop (`_euler_sum_loop`)."""
     qv = _normalize_q(qv)
     w = to_frac(w)
@@ -444,9 +528,8 @@ def _euler_sum_exact(m: int, h: int, k: int, x: int, w: Fraction, qf: Fraction,
     and n_e = v a^|e| + u c^|e|, d_e = v a^|e| for e < 0.  Over the common
     denominator c^(xm) prod_e n_e (e = h-k+1 .. h+m), row j's numerator is
     T_j prod_{e outside its window} n_e, with
-    T_j = C(m,j) (-1)^j a^(xj) c^(x(m-j)) prod_{window} d_e.  One pass
-    accumulates A_j = A_{j-1} n_{h+j} + T_j P_j, where P_j is the running
-    product of the n_e below row j's window, and the prefactor
+    T_j = C(m,j) (-1)^j a^(xj) c^(x(m-j)) prod_{window} d_e, summed by
+    `_accumulate` in integer products; the prefactor
     [2]_q^k (1-q)^-m = (c+a)^k c^(m-k) / (c-a)^m joins A_m in one Fraction."""
     a, c = qf.numerator, qf.denominator
     u, v = w.numerator, w.denominator
@@ -457,13 +540,10 @@ def _euler_sum_exact(m: int, h: int, k: int, x: int, w: Fraction, qf: Fraction,
         nums[e] = d + (u * a ** e if e >= 0 else u * c ** -e)
         dens[e] = d
     _check_factors(m, h, k, lambda e: nums[e] == 0)
-    acc, below = 0, 1
-    for j in range(m + 1):
-        if j:
-            below *= nums[h + j - k]
-            acc *= nums[h + j]
-        window = math.prod(dens[e] for e in range(h + j - k + 1, h + j + 1))
-        acc += (-1) ** j * math.comb(m, j) * a ** (x * j) * c ** (x * (m - j)) * window * below
+    terms = [(-1) ** j * math.comb(m, j) * a ** (x * j) * c ** (x * (m - j))
+             * math.prod(dens[e] for e in range(h + j - k + 1, h + j + 1))
+             for j in range(m + 1)]
+    acc, below = _accumulate(m, h, k, nums, terms)
     num = scale * (c + a) ** k * acc
     den = (c - a) ** m * below * math.prod(nums[e] for e in range(h + m - k + 1, h + m + 1))
     c_exp = m - k - x * m

@@ -26,6 +26,7 @@ from qgen.qcore import (
     gauss_binom_factorial,
     gauss_binom_triangle,
     poly_gcd,
+    q_int,
     q_sym,
 )
 from qgen.qeuler import (
@@ -261,6 +262,112 @@ class TestExactRoute:
             rhs = (1 + qv if m == 0 else 0) - qv * w * sum(
                 math.comb(m, j) * qv ** j * E[j] for j in range(m))
             assert e * (1 + w * qv ** (m + 1)) == rhs, m
+
+
+def _distribution_side(m, h, k, x, w, qv, d):
+    """The right side of the distribution relation for odd d: the closed
+    form at (w, q) from closed forms at (w^d, q^d), through
+    [A + x + dY]_q = [A + x]_q + q^(A+x) [d]_q [Y]_(q^d) in each variable,
+    with the weights prod_j (-w q^(h-j+1))^(a_j), a in [0, d)^k, grouped
+    by A = a_1 + ... + a_k."""
+    bases = [-w * qv ** (h - j + 1) for j in range(1, k + 1)]
+    dist, E = padic._distribution(bases, d, size=k * (d - 1) + 1)
+    inner = [qeuler._euler_sum(i, h, k, 0, w ** d, qv ** d) for i in range(m + 1)]
+    qd = q_int(d, qv)
+    total = F(0)
+    for A, D in enumerate(dist):
+        bracket = q_int(A + x, qv)
+        total += F(D, E ** A) * sum(
+            math.comb(m, i) * bracket ** (m - i) * qv ** ((A + x) * i) * qd ** i * inner[i]
+            for i in range(m + 1))
+    return ((1 + qv) / (1 + qv ** d)) ** k * total
+
+
+@st.composite
+def _distribution_points(draw):
+    k = draw(st.integers(1, 3))
+    h = draw(st.integers(-2, k + 2))
+    m = draw(st.integers(0, 8))
+    qv = draw(st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(
+        lambda v: v not in (0, 1, -1)))
+    if draw(st.booleans()):
+        # a twist that makes one factor 1 + w q^e vanish
+        w = -1 / qv ** draw(st.integers(h - k + 1, h + m))
+    else:
+        w = draw(st.one_of(st.sampled_from((F(0), F(1), F(-1))),
+                           st.fractions(min_value=-4, max_value=4, max_denominator=5)))
+    return m, h, k, draw(st.integers(0, 2)), w, qv, draw(st.sampled_from((3, 5)))
+
+
+class TestDistributionRelation:
+    """The fermionic measure is a distribution, so the closed form at
+    (w, q) is a weighted sum of closed forms at (w^d, q^d), whose factor
+    exponents and powers of q all differ: a route to each value with no
+    accumulation in common.  For odd d, 1 + t^d vanishes at a rational t
+    only where 1 + t does, so both sides raise on the same inputs.  The
+    symbolic route is checked by evaluation at q, not by sums of QRats."""
+
+    @given(_distribution_points())
+    @settings(max_examples=150, deadline=None)
+    def test_q_against_q_to_the_d(self, point):
+        m, h, k, x, w, qv, d = point
+        lhs = _typed_outcome(lambda: qeuler._euler_sum(m, h, k, x, w, qv))
+        rhs = _typed_outcome(lambda: _distribution_side(m, h, k, x, w, qv, d))
+        assert lhs == rhs
+        sym = _typed_outcome(lambda: qeuler._euler_sum(m, h, k, x, w, None))
+        if isinstance(sym, type):  # a factor that vanishes at the generator
+            assert lhs is sym
+        elif not isinstance(lhs, type):
+            assert sym.evaluate(qv) == lhs
+
+
+class TestPackedRoute:
+    """At the generator, |w| != 1 sums the closed form by the exact route's
+    accumulation at q = 2^B and reads it back from B-bit slots; |w| = 1
+    keeps the row build.  The general loop in Fractions at three rational
+    points is the reference."""
+
+    @pytest.mark.parametrize("m, h, k, x, w", [
+        (30, 1, 2, 0, F(-(10 ** 20 + 1), 7)),  # e = 0 in the range
+        (30, -2, 2, 1, F(10 ** 20 + 1, 7)),
+        (30, 3, 3, 2, F(-(10 ** 20 + 1), 7)),
+        (30, -2, 3, 2, F(3, 5)),
+        (60, 2, 2, 0, F(3, 5)),
+        (60, -1, 3, 2, F(3, 5)),
+        (60, 0, 1, 1, F(0)),
+        (30, -2, 3, 2, F(0)),
+        (30, 0, 1, 0, F(1)),  # the row build, with 1 + q^0 = 2
+        (30, 3, 3, 2, F(-1)),
+    ])
+    def test_matches_loop_at_rational_points(self, m, h, k, x, w):
+        sym = qeuler._euler_sum(m, h, k, x, w, None, 6)
+        for qv in (F(1, 3), F(-5, 2), F(7, 4)):
+            assert sym.evaluate(qv) == qeuler._euler_sum_loop(m, h, k, x, w, qv, 6)
+
+    @pytest.mark.parametrize("w, route", [
+        (F(1), "_row_numerator"), (F(-1), "_row_numerator"),
+        (F(0), "_packed_numerator"), (F(3, 5), "_packed_numerator"),
+        (F(-1, 4), "_packed_numerator"), (F(-9), "_packed_numerator"),
+    ])
+    def test_route_depends_on_abs_w(self, monkeypatch, w, route):
+        divisions = []
+        exact_div = Poly.exact_div
+        monkeypatch.setattr(Poly, "exact_div",
+                            lambda a, b: divisions.append(b) or exact_div(a, b))
+        counts = {}
+        for name in ("_row_numerator", "_packed_numerator"):
+            def build(*args, _name=name, _build=getattr(qeuler, name)):
+                before = len(divisions)
+                out = _build(*args)
+                counts[_name] = len(divisions) - before
+                return out
+            monkeypatch.setattr(qeuler, name, build)
+        qeuler._euler_sum(12, 2, 2, 1, w, None)
+        assert list(counts) == [route]
+        if route == "_row_numerator":
+            assert counts[route] > 0
+        else:
+            assert counts[route] == 0
 
 
 class TestPadicOracle:
