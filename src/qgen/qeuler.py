@@ -13,13 +13,15 @@ path: the twisted q-Euler number and every q-Genocchi value (`qgenocchi`)
 are this sum at fixed parameters times an integer scale.  It has three
 routes (`_euler_sum`): one integer accumulation (`_accumulate`), run at a
 rational q or, for |w| != 1, at q = X = 2^B and read back into the
-numerator's coefficients; the row build over the known denominator at the
-generator for |w| = 1; and the general loop for any other argument."""
+coefficients of the numerator and of the known denominator; the row build
+over the known denominator at the generator for |w| = 1, in integer lists;
+and the general loop for any other argument."""
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -178,17 +180,33 @@ def _factor_poly(key, w: Fraction) -> Poly:
     return Poly((lo,) + (0,) * (abs(e) - 1) + (hi,))
 
 
-def _remainder(cs: tuple, key, base: Poly) -> tuple:
+def _remainder(cs, key, base: Poly, modulus: int | None = None) -> tuple:
     """A nonzero constant times the remainder of the int coefficients cs
     by the base polynomial of a known factor, in integers: zero exactly
     when the base divides cs.  For Phi_d, the fold of cs modulo q^d - 1 (d
     slice sums, so q - 1 gives the coefficient sum) divided by the monic
     Phi_d.  For lo + hi q^e, the substitution q^e -> -lo/hi over chunks of
-    e coefficients, scaled by hi^T for a top chunk T."""
+    e coefficients, scaled by hi^T for a top chunk T.  With a modulus, the
+    residues of that remainder (padded to e terms), from word-size
+    weights, so a nonzero residue proves a nonzero remainder."""
     kind, d = key
     if kind == "phi":
         return _int_divmod([sum(cs[i::d]) for i in range(min(d, len(cs)))], base.coeffs)[1]
     e, lo, hi = base.degree, base.coeffs[0], base.coeffs[-1]
+    if modulus is not None:
+        # the Horner unrolled: R = sum_t (-lo)^t hi^(T-t) C_t, whose weights
+        # are hi^T c^t with c = -lo/hi, or only (-lo)^T at t = T when the
+        # modulus divides hi; one dot product per residue class mod e
+        top = max(len(cs) - 1, 0) // e
+        if hi % modulus:
+            c = -lo * pow(hi, -1, modulus) % modulus
+            weights = [pow(hi, top, modulus)]
+            while len(weights) <= top:
+                step = pow(c, len(weights), modulus)
+                weights += [x * step % modulus for x in weights]
+        else:
+            weights = [0] * top + [pow(-lo, top, modulus)]
+        return tuple(sum(map(operator.mul, weights, cs[i::e])) % modulus for i in range(e))
     cs = tuple(cs) + (0,) * (-len(cs) % e)
     acc, scale = cs[-e:], 1
     # Horner from the top chunk T: acc_t = hi^(T-t) C_t - lo acc_(t+1)
@@ -261,17 +279,22 @@ def _coprime_mod(a: tuple, b: tuple) -> bool:
 def _shares_factor(cs: tuple, key, base: Poly) -> bool:
     """Whether the int coefficients cs share a nonconstant factor with the
     base of a known factor.  A nonzero remainder settles it when the base
-    is irreducible, which every Phi_d is.  For a binomial that may split,
-    the remainder and the binomial coprime modulo a prime settle it, and
-    otherwise one GCD of the two, below the binomial's degree."""
-    rem = _remainder(cs, key, base)
-    if not any(rem):
+    is irreducible, which every Phi_d is.  A binomial's remainder is taken
+    modulo `_MOD_PRIME` first, where a nonzero residue proves it nonzero,
+    and exactly only when every residue is 0 or a GCD needs it.  For a
+    binomial that may split, the remainder and the binomial coprime modulo
+    the prime settle it, and otherwise one GCD of the two, below the
+    binomial's degree."""
+    if key[0] == "phi":
+        return not any(_remainder(cs, key, base))
+    residues = _remainder(cs, key, base, _MOD_PRIME)
+    if not any(residues) and not any(_remainder(cs, key, base)):
         return True
-    if key[0] == "phi" or not _may_split(base.coeffs[0], base.coeffs[-1], base.degree):
+    if not _may_split(base.coeffs[0], base.coeffs[-1], base.degree):
         return False
-    if _coprime_mod(base.coeffs, rem):
+    if _coprime_mod(base.coeffs, residues):
         return False
-    return poly_gcd(base, Poly(rem)).degree > 0
+    return poly_gcd(base, Poly(_remainder(cs, key, base))).degree > 0
 
 
 class _KnownDenominator(NamedTuple):
@@ -360,13 +383,15 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
     denominator: one integer numerator N and one rational content C, so
     that the value is C (1 + q)^(k - t) N / (Phi_1^m D / Phi_2^t).
 
-    The numerator's build depends on |w| alone.  For |w| != 1 every known
-    factor has power 1 in D, so D is the product of the closed form's
-    factors up to content and q-shift, and the exact route's accumulation
-    at q = 2^B gives N with no division (`_packed_numerator`).  For
-    |w| = 1 the cyclotomic factors repeat across windows, so that product
-    is far larger than D, and each row divides D by its window's factors
-    (`_row_numerator`).
+    The numerator's build depends on |w| alone, and each build also
+    returns the integer product D of its known factors.  For |w| != 1
+    every known factor has power 1 in D, so D is the product of the
+    closed form's twist binomials, and the exact route's accumulation at
+    q = 2^B gives N with no division and D from its running product
+    (`_packed_numerator`).  For |w| = 1 the cyclotomic factors repeat
+    across windows, so that product is far larger than D; D is the
+    product of the cyclotomic powers, and each row divides it by its
+    window's binomials (`_row_numerator`).
 
     The known factors are pairwise coprime.  Distinct Phi_d are, and a
     common root of two twist factors, or of a twist factor and some Phi_d,
@@ -374,65 +399,95 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
     give q^(e-e') = 1; q^e = -1/w and q^e' = -w with e, e' > 0 put |q|^e
     and |q|^e' on opposite sides of 1; the roots of Phi_d have |q| = 1).
     So gcd(N, denominator) is the product of gcd(N, P^e) over the factor
-    powers P^e, and dividing each P^e by its own GCD leaves a denominator
+    powers P^e, and dividing N and D by each GCD leaves a denominator
     coprime to the numerator: the pair is reduced without a second
     full-degree GCD.  Most factors share nothing with N, which one integer
-    remainder of N by each base P shows (`_shares_factor`), so `poly_gcd`
-    runs only where a shared factor exists, such as (q - 1)^m."""
+    remainder of N by each base P shows (`_shares_factor`, a twist
+    binomial's remainder taken modulo a prime first), so `poly_gcd` runs
+    only where a shared factor exists, such as (q - 1)^m.  The
+    denominator is then D / Phi_2^t / (the GCDs other than Phi_1's) times
+    Phi_1^(m - v), v the power of Phi_1 that its GCD removed."""
     plan = _known_denominator(m, h, k, x, w)
     polys = {key: _factor_poly(key, w) for key in (*plan.powers, _PHI1, _PHI2)}
     if abs(w) == 1:
-        num, n0 = _row_numerator(m, h, k, x, w, plan, polys)
+        num, n0, den = _row_numerator(m, h, k, x, w, plan, polys)
     else:
-        num, n0 = _packed_numerator(m, h, k, x, w, plan)
+        num, n0, den = _packed_numerator(m, h, k, x, w, plan)
     if num.is_zero or not scale:
         return QRat._from_reduced(Poly(), Poly((1,)))
     num = num * Poly((1, 1)) ** (k - plan.cancel)
+    if plan.cancel:
+        den = den.exact_div(polys[_PHI2] ** plan.cancel)
     powers = Counter(plan.powers)
     powers[_PHI1] += m
     powers[_PHI2] -= plan.cancel
     # the remainder tests read the integer numerator before any division:
     # dividing out a shared factor keeps it coprime to every other factor
     ints = num.coeffs
-    den = Poly((1,))
+    phi1 = m  # the power of q - 1 that D lacks, less what its GCD removes
     for key, e in powers.items():
-        if e > 0:
-            power = polys[key] ** e
-            if _shares_factor(ints, key, polys[key]):
-                g = poly_gcd(num, power)
-                num = num.exact_div(g)
-                power = power.exact_div(g)
-            den = den * power
+        if e > 0 and _shares_factor(ints, key, polys[key]):
+            g = poly_gcd(num, polys[key] ** e)
+            num = num.exact_div(g)
+            if key == _PHI1:
+                phi1 -= g.degree
+            else:
+                den = den.exact_div(g)
+    if phi1 > 0:
+        den = den * polys[_PHI1] ** phi1
+    elif phi1 < 0:
+        den = den.exact_div(polys[_PHI1] ** -phi1)
     lead = den.coeffs[-1]
     # reduced by the per-factor GCDs above (pairwise-coprime factors)
     return QRat._from_reduced(num * Fraction(scale * (-1) ** m, n0 * lead), den.monic())
 
 
 def _row_numerator(m: int, h: int, k: int, x: int, w: Fraction, plan: _KnownDenominator,
-                   polys: dict) -> tuple[Poly, int]:
-    """(n_0 N, n_0) for |w| = 1, with N the sum over the common denominator
-    D and n_0 = 2 when 1 + q^0 = 2 is a factor (w = 1), else 1.  Row j is D
-    divided by its window's binomials w + q^|e|, the P of each factor
-    1 + w q^e = ±q^(-shift) P (minus for 1 - q^e, e > 0); a row whose
-    window holds no e = 0 carries n_0."""
-    common = Poly((1,))
-    for key, e in plan.powers.items():
-        common = common * polys[key] ** e
+                   polys: dict) -> tuple[Poly, int, Poly]:
+    """(n_0 N, n_0, D) for |w| = 1, with N the sum over the common
+    denominator D, the product of the cyclotomic powers, and n_0 = 2 when
+    1 + q^0 = 2 is a factor (w = 1), else 1.  Row j is D divided by its
+    window's binomials q^|e| + w, the P of each factor
+    1 + w q^e = ±q^(-shift) P (minus for 1 - q^e, e > 0), each division
+    one linear pass (`_unit_quotient`); the row is added into one int
+    list at its q-shift times its integer coefficient.  A row whose window
+    holds no e = 0 carries n_0."""
+    # D by a balanced product tree, which packs each coefficient once a level
+    parts = [polys[key] ** e for key, e in plan.powers.items()] or [Poly((1,))]
+    while len(parts) > 1:
+        parts = [a * b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) // 2 * 2:]
+    common = parts[0]
+    sign = int(w)
     n0 = 2 if w == 1 and h - k + 1 <= 0 <= h + m else 1
-    num = Poly()
+    num: list = []
     for j in range(m + 1):
         exps = range(h + j - k + 1, h + j + 1)
         coef = (-1) ** j * math.comb(m, j) * (1 if 0 in exps else n0)
-        cof = common
+        cof = common.coeffs
         shift = x * j
         for e in exps:
             shift += plan.factors[e].shift
             if plan.factors[e].keys:
-                cof = cof.exact_div(Poly((w,) + (0,) * (abs(e) - 1) + (1,)))
-                if w == -1 and e > 0:
+                cof = _unit_quotient(cof, abs(e), sign)
+                if sign == -1 and e > 0:
                     coef = -coef
-        num = num + Poly((0,) * shift + (coef,)) * cof
-    return num, n0
+        end = shift + len(cof)
+        num.extend([0] * (end - len(num)))
+        num[shift:end] = [a + coef * c for a, c in zip(num[shift:end], cof)]
+    return Poly(num), n0, common
+
+
+def _unit_quotient(cs, n: int, sign: int) -> list:
+    """The exact quotient of the int coefficients cs by q^n + sign, sign =
+    +-1: the recurrence quo[i] = cs[i+n] - sign quo[i+n] from the top."""
+    quo = list(cs[n:])
+    if sign == 1:
+        for i in range(len(quo) - n - 1, -1, -1):
+            quo[i] -= quo[i + n]
+    else:
+        for i in range(len(quo) - n - 1, -1, -1):
+            quo[i] += quo[i + n]
+    return quo
 
 
 class _PackedBinomial:
@@ -450,10 +505,11 @@ class _PackedBinomial:
 
 
 def _packed_numerator(m: int, h: int, k: int, x: int, w: Fraction,
-                      plan: _KnownDenominator) -> tuple[Poly, int]:
-    """(n_0 N, n_0) for |w| != 1, with N the sum over the common
-    denominator: `_accumulate` at q = X = 2^B (a = X, c = 1 in the exact
-    route's terms), read back from B-bit slots.
+                      plan: _KnownDenominator) -> tuple[Poly, int, Poly]:
+    """(n_0 N, n_0, D) for |w| != 1, with N the sum over the common
+    denominator D, the product of the twist binomials: `_accumulate` at
+    q = X = 2^B (a = X, c = 1 in the exact route's terms), read back from
+    B-bit slots.
 
     With w = u/v, the factor n_e is the P of `_split_factor`: v + u X^e
     for e > 0 and u + v X^|e| for e < 0; the constant n_0 is
@@ -461,14 +517,18 @@ def _packed_numerator(m: int, h: int, k: int, x: int, w: Fraction,
     carries a q-shift.  T_j = C(m,j) (-1)^j v^k X^(xj + s_j), s_j the
     shift of row j's window, is a `_PackedBinomial` with lo = 0.  The
     sum over prod_e n_e is then n_0 N when e = 0 lies in the range, and
-    N otherwise.
+    N otherwise.  That product, the running product below the last row's
+    window times that window, is n_0 D, so D costs k more shift-and-scale
+    products and one exact division by n_0.
 
-    B = 8 * size comes from a proven bound: every coefficient of the sum
-    is at most its l1 norm, at most sum_j C(m,j) v^k (|u| + v)^m, since
-    each row takes m factors n_e of l1 norm at most |u| + v; its degree
-    is at most x m plus the sum of the factor degrees."""
+    B = 8 * size comes from a proven bound: every coefficient of a
+    polynomial is at most its l1 norm.  The sum's is at most
+    sum_j C(m,j) v^k (|u| + v)^m, since each row takes m factors n_e of
+    l1 norm at most |u| + v, and that of the m + k factors' product at
+    most (|u| + v)^(m + k); the sum's degree is at most x m plus the sum
+    of the factor degrees."""
     u, v = w.numerator, w.denominator
-    size = _slot_size((v ** k * (abs(u) + v) ** m) << m)
+    size = _slot_size(max((v ** k * (abs(u) + v) ** m) << m, (abs(u) + v) ** (m + k)))
     bits = 8 * size
     nums = {e: (u + v if not f.keys else _PackedBinomial(v, u, bits * e) if e > 0
                 else _PackedBinomial(u, v, -bits * e))
@@ -477,10 +537,13 @@ def _packed_numerator(m: int, h: int, k: int, x: int, w: Fraction,
                              bits * (x * j + sum(plan.factors[e].shift
                                                  for e in range(h + j - k + 1, h + j + 1))))
              for j in range(m + 1)]
-    acc, _ = _accumulate(m, h, k, nums, terms)
-    slots = x * m + sum(f.degree for f in plan.factors.values()) + 1
+    acc, below = _accumulate(m, h, k, nums, terms)
+    degree = sum(f.degree for f in plan.factors.values())
     n0 = u + v if h - k + 1 <= 0 <= h + m else 1
-    return Poly(_kronecker_read(acc, slots, size)), n0
+    for e in range(h + m - k + 1, h + m + 1):
+        below *= nums[e]
+    return (Poly(_kronecker_read(acc, x * m + degree + 1, size)), n0,
+            Poly(_kronecker_read(below // n0, degree + 1, size)))
 
 
 def _accumulate(m: int, h: int, k: int, nums: dict, terms: list) -> tuple:

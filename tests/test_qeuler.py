@@ -1,10 +1,11 @@
 import itertools
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qgen import padic, qeuler
@@ -217,6 +218,35 @@ class TestKnownFactorTests:
         shared = qeuler._shares_factor(a.coeffs, ("w", e), _binomial(lo, hi, e))
         assert shared == (poly_gcd(a, _binomial(lo, hi, e)).degree > 0)
 
+    @pytest.mark.parametrize("cs, binomial, shared", [
+        ((qeuler._MOD_PRIME,), (-3, 2, 1), False),  # 2q - 3 is irreducible
+        ((qeuler._MOD_PRIME, 3 * qeuler._MOD_PRIME), (-1, 4, 2), False),  # 4q^2 - 1 splits
+        ((-qeuler._MOD_PRIME, 2 * qeuler._MOD_PRIME), (-1, 4, 2), True),  # 2q - 1 divides it
+    ])
+    def test_zero_residues_fall_back_to_exact(self, cs, binomial, shared):
+        # every residue of the remainder is 0, but the remainder is not
+        assert qeuler._shares_factor(cs, ("w", binomial[2]), _binomial(*binomial)) is shared
+
+    @given(st.lists(st.integers(-10 ** 40, 10 ** 40), max_size=40),
+           st.sampled_from((1, 3, 10 ** 20 + 1, -(10 ** 20 + 1), 2 ** 61 - 2373)),
+           st.sampled_from((1, -7, 4, 10 ** 20 + 3, 3 * (2 ** 61 - 2373))), st.integers(1, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_remainder_residues(self, cs, lo, hi, e):
+        # the Horner on residues gives the residues of the exact remainder,
+        # also when the prime divides a coefficient of the binomial
+        ell, key, base = qeuler._MOD_PRIME, ("w", e), _binomial(lo, hi, e)
+        exact = qeuler._remainder(tuple(Poly(cs).coeffs), key, base)
+        residues = qeuler._remainder(tuple(Poly(cs).coeffs), key, base, ell)
+        assert len(residues) == e
+        assert Poly(residues) == Poly([r % ell for r in exact])
+
+    @given(st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=40), st.integers(1, 9),
+           st.sampled_from((1, -1)))
+    @settings(max_examples=150, deadline=None)
+    def test_unit_quotient_inverts_the_product(self, quo, n, sign):
+        product = Poly(quo) * _binomial(sign, 1, n)
+        assert Poly(qeuler._unit_quotient(product.coeffs, n, sign)) == Poly(quo)
+
     def test_modulus_is_a_safe_prime(self):
         ell = qeuler._MOD_PRIME
         assert padic._is_prime(ell) and padic._is_prime((ell - 1) // 2)
@@ -328,9 +358,9 @@ class TestPackedRoute:
     points is the reference."""
 
     @pytest.mark.parametrize("m, h, k, x, w", [
-        (30, 1, 2, 0, F(-(10 ** 20 + 1), 7)),  # e = 0 in the range
-        (30, -2, 2, 1, F(10 ** 20 + 1, 7)),
-        (30, 3, 3, 2, F(-(10 ** 20 + 1), 7)),
+        (60, 1, 2, 0, F(-(10 ** 20 + 1), 7)),  # e = 0 in the range
+        (60, -2, 2, 1, F(10 ** 20 + 1, 7)),
+        (60, 3, 3, 2, F(-(10 ** 20 + 1), 7)),
         (30, -2, 3, 2, F(3, 5)),
         (60, 2, 2, 0, F(3, 5)),
         (60, -1, 3, 2, F(3, 5)),
@@ -350,24 +380,104 @@ class TestPackedRoute:
         (F(-1, 4), "_packed_numerator"), (F(-9), "_packed_numerator"),
     ])
     def test_route_depends_on_abs_w(self, monkeypatch, w, route):
+        # the row build divides by its unit binomials in `_unit_quotient`,
+        # on int lists; the packed build divides nothing
         divisions = []
-        exact_div = Poly.exact_div
+        exact_div, unit_quotient = Poly.exact_div, qeuler._unit_quotient
         monkeypatch.setattr(Poly, "exact_div",
-                            lambda a, b: divisions.append(b) or exact_div(a, b))
+                            lambda a, b: divisions.append("exact_div") or exact_div(a, b))
+        monkeypatch.setattr(qeuler, "_unit_quotient",
+                            lambda *args: divisions.append("unit") or unit_quotient(*args))
         counts = {}
         for name in ("_row_numerator", "_packed_numerator"):
             def build(*args, _name=name, _build=getattr(qeuler, name)):
                 before = len(divisions)
                 out = _build(*args)
-                counts[_name] = len(divisions) - before
+                counts[_name] = Counter(divisions[before:])
                 return out
             monkeypatch.setattr(qeuler, name, build)
         qeuler._euler_sum(12, 2, 2, 1, w, None)
         assert list(counts) == [route]
-        if route == "_row_numerator":
-            assert counts[route] > 0
-        else:
-            assert counts[route] == 0
+        assert counts[route]["exact_div"] == 0
+        assert (counts[route]["unit"] > 0) is (route == "_row_numerator")
+
+    @pytest.mark.parametrize("w", [F(3, 5), F(-(10 ** 20 + 1), 7), F(1), F(-1)])
+    def test_denominator_needs_no_product_per_factor(self, monkeypatch, w):
+        # the denominator comes out of the numerator's build: the products
+        # after it are (1 + q)^(k - t), the content, and the powers of the
+        # shared factors and of q - 1 by squaring, whose count grows with
+        # log m, not with the number of factors
+        calls = []
+        mul = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        for name in ("_row_numerator", "_packed_numerator"):
+            def build(*args, _build=getattr(qeuler, name)):
+                out = _build(*args)
+                calls.clear()
+                return out
+            monkeypatch.setattr(qeuler, name, build)
+        counts = []
+        for m in (20, 40):
+            qeuler._euler_sum_symbolic(m, 2, 2, 0, w, 1)
+            counts.append(len(calls))
+        assert counts[1] <= counts[0] + 2 <= 12
+
+
+_BIG = 10 ** 20
+# twists: the cyclotomic ones, none, small heights, and heights about 10^20
+# above and below 1 in absolute value
+_REDUCTION_TWISTS = st.one_of(
+    st.sampled_from((F(1), F(-1), F(0))),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(lambda v: abs(v) != 1),
+    st.builds(lambda a, b, sign, up: sign * (F(_BIG + a, b) if up else F(b, _BIG + a)),
+              st.integers(1, 9), st.sampled_from((1, 3, 7)), st.sampled_from((1, -1)),
+              st.booleans()),
+)
+_REDUCTION_QS = (F(1, 3), F(-5, 2), F(7, 4), F(2, 3), F(-3, 7), F(5))
+
+
+def _gcd_degree(num: Poly, den: Poly) -> int:
+    """deg gcd(num, den) over Q.  `qeuler._coprime_mod` on the integer
+    parts proves degree 0 in word-size arithmetic; otherwise `poly_gcd`
+    decides (its integer remainders take minutes at twist heights near
+    10^20)."""
+    def ints(p):
+        lcm = math.lcm(*(F(c).denominator for c in p.coeffs))
+        return tuple(int(c * lcm) for c in p.coeffs)
+    return 0 if qeuler._coprime_mod(ints(den), ints(num)) else poly_gcd(num, den).degree
+
+
+class TestSymbolicReduction:
+    """The symbolic result is reduced: its denominator, taken from the
+    numerator's build and divided by the per-factor GCDs, is monic and
+    coprime to the numerator.  Evaluation alone cannot tell a reduced
+    pair from an unreduced one, so both are checked directly."""
+
+    @given(st.integers(0, 12), st.integers(1, 3), st.integers(-2, 5), st.integers(0, 2),
+           _REDUCTION_TWISTS, st.lists(st.sampled_from(_REDUCTION_QS), min_size=2,
+                                       max_size=2, unique=True))
+    # points where a factor other than q - 1 shares a root with the
+    # numerator (Phi_4, Phi_3, twist factors whole or split), which random
+    # draws reach about once in a hundred
+    @example(4, 1, -2, 2, F(1), [F(1, 3), F(7, 4)])
+    @example(1, 3, -2, 0, F(-1), [F(1, 3), F(7, 4)])
+    @example(5, 2, -2, 0, F(2), [F(1, 3), F(7, 4)])
+    @example(3, 2, -2, 0, F(-9), [F(-5, 2), F(7, 4)])
+    @example(2, 2, -2, 2, F(-1, 4), [F(1, 3), F(7, 4)])
+    @example(4, 2, -2, 2, F(1, 4), [F(1, 3), F(-5, 2)])
+    @settings(max_examples=120, deadline=None)
+    def test_reduced_monic_and_exact(self, m, k, h, x, w, points):
+        assume(h <= k + 2)
+        sym = _outcome(qeuler._euler_sum, m, h, k, x, w, None, 1)
+        if isinstance(sym, str):  # 1 - q^0 at w = -1, at every q as well
+            assert sym == _outcome(qeuler._euler_sum_exact, m, h, k, x, w, points[0], 1)
+            return
+        assert sym.den.coeffs[-1] == 1
+        assert _gcd_degree(sym.num, sym.den) == 0
+        for q0 in points:
+            exact = _outcome(qeuler._euler_sum_exact, m, h, k, x, w, q0, 1)
+            if not isinstance(exact, str):  # q0 is not a pole of a factor
+                assert sym.evaluate(q0) == exact
 
 
 class TestPadicOracle:
