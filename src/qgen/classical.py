@@ -4,8 +4,10 @@ and their higher-order versions.
 
 Every sequence here is extracted from its generating function by exact
 truncated-series algebra in integers.  Each base generating function is a
-reciprocal 1/a(t) of a series with integer coefficients a_i; with c = a_0
-its coefficient of t^n/n! is I_n / c^(n+1), where I_0 = 1 and
+reciprocal 1/a(t) of a series with integer coefficients a = [c, d, d, ...]
+(Euler [2, 1, 1, ...], Frobenius-Euler at u = p/d [d - p, d, ...], twisted
+at w = a/b [a + b, a, ...]); its coefficient of t^n/n! is I_n / c^(n+1),
+where I_0 = 1 and
 
     I_n = -sum_{i>=1} C(n, i) a_i I_(n-i) c^(i-1)
 
@@ -13,16 +15,29 @@ its coefficient of t^n/n! is I_n / c^(n+1), where I_0 = 1 and
 coefficients are N_n / c^n is an integer series in t/c, so its powers are
 integer binomial convolutions, and a Fraction is built only for the value
 that is returned.  The x-polynomials are Appell sums
-P_n(x) = sum_j C(n, j) a_(n-j) x^j.  `ExpSeries` is the same algebra over
-Fraction (or Poly) coefficients, kept as the reference route; closed-form
-literature values appear only in the tests."""
+P_n(x) = sum_j C(n, j) a_(n-j) x^j.
+
+I_n reads a only up to a_n, and coefficient n of a binomial convolution
+reads its factors only up to index n.  So each base's table, and each
+order of the Euler power's squaring chain, is kept in `qcore`'s table memo
+by its base (or order) alone: a call reads a prefix of the kept table, a
+longer order extends it in place and replaces it, and a sweep over n costs
+one build to the largest n.  The Bernoulli numbers are the one family not
+read from a reciprocal: their recurrence runs in integers, B_k over the
+product of the primes up to k + 1 (`_bernoulli_nums`), in a memo table
+of their own, so they stay independent of the Euler table that the
+Genocchi numbers come from.
+`table_products` counts the binomial products of a value, for a budget
+that is checked before any table is read.  `ExpSeries` is the same
+algebra over Fraction (or Poly) coefficients, kept as the reference route;
+closed-form literature values appear only in the tests."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .qcore import DomainError, Poly, falling, to_frac
+from .qcore import _MEMO, DomainError, Poly, falling, to_frac
 
 #: the polynomial argument of the x-polynomials
 x = Poly((0, 1), "x")
@@ -110,28 +125,56 @@ class ExpSeries:
 
 # ------------------------------------------------------ the integer kernel
 
-def _reciprocal(a: list[int]) -> list[int]:
-    """I_0..I_n, n = len(a) - 1, with 1/a(t) = sum I_j / a_0^(j+1) t^j/j!."""
-    c = a[0]
-    b, cp = [0], 1  # b_i = a_i c^(i-1)
-    for ai in a[1:]:
-        b.append(ai * cp)
+def _reciprocal(kept: tuple, c: int, d: int, size: int) -> list[int]:
+    """I_0..I_(size-1) with 1/a(t) = sum I_j / c^(j+1) t^j/j! for the base
+    a = [c, d, d, ...], continued from the kept prefix: I_n reads a only up
+    to a_n, so a longer table starts with a shorter one."""
+    inv = list(kept) or [1]
+    b, cp = [0], d  # b_i = a_i c^(i-1)
+    for _ in range(1, size):
+        b.append(cp)
         cp *= c
-    inv = [1]
-    for n in range(1, len(a)):
+    for n in range(len(inv), size):
         inv.append(-sum(math.comb(n, i) * b[i] * inv[n - i] for i in range(1, n + 1)))
     return inv
 
 
-def _product(a: list[int], b: list[int]) -> list[int]:
-    """Binomial convolution of two integer series of the same length."""
+def _base_nums(c: int, d: int, order: int) -> tuple:
+    """I_0..I_order of the base [c, d, d, ...], one table per base in the
+    memo, extended when a longer order is asked for; an order below 0
+    reads the order-0 table, (1,)."""
+    return _MEMO.prefix(("reciprocal", c, d), max(order, 0) + 1,
+                        lambda kept, size: _reciprocal(kept, c, d, size))
+
+
+def _product(a, b, start: int, size: int) -> list[int]:
+    """Coefficients start..size-1 of the binomial convolution of two
+    integer series; coefficient n reads both only up to index n."""
     return [sum(math.comb(n, i) * a[i] * b[n - i] for i in range(n + 1))
-            for n in range(len(a))]
+            for n in range(start, size)]
+
+
+def _euler_power(r: int, size: int) -> tuple:
+    """Numerators of (2/(e^t + 1))^r for indices below `size`, r >= 2, over
+    2^j at index j.  The squaring chain of `_power` splits r into its top
+    power of 2 and the rest (or two halves of a power of 2); each order on
+    the chain is a memo table, so extending one extends its factors and
+    convolves only the new indices: bit length + popcount - 2 products per
+    index, as `_power` takes."""
+    top = 1 << (r.bit_length() - 1)
+    lo, hi = (top >> 1, top >> 1) if r == top else (r - top, top)
+
+    def extend(kept, size):
+        a = _base_nums(2, 1, size - 1) if lo == 1 else _euler_power(lo, size)
+        b = a if hi == lo else _euler_power(hi, size)
+        return kept + tuple(_product(a, b, len(kept), size))
+
+    return _MEMO.prefix(("euler-power", r), size, extend)
 
 
 def _euler_nums(order: int) -> list[int]:
     """N_0..N_order with E_n = N_n / 2^n: 2/(e^t + 1) is 2 I_n / 2^(n+1)."""
-    return _reciprocal([2] + [1] * order)
+    return list(_base_nums(2, 1, order))
 
 
 def _frobenius_nums(u, order: int) -> tuple[list[int], int]:
@@ -141,7 +184,7 @@ def _frobenius_nums(u, order: int) -> tuple[list[int], int]:
     if u == 1:
         raise DomainError("Frobenius-Euler numbers are undefined at u = 1")
     c = u.denominator - u.numerator
-    return _reciprocal([c] + [u.denominator] * order), c
+    return list(_base_nums(c, u.denominator, order)), c
 
 
 def _appell(nums: list[int], c: int) -> Poly:
@@ -153,7 +196,55 @@ def _appell(nums: list[int], c: int) -> Poly:
 
 def _higher_euler_nums(n: int, r: int) -> list[int]:
     """Numerators of (2/(e^t + 1))^r to order n, over 2^j at index j."""
-    return _power(_euler_nums(n), r, _product, [1] + [0] * n)
+    if r < 0:
+        raise DomainError("negative series power; use reciprocal first")
+    size = max(n, 0) + 1
+    if r == 0:
+        return [1] + [0] * (size - 1)
+    if r == 1:
+        return _euler_nums(n)
+    return list(_euler_power(r, size))
+
+
+def _primes(top: int) -> list[int]:
+    """The primes up to `top` >= 1, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (top - 1)
+    for p in range(2, math.isqrt(top) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, top + 1, p)))
+    return [p for p, flag in enumerate(sieve) if flag]
+
+
+def _bernoulli_nums(kept: tuple, size: int) -> list[int]:
+    """beta_0..beta_(size-1) with B_k = beta_k / P_k, P_k the product of
+    the primes up to k + 1, continued from the kept prefix, by
+    B_m = -(1/(m+1)) sum_(k<m) C(m+1, k) B_k.  By von Staudt-Clausen the
+    denominator of B_k is the product of the primes p with p - 1 dividing
+    k, so it divides P_k; over P_m every term is an integer and the
+    division by m + 1 is exact."""
+    primes = set(_primes(size))
+    beta = list(kept) or [1]
+    for m in range(len(beta), size):
+        acc, w = 0, 1  # w = P_m / P_k, one more prime factor at each prime k + 2
+        for k in range(m - 1, -1, -1):
+            if k + 2 in primes:
+                w *= k + 2
+            if beta[k]:  # B_k = 0 at every odd k >= 3
+                acc += math.comb(m + 1, k) * beta[k] * w
+        beta.append(-acc // (m + 1))
+    return beta
+
+
+def table_products(order: int, power: int = 1) -> int:
+    """The binomial products of the tables behind a classical value: a
+    base table (or the Bernoulli recurrence) to index `order` takes
+    order(order + 1)/2, each product of an order-`power` squaring chain as
+    many again, and order 0 or power 0 none.  Callers check it against
+    their budget before the work starts, whatever the memo holds."""
+    if order <= 0 or power == 0:
+        return 0
+    chain = power.bit_length() + bin(power).count("1") - 2 if power > 1 else 0
+    return order * (order + 1) // 2 * (1 + chain)
 
 
 # ------------------------------------------------------- the public families
@@ -200,11 +291,11 @@ def higher_genocchi(n: int, r: int = 1) -> Fraction:
 
 
 def bernoulli(n: int) -> Fraction:
-    """B_n, the coefficient of t^n/n! in t/(e^t - 1), the reciprocal of
-    sum t^k/(k+1)!; over D = lcm(1..n+1) that series has integer
-    coefficients D/(k+1), so B_n = D I_n / D^(n+1)."""
-    d = math.lcm(*range(1, n + 2))
-    return Fraction(_reciprocal([d // (k + 1) for k in range(n + 1)])[n], d ** n)
+    """B_n, the coefficient of t^n/n! in t/(e^t - 1), from the memo's table
+    of its integer recurrence (`_bernoulli_nums`) over the product of the
+    primes up to n + 1."""
+    beta = list(_MEMO.prefix(("bernoulli",), max(n + 1, 0), _bernoulli_nums))
+    return Fraction(beta[n], math.prod(_primes(n + 1)))
 
 
 def frobenius_euler(n: int, u) -> Fraction:
@@ -230,7 +321,7 @@ def twisted_euler_classical(n: int, w) -> Fraction:
     if w == 0 or w == -1:
         raise DomainError("twisted Euler numbers need w not in {0, -1}")
     a, b = w.numerator, w.denominator
-    return Fraction(2 * b * _reciprocal([a + b] + [a] * n)[n], (a + b) ** (n + 1))
+    return Fraction(2 * b * list(_base_nums(a + b, a, n))[n], (a + b) ** (n + 1))
 
 
 def twisted_genocchi_classical(n: int, w) -> Fraction:

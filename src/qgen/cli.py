@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 domain error (vanishing denominator, divergence,
 budget, unwritable result file, an exact value too long to render), 2 usage
 or parse error (including a malformed configuration).  The p-adic term
 count (p^N)^k, the series term counts (M^k for the k-variable box, M for
-the Gaussian-weight series) and a symbolic result's degree are checked
-against the term budget before any work.  All rationals serialize as exact
+the Gaussian-weight series), a symbolic result's degree and the binomial
+products of a classical value's tables are checked against the term
+budget before any work.  All rationals serialize as exact
 strings ("num/den"), never as floating point; symbolic values serialize as
 {"num": [...], "den": [...]} with coefficients lowest degree first.
 Configuration precedence: flags > JSON file named by QGEN_CONFIG > defaults."""
@@ -294,6 +295,9 @@ def _dispatch_q_family(fam: QFamily, params: dict, mode: str, qv, cfg: Config, s
             check_symbolic_budget(kernel[0], cfg.term_budget)
         return fam.closed(spec, None), {}
     if mode == "exact" and "q" not in params and fam.classical:
+        kernel = fam.kernel(spec)
+        if kernel is not None:
+            _check_products(kernel[0].m, 1, cfg)
         return fam.classical(spec), {}
     _require(params, "q")
     if mode == "exact":
@@ -323,6 +327,16 @@ def _dispatch_q_family(fam: QFamily, params: dict, mode: str, qv, cfg: Config, s
         meta = {"truncation": sp.M, "series_mode": sp.mode, **scale_meta}
     meta["tail_bound" if sp.mode == "direct" else "smoothing_gap"] = rat_str(bound)
     return value, meta
+
+
+def _check_products(order: int, power: int, cfg: Config) -> None:
+    """Classical values are budgeted by the binomial products of their
+    tables, before any work and whatever the memo holds."""
+    products = classical.table_products(order, power)
+    if products > cfg.term_budget:
+        raise BudgetExceeded(
+            f"classical tables to order {order} take {products} binomial products, "
+            f"beyond the budget of {cfg.term_budget}")
 
 
 def _check_degree(degree: int, cfg: Config) -> None:
@@ -367,9 +381,15 @@ def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None
         _require(params, "n")
         n = _int_param(params, "n")
         order = _int_param(params, "k") if "k" in params else 1
+        if family in ("bernoulli", "frobenius") and order != 1:
+            raise UsageError(f"{family} has no higher order; --k must be 1")
         if family == "bernoulli":
+            if "x" in params:
+                raise UsageError("Bernoulli polynomials are not defined here")
+            _check_products(n, 1, cfg)
             return classical.bernoulli(n), meta
         if family == "euler":
+            _check_products(n, order, cfg)
             if "x" in params:
                 return classical.higher_euler_poly(n, order)(params["x"]), meta
             return classical.higher_euler_number(n, order), meta
@@ -377,9 +397,12 @@ def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None
             if "x" in params:
                 if order != 1:
                     raise UsageError("higher-order Genocchi polynomials are not defined here")
+                _check_products(n - 1, 1, cfg)
                 return classical.genocchi_poly(n)(params["x"]), meta
+            _check_products(n - order, order, cfg)
             return classical.higher_genocchi(n, order), meta
         _require(params, "u")
+        _check_products(n, 1, cfg)
         if "x" in params:
             return classical.frobenius_euler_poly(n, params["u"])(params["x"]), meta
         return classical.frobenius_euler(n, params["u"]), meta

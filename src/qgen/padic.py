@@ -36,13 +36,22 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .qcore import DomainError, q_bracket_neg, q_power, to_frac
+# the table memo lives in qcore, which the classical tables share; its
+# names stay readable here
+from .qcore import (
+    MEMO_BITS,
+    _INT_HEADER_BITS,
+    _MEMO,
+    DomainError,
+    _TableMemo,
+    q_bracket_neg,
+    q_power,
+    to_frac,
+)
 
 DEFAULT_TERM_BUDGET = 100_000
 
@@ -225,56 +234,6 @@ def check_shift_budget(x: int, last: int, term_budget: int) -> None:
     top = max(abs(x), abs(x + last))
     if top > term_budget:
         raise BudgetExceeded(f"q exponent {top} exceeds the budget of {term_budget}")
-
-
-class _TableMemo:
-    """Degree-independent tables of the level sums and box series, kept by
-    their exact inputs for reuse up to `MEMO_BITS` retained bits: each
-    integer's bits plus `_INT_HEADER_BITS` for its object.  The least
-    recently used entries are dropped first, and a table larger than the
-    whole budget is returned without being kept.  Entries are tuples, so no
-    caller can change one; one lock keeps the bookkeeping whole when
-    threads share the memo."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.bits = 0
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key, build):
-        """The entry for `key`, from `build()` when it is not kept; an
-        entry is a pair whose first item is a tuple of integers."""
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self._entries.move_to_end(key)
-                return hit[0]
-            entry = build()
-            bits = sum(map(int.bit_length, entry[0])) + _INT_HEADER_BITS * len(entry[0])
-            if bits <= self.budget:
-                self._entries[key] = entry, bits
-                self.bits += bits
-                while self.bits > self.budget:
-                    _, (_, old) = self._entries.popitem(last=False)
-                    self.bits -= old
-            return entry
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.bits = 0
-
-
-# The memo holds the bracket numerators and weight distributions of recent
-# calls: a sweep over the degree m at fixed q, w, k, h, x and level reads
-# the same ones.  2^22 bits is 512 KiB: a level-7 table at p = 3 modulo
-# p^17 takes about a seventh of it, and a larger budget adds no reuse in a
-# verify grid or the benchmark's passes, while a level-9 exact table
-# (about 48 MB) is never kept.
-MEMO_BITS = 1 << 22
-_INT_HEADER_BITS = 256  # a small int's object and its tuple slot, in bits
-_MEMO = _TableMemo(MEMO_BITS)
 
 
 def _bracket_numerators(qf: Fraction, x: int, size: int,

@@ -35,6 +35,8 @@ import itertools
 import math
 import operator
 import sys
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -187,6 +189,113 @@ def falling(n: int, r: int) -> int:
     for i in range(r):
         out *= n - i
     return out
+
+
+def _common_numerators(cs) -> tuple[int, list[int]]:
+    """(D, N) with cs[i] = N[i] / D, D the least common denominator of the
+    canonical coefficients `cs`."""
+    if _all_int(cs):
+        return 1, list(cs)
+    den = math.lcm(*[c.denominator for c in cs if type(c) is not int])
+    return den, [c * den if type(c) is int else c.numerator * (den // c.denominator)
+                 for c in cs]
+
+
+def _rational_value(cs, point: Fraction) -> Fraction:
+    """sum_i cs[i] point^i as one Fraction: with point = a/d and the
+    coefficients N[i] / D, one integer Horner pass gives
+    sum_i N[i] a^i d^(n-i), which is D d^n times the value."""
+    if not cs:
+        return Fraction(0)
+    den, nums = _common_numerators(cs)
+    a, d = point.numerator, point.denominator
+    acc = 0
+    if d == 1:
+        for c in reversed(nums):
+            acc = acc * a + c
+        return Fraction(acc, den)
+    dp = 1
+    for c in reversed(nums):
+        acc = acc * a + c * dp
+        dp *= d
+    return Fraction(acc, den * (dp // d))
+
+
+class _TableMemo:
+    """Tables that do not depend on the degree or index a caller asks for,
+    kept by their exact inputs for reuse up to `MEMO_BITS` retained bits:
+    each integer's bits plus `_INT_HEADER_BITS` for its object.  The least
+    recently used entries are dropped first, and a table larger than the
+    whole budget is returned without being kept.  Entries are tuples, so no
+    caller can change one; one reentrant lock keeps the bookkeeping whole
+    when threads share the memo, and lets a table's build read the tables
+    it is built from."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.bits = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.RLock()
+
+    def get(self, key, build):
+        """The entry for `key`, from `build()` when it is not kept; an
+        entry is a pair whose first item is a tuple of integers."""
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                return hit[0]
+            entry = build()
+            self._keep(key, entry)
+            return entry
+
+    def prefix(self, key, size: int, extend) -> tuple:
+        """The first `size` items of the table kept under `key`, a table
+        whose item j depends only on its inputs up to j.  When fewer are
+        kept, `extend(kept, size)` returns the table to `size` items from
+        the kept prefix (an empty tuple when none is kept), and the longer
+        table replaces the shorter one."""
+        with self._lock:
+            hit = self._entries.get(key)
+            kept = hit[0][0] if hit is not None else ()
+            if len(kept) >= size:
+                if hit is not None:
+                    self._entries.move_to_end(key)
+                return kept[:size]
+            table = tuple(extend(kept, size))
+            self._keep(key, (table,))
+            return table
+
+    def _keep(self, key, entry) -> None:
+        bits = sum(map(int.bit_length, entry[0])) + _INT_HEADER_BITS * len(entry[0])
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.bits -= old[1]
+        if bits <= self.budget:
+            self._entries[key] = entry, bits
+            self.bits += bits
+            while self.bits > self.budget:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.bits -= dropped
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.bits = 0
+
+
+# The memo holds the tables of recent calls: `padic`'s bracket numerators
+# and weight distributions, which a sweep over the degree m at fixed q, w,
+# k, h, x and level reads alike, and `classical`'s reciprocal, power and
+# Bernoulli tables, which every index up to the longest one asked for reads.  2^22
+# bits is 512 KiB: a level-7 table at p = 3 modulo p^17 takes about a
+# seventh of it, and the Euler table to order 446, the longest within the
+# default term budget, about a tenth; a larger budget adds no reuse in a
+# verify grid or the benchmark's passes, while a level-9 exact table
+# (about 48 MB) is never kept.
+MEMO_BITS = 1 << 22
+_INT_HEADER_BITS = 256  # a small int's object and its tuple slot, in bits
+_MEMO = _TableMemo(MEMO_BITS)
 
 
 class Poly:
@@ -381,18 +490,47 @@ class Poly:
         return Poly((_quot(c, lead) for c in self.coeffs), self.var)
 
     def __call__(self, point):
-        """Evaluate by Horner's rule.  `point` may be a Fraction (exact
-        evaluation), a Poly (composition), or a QRat."""
-        if isinstance(point, (int, str)):
-            point = to_frac(point)
+        """Evaluate by Horner's rule.  `point` may be an int, a "num/den"
+        string or a Fraction (exact evaluation, one Fraction), a Poly
+        (composition), or a QRat."""
+        if isinstance(point, (int, str, Fraction)):
+            return _rational_value(self.coeffs, to_frac(point))
         acc = point * 0
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
 
     def shifted(self, a) -> "Poly":
-        """Substitute var -> var + a."""
-        return self(Poly((to_frac(a), Fraction(1)), self.var))
+        """Substitute var -> var + a, for a rational a.
+
+        With a = u/v, D the common denominator of the coefficients and
+        n = deg, r(y) = D v^n p((y + u)/v) has the integer coefficients
+        D c_i v^(n-i) before the shift; shifting them by the integer u (the
+        Taylor shift: n passes of c_j += u c_(j+1)) gives r, and
+        p(x + a) = r(v x) / (D v^n) has coefficient j equal to
+        r_j / (D v^(n-j))."""
+        a = to_frac(a)
+        if not a or len(self.coeffs) < 2:
+            return self
+        den, cs = _common_numerators(self.coeffs)
+        u, v = a.numerator, a.denominator
+        n = len(cs) - 1
+        if v != 1:
+            vp = 1
+            for i in range(n - 1, -1, -1):
+                vp *= v
+                cs[i] *= vp
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                cs[j] += u * cs[j + 1]
+        if den == 1 and v == 1:
+            return Poly._from_coeffs(tuple(cs), self.var)
+        scale = den
+        out = [0] * (n + 1)
+        for j in range(n, -1, -1):
+            out[j] = _quot(cs[j], scale)
+            scale *= v
+        return Poly._from_coeffs(tuple(out), self.var)
 
     def coeff_strings(self) -> list[str]:
         """Canonical JSON form: coefficient strings, lowest degree first."""

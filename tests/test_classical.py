@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgen import classical, verify
+from qgen import classical, qcore, verify
 from qgen.classical import (
     ExpSeries,
     bernoulli,
@@ -166,6 +166,14 @@ class TestBernoulli:
     def test_six_anchor(self):
         assert 2 * (1 - F(2) ** 6) * bernoulli(6) == F(-3) == genocchi(6)
 
+    def test_recurrence_matches_series_reciprocal(self):
+        # t/(e^t - 1) as the reciprocal of sum t^k/(k+1)!, over Fractions;
+        # read cold from 60 down and warm from 0 up
+        series = ExpSeries([F(1, k + 1) for k in range(61)], 60).reciprocal()
+        qcore._MEMO.clear()
+        assert [bernoulli(n) for n in range(60, -1, -1)] == series.c[::-1]
+        assert [bernoulli(n) for n in range(61)] == series.c
+
 
 class TestFrobeniusEuler:
     def test_constant(self):
@@ -324,3 +332,87 @@ class TestVerifySuiteIsIndependent:
             return nums[:3] + [nums[3] + 1] + nums[4:] if r > 1 and n >= 3 else nums
         verdicts = self._verdicts(monkeypatch, "_higher_euler_nums", corrupt)
         assert not verdicts["higher-genocchi-euler-coefficients"]
+
+
+# ---------------------------------------------------------------------------
+# Every base series and Euler power is one table in the shared memo, kept by
+# its inputs and extended when a longer one is asked for; a value must not
+# depend on what the memo holds or on the order of the calls.
+
+def _family_values(n_max):
+    out = []
+    for n in range(n_max + 1):
+        out += [euler_number(n), euler_poly(n), genocchi(n), genocchi_poly(n), bernoulli(n)]
+        out += [higher_euler_poly(n, r) for r in range(6)]
+        out += [higher_genocchi(n, r) for r in range(6)]
+        out += [frobenius_euler_poly(n, u) for u in (F(2), F(-1), F(1, 3), F(10 ** 20 + 1, 3))]
+        out += [twisted_euler_classical(n, w) for w in (F(1), F(-2), F(2, 3), F(-10 ** 20, 7))]
+    return out
+
+
+class TestClassicalTables:
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        qcore._MEMO.clear()
+        yield
+        qcore._MEMO.clear()
+
+    def test_long_then_short_and_short_then_long_equal_fresh(self):
+        calls = [(higher_euler_number, 30, 5), (higher_euler_number, 7, 5),
+                 (higher_genocchi, 25, 3), (higher_genocchi, 4, 3),
+                 (frobenius_euler, 28, F(-3, 5)), (frobenius_euler, 2, F(-3, 5)),
+                 (twisted_euler_classical, 40, F(7, 2)), (twisted_euler_classical, 1, F(7, 2)),
+                 (lambda n, _: bernoulli(n), 36, None), (lambda n, _: bernoulli(n), 6, None)]
+        fresh = []
+        for fn, n, arg in calls:
+            qcore._MEMO.clear()
+            fresh.append(fn(n, arg))
+        qcore._MEMO.clear()
+        assert [fn(n, arg) for fn, n, arg in calls] == fresh
+        qcore._MEMO.clear()
+        reverse = [fn(n, arg) for fn, n, arg in reversed(calls)]
+        assert reverse[::-1] == fresh
+
+    def test_cold_equals_warm(self):
+        cold = _family_values(24)
+        assert qcore._MEMO.bits > 0
+        assert _family_values(24) == cold
+
+    def test_longer_table_replaces_the_kept_one(self):
+        euler_number(10)
+        assert len(qcore._MEMO._entries) == 1
+        bits = qcore._MEMO.bits
+        euler_number(30)
+        (key, (entry, kept_bits)), = qcore._MEMO._entries.items()
+        assert key == ("reciprocal", 2, 1) and len(entry[0]) == 31
+        assert kept_bits == qcore._MEMO.bits > bits
+        assert kept_bits == (sum(map(int.bit_length, entry[0]))
+                             + qcore._INT_HEADER_BITS * len(entry[0]))
+        euler_number(5)  # a prefix: nothing rebuilt or replaced
+        assert qcore._MEMO.bits == kept_bits
+
+    def test_power_extends_its_squaring_chain(self, monkeypatch):
+        higher_euler_number(10, 7)
+        products = []
+        kernel = classical._product
+        monkeypatch.setattr(classical, "_product",
+                            lambda a, b, start, size: products.append(start) or kernel(a, b, start, size))
+        assert higher_euler_number(20, 7) == (_euler_base(20) ** 7).coeff(20)
+        # orders 7 = 3 + 4, 3 = 1 + 2, 4 = 2 + 2, 2 = 1 + 1: four products,
+        # each from the kept length 11 on
+        assert products == [11] * 4
+
+    def test_small_budget_evicts_and_stays_exact(self, monkeypatch):
+        values = _family_values(24)
+        tables = len(qcore._MEMO._entries)
+        # a budget of a few tables: the others are dropped or never kept
+        memo = qcore._TableMemo(40_000)
+        monkeypatch.setattr(classical, "_MEMO", memo)
+        assert _family_values(24) == values
+        assert 0 < memo.bits <= memo.budget and 0 < len(memo._entries) < tables
+        assert memo.bits == sum(bits for _, bits in memo._entries.values())
+
+    def test_negative_order_raises_before_any_lookup(self, monkeypatch):
+        monkeypatch.setattr(classical, "_MEMO", None)  # any lookup would fail
+        with pytest.raises(DomainError, match="negative series power"):
+            higher_euler_number(3, -1)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgen import cli, qeuler
+from qgen import classical, cli, qcore, qeuler
 from qgen.padic import QBracketMonomial, padic_limit_check
 from qgen.qcore import DomainError
 
@@ -198,3 +198,78 @@ class TestBudgetsBeforeWork:
         config(json.dumps({"term_budget": degree - 1}))
         code, _, err = run(capsys, *argv, "--mode", "symbolic")
         assert code == 1 and f"symbolic degree {degree} exceeds" in err
+
+
+class TestClassicalBudget:
+    """A classical value costs order(order + 1)/2 binomial products per
+    table and per product of its power's squaring chain; over the term
+    budget it is refused before any kernel runs, whatever the memo holds."""
+
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a classical kernel ran")
+        for name in ("_reciprocal", "_product", "_bernoulli_nums"):
+            monkeypatch.setattr(classical, name, refuse)
+
+    @pytest.mark.parametrize("argv,products", [
+        (("euler", "--n", 2500), 3126250),
+        (("euler", "--n", 1000), 500500),
+        (("euler", "--n", 300, "--k", 3), 135450),  # a reciprocal and 2 products
+        (("euler", "--n", 447, "--x", 1), 100128),
+        (("genocchi", "--n", 448), 100128),         # G_n = n E_(n-1)
+        (("genocchi", "--n", 448, "--x", "1/2"), 100128),
+        (("genocchi", "--n", 302, "--k", 2), 90300),  # order n - k, one product
+        (("bernoulli", "--n", 1000), 500500),
+        (("frobenius", "--n", 600, "--u", 2), 180300),
+        (("twisted-euler", "--n", 600, "--w", 2), 180300),
+        (("twisted-genocchi", "--n", 601, "--w", "1/2"), 180300),
+    ])
+    def test_refused_before_the_kernel(self, capsys, config, no_kernel, argv, products):
+        if products <= 100000:
+            config(json.dumps({"term_budget": products - 1}))
+        for _ in range(2):  # cold, then after any warm-up
+            t0 = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - t0 < 1
+            assert (code, out) == (1, "")
+            assert err.startswith("error: classical tables to order") and f" {products} " in err
+
+    @pytest.mark.parametrize("argv", [
+        ("euler", "--n", 446), ("bernoulli", "--n", 446), ("genocchi", "--n", 447),
+        ("twisted-genocchi", "--n", 447, "--w", 3),
+    ])
+    def test_largest_order_within_the_default_budget(self, capsys, argv):
+        assert classical.table_products(446) <= 100000 < classical.table_products(447)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["value"]
+
+    def test_refusal_does_not_depend_on_the_memo(self, capsys, config):
+        config(json.dumps({"term_budget": 54}))
+        assert run(capsys, "euler", "--n", 10)[0] == 1  # 55 products
+        qcore._MEMO.clear()
+        assert run(capsys, "euler", "--n", 9)[0] == 0   # 45 products, table kept
+        assert run(capsys, "euler", "--n", 10)[0] == 1
+        assert run(capsys, "twisted-genocchi", "--n", 0, "--w", 2)[0] == 0  # no table
+
+
+class TestClassicalFlags:
+    @pytest.mark.parametrize("argv,message", [
+        (("bernoulli", "--n", 1, "--x", 1), "Bernoulli polynomials are not defined here"),
+        (("bernoulli", "--n", 1, "--k", 2), "bernoulli has no higher order; --k must be 1"),
+        (("bernoulli", "--n", 1, "--k", 0), "bernoulli has no higher order; --k must be 1"),
+        (("frobenius", "--n", 3, "--u", 2, "--k", 2), "frobenius has no higher order; --k must be 1"),
+        (("frobenius", "--n", 3, "--u", 2, "--k", 3, "--x", 1),
+         "frobenius has no higher order; --k must be 1"),
+        # checked before the budget
+        (("bernoulli", "--n", 10 ** 6, "--x", 1), "Bernoulli polynomials are not defined here"),
+    ])
+    def test_dropped_flags_are_usage_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("bernoulli", "--n", 1, "--k", 1), ("frobenius", "--n", 3, "--u", 2, "--k", 1),
+    ])
+    def test_order_one_is_accepted(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 0

@@ -112,6 +112,57 @@ class TestCoefficientTypes:
             Poly([0.5])
 
 
+def _fraction_horner(p: Poly, x: Fraction) -> Fraction:
+    """The reference: Horner's rule in Fractions, one reduction a step."""
+    acc = F(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+_POINTS = st.one_of(st.integers(-30, 30), st.fractions(max_denominator=40),
+                    st.fractions(min_value=-10**20, max_value=10**20, max_denominator=10**20))
+
+
+class TestRationalEvaluation:
+    """`Poly.__call__` at a rational point is one integer Horner pass over a
+    common denominator, and `shifted` an integer Taylor shift."""
+
+    @given(_polys(8), _POINTS, st.sampled_from(["int", "str", "fraction"]))
+    @settings(max_examples=150, deadline=None)
+    def test_call_matches_fraction_horner(self, p, x, form):
+        x = F(x)
+        point = {"int": x.numerator, "str": f"{x.numerator}/{x.denominator}",
+                 "fraction": x}[form]
+        if form == "int":
+            x = F(x.numerator)
+        value = p(point)
+        assert type(value) is F and value == _fraction_horner(p, x)
+
+    def test_zero_polynomial_and_int_points(self):
+        assert Poly([])(F(3, 7)) == 0 and type(Poly([])(5)) is F
+        assert Poly([1, 2, 3])(2) == F(17) and type(Poly([1, 2, 3])(2)) is F
+        assert Poly([F(1, 2), 0, F(-1, 3)])("3/2") == F(1, 2) - F(3, 4)
+
+    def test_polynomial_and_qrat_points_compose(self):
+        p = Poly([1, F(1, 2), 3])
+        assert p(q + 1) == Poly([F(9, 2), F(13, 2), 3])
+        assert p(QRat(Poly([1]), q)) == QRat(Poly([3, F(1, 2), 1]), q * q)
+
+    @given(_polys(8), _POINTS, _POINTS)
+    @settings(max_examples=120, deadline=None)
+    def test_shift_evaluates_at_the_shifted_point(self, p, x, a):
+        shifted = p.shifted(a)
+        assert _canonical(shifted) and shifted.var == p.var
+        assert shifted(F(x)) == p(F(x) + F(a))
+        assert shifted.shifted(-F(a)) == p
+
+    def test_shift_by_rational_and_string(self):
+        p = Poly([0, 0, 1], var="x")
+        assert p.shifted("1/2") == Poly([F(1, 4), 1, 1], var="x")
+        assert p.shifted(0) == p and Poly([]).shifted(3) == Poly([])
+
+
 class TestQRat:
     def test_reduction_is_canonical(self):
         r = QRat(Poly([0, -1]), Poly([1, 0, 1]))
