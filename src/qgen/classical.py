@@ -37,25 +37,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .qcore import _MEMO, DomainError, Poly, falling, to_frac
+from .qcore import _MEMO, DomainError, Poly, _power, falling, to_frac
 
 #: the polynomial argument of the x-polynomials
 x = Poly((0, 1), "x")
-
-
-def _power(base, e: int, mul, one):
-    """base ** e by repeated squaring: e's bit length + popcount - 2
-    products, none by `one` and no squaring after the top bit."""
-    if e < 0:
-        raise DomainError("negative series power; use reciprocal first")
-    result = None
-    while e:
-        if e & 1:
-            result = base if result is None else mul(result, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return one if result is None else result
 
 
 class ExpSeries:
@@ -98,7 +83,9 @@ class ExpSeries:
         return ExpSeries(out, order)
 
     def __pow__(self, e: int) -> "ExpSeries":
-        return _power(self, e, ExpSeries.__mul__, ExpSeries([Fraction(1)], self.order))
+        if e < 0:
+            raise DomainError("negative series power; use reciprocal first")
+        return _power(self, e, ExpSeries([Fraction(1)], self.order))
 
     def reciprocal(self) -> "ExpSeries":
         a0 = self.c[0]

@@ -40,18 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-# the table memo lives in qcore, which the classical tables share; its
-# names stay readable here
-from .qcore import (
-    MEMO_BITS,
-    _INT_HEADER_BITS,
-    _MEMO,
-    DomainError,
-    _TableMemo,
-    q_bracket_neg,
-    q_power,
-    to_frac,
-)
+from .qcore import _MEMO, DomainError, q_bracket_neg, q_power, to_frac
 
 DEFAULT_TERM_BUDGET = 100_000
 
@@ -343,18 +332,22 @@ def _horner(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, int],
     return accs
 
 
+def _over(num, den: int, modulus: int | None):
+    """num / den for a rational num and an int den: a Fraction, or with a
+    `modulus` the residue of that quotient, for an int num and a unit den."""
+    if modulus:
+        return num * pow(den, -1, modulus) % modulus
+    return Fraction(num, den)
+
+
 def _prefix_sums(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, int],
                  reads: Sequence[int], modulus: int | None = None) -> list:
     """The prefix sums P_n = sum_{s<=n} (D[s] / E^s) g[s] at each n of the
     ascending `reads`, A_n / (C (E R)^n) from `_horner`: Fractions, or
     residues when a `modulus` is given."""
     _, R, C = table
-    ER = E * R
     accs = _horner(dist, E, table, reads, modulus)
-    if modulus:
-        return [a * pow(C * pow(ER, n, modulus), -1, modulus) % modulus
-                for n, a in zip(reads, accs)]
-    return [Fraction(a, C * ER ** n) for n, a in zip(reads, accs)]
+    return [_over(a, C * pow(E * R, n, modulus), modulus) for n, a in zip(reads, accs)]
 
 
 def _box_sums(bases: Sequence[Fraction], table: tuple[Sequence[int], int, int],
@@ -416,17 +409,12 @@ def _level_sums(f: IntegrandFamily, qf: Fraction, p: int, levels: Sequence[int],
             check_shift_budget(f.x, k * (spans[N] - 1), term_budget)
         raise
     boxes = _box_sums(bases, table, list(spans.values()), modulus)
-    if modulus is None:
-        return {N: box / q_bracket_neg(span, qf) ** k
-                for (N, span), box in zip(spans.items(), boxes)}
-    # [p^N]_{-q} = (c^span - (-a)^span) / (c^(span-1) (c + a)) with q = a/c
+    # each box over [p^N]_{-q}^k, where [p^N]_{-q} is
+    # (c^span - (-a)^span) / (c^(span-1) (c + a)) with q = a/c
     a, c = qf.numerator, qf.denominator
-    sums = {}
-    for (N, span), box in zip(spans.items(), boxes):
-        norm = ((pow(c, span, modulus) - pow(-a, span, modulus))
-                * pow(pow(c, span - 1, modulus) * (c + a), -1, modulus))
-        sums[N] = box * pow(norm, -k, modulus) % modulus
-    return sums
+    return {N: _over(box * pow(pow(c, span - 1, modulus) * (c + a), k, modulus),
+                     pow(pow(c, span, modulus) - pow(-a, span, modulus), k, modulus), modulus)
+            for (N, span), box in zip(spans.items(), boxes)}
 
 
 def fermionic_sum(f: IntegrandFamily, qv, params: PadicParams,

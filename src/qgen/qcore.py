@@ -13,16 +13,16 @@ float ever appears.
 Polynomials whose coefficients are all `int` run on integer kernels:
 products of two factors longer than `_KRONECKER_MIN` terms go through
 signed Kronecker substitution (`_kronecker_mul`: one big-integer product
-over byte-aligned slots), a monomial factor is a shift and a scale, and a
-division whose quotient is integral (`_int_divmod`: always by a divisor
-with leading coefficient 1 or -1, and an exact division by a primitive
-divisor) builds no `Fraction`.  At the symbolic generator the Gaussian
+over byte-aligned slots), and a monomial factor is a shift and a scale.
+One division loop (`_coeff_divmod`) serves ints and Fractions alike: ints
+stay ints over a divisor with leading coefficient 1 or -1, and in an exact
+division by a primitive divisor.  At the symbolic generator the Gaussian
 triangle (`_gauss_poly_rows`) adds shifted coefficient tuples, with no
 product, and wraps each entry once through the trusted constructor
-`Poly._from_coeffs`; the factorial quotient is telescoped
-(`_telescoped_binom`), and q-integers are built directly.  `Fraction`
-polynomials, short factors and a rational q take the generic loops, which
-give the same values.
+`Poly._from_coeffs`; the factorial quotient, and with it a single entry
+`gauss_binom(n, k)`, is telescoped (`_telescoped_binom`), and q-integers
+are built directly.  `Fraction` polynomials, short factors and a rational
+q take the generic loops, which give the same values.
 
 Every q-primitive is generic over the evaluation domain: pass a Fraction
 for a fixed rational q, or the symbolic generator (`q` / `QRat(q)`) to get
@@ -149,14 +149,16 @@ def _kronecker_mul(a: tuple, b: tuple) -> tuple:
     return _kronecker_read(pa * pb, len(a) + len(b) - 1, size)
 
 
-def _int_divmod(a, d):
-    """Quotient and remainder, as tuples, of int coefficient sequences, or
-    None when a quotient coefficient is not an int.  Each quotient
-    coefficient is the top remainder coefficient over the divisor's
-    leading one, always an int when that is 1 or -1 (the top times that
-    unit) and when the division is exact by a primitive divisor, so no
-    Fraction is built.  Only the divisor's nonzero lower terms are visited,
-    so a sparse divisor such as 1 + q^e costs one update per step, not e."""
+def _coeff_divmod(a, d):
+    """Quotient and remainder, as tuples, of coefficient sequences of ints
+    or Fractions, the divisor's leading coefficient nonzero.  Each quotient
+    coefficient is the top remainder coefficient times the divisor's
+    leading one when that is 1 or -1, and `_quot` of the two otherwise, so
+    ints stay ints over a leading 1 or -1 and in an exact division by a
+    primitive divisor.  A Fraction remainder coefficient may be integral;
+    `Poly` makes it canonical.  Only the divisor's nonzero lower terms are
+    visited, so a sparse divisor such as 1 + q^e costs one update per step,
+    not e."""
     dd = len(d) - 1
     if len(a) <= dd:
         return (), tuple(a)
@@ -168,12 +170,7 @@ def _int_divmod(a, d):
     for shift in range(len(quo) - 1, -1, -1):
         top = rem[shift + dd]
         if top:
-            if unit:
-                f = top * unit
-            else:
-                f, r = divmod(top, lead)
-                if r:
-                    return None
+            f = top * unit if unit else _quot(top, lead)
             quo[shift] = f
             for i, c in terms:
                 rem[shift + i] -= f * c
@@ -181,6 +178,20 @@ def _int_divmod(a, d):
     while rem and not rem[-1]:
         rem.pop()
     return tuple(quo), tuple(rem)
+
+
+def _power(base, e: int, one):
+    """base ** e for e >= 0 by repeated squaring from the low bit: no
+    product by `one` and no squaring after the top bit, so e's bit length
+    plus its popcount minus 2 products."""
+    result = None
+    while e:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return one if result is None else result
 
 
 def falling(n: int, r: int) -> int:
@@ -429,16 +440,7 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise DomainError("negative power of a Poly; promote to QRat")
-        # square-and-multiply from the low bit, with no product by the
-        # initial 1 and no squaring after the top bit: self ** 1 is self
-        result, base = None, self
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return Poly((1,), self.var) if result is None else result
+        return _power(self, e, Poly((1,), self.var))
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -447,26 +449,9 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         var = self._join_var(other)
-        if _all_int(self.coeffs) and _all_int(other.coeffs):
-            out = _int_divmod(self.coeffs, other.coeffs)
-            if out is not None:
-                return Poly._from_coeffs(out[0], var), Poly._from_coeffs(out[1], var)
-        dlead = other.coeffs[-1]
-        rem = list(self.coeffs)
-        quo = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dd = other.degree
-        # only the nonzero divisor terms: a sparse divisor such as 1 + q^e
-        # costs two updates per step, not e + 1
-        terms = [(i, c) for i, c in enumerate(other.coeffs) if c]
-        while len(rem) - 1 >= dd and rem:
-            shift = len(rem) - 1 - dd
-            factor = _quot(rem[-1], dlead)
-            quo[shift] = factor
-            for i, c in terms:
-                rem[shift + i] -= factor * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(quo, var), Poly(rem, var)
+        quo, rem = _coeff_divmod(self.coeffs, other.coeffs)
+        wrap = Poly._from_coeffs if _all_int(quo + rem) else Poly
+        return wrap(quo, var), wrap(rem, var)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -562,11 +547,7 @@ class Poly:
 def _primitive(cs) -> list:
     """The coefficients scaled to coprime integers with a positive leading
     one (the primitive part)."""
-    if _all_int(cs):
-        ints = cs
-    else:
-        lcm = math.lcm(*(c.denominator for c in cs))
-        ints = [int(c * lcm) for c in cs]
+    ints = _common_numerators(cs)[1]
     g = math.gcd(*ints)
     return [c // g for c in ints] if ints[-1] > 0 else [-c // g for c in ints]
 
@@ -584,10 +565,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a_cs, b_cs = _primitive(a.coeffs), _primitive(b.coeffs)
     while b_cs:
         lead, db = b_cs[-1], len(b_cs) - 1
-        if lead == 1:  # a monic divisor: the remainder itself, no scaling
-            r = _int_divmod(a_cs, b_cs)[1]
-            a_cs, b_cs = b_cs, _primitive(r) if r else r
-            continue
         r = list(a_cs)
         terms = [(i, c) for i, c in enumerate(b_cs) if c]
         while len(r) > db:
@@ -919,8 +896,13 @@ def _gauss_entry(n: int, k: int, qv, alt: bool):
 
 
 def gauss_binom(n: int, k: int, qv=None):
-    """Gaussian binomial coefficient, computed by the additive recursion
-    C(n+1,k) = C(n,k-1) + q^k C(n,k) with a per-call row table."""
+    """Gaussian binomial coefficient.  At the symbolic generator it is the
+    telescoped factorial quotient of `gauss_binom_factorial`, k(n - k) + 1
+    coefficients from min(k, n - k) steps; at any other q it is the
+    additive recursion C(n+1,k) = C(n,k-1) + q^k C(n,k) with a per-call
+    row table."""
+    if _is_generator(q if qv is None else qv):
+        return gauss_binom_factorial(n, k, qv)
     return _gauss_entry(n, k, qv, False)
 
 

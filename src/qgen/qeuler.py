@@ -44,7 +44,7 @@ from .qcore import (
     DomainError,
     Poly,
     QRat,
-    _int_divmod,
+    _coeff_divmod,
     _kronecker_read,
     _slot_size,
     falling,
@@ -191,7 +191,7 @@ def _remainder(cs, key, base: Poly, modulus: int | None = None) -> tuple:
     weights, so a nonzero residue proves a nonzero remainder."""
     kind, d = key
     if kind == "phi":
-        return _int_divmod([sum(cs[i::d]) for i in range(min(d, len(cs)))], base.coeffs)[1]
+        return _coeff_divmod([sum(cs[i::d]) for i in range(min(d, len(cs)))], base.coeffs)[1]
     e, lo, hi = base.degree, base.coeffs[0], base.coeffs[-1]
     if modulus is not None:
         # the Horner unrolled: R = sum_t (-lo)^t hi^(T-t) C_t, whose weights
@@ -662,7 +662,10 @@ def _gauss_weight_bound(k: int, qf: Fraction) -> Fraction:
 
 def _check_series_budget(M: int, x: int, k: int, term_budget: int) -> None:
     """Budget a Gaussian-weight series of M terms, order k and shift x:
-    its M terms, then its q exponent x + k(M - 1)."""
+    its M terms, then the q exponent x + k(M - 1).  The bracket table
+    reaches only q^(x + M - 1); k(M - 1) stands for the top q exponent of
+    the Gaussian-weight distribution, whose last weight C(k + M - 2, M - 1)_q
+    adds (k - 1)(M - 1) to it and whose convolution does the work."""
     if M > term_budget:
         raise BudgetExceeded(f"{M} terms exceed the budget of {term_budget}")
     check_shift_budget(x, k * (M - 1), term_budget)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgen import padic
+from qgen import padic, qcore
 from qgen.classical import euler_number, higher_euler_poly
 from qgen.qeuler import QEulerSpec, qeuler_hk
 from qgen.padic import (
@@ -742,10 +742,10 @@ class TestTableMemo:
             assert isinstance(entry[0], tuple)
 
     def test_least_recent_dropped_and_oversized_not_kept(self):
-        memo = padic._TableMemo(2 * padic._INT_HEADER_BITS + 5)
+        memo = qcore._TableMemo(2 * qcore._INT_HEADER_BITS + 5)
         for key, value in (("a", 3), ("b", 3), ("a", 9), ("c", 3)):
             memo.get(key, lambda value=value: ((value,), 0))
-        assert list(memo._entries) == ["a", "c"] and memo.bits == 2 * padic._INT_HEADER_BITS + 4
+        assert list(memo._entries) == ["a", "c"] and memo.bits == 2 * qcore._INT_HEADER_BITS + 4
         assert memo.get("a", lambda: ((0,), 0)) == ((3,), 0)  # kept: not rebuilt
         big = ((1 << 2000,), 0)
         assert memo.get("big", lambda: big) is big
@@ -755,7 +755,7 @@ class TestTableMemo:
         from qgen.verify import run_suites
         padic._MEMO.clear()
         cold = run_suites(["all"])
-        assert 0 < padic._MEMO.bits <= padic.MEMO_BITS
+        assert 0 < padic._MEMO.bits <= qcore.MEMO_BITS
         assert padic._MEMO.bits == sum(bits for _, bits in padic._MEMO._entries.values())
         assert run_suites(["all"]) == cold
 

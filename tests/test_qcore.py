@@ -1,9 +1,10 @@
 import functools
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgen import qcore
@@ -478,6 +479,14 @@ class TestIntegerDivmod:
     @given(_int_coeffs(), st.lists(st.integers(-9, 9), max_size=6),
            st.integers(2, 9).flatmap(lambda v: st.sampled_from([v, -v])))
     @settings(max_examples=80, deadline=None)
+    # integral quotient coefficients first, then a Fraction one, after which
+    # the division goes on in Fractions; the last leaves a remainder
+    # coefficient that is a Fraction of denominator 1 until `Poly` wraps it
+    @example([0, 1, 2], [0], 2)
+    @example([1, 4, 2], [1], 2)
+    @example([0, 2, 3, 2], [1], 2)
+    @example([5, 0, 7, 6, -3], [2, 1], -3)
+    @example([3, 1, 2], [2], 2)
     def test_non_unit_lead_matches_reference(self, a, low, lead):
         a, d = Poly(a), Poly(low + [lead])
         quo, rem = divmod(a, d)
@@ -561,6 +570,17 @@ class TestGaussianTriangleKernel:
                 expected = (at_minus_one[n, k] if qv == -1 else
                             math.comb(n, k) if qv == 1 else gauss_binom(n, k)(qv))
                 assert type(value) is F and value == expected, (n, k)
+
+    def test_symbolic_entry_within_degree_budget(self):
+        # k(n - k) = 40000 is within the default degree budget; the cut-off
+        # triangle took tens of seconds for this entry, the telescoped
+        # quotient takes about one
+        start = time.perf_counter()
+        entry = gauss_binom(400, 200)
+        assert time.perf_counter() - start < 10
+        assert entry.degree == 200 * 200 and _canonical(entry)
+        assert entry(1) == math.comb(400, 200)
+        assert entry(F(1, 2)) == gauss_binom_factorial(400, 200, F(1, 2))
 
     def test_other_variable(self):
         x = Poly([0, 1], var="x")
