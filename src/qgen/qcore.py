@@ -10,10 +10,12 @@ rational point (including the q -> 1 limit of a reduced quotient) is total
 and exact.  Every coefficient division builds a `Fraction` (`_quot`), so no
 float ever appears.
 
-Polynomials whose coefficients are all `int` run on integer kernels:
-products of two factors longer than `_KRONECKER_MIN` terms go through
-signed Kronecker substitution (`_kronecker_mul`: one big-integer product
-over byte-aligned slots), and a monomial factor is a shift and a scale.
+Polynomials whose coefficients are all `int` run on integer kernels over
+coefficient tuples (`_int_mul`): products of two factors longer than
+`_KRONECKER_MIN` terms go through signed Kronecker substitution
+(`_kronecker_mul`: one big-integer product over byte-aligned slots),
+shorter ones through the schoolbook loop, and neither result is made
+canonical again; a monomial factor is a shift and a scale.
 One division loop (`_coeff_divmod`) serves ints and Fractions alike: ints
 stay ints over a divisor with leading coefficient 1 or -1, and in an exact
 division by a primitive divisor.  At the symbolic generator the Gaussian
@@ -21,8 +23,10 @@ triangle (`_gauss_poly_rows`) adds shifted coefficient tuples, with no
 product, and wraps each entry once through the trusted constructor
 `Poly._from_coeffs`; the factorial quotient, and with it a single entry
 `gauss_binom(n, k)`, is telescoped (`_telescoped_binom`), and q-integers
-are built directly.  `Fraction` polynomials, short factors and a rational
-q take the generic loops, which give the same values.
+are built directly.  At a rational q other than +-1 a single Gaussian
+binomial is the same telescoped quotient in integers (`_rational_binom`).
+`Fraction` polynomials and the rational-q triangle take the generic
+loops, which give the same values.
 
 Every q-primitive is generic over the evaluation domain: pass a Fraction
 for a fixed rational q, or the symbolic generator (`q` / `QRat(q)`) to get
@@ -147,6 +151,37 @@ def _kronecker_mul(a: tuple, b: tuple) -> tuple:
     pa = pack(a)
     pb = pa if b is a else pack(b)  # one object: the big-integer squaring
     return _kronecker_read(pa * pb, len(a) + len(b) - 1, size)
+
+
+def _coeff_mul(a, b) -> list:
+    """Schoolbook product of two coefficient sequences of ints or Fractions."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _int_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two nonzero int coefficient tuples, with no trailing zero:
+    by Kronecker substitution when both have more than `_KRONECKER_MIN`
+    terms, by the schoolbook loop otherwise."""
+    if min(len(a), len(b)) > _KRONECKER_MIN:
+        return _kronecker_mul(a, b)
+    return tuple(_coeff_mul(a, b))
+
+
+def _scaled(cs, r: Fraction) -> tuple:
+    """The canonical coefficients of r times cs, for a nonzero rational r,
+    in one pass: an int coefficient over an integer scale stays an int,
+    and one `_quot` gives each other int product."""
+    a, b = r.numerator, r.denominator
+    if not _all_int(cs):
+        return tuple([_coeff(c * r) for c in cs])
+    if b == 1:
+        return tuple([c * a for c in cs])
+    return tuple([_quot(c * a, b) for c in cs])
 
 
 def _coeff_divmod(a, d):
@@ -426,14 +461,9 @@ class Poly:
         if not any(b[:-1]):  # b = c var^s: a shift and a scale
             c = b[-1]
             return Poly((0,) * (len(b) - 1) + tuple(c * x for x in a), var)
-        if min(len(a), len(b)) > _KRONECKER_MIN and _all_int(a) and _all_int(b):
-            return Poly._from_coeffs(_kronecker_mul(a, b), var)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out, var)
+        if _all_int(a) and _all_int(b):
+            return Poly._from_coeffs(_int_mul(a, b), var)
+        return Poly(_coeff_mul(a, b), var)
 
     __rmul__ = __mul__
 
@@ -472,7 +502,7 @@ class Poly:
         lead = self.coeffs[-1]
         if lead == 1:
             return self
-        return Poly((_quot(c, lead) for c in self.coeffs), self.var)
+        return Poly._from_coeffs(_scaled(self.coeffs, 1 / Fraction(lead)), self.var)
 
     def __call__(self, point):
         """Evaluate by Horner's rule.  `point` may be an int, a "num/den"
@@ -898,12 +928,28 @@ def _gauss_entry(n: int, k: int, qv, alt: bool):
 def gauss_binom(n: int, k: int, qv=None):
     """Gaussian binomial coefficient.  At the symbolic generator it is the
     telescoped factorial quotient of `gauss_binom_factorial`, k(n - k) + 1
-    coefficients from min(k, n - k) steps; at any other q it is the
-    additive recursion C(n+1,k) = C(n,k-1) + q^k C(n,k) with a per-call
-    row table."""
+    coefficients from min(k, n - k) steps; at a rational q other than 1
+    and -1 it is the same quotient in integers (`_rational_binom`); at any
+    other q it is the additive recursion C(n+1,k) = C(n,k-1) + q^k C(n,k)
+    with a per-call row table."""
     if _is_generator(q if qv is None else qv):
         return gauss_binom_factorial(n, k, qv)
+    if isinstance(qv, (int, Fraction)) and qv not in (1, -1) and 0 <= k <= n:
+        return _rational_binom(n, min(k, n - k), Fraction(qv))
     return _gauss_entry(n, k, qv, False)
+
+
+def _rational_binom(n: int, r: int, point: Fraction) -> Fraction:
+    """C(n, r)_q at q = u/v, u/v not 1 or -1, as the telescoped quotient in
+    integers: prod_i (1 - q^(n-r+i)) / (1 - q^i) over i = 1..r, each factor
+    1 - q^s = (v^s - u^s) / v^s, is
+    prod_i (v^(n-r+i) - u^(n-r+i)) / prod_i (v^i - u^i) / v^(r(n-r)).
+    v^(r(n-r)) C(n, r)_q is an integer, so the first division is exact;
+    no factor v^i - u^i vanishes, since u^i = v^i forces u/v = +-1."""
+    u, v = point.numerator, point.denominator
+    top = math.prod(v ** (n - r + i) - u ** (n - r + i) for i in range(1, r + 1))
+    bottom = math.prod(v ** i - u ** i for i in range(1, r + 1))
+    return Fraction(top // bottom, v ** (r * (n - r)))
 
 
 def gauss_binom_triangle(n_max: int, qv=None, alt: bool = False) -> list:

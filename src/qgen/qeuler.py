@@ -15,14 +15,16 @@ routes (`_euler_sum`): one integer accumulation (`_accumulate`), run at a
 rational q or, for |w| != 1, at q = X = 2^B and read back into the
 coefficients of the numerator and of the known denominator; the row build
 over the known denominator at the generator for |w| = 1, in integer lists;
-and the general loop for any other argument."""
+and the general loop for any other argument.  At the generator both builds
+read each factor 1 + w q^e from one cached record, and the result stays in
+integer tuples up to its reduction, so a sweep over m pays little per call
+beyond its coefficients."""
 
 from __future__ import annotations
 
 import functools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -45,7 +47,9 @@ from .qcore import (
     Poly,
     QRat,
     _coeff_divmod,
+    _int_mul,
     _kronecker_read,
+    _scaled,
     _slot_size,
     falling,
     is_zero_scalar,
@@ -128,12 +132,6 @@ def _prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
-def _totient(n: int) -> int:
-    for p in _prime_factors(n):
-        n -= n // p
-    return n
-
-
 @functools.lru_cache(maxsize=256)
 def _cyclotomic(d: int) -> Poly:
     """The cyclotomic polynomial Phi_d: q^d - 1 divided by Phi_e for the
@@ -150,34 +148,38 @@ _PHI1, _PHI2 = ("phi", 1), ("phi", 2)
 class _Factor(NamedTuple):
     """1 + w q^e = C q^(-shift) P for a rational constant C, where the
     integer polynomial P of the given degree is the product of the known
-    factors named by `keys`: ("phi", d) is Phi_d, ("w", e) is b + a q^e
-    for e > 0 and a + b q^|e| for e < 0, with w = a/b in lowest terms.
-    A constant factor (w = 0 or e = 0) has no keys and no shift."""
+    factors named by `keys`, whose base polynomials are `bases`: ("phi", d)
+    is Phi_d, ("w", e) is b + a q^e for e > 0 and a + b q^|e| for e < 0,
+    with w = a/b in lowest terms.  A constant factor (w = 0 or e = 0) has
+    no keys and no shift."""
 
     shift: int
     keys: tuple
     degree: int
+    bases: tuple
 
 
-def _split_factor(w: Fraction, e: int) -> _Factor:
+@functools.lru_cache(maxsize=512)
+def _split_factor(a: int, b: int, e: int) -> _Factor:
+    """The record of 1 + w q^e at w = a/b in lowest terms.  It depends on
+    the integers alone, so a sweep over m reads each factor's record once."""
     n = abs(e)
-    if w == 0 or e == 0:
-        return _Factor(0, (), 0)
+    if a == 0 or e == 0:
+        return _Factor(0, (), 0, ())
     shift = n if e < 0 else 0
-    if w == 1:  # 1 + q^n = prod_{d | 2n, d does not divide n} Phi_d
-        return _Factor(shift, tuple(("phi", d) for d in _divisors(2 * n) if n % d), n)
-    if w == -1:  # q^n - 1 = prod_{d | n} Phi_d, and 1 - q^n is its negative
-        return _Factor(shift, tuple(("phi", d) for d in _divisors(n)), n)
-    return _Factor(shift, (("w", e),), n)
-
-
-def _factor_poly(key, w: Fraction) -> Poly:
-    kind, e = key
-    if kind == "phi":
-        return _cyclotomic(e)
-    a, b = w.numerator, w.denominator
+    if b == 1 and a in (1, -1):
+        # 1 + q^n = prod_{d | 2n, d does not divide n} Phi_d; q^n - 1 =
+        # prod_{d | n} Phi_d, and 1 - q^n is its negative
+        ds = _divisors(n) if a == -1 else [d for d in _divisors(2 * n) if n % d]
+        return _Factor(shift, tuple(("phi", d) for d in ds), n,
+                       tuple(_cyclotomic(d) for d in ds))
     lo, hi = (b, a) if e > 0 else (a, b)
-    return Poly((lo,) + (0,) * (abs(e) - 1) + (hi,))
+    return _Factor(shift, (("w", e),), n, (Poly._from_coeffs((lo,) + (0,) * (n - 1) + (hi,)),))
+
+
+def _unit_power(e: int, sign: int) -> Poly:
+    """(q + sign)^e for sign = +-1, from the binomial row of e."""
+    return Poly._from_coeffs(tuple([math.comb(e, i) * sign ** (e - i) for i in range(e + 1)]))
 
 
 def _remainder(cs, key, base: Poly, modulus: int | None = None) -> tuple:
@@ -235,6 +237,7 @@ def _iroot(n: int, p: int) -> int:
         x = y
 
 
+@functools.lru_cache(maxsize=512)
 def _may_split(lo: int, hi: int, e: int) -> bool:
     """Whether lo + hi q^e, that is q^e - c with c = -lo/hi, may factor over
     Q.  By Capelli's theorem it is irreducible unless c is a p-th power in
@@ -276,18 +279,20 @@ def _coprime_mod(a: tuple, b: tuple) -> bool:
     return len(a) == 1
 
 
-def _shares_factor(cs: tuple, key, base: Poly) -> bool:
+def _shares_factor(cs: tuple, key, base: Poly, reduced: tuple | None = None) -> bool:
     """Whether the int coefficients cs share a nonconstant factor with the
     base of a known factor.  A nonzero remainder settles it when the base
     is irreducible, which every Phi_d is.  A binomial's remainder is taken
     modulo `_MOD_PRIME` first, where a nonzero residue proves it nonzero,
-    and exactly only when every residue is 0 or a GCD needs it.  For a
-    binomial that may split, the remainder and the binomial coprime modulo
-    the prime settle it, and otherwise one GCD of the two, below the
+    and exactly only when every residue is 0 or a GCD needs it; `reduced`,
+    cs modulo the prime, gives the same residues from word-size products
+    when a caller tests one cs against many binomials.  For a binomial
+    that may split, the remainder and the binomial coprime modulo the
+    prime settle it, and otherwise one GCD of the two, below the
     binomial's degree."""
     if key[0] == "phi":
         return not any(_remainder(cs, key, base))
-    residues = _remainder(cs, key, base, _MOD_PRIME)
+    residues = _remainder(cs if reduced is None else reduced, key, base, _MOD_PRIME)
     if not any(residues) and not any(_remainder(cs, key, base)):
         return True
     if not _may_split(base.coeffs[0], base.coeffs[-1], base.degree):
@@ -301,12 +306,14 @@ class _KnownDenominator(NamedTuple):
     """The closed form over its known denominator.  Row j of the sum
     divides by the factors of the exponents h + j - l, l < k; `powers`
     gives each known factor's exponent in the rows' common denominator D,
-    and `cancel` the powers of Phi_2 = 1 + q that [2]_q^k cancels from
-    it.  `degree` bounds the degree of the result: it is the larger degree
-    of the unreduced numerator and denominator."""
+    `bases` its base polynomial, and `cancel` the powers of Phi_2 = 1 + q
+    that [2]_q^k cancels from it.  `degree` bounds the degree of the
+    result: it is the larger degree of the unreduced numerator and
+    denominator."""
 
     factors: dict
     powers: dict
+    bases: dict
     cancel: int
     degree: int
 
@@ -316,44 +323,50 @@ def _known_denominator(m: int, h: int, k: int, x: int, w: Fraction,
     """Plan the symbolic closed form in O(m + k) steps without a product.
     With a budget, raise BudgetExceeded when the result's degree bound
     exceeds it; two lower bounds reject a huge request before the loops."""
+    a, b = w.numerator, w.denominator
     if budget is not None:
         # (1 - q)^m stays in the denominator; with w = 0 the numerator
         # keeps (1 + q)^k; otherwise row 0 divides by factors of total
         # degree sum_l |h - l|, of which [2]_q^k cancels at most k
-        low = max(m, k) if w == 0 else m + _abs_sum(h - k + 1, h) - k
+        low = max(m, k) if a == 0 else m + _abs_sum(h - k + 1, h) - k
         if low > budget:
             raise BudgetExceeded(
                 f"symbolic degree of at least {low} exceeds the budget of {budget}")
-    if w == -1:  # 1 - q^e vanishes at e = 0
+    if a == -b:  # w = -1: 1 - q^e vanishes at e = 0
         _check_factors(m, h, k, lambda e: e == 0)
     lo = h - k + 1
-    factors = {e: _split_factor(w, e) for e in range(lo, h + m + 1)}
+    factors = {e: _split_factor(a, b, e) for e in range(lo, h + m + 1)}
     # slide a window of k exponents: at e >= h it holds row j = e - h; the
     # windows before are prefixes of row 0, so their counts raise no power
-    live: Counter = Counter()
+    live: dict = {}
     powers: dict = {}
+    bases: dict = {}
     shift = degree = 0
     rows = []
     for e in range(lo, h + m + 1):
         new = factors[e]
-        live.update(new.keys)
+        for key in new.keys:
+            live[key] = live.get(key, 0) + 1
         shift += new.shift
         degree += new.degree
         if e - k >= lo:
             old = factors[e - k]
-            live.subtract(old.keys)
+            for key in old.keys:
+                live[key] -= 1
             shift -= old.shift
             degree -= old.degree
-        for key in new.keys:
-            powers[key] = max(powers.get(key, 0), live[key])
+        for key, base in zip(new.keys, new.bases):
+            if live[key] > powers.get(key, 0):
+                powers[key] = live[key]
+                bases[key] = base
         if e >= h:
             rows.append(x * (e - h) + shift - degree)
     cancel = min(k, powers.get(_PHI2, 0))
-    den_degree = sum(_factor_degree(key) * e for key, e in powers.items())
+    den_degree = sum(bases[key].degree * e for key, e in powers.items())
     total = max(m + den_degree - cancel, k - cancel + den_degree + max(rows))
     if budget is not None and total > budget:
         raise BudgetExceeded(f"symbolic degree {total} exceeds the budget of {budget}")
-    return _KnownDenominator(factors, powers, cancel, total)
+    return _KnownDenominator(factors, powers, bases, cancel, total)
 
 
 def _abs_sum(lo: int, hi: int) -> int:
@@ -365,11 +378,6 @@ def _abs_sum(lo: int, hi: int) -> int:
     if hi <= 0:
         return tri(-lo) - tri(-hi - 1)
     return tri(-lo) + tri(hi)
-
-
-def _factor_degree(key) -> int:
-    kind, e = key
-    return _totient(e) if kind == "phi" else abs(e)
 
 
 def check_symbolic_budget(spec: QEulerSpec, budget: int) -> None:
@@ -406,64 +414,91 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
     binomial's remainder taken modulo a prime first), so `poly_gcd` runs
     only where a shared factor exists, such as (q - 1)^m.  The
     denominator is then D / Phi_2^t / (the GCDs other than Phi_1's) times
-    Phi_1^(m - v), v the power of Phi_1 that its GCD removed."""
+    Phi_1^(m - v), v the power of Phi_1 that its GCD removed.
+
+    At the small degrees of a `table` row or a `verify` grid the cost is
+    per object, not per coefficient, so the route keeps its fixed cost
+    low: each factor's record (its known factors and their base
+    polynomials) is cached by the twist's integers and the exponent
+    (`_split_factor`), as is the splitting rule (`_may_split`); both
+    builds return int tuples, and the |w| = 1 product tree for D runs on
+    them; the twist binomials' tests share N's residues modulo the prime;
+    every power of q + 1 or q - 1 is read from a binomial row
+    (`_unit_power`); and the content and the monic denominator take one
+    pass over the coefficients each (`qcore._scaled`)."""
     plan = _known_denominator(m, h, k, x, w)
-    polys = {key: _factor_poly(key, w) for key in (*plan.powers, _PHI1, _PHI2)}
-    if abs(w) == 1:
-        num, n0, den = _row_numerator(m, h, k, x, w, plan, polys)
+    unit = w.denominator == 1 and w.numerator in (1, -1)
+    if unit:
+        num, n0, den = _row_numerator(m, h, k, x, w.numerator, plan)
     else:
         num, n0, den = _packed_numerator(m, h, k, x, w, plan)
-    if num.is_zero or not scale:
+    if not num or not scale:
         return QRat._from_reduced(Poly(), Poly((1,)))
-    num = num * Poly((1, 1)) ** (k - plan.cancel)
-    if plan.cancel:
-        den = den.exact_div(polys[_PHI2] ** plan.cancel)
-    powers = Counter(plan.powers)
-    powers[_PHI1] += m
-    powers[_PHI2] -= plan.cancel
     # the remainder tests read the integer numerator before any division:
-    # dividing out a shared factor keeps it coprime to every other factor
-    ints = num.coeffs
+    # dividing out a shared factor keeps it coprime to every other factor;
+    # the twist binomials' tests share its residues modulo the prime
+    ints = num
+    reduced = None if unit else tuple([c % _MOD_PRIME for c in ints])
+    num = Poly._from_coeffs(num) * _unit_power(k - plan.cancel, 1)
+    den = Poly._from_coeffs(den)
+    if plan.cancel:
+        den = den.exact_div(_unit_power(plan.cancel, 1))
+    powers = dict(plan.powers)
+    powers[_PHI1] = powers.get(_PHI1, 0) + m
+    if plan.cancel:
+        powers[_PHI2] -= plan.cancel
     phi1 = m  # the power of q - 1 that D lacks, less what its GCD removes
     for key, e in powers.items():
-        if e > 0 and _shares_factor(ints, key, polys[key]):
-            g = poly_gcd(num, polys[key] ** e)
+        base = plan.bases[key] if key != _PHI1 else _cyclotomic(1)
+        if e > 0 and _shares_factor(ints, key, base, reduced):
+            g = poly_gcd(num, _unit_power(e, -1) if key == _PHI1 else base ** e)
             num = num.exact_div(g)
             if key == _PHI1:
                 phi1 -= g.degree
             else:
                 den = den.exact_div(g)
     if phi1 > 0:
-        den = den * polys[_PHI1] ** phi1
+        den = den * _unit_power(phi1, -1)
     elif phi1 < 0:
-        den = den.exact_div(polys[_PHI1] ** -phi1)
+        den = den.exact_div(_unit_power(-phi1, -1))
     lead = den.coeffs[-1]
     # reduced by the per-factor GCDs above (pairwise-coprime factors)
-    return QRat._from_reduced(num * Fraction(scale * (-1) ** m, n0 * lead), den.monic())
+    return QRat._from_reduced(
+        Poly._from_coeffs(_scaled(num.coeffs, Fraction(scale * (-1) ** m, n0 * lead))),
+        den.monic())
 
 
-def _row_numerator(m: int, h: int, k: int, x: int, w: Fraction, plan: _KnownDenominator,
-                   polys: dict) -> tuple[Poly, int, Poly]:
-    """(n_0 N, n_0, D) for |w| = 1, with N the sum over the common
-    denominator D, the product of the cyclotomic powers, and n_0 = 2 when
-    1 + q^0 = 2 is a factor (w = 1), else 1.  Row j is D divided by its
-    window's binomials q^|e| + w, the P of each factor
-    1 + w q^e = ±q^(-shift) P (minus for 1 - q^e, e > 0), each division
-    one linear pass (`_unit_quotient`); the row is added into one int
-    list at its q-shift times its integer coefficient.  A row whose window
-    holds no e = 0 carries n_0."""
-    # D by a balanced product tree, which packs each coefficient once a level
-    parts = [polys[key] ** e for key, e in plan.powers.items()] or [Poly((1,))]
+def _strip(cs) -> tuple:
+    """The int coefficients cs without their trailing zeros, as a tuple."""
+    end = len(cs)
+    while end and not cs[end - 1]:
+        end -= 1
+    return tuple(cs[:end])
+
+
+def _row_numerator(m: int, h: int, k: int, x: int, sign: int,
+                   plan: _KnownDenominator) -> tuple[tuple, int, tuple]:
+    """(n_0 N, n_0, D) for w = sign = +-1, as int coefficient tuples, with
+    N the sum over the common denominator D, the product of the cyclotomic
+    powers, and n_0 = 2 when 1 + q^0 = 2 is a factor (w = 1), else 1.  Row
+    j is D divided by its window's binomials q^|e| + w, the P of each
+    factor 1 + w q^e = ±q^(-shift) P (minus for 1 - q^e, e > 0), each
+    division one linear pass (`_unit_quotient`); the row is added into one
+    int list at its q-shift times its integer coefficient.  A row whose
+    window holds no e = 0 carries n_0."""
+    # D by a balanced product tree over every factor's copies, on int tuples
+    parts = [plan.bases[key].coeffs for key, e in plan.powers.items() for _ in range(e)]
+    parts = parts or [(1,)]
     while len(parts) > 1:
-        parts = [a * b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) // 2 * 2:]
+        parts = [_int_mul(a, b) for a, b in zip(parts[::2], parts[1::2])] \
+            + parts[len(parts) // 2 * 2:]
     common = parts[0]
-    sign = int(w)
-    n0 = 2 if w == 1 and h - k + 1 <= 0 <= h + m else 1
+    n0 = 2 if sign == 1 and h - k + 1 <= 0 <= h + m else 1
     num: list = []
     for j in range(m + 1):
         exps = range(h + j - k + 1, h + j + 1)
         coef = (-1) ** j * math.comb(m, j) * (1 if 0 in exps else n0)
-        cof = common.coeffs
+        cof = common
         shift = x * j
         for e in exps:
             shift += plan.factors[e].shift
@@ -474,7 +509,7 @@ def _row_numerator(m: int, h: int, k: int, x: int, w: Fraction, plan: _KnownDeno
         end = shift + len(cof)
         num.extend([0] * (end - len(num)))
         num[shift:end] = [a + coef * c for a, c in zip(num[shift:end], cof)]
-    return Poly(num), n0, common
+    return _strip(num), n0, common
 
 
 def _unit_quotient(cs, n: int, sign: int) -> list:
@@ -505,11 +540,11 @@ class _PackedBinomial:
 
 
 def _packed_numerator(m: int, h: int, k: int, x: int, w: Fraction,
-                      plan: _KnownDenominator) -> tuple[Poly, int, Poly]:
-    """(n_0 N, n_0, D) for |w| != 1, with N the sum over the common
-    denominator D, the product of the twist binomials: `_accumulate` at
-    q = X = 2^B (a = X, c = 1 in the exact route's terms), read back from
-    B-bit slots.
+                      plan: _KnownDenominator) -> tuple[tuple, int, tuple]:
+    """(n_0 N, n_0, D) for |w| != 1, as int coefficient tuples, with N the
+    sum over the common denominator D, the product of the twist binomials:
+    `_accumulate` at q = X = 2^B (a = X, c = 1 in the exact route's terms),
+    read back from B-bit slots.
 
     With w = u/v, the factor n_e is the P of `_split_factor`: v + u X^e
     for e > 0 and u + v X^|e| for e < 0; the constant n_0 is
@@ -542,8 +577,8 @@ def _packed_numerator(m: int, h: int, k: int, x: int, w: Fraction,
     n0 = u + v if h - k + 1 <= 0 <= h + m else 1
     for e in range(h + m - k + 1, h + m + 1):
         below *= nums[e]
-    return (Poly(_kronecker_read(acc, x * m + degree + 1, size)), n0,
-            Poly(_kronecker_read(below // n0, degree + 1, size)))
+    return (_strip(_kronecker_read(acc, x * m + degree + 1, size)), n0,
+            _kronecker_read(below // n0, degree + 1, size))
 
 
 def _accumulate(m: int, h: int, k: int, nums: dict, terms: list) -> tuple:
@@ -579,7 +614,7 @@ def _euler_sum(m: int, h: int, k: int, x: int, w, qv, scale: int = 1):
     w = to_frac(w)
     if isinstance(qv, Fraction):
         return _euler_sum_exact(m, h, k, x, w, qv, scale)
-    if qv == q_sym and qv.num.var == _qgen.var:
+    if qv is q_sym or (qv == q_sym and qv.num.var == _qgen.var):
         return _euler_sum_symbolic(m, h, k, x, w, scale)
     return _euler_sum_loop(m, h, k, x, w, qv, scale)
 

@@ -351,6 +351,77 @@ class TestDistributionRelation:
             assert sym.evaluate(qv) == lhs
 
 
+@st.composite
+def _reflection_points(draw):
+    k = draw(st.integers(1, 3))
+    h = draw(st.integers(-2, k + 2))
+    m = draw(st.integers(0, 6))
+    qv = draw(st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(
+        lambda v: v not in (0, 1, -1)))
+    kind = draw(st.sampled_from(("vanishes", "may split", "other")))
+    if kind == "vanishes":  # 1 + w q^e vanishes at qv on both sides
+        w = -1 / qv ** draw(st.integers(h - k + 1, h + m))
+    elif kind == "may split":  # 1 - 4 q^e and 4 - q^e at even e, 4 + q^e at 4 | e
+        w = draw(st.sampled_from((F(-4), F(1, 4), F(-1, 4))))
+    else:
+        w = draw(st.one_of(st.sampled_from((F(1), F(-1))),
+                           st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)))
+    return m, h, k, draw(st.integers(0, k)), w, qv
+
+
+def _reflection_factor(m: int, h: int, k: int, w: Fraction) -> tuple[Fraction, int]:
+    """(c, t) of the reflection E(m, h, k, x, w; q) = c q^t E(m, h, k, k - x, 1/w; 1/q):
+    c = (-1)^m w^(-k) and t = -m - s, s = k h - k(k + 1)/2."""
+    return (-1) ** m / w ** k, -m - (k * h - k * (k + 1) // 2)
+
+
+def _reflected_equal(lhs: QRat, rhs: QRat, c: Fraction, t: int) -> bool:
+    """lhs(q) = c q^t rhs(1/q) for reduced rational functions, without QRat
+    arithmetic: rhs(1/q) = q^(deg D - deg N) rev(N)/rev(D) for rhs = N/D,
+    rev the reversed coefficient list, so the relation is one
+    cross-multiplication of polynomials."""
+    def rev(p):
+        return Poly(p.coeffs[::-1])
+    t += rhs.den.degree - rhs.num.degree
+    left = lhs.num * rev(rhs.den)
+    right = rev(rhs.num) * lhs.den * c
+    shift = Poly([0] * abs(t) + [1])
+    return left == right * shift if t >= 0 else left * shift == right
+
+
+class TestReflectionRelation:
+    """The fermionic measure is symmetric under x -> -1 - x, which maps q
+    to 1/q: E(m, h, k, x, w; q) = (-1)^m w^(-k) q^(-m-s) E(m, h, k, k - x,
+    1/w; 1/q).  Term j of one side is term j of the other, so a vanishing
+    factor vanishes on both.  An error that breaks the symmetry (a factor
+    exponent, the shift, the [2]_q^k prefactor, the weight sign) shows, and
+    at the generator the packed build at w = u/v meets the one at v/u,
+    whose slot bounds differ.  Twists that may split test the reduction."""
+
+    @given(_reflection_points())
+    @settings(max_examples=150, deadline=None)
+    def test_exact(self, point):
+        m, h, k, x, w, qv = point
+        lhs = _typed_outcome(lambda: qeuler._euler_sum(m, h, k, x, w, qv))
+        rhs = _typed_outcome(lambda: qeuler._euler_sum(m, h, k, k - x, 1 / w, 1 / qv))
+        if isinstance(lhs, type) or isinstance(rhs, type):
+            assert lhs is rhs
+            return
+        c, t = _reflection_factor(m, h, k, w)
+        assert lhs == c * qv ** t * rhs
+
+    @given(_reflection_points())
+    @settings(max_examples=100, deadline=None)
+    def test_symbolic(self, point):
+        m, h, k, x, w, _ = point
+        lhs = _typed_outcome(lambda: qeuler._euler_sum(m, h, k, x, w, None))
+        rhs = _typed_outcome(lambda: qeuler._euler_sum(m, h, k, k - x, 1 / w, None))
+        if isinstance(lhs, type) or isinstance(rhs, type):  # 1 - q^0 at w = -1
+            assert lhs is rhs
+            return
+        assert _reflected_equal(lhs, rhs, *_reflection_factor(m, h, k, w))
+
+
 class TestPackedRoute:
     """At the generator, |w| != 1 sums the closed form by the exact route's
     accumulation at q = 2^B and reads it back from B-bit slots; |w| = 1
@@ -465,6 +536,12 @@ class TestSymbolicReduction:
     @example(3, 2, -2, 0, F(-9), [F(-5, 2), F(7, 4)])
     @example(2, 2, -2, 2, F(-1, 4), [F(1, 3), F(7, 4)])
     @example(4, 2, -2, 2, F(1, 4), [F(1, 3), F(-5, 2)])
+    # the numerator shares q + 2 with q^2 - 4, or 2q + 1 with 1 - 4q^2, and
+    # is not divisible by the binomial: a test of divisibility by the whole
+    # binomial alone leaves a common factor of degree 1 here
+    @example(1, 3, -1, 1, F(-4), [F(1, 3), F(7, 4)])
+    @example(1, 3, 2, 1, F(-4), [F(1, 3), F(7, 4)])
+    @example(1, 3, 3, 2, F(-4), [F(1, 3), F(7, 4)])
     @settings(max_examples=120, deadline=None)
     def test_reduced_monic_and_exact(self, m, k, h, x, w, points):
         assume(h <= k + 2)

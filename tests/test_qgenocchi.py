@@ -1,7 +1,10 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgen.classical import genocchi, higher_genocchi
 from qgen.padic import (
@@ -11,7 +14,7 @@ from qgen.padic import (
     padic_limit_check,
     real_series,
 )
-from qgen.qcore import DomainError
+from qgen.qcore import DomainError, Poly
 from qgen.qeuler import QEulerSpec, qeuler_hk
 from qgen.qgenocchi import (
     QGenocchiSpec,
@@ -163,3 +166,65 @@ class TestCoefficientForms:
         for k in range(1, 5):
             for n in range(11):
                 assert math.factorial(k) * math.comb(n + k, k) == falling(n + k, k)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except DomainError as exc:
+        return type(exc)
+
+
+def _reflected(spec: QGenocchiSpec, qv):
+    """Both sides of the reflection of the value's kernel,
+    E(m, h, k, x, w; q) = (-1)^m w^(-k) q^t E(m, h, k, k - x, 1/w; 1/q) with
+    t = -m - k h + k(k + 1)/2: the value, the mirrored kernel spec at 1/q
+    (1/qv, or the generator when qv is None), and (c, t), c carrying the
+    integer scale."""
+    espec, scale = spec.kernel()
+    m, h, k, w = espec.m, espec.h, espec.k, espec.w
+    mirror = dataclasses.replace(espec, x=k - espec.x, w=1 / w)
+    lhs = _outcome(lambda: qgenocchi_hk(spec, qv))
+    rhs = _outcome(lambda: qeuler_hk(mirror, None if qv is None else 1 / qv))
+    return lhs, rhs, scale * (-1) ** m / w ** k, -m - (k * h - k * (k + 1) // 2)
+
+
+_GENOCCHI_TWISTS = st.one_of(
+    st.sampled_from((F(1), F(-1), F(-4), F(1, 4), F(-1, 4))),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool))
+_REFLECTION_QS = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(
+    lambda v: v not in (0, 1, -1))
+
+
+class TestReflectionThroughKernel:
+    """The q-Euler reflection q -> 1/q, x -> k - x, w -> 1/w, read through
+    `kernel()`: the q-Genocchi value at q is its integer scale times the
+    mirrored kernel at 1/q, times (-1)^m w^(-k) q^t.  A factor that vanishes
+    on one side vanishes on the other."""
+
+    @given(st.integers(0, 6), st.integers(1, 3), st.integers(-2, 5), _GENOCCHI_TWISTS,
+           _REFLECTION_QS, st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_exact(self, n, k, h, w, qv, vanish):
+        if vanish:  # 1 + w q^e vanishes at qv for an exponent e of the sum
+            w = -1 / qv ** (h + n)
+        lhs, rhs, c, t = _reflected(QGenocchiSpec(n=n, h=h, k=k, w=w), qv)
+        if isinstance(lhs, type) or isinstance(rhs, type):
+            assert lhs is rhs
+            return
+        assert lhs == c * qv ** t * rhs
+
+    @given(st.integers(0, 6), st.integers(1, 3), st.integers(-2, 5), _GENOCCHI_TWISTS)
+    @settings(max_examples=80, deadline=None)
+    def test_symbolic(self, n, k, h, w):
+        lhs, rhs, c, t = _reflected(QGenocchiSpec(n=n, h=h, k=k, w=w), None)
+        if isinstance(lhs, type) or isinstance(rhs, type):  # 1 - q^0 at w = -1
+            assert lhs is rhs
+            return
+        # rhs(1/q) = q^(deg D - deg N) rev(N)/rev(D), so the relation is one
+        # cross-multiplication of reversed coefficient lists, with no QRat
+        t += rhs.den.degree - rhs.num.degree
+        left = lhs.num * Poly(rhs.den.coeffs[::-1])
+        right = Poly(rhs.num.coeffs[::-1]) * lhs.den * c
+        shift = Poly([0] * abs(t) + [1])
+        assert (left == right * shift) if t >= 0 else (left * shift == right)
