@@ -172,9 +172,9 @@ def _int_mul(a: tuple, b: tuple) -> tuple:
     return tuple(_coeff_mul(a, b))
 
 
-def _scaled(cs, r: Fraction) -> tuple:
-    """The canonical coefficients of r times cs, for a nonzero rational r,
-    in one pass: an int coefficient over an integer scale stays an int,
+def _scaled(cs, r) -> tuple:
+    """The canonical coefficients of r times cs, for a nonzero canonical
+    coefficient r (an int or a Fraction), in one pass: an int coefficient over an integer scale stays an int,
     and one `_quot` gives each other int product."""
     a, b = r.numerator, r.denominator
     if not _all_int(cs):
@@ -459,8 +459,7 @@ class Poly:
         if not any(a[:-1]):
             a, b = b, a
         if not any(b[:-1]):  # b = c var^s: a shift and a scale
-            c = b[-1]
-            return Poly((0,) * (len(b) - 1) + tuple(c * x for x in a), var)
+            return Poly._from_coeffs((0,) * (len(b) - 1) + _scaled(a, b[-1]), var)
         if _all_int(a) and _all_int(b):
             return Poly._from_coeffs(_int_mul(a, b), var)
         return Poly(_coeff_mul(a, b), var)

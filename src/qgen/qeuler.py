@@ -132,6 +132,12 @@ def _prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
+def _totient(n: int) -> int:
+    for p in _prime_factors(n):
+        n -= n // p
+    return n
+
+
 @functools.lru_cache(maxsize=256)
 def _cyclotomic(d: int) -> Poly:
     """The cyclotomic polynomial Phi_d: q^d - 1 divided by Phi_e for the
@@ -148,21 +154,22 @@ _PHI1, _PHI2 = ("phi", 1), ("phi", 2)
 class _Factor(NamedTuple):
     """1 + w q^e = C q^(-shift) P for a rational constant C, where the
     integer polynomial P of the given degree is the product of the known
-    factors named by `keys`, whose base polynomials are `bases`: ("phi", d)
-    is Phi_d, ("w", e) is b + a q^e for e > 0 and a + b q^|e| for e < 0,
-    with w = a/b in lowest terms.  A constant factor (w = 0 or e = 0) has
-    no keys and no shift."""
+    factors named by `keys`, of the degrees `degrees`: ("phi", d) is
+    Phi_d, ("w", e) is b + a q^e for e > 0 and a + b q^|e| for e < 0, with
+    w = a/b in lowest terms (`_factor_base`).  A constant factor (w = 0 or
+    e = 0) has no keys and no shift."""
 
     shift: int
     keys: tuple
     degree: int
-    bases: tuple
+    degrees: tuple
 
 
 @functools.lru_cache(maxsize=512)
 def _split_factor(a: int, b: int, e: int) -> _Factor:
-    """The record of 1 + w q^e at w = a/b in lowest terms.  It depends on
-    the integers alone, so a sweep over m reads each factor's record once."""
+    """The record of 1 + w q^e at w = a/b in lowest terms, with no
+    polynomial in it.  It depends on the integers alone, so a sweep over m
+    reads each factor's record once."""
     n = abs(e)
     if a == 0 or e == 0:
         return _Factor(0, (), 0, ())
@@ -172,9 +179,19 @@ def _split_factor(a: int, b: int, e: int) -> _Factor:
         # prod_{d | n} Phi_d, and 1 - q^n is its negative
         ds = _divisors(n) if a == -1 else [d for d in _divisors(2 * n) if n % d]
         return _Factor(shift, tuple(("phi", d) for d in ds), n,
-                       tuple(_cyclotomic(d) for d in ds))
+                       tuple(_totient(d) for d in ds))
+    return _Factor(shift, (("w", e),), n, (n,))
+
+
+@functools.lru_cache(maxsize=512)
+def _factor_base(a: int, b: int, key) -> Poly:
+    """The base polynomial of the known factor `key` at w = a/b, built
+    only once the plan's degree is within its budget."""
+    kind, e = key
+    if kind == "phi":
+        return _cyclotomic(e)
     lo, hi = (b, a) if e > 0 else (a, b)
-    return _Factor(shift, (("w", e),), n, (Poly._from_coeffs((lo,) + (0,) * (n - 1) + (hi,)),))
+    return Poly._from_coeffs((lo,) + (0,) * (abs(e) - 1) + (hi,))
 
 
 def _unit_power(e: int, sign: int) -> Poly:
@@ -306,41 +323,45 @@ class _KnownDenominator(NamedTuple):
     """The closed form over its known denominator.  Row j of the sum
     divides by the factors of the exponents h + j - l, l < k; `powers`
     gives each known factor's exponent in the rows' common denominator D,
-    `bases` its base polynomial, and `cancel` the powers of Phi_2 = 1 + q
-    that [2]_q^k cancels from it.  `degree` bounds the degree of the
-    result: it is the larger degree of the unreduced numerator and
-    denominator."""
+    and `cancel` the powers of Phi_2 = 1 + q that [2]_q^k cancels from
+    it.  `degree` bounds the degree of the result: it is the larger degree
+    of the unreduced numerator and denominator."""
 
     factors: dict
     powers: dict
-    bases: dict
     cancel: int
     degree: int
 
 
 def _known_denominator(m: int, h: int, k: int, x: int, w: Fraction,
                        budget: int | None = None) -> _KnownDenominator:
-    """Plan the symbolic closed form in O(m + k) steps without a product.
-    With a budget, raise BudgetExceeded when the result's degree bound
-    exceeds it; two lower bounds reject a huge request before the loops."""
+    """Plan the symbolic closed form in O(m + k) steps without a product or
+    a polynomial.  With a budget, raise BudgetExceeded when the result's
+    degree bound exceeds it; lower bounds reject a huge request before
+    the loops, so these stay within the budget's reach."""
     a, b = w.numerator, w.denominator
+    lo = h - k + 1
     if budget is not None:
         # (1 - q)^m stays in the denominator; with w = 0 the numerator
         # keeps (1 + q)^k; otherwise row 0 divides by factors of total
         # degree sum_l |h - l|, of which [2]_q^k cancels at most k
-        low = max(m, k) if a == 0 else m + _abs_sum(h - k + 1, h) - k
-        if low > budget:
-            raise BudgetExceeded(
-                f"symbolic degree of at least {low} exceeds the budget of {budget}")
+        low = max(m, k) if a == 0 else m + _abs_sum(lo, h) - k
+        _check_low(low, budget)
     if a == -b:  # w = -1: 1 - q^e vanishes at e = 0
         _check_factors(m, h, k, lambda e: e == 0)
-    lo = h - k + 1
+    if budget is not None and b == 1 and a in (1, -1):
+        # a record costs O(sqrt |e|) here, so a large m stops first: D
+        # holds Phi_|e| (w = -1) or Phi_2|e| (w = 1) for each |e| in the
+        # range, of degree phi >= sqrt(|e| / 2)
+        top = max(-lo, h + m)
+        bottom = 1 if lo <= 0 <= h + m else min(abs(lo), abs(h + m))
+        _check_low(m - k + sum(math.isqrt(n // 2) for n in range(bottom, top + 1)), budget)
     factors = {e: _split_factor(a, b, e) for e in range(lo, h + m + 1)}
     # slide a window of k exponents: at e >= h it holds row j = e - h; the
     # windows before are prefixes of row 0, so their counts raise no power
     live: dict = {}
     powers: dict = {}
-    bases: dict = {}
+    degrees: dict = {}
     shift = degree = 0
     rows = []
     for e in range(lo, h + m + 1):
@@ -355,18 +376,24 @@ def _known_denominator(m: int, h: int, k: int, x: int, w: Fraction,
                 live[key] -= 1
             shift -= old.shift
             degree -= old.degree
-        for key, base in zip(new.keys, new.bases):
+        for key, d in zip(new.keys, new.degrees):
             if live[key] > powers.get(key, 0):
                 powers[key] = live[key]
-                bases[key] = base
+                degrees[key] = d
         if e >= h:
             rows.append(x * (e - h) + shift - degree)
     cancel = min(k, powers.get(_PHI2, 0))
-    den_degree = sum(bases[key].degree * e for key, e in powers.items())
+    den_degree = sum(degrees[key] * e for key, e in powers.items())
     total = max(m + den_degree - cancel, k - cancel + den_degree + max(rows))
     if budget is not None and total > budget:
         raise BudgetExceeded(f"symbolic degree {total} exceeds the budget of {budget}")
-    return _KnownDenominator(factors, powers, bases, cancel, total)
+    return _KnownDenominator(factors, powers, cancel, total)
+
+
+def _check_low(low: int, budget: int) -> None:
+    if low > budget:
+        raise BudgetExceeded(
+            f"symbolic degree of at least {low} exceeds the budget of {budget}")
 
 
 def _abs_sum(lo: int, hi: int) -> int:
@@ -418,9 +445,10 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
 
     At the small degrees of a `table` row or a `verify` grid the cost is
     per object, not per coefficient, so the route keeps its fixed cost
-    low: each factor's record (its known factors and their base
-    polynomials) is cached by the twist's integers and the exponent
-    (`_split_factor`), as is the splitting rule (`_may_split`); both
+    low: each factor's record (its known factors and their degrees) is
+    cached by the twist's integers and the exponent (`_split_factor`), as
+    are the factors' base polynomials (`_factor_base`, built only after
+    the plan) and the splitting rule (`_may_split`); both
     builds return int tuples, and the |w| = 1 product tree for D runs on
     them; the twist binomials' tests share N's residues modulo the prime;
     every power of q + 1 or q - 1 is read from a binomial row
@@ -449,7 +477,7 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
         powers[_PHI2] -= plan.cancel
     phi1 = m  # the power of q - 1 that D lacks, less what its GCD removes
     for key, e in powers.items():
-        base = plan.bases[key] if key != _PHI1 else _cyclotomic(1)
+        base = _factor_base(w.numerator, w.denominator, key)
         if e > 0 and _shares_factor(ints, key, base, reduced):
             g = poly_gcd(num, _unit_power(e, -1) if key == _PHI1 else base ** e)
             num = num.exact_div(g)
@@ -487,7 +515,8 @@ def _row_numerator(m: int, h: int, k: int, x: int, sign: int,
     int list at its q-shift times its integer coefficient.  A row whose
     window holds no e = 0 carries n_0."""
     # D by a balanced product tree over every factor's copies, on int tuples
-    parts = [plan.bases[key].coeffs for key, e in plan.powers.items() for _ in range(e)]
+    parts = [_factor_base(sign, 1, key).coeffs for key, e in plan.powers.items()
+             for _ in range(e)]
     parts = parts or [(1,)]
     while len(parts) > 1:
         parts = [_int_mul(a, b) for a, b in zip(parts[::2], parts[1::2])] \

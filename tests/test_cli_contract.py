@@ -167,6 +167,11 @@ class TestBudgetsBeforeWork:
         ("qeuler", "--m", 1, "--h", 10 ** 12),
         ("qeuler", "--m", 1, "--h", 1, "--x", 10 ** 9),
         ("qeuler", "--m", 1, "--h", 1, "--w", 0, "--x", 10 ** 9),
+        # m within the first bound: the plan's loops run, and build no
+        # polynomial before the budget check
+        ("qeuler", "--m", 50000, "--h", 1, "--w", 2),
+        ("qeuler", "--m", 50000, "--h", 1, "--w", 1),
+        ("qeuler", "--m", 50000, "--h", 1, "--w", -1),
         ("qgenocchi", "--n", 10 ** 8, "--h", 1),
         ("twisted-euler", "--n", 10 ** 8, "--w", 2),
         ("twisted-genocchi", "--n", 10 ** 8, "--w", "1/2"),

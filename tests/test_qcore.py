@@ -281,12 +281,19 @@ class TestGaussBinom:
             assert gauss_binom_compositions(k, k) == Poly([1])
 
     @given(st.integers(0, 9), st.integers(0, 9),
-           st.fractions(min_value=-3, max_value=3).filter(lambda v: v != 0))
+           st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3)))
+    @example(7, 3, 0)
+    @example(7, 3, 2)
+    @example(8, 4, F(-2, 3))
     @settings(max_examples=60, deadline=None)
     def test_evaluation_homomorphism(self, n, k, q0):
+        # the symbolic entry and the telescoped quotient at q0 against the
+        # additive recursion, an independent route, at q0 = 0 and integer
+        # q0 as well
         sym = gauss_binom(n, k)
         direct = gauss_binom(n, k, q0)
-        assert (sym(q0) if isinstance(sym, Poly) else sym) == direct
+        recursion = gauss_binom_triangle(n, q0)[n][k] if k <= n else 0
+        assert (sym(q0) if isinstance(sym, Poly) else sym) == direct == recursion
 
 
 class TestPochhammer:

@@ -38,6 +38,7 @@ from qgen.qeuler import (
     qeuler_twisted,
 )
 from qgen.qgenocchi import QGenocchiSpec, qgenocchi_hk, qgenocchi_hk_series
+from reflection_check import reflected_equal, reflection_factor, typed_outcome
 
 F = Fraction
 QH = F(1, 2)
@@ -341,10 +342,10 @@ class TestDistributionRelation:
     @settings(max_examples=150, deadline=None)
     def test_q_against_q_to_the_d(self, point):
         m, h, k, x, w, qv, d = point
-        lhs = _typed_outcome(lambda: qeuler._euler_sum(m, h, k, x, w, qv))
-        rhs = _typed_outcome(lambda: _distribution_side(m, h, k, x, w, qv, d))
+        lhs = typed_outcome(lambda: qeuler._euler_sum(m, h, k, x, w, qv))
+        rhs = typed_outcome(lambda: _distribution_side(m, h, k, x, w, qv, d))
         assert lhs == rhs
-        sym = _typed_outcome(lambda: qeuler._euler_sum(m, h, k, x, w, None))
+        sym = typed_outcome(lambda: qeuler._euler_sum(m, h, k, x, w, None))
         if isinstance(sym, type):  # a factor that vanishes at the generator
             assert lhs is sym
         elif not isinstance(lhs, type):
@@ -369,26 +370,6 @@ def _reflection_points(draw):
     return m, h, k, draw(st.integers(0, k)), w, qv
 
 
-def _reflection_factor(m: int, h: int, k: int, w: Fraction) -> tuple[Fraction, int]:
-    """(c, t) of the reflection E(m, h, k, x, w; q) = c q^t E(m, h, k, k - x, 1/w; 1/q):
-    c = (-1)^m w^(-k) and t = -m - s, s = k h - k(k + 1)/2."""
-    return (-1) ** m / w ** k, -m - (k * h - k * (k + 1) // 2)
-
-
-def _reflected_equal(lhs: QRat, rhs: QRat, c: Fraction, t: int) -> bool:
-    """lhs(q) = c q^t rhs(1/q) for reduced rational functions, without QRat
-    arithmetic: rhs(1/q) = q^(deg D - deg N) rev(N)/rev(D) for rhs = N/D,
-    rev the reversed coefficient list, so the relation is one
-    cross-multiplication of polynomials."""
-    def rev(p):
-        return Poly(p.coeffs[::-1])
-    t += rhs.den.degree - rhs.num.degree
-    left = lhs.num * rev(rhs.den)
-    right = rev(rhs.num) * lhs.den * c
-    shift = Poly([0] * abs(t) + [1])
-    return left == right * shift if t >= 0 else left * shift == right
-
-
 class TestReflectionRelation:
     """The fermionic measure is symmetric under x -> -1 - x, which maps q
     to 1/q: E(m, h, k, x, w; q) = (-1)^m w^(-k) q^(-m-s) E(m, h, k, k - x,
@@ -402,24 +383,24 @@ class TestReflectionRelation:
     @settings(max_examples=150, deadline=None)
     def test_exact(self, point):
         m, h, k, x, w, qv = point
-        lhs = _typed_outcome(lambda: qeuler._euler_sum(m, h, k, x, w, qv))
-        rhs = _typed_outcome(lambda: qeuler._euler_sum(m, h, k, k - x, 1 / w, 1 / qv))
+        lhs = typed_outcome(lambda: qeuler._euler_sum(m, h, k, x, w, qv))
+        rhs = typed_outcome(lambda: qeuler._euler_sum(m, h, k, k - x, 1 / w, 1 / qv))
         if isinstance(lhs, type) or isinstance(rhs, type):
             assert lhs is rhs
             return
-        c, t = _reflection_factor(m, h, k, w)
+        c, t = reflection_factor(m, h, k, w)
         assert lhs == c * qv ** t * rhs
 
     @given(_reflection_points())
     @settings(max_examples=100, deadline=None)
     def test_symbolic(self, point):
         m, h, k, x, w, _ = point
-        lhs = _typed_outcome(lambda: qeuler._euler_sum(m, h, k, x, w, None))
-        rhs = _typed_outcome(lambda: qeuler._euler_sum(m, h, k, k - x, 1 / w, None))
+        lhs = typed_outcome(lambda: qeuler._euler_sum(m, h, k, x, w, None))
+        rhs = typed_outcome(lambda: qeuler._euler_sum(m, h, k, k - x, 1 / w, None))
         if isinstance(lhs, type) or isinstance(rhs, type):  # 1 - q^0 at w = -1
             assert lhs is rhs
             return
-        assert _reflected_equal(lhs, rhs, *_reflection_factor(m, h, k, w))
+        assert reflected_equal(lhs, rhs, *reflection_factor(m, h, k, w))
 
 
 class TestPackedRoute:
@@ -932,14 +913,6 @@ class TestSeriesBudgets:
         assert str(info.value) == message
 
 
-def _typed_outcome(fn):
-    """The result of fn, or the type of the error it raises."""
-    try:
-        return fn()
-    except (DomainError, BudgetExceeded) as exc:
-        return type(exc)
-
-
 CROSS_TWISTS = (F(1), F(0), F(1, 2), F(-1, 3), F(2), F(-1), F(-3, 2))
 
 
@@ -958,8 +931,8 @@ class TestSeriesCrossRoute:
                                                 (F(1, 3), F(3, 4)), (1, 2, 3, 5, 40)):
             sp = SeriesParams(M, mode)
             spec = QEulerSpec(m=m, h=k - 1, k=k, x=x, w=w)
-            gauss = _typed_outcome(lambda: qeuler_hk_series(spec, qv, sp))
-            box = _typed_outcome(lambda: real_series(spec.integrand(), qv, sp))
+            gauss = typed_outcome(lambda: qeuler_hk_series(spec, qv, sp))
+            box = typed_outcome(lambda: real_series(spec.integrand(), qv, sp))
             if k == 1:
                 assert repr(gauss) == repr(box), (spec, qv, sp)
             else:

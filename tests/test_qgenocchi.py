@@ -14,7 +14,7 @@ from qgen.padic import (
     padic_limit_check,
     real_series,
 )
-from qgen.qcore import DomainError, Poly
+from qgen.qcore import DomainError
 from qgen.qeuler import QEulerSpec, qeuler_hk
 from qgen.qgenocchi import (
     QGenocchiSpec,
@@ -24,6 +24,7 @@ from qgen.qgenocchi import (
     qgenocchi_hk_series,
     qgenocchi_twisted,
 )
+from reflection_check import reflected_equal, reflection_factor, typed_outcome
 
 F = Fraction
 QH = F(1, 2)
@@ -168,13 +169,6 @@ class TestCoefficientForms:
                 assert math.factorial(k) * math.comb(n + k, k) == falling(n + k, k)
 
 
-def _outcome(fn):
-    try:
-        return fn()
-    except DomainError as exc:
-        return type(exc)
-
-
 def _reflected(spec: QGenocchiSpec, qv):
     """Both sides of the reflection of the value's kernel,
     E(m, h, k, x, w; q) = (-1)^m w^(-k) q^t E(m, h, k, k - x, 1/w; 1/q) with
@@ -182,11 +176,11 @@ def _reflected(spec: QGenocchiSpec, qv):
     (1/qv, or the generator when qv is None), and (c, t), c carrying the
     integer scale."""
     espec, scale = spec.kernel()
-    m, h, k, w = espec.m, espec.h, espec.k, espec.w
-    mirror = dataclasses.replace(espec, x=k - espec.x, w=1 / w)
-    lhs = _outcome(lambda: qgenocchi_hk(spec, qv))
-    rhs = _outcome(lambda: qeuler_hk(mirror, None if qv is None else 1 / qv))
-    return lhs, rhs, scale * (-1) ** m / w ** k, -m - (k * h - k * (k + 1) // 2)
+    mirror = dataclasses.replace(espec, x=espec.k - espec.x, w=1 / espec.w)
+    lhs = typed_outcome(lambda: qgenocchi_hk(spec, qv))
+    rhs = typed_outcome(lambda: qeuler_hk(mirror, None if qv is None else 1 / qv))
+    c, t = reflection_factor(espec.m, espec.h, espec.k, espec.w)
+    return lhs, rhs, scale * c, t
 
 
 _GENOCCHI_TWISTS = st.one_of(
@@ -221,10 +215,4 @@ class TestReflectionThroughKernel:
         if isinstance(lhs, type) or isinstance(rhs, type):  # 1 - q^0 at w = -1
             assert lhs is rhs
             return
-        # rhs(1/q) = q^(deg D - deg N) rev(N)/rev(D), so the relation is one
-        # cross-multiplication of reversed coefficient lists, with no QRat
-        t += rhs.den.degree - rhs.num.degree
-        left = lhs.num * Poly(rhs.den.coeffs[::-1])
-        right = Poly(rhs.num.coeffs[::-1]) * lhs.den * c
-        shift = Poly([0] * abs(t) + [1])
-        assert (left == right * shift) if t >= 0 else (left * shift == right)
+        assert reflected_equal(lhs, rhs, c, t)
