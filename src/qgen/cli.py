@@ -44,6 +44,7 @@ from .qcore import (
     DomainError,
     Poly,
     QRat,
+    check_power_renders,
     gauss_binom,
     parse_rat,
     q_int,
@@ -369,6 +370,10 @@ def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None
         n, k = _int_param(params, "n"), _int_param(params, "k")
         if mode == "exact":
             _require(params, "q")
+            if isinstance(qv, Fraction) and qv.denominator > 1 and 0 <= k <= n:
+                # the reduced value's denominator is v^(k(n - k)) at q = u/v,
+                # since C(n, k)_q has constant and top coefficients 1
+                check_power_renders(qv.denominator, k * (n - k))
             return gauss_binom(n, k, qv), meta
         if mode == "symbolic":
             _check_degree(k * (n - k), cfg)

@@ -18,7 +18,10 @@ p^L, and returns the numerators of the prefix sums it reads;
 `_prefix_sums` divides them out into Fractions or residues, and
 `_cesaro1_sums` combines the last three into the cesaro1 value and gap
 while they are still integers.  Boxes of several sides share one table of
-g, and for k = 1 one Horner pass.  The parts that do not depend on the
+g, and for k = 1 one Horner pass.  A constant integrand (m = 0, or n = 0)
+has no table: its box sum is the total mass of the box, the product of its
+k geometric sums (`_geometric_sum`), so its levels cost O(k log p^N) on
+the modular and the exact route alike.  The parts that do not depend on the
 degree m (the bracket numerators of g and the distributions) come from one
 bounded memo.
 `padic_limit_check` reads its levels so modulo p^L (`_level_sums`), then
@@ -252,11 +255,13 @@ def _bracket_numerators(qf: Fraction, x: int, size: int,
 
 
 def _sum_table(f: IntegrandFamily, qf: Fraction, size: int, term_budget: int,
-               modulus: int | None = None) -> tuple[Sequence[int], int, int]:
+               modulus: int | None = None) -> tuple[Sequence[int] | None, int, int]:
     """The factor g[s] of the integrand that depends only on s = x1 + ... + xk,
     for s = 0..size-1: (s + c)^n, or [s + x]_q^m.  Returned as integers
     (G, R, C) with g[s] = G[s] / (R^s C), G reduced modulo `modulus` when
-    one is given.
+    one is given.  The constant g = 1 (n = 0 or m = 0) is (None, 1, 1):
+    `_box_sums` sums its boxes as geometric sums, and `_horner` reads it as
+    a table of ones.
 
     For brackets, G[s] = U[s]^m with the numerators U of
     `_bracket_numerators`, which do not depend on m and are read from the
@@ -264,12 +269,14 @@ def _sum_table(f: IntegrandFamily, qf: Fraction, size: int, term_budget: int,
     if isinstance(f, ClassicalMonomial):
         if f.n < 0:
             raise DomainError("integrand exponent n must be >= 0")
+        if f.n == 0:
+            return None, 1, 1
         return [pow(s + f.c, f.n, modulus) for s in range(size)], 1, 1
     if f.m < 0:
         raise DomainError("integrand exponent m must be >= 0")
     check_shift_budget(f.x, size - 1, term_budget)
     if f.m == 0:
-        return [1] * size, 1, 1
+        return None, 1, 1
     U, c, K = _MEMO.get(("bracket", qf, f.x, size, modulus),
                         lambda: _bracket_numerators(qf, f.x, size, modulus))
     G = U if f.m == 1 else [pow(u, f.m, modulus) for u in U]
@@ -320,7 +327,7 @@ def _horner(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, int],
     prefix sum sum_{s<=n} (D[s] / E^s) g[s] is A_n / (C (E R)^n)."""
     G, R, _ = table
     ER = E * R
-    terms = zip(dist, G)
+    terms = zip(dist, itertools.repeat(1) if G is None else G)
     acc, done, accs = 0, 0, []
     for n in reads:
         for d, v in itertools.islice(terms, n + 1 - done):
@@ -360,7 +367,13 @@ def _box_sums(bases: Sequence[Fraction], table: tuple[Sequence[int], int, int],
 
     For k = 1 the box [0, L) is a prefix of the largest one, so one
     distribution and one Horner pass read every side at s = L - 1; for
-    k >= 2 the box distributions differ, so each side builds its own."""
+    k >= 2 the box distributions differ, so each side builds its own.
+
+    A constant table (g = 1) needs no distribution: a box's sum is then its
+    total mass, the product of its k geometric sums (`_geometric_sum`)."""
+    if table[0] is None:
+        boxes = [math.prod(_geometric_sum(b, L, modulus) for b in bases) for L in sides]
+        return [box % modulus for box in boxes] if modulus else boxes
     if len(bases) == 1:
         dist, E = _distribution(bases, sides[-1], modulus)
         return _prefix_sums(dist, E, table, [L - 1 for L in sides], modulus)
@@ -369,6 +382,27 @@ def _box_sums(bases: Sequence[Fraction], table: tuple[Sequence[int], int, int],
         dist, E = _distribution(bases, L, modulus)
         sums += _prefix_sums(dist, E, table, [len(dist) - 1], modulus)
     return sums
+
+
+def _geometric_sum(b: Fraction, L: int, modulus: int | None = None):
+    """sum_{x<L} b^x for L >= 1: (1 - b^L) / (1 - b), or L at b = 1.
+
+    With a `modulus`, its residue (the denominator E of b = B / E must be a
+    unit), from S_n = sum_{x<n} B^x E^(n-1-x) = E^(n-1) sum_{x<n} b^x by
+    binary doubling, S_2n = S_n (E^n + B^n) and S_(n+1) = S_n E + B^n.
+    That divides by nothing but E^(L-1): 1 - b may be a non-unit, as when
+    w = -1 and q = 1 mod p make 1 + w q^e = 0 mod p."""
+    if not modulus:
+        return Fraction(L) if b == 1 else (1 - b ** L) / (1 - b)
+    B, E = b.numerator % modulus, b.denominator % modulus
+    S, Bn, En = 1, B, E  # S_n, B^n and E^n at n = 1
+    for bit in bin(L)[3:]:
+        S = S * (En + Bn) % modulus
+        Bn, En = Bn * Bn % modulus, En * En % modulus
+        if bit == "1":
+            S = (S * E + Bn) % modulus
+            Bn, En = Bn * B % modulus, En * E % modulus
+    return _over(S, pow(E, L - 1, modulus), modulus)
 
 
 def check_level_budget(p: int, N: int, k: int, term_budget: int) -> None:
@@ -427,17 +461,18 @@ def fermionic_sum(f: IntegrandFamily, qv, params: PadicParams,
     in [0, modulus), which needs q, 1 + q and w to be p-adic units.
 
     `_sums` maps each level of one check to its sum, or to None before the
-    first call: that call sums every level in it from shared work
-    (`_level_sums`), and each call returns its own level's entry."""
+    first call: that call checks the unit condition and sums every level in
+    it from shared work (`_level_sums`), and each call returns its own
+    level's entry."""
     qf = to_frac(qv)
     if qf == -1:
         raise DomainError("fermionic sum undefined at q = -1")
     check_level_budget(params.p, params.N, f.num_vars, term_budget)
-    if modulus is not None and not _units_mod_p(f, qf, params.p):
-        raise DomainError(f"a level sum modulo {params.p}^L needs q, 1 + q and w "
-                          f"to be {params.p}-adic units")
     sums = {params.N: None} if _sums is None else _sums
     if sums[params.N] is None:
+        if modulus is not None and not _units_mod_p(f, qf, params.p):
+            raise DomainError(f"a level sum modulo {params.p}^L needs q, 1 + q and w "
+                              f"to be {params.p}-adic units")
         sums.update(_level_sums(f, qf, params.p, list(sums), term_budget, modulus))
     return sums[params.N]
 
@@ -675,7 +710,8 @@ def shift_identity_residual(f: IntegrandFamily, n_shift: int, qv,
     bases = _ratios(f, qf)
     g = G, R, C = _sum_table(f, qf, span + n_shift, term_budget)
     norm = q_bracket_neg(span, qf)
-    shifted = G[n_shift:], R, C * R ** n_shift  # the table of g[s + n]
+    # the table of g[s + n]; a constant one is its own shift
+    shifted = None if G is None else G[n_shift:], R, C * R ** n_shift
     lhs = (-bases[0]) ** n_shift * _box_sums(bases, shifted, [span])[0] / norm
     rhs = (-1) ** n_shift * _box_sums(bases, g, [span])[0] / norm
     corr = (-1) ** (n_shift - 1) * _box_sums(bases, g, [n_shift])[0]

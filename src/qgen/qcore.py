@@ -76,8 +76,21 @@ def rat_str(v) -> str:
             return str(v.numerator)
         return f"{v.numerator}/{v.denominator}"
     except ValueError as exc:  # the interpreter's limit on int-to-str digits
-        raise DomainError(f"exact value has more than {sys.get_int_max_str_digits()} "
-                          "digits, the interpreter's limit for rendering an integer") from exc
+        raise _render_limit_error() from exc
+
+
+def _render_limit_error() -> DomainError:
+    return DomainError(f"exact value has more than {sys.get_int_max_str_digits()} "
+                       "digits, the interpreter's limit for rendering an integer")
+
+
+def check_power_renders(base: int, exp: int) -> None:
+    """Raise `rat_str`'s DomainError when base^exp, base >= 2, has more
+    digits than the interpreter renders, without building a power that
+    surely has: one of 2^(4 limit) or more, since 16 > 10."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and (exp * (base.bit_length() - 1) >= 4 * limit or base ** exp >= 10 ** limit):
+        raise _render_limit_error()
 
 
 def _coeff(v):

@@ -153,6 +153,34 @@ class TestBudgetsBeforeWork:
         assert time.perf_counter() - t0 < 1
         assert code == 1 and out == "" and err.startswith("error: exact value has more than")
 
+    def test_rational_qbinom_refused_on_its_denominator(self, capsys, digit_limit,
+                                                        monkeypatch):
+        # C(n, k)_q at q = u/v has the reduced denominator v^(k(n - k)):
+        # over the limit, it is refused before the telescoped quotient
+        def refuse(*args):
+            raise AssertionError("the quotient is not needed to refuse its rendering")
+
+        monkeypatch.setattr(qcore, "_rational_binom", refuse)
+        t0 = time.perf_counter()
+        for argv in (("--n", 2000, "--k", 1000, "--q", "3/2"),
+                     ("--n", 1079, "--k", 4, "--q", "3/10"),  # 10^4300: 4301 digits
+                     ("--n", 10 ** 12, "--k", 10 ** 6, "--q=-1/2")):
+            code, out, err = run(capsys, "qbinom", *argv)
+            assert code == 1 and out == "" and err.startswith("error: exact value has more than")
+        assert time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize("argv,code", [
+        # 10^4299 renders, and so does the numerator
+        (("--n", 1436, "--k", 3, "--q", "3/10"), 0),
+        # 2^10000 renders; the numerator, 3^10000 and more, does not
+        (("--n", 200, "--k", 100, "--q", "3/2"), 1),
+    ])
+    def test_rational_qbinom_denominator_within_limit(self, capsys, digit_limit, argv, code):
+        got, out, err = run(capsys, "qbinom", *argv)
+        assert got == code
+        if code:
+            assert out == "" and err.startswith("error: exact value has more than")
+
     def test_table_cell_over_digit_limit(self, capsys, digit_limit, tmp_path):
         code, _, err = run(capsys, "table", "--family", "qnum", "--range", "n=19999..20000",
                            "--q", 2, "--format", "json", "--out", tmp_path / "t.json")

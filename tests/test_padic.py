@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qgen import padic, qcore
@@ -392,7 +392,8 @@ class TestBoxSumAgainstEnumeration:
 
     @pytest.mark.parametrize("n_shift", [1, 2, 3])
     @pytest.mark.parametrize("f", [ClassicalMonomial(n=2, w=F(1, 3), c=1),
-                                   QBracketMonomial(m=2, k=1, h=0, w=F(4), x=1)])
+                                   QBracketMonomial(m=2, k=1, h=0, w=F(4), x=1),
+                                   QBracketMonomial(m=0, k=1, h=2, w=F(-2), x=1)])
     @pytest.mark.parametrize("qv", [F(4), F(1, 4), F(1)])
     def test_shift_identity_residual(self, f, n_shift, qv):
         span = 9
@@ -421,6 +422,57 @@ class TestBoxSumAgainstEnumeration:
                 return
             boxes = [_enumerate(f, qv, L) for L in (3, 4, 5)]
             assert v == (1 + qv) ** k * cesaro1_value(boxes)[0]
+
+
+class TestConstantTable:
+    """A constant integrand (m = 0, n = 0) has the table g = 1, and
+    `_box_sums` sums each of its boxes as the product of k geometric sums;
+    that must equal the general route, the box distribution summed against
+    an explicit table of ones, exactly and modulo p^L."""
+
+    @given(st.integers(1, 3), st.integers(-1, 3),
+           st.sampled_from([F(1), F(-1), F(4), F(-2), F(2), F(1, 3), F(-1, 4), F(7), F(0)]),
+           st.sampled_from([F(4), F(7), F(-2), F(1, 4), F(2), F(1, 2), F(1)]),
+           st.lists(st.integers(1, 60), min_size=1, max_size=3), st.sampled_from([3, 5, 7]))
+    # b_1 = -w q^h = 1
+    @example(k=2, h=0, w=F(-1), qv=F(4), sides=[1, 7, 60], p=3)
+    @example(k=1, h=1, w=F(-1, 4), qv=F(4), sides=[27], p=3)
+    # b_j = -2 * 4^(h - j + 1) = 1 mod 3, so 1 - b_j is not a unit
+    @example(k=3, h=2, w=F(2), qv=F(4), sides=[1, 9, 59], p=3)
+    @settings(max_examples=100, deadline=None)
+    def test_geometric_boxes_equal_distribution_sums(self, k, h, w, qv, sides, p):
+        sides = sorted(sides)
+        bases = padic._ratios(QBracketMonomial(m=0, k=k, h=h, w=w), qv)
+        moduli = [None]
+        if all(b.denominator % p for b in bases):
+            moduli.append(p ** 12)
+        for modulus in moduli:
+            expected = []
+            for L in sides:
+                dist, E = _distribution(bases, L, modulus)
+                ones = [1] * len(dist), 1, 1
+                expected += _prefix_sums(dist, E, ones, [len(dist) - 1], modulus)
+            assert padic._box_sums(bases, (None, 1, 1), sides, modulus) == expected
+
+    def test_constant_table(self):
+        for f in (QBracketMonomial(m=0, k=2, h=1, x=3), ClassicalMonomial(n=0, c=2)):
+            assert _sum_table(f, F(4), 50, 100) == (None, 1, 1)
+        # the shift budget is still checked first
+        with pytest.raises(BudgetExceeded, match="q exponent"):
+            _sum_table(QBracketMonomial(m=0, x=10 ** 6), F(4), 50, 100)
+
+    def test_limit_check_builds_no_distribution(self, monkeypatch):
+        # levels 1..9 at q = 4: the level sums are exactly 1, so every level
+        # is summed modulo 3^19 and then exactly, each as a geometric sum
+        def refused(*args, **kwargs):
+            raise AssertionError("a constant table needs no distribution")
+
+        monkeypatch.setattr(padic, "_distribution", refused)
+        levels = list(range(1, 10))
+        rep = padic_limit_check(QBracketMonomial(m=0, k=1, h=1), F(1), F(4), 3, levels)
+        assert rep == ValuationReport(levels, [math.inf] * 9, True)
+        rep = padic_limit_check(QBracketMonomial(m=0, k=1, h=1), F(1) + 3 ** 4, F(4), 3, levels)
+        assert rep.valuations == [4] * 9 and not rep.verdict
 
 
 class TestBudgetsBeforeWork:
