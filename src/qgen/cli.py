@@ -146,12 +146,14 @@ def _add_family_flags(sub):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built at the first call and then reused:
-    argparse keeps no state between `parse_args` calls."""
+    argparse keeps no state between `parse_args` calls.  Its `commands`
+    maps each command name to that command's subparser."""
     parser = argparse.ArgumentParser(
         prog="qgen",
         description="Exact computation of Gaussian binomials and the Euler/"
                     "Genocchi families, classical, q-extended, and twisted.")
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices
     family_flags = argparse.ArgumentParser(add_help=False)
     _add_family_flags(family_flags)
     for fam in FAMILIES:
@@ -370,10 +372,22 @@ def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None
         n, k = _int_param(params, "n"), _int_param(params, "k")
         if mode == "exact":
             _require(params, "q")
-            if isinstance(qv, Fraction) and qv.denominator > 1 and 0 <= k <= n:
-                # the reduced value's denominator is v^(k(n - k)) at q = u/v,
-                # since C(n, k)_q has constant and top coefficients 1
-                check_power_renders(qv.denominator, k * (n - k))
+            if isinstance(qv, Fraction) and 0 <= k <= n:
+                u, v = qv.numerator, qv.denominator
+                if v > 1:
+                    # the reduced value's denominator is v^(k(n - k)) at q = u/v,
+                    # since C(n, k)_q has constant and top coefficients 1
+                    check_power_renders(v, k * (n - k))
+                elif u >= 2:
+                    # every coefficient is positive and the top one is 1
+                    check_power_renders(u, k * (n - k))
+                elif u <= -2:
+                    # C(n, k)_u is the product over i = 1..r, r = min(k, n - k),
+                    # of (u^a - 1)/(u^i - 1) with a = n - r + i, and each factor
+                    # has |u^a - 1|/|u^i - 1| >= (|u|^a - 1)/(|u|^i + 1)
+                    # >= |u|^(a - i - 1)
+                    r = min(k, n - k)
+                    check_power_renders(-u, r * (n - r - 1))
             return gauss_binom(n, k, qv), meta
         if mode == "symbolic":
             _check_degree(k * (n - k), cfg)
@@ -529,10 +543,25 @@ def run_verify(args, cfg: Config) -> int:
     return 0 if report["ok"] else 1
 
 
-def main(argv=None) -> int:
+def parse_args(argv) -> argparse.Namespace:
+    """Parse a command line.  One that starts with a command name is parsed
+    once, by that command's subparser: the top-level parser would scan every
+    token itself and then hand the same tokens to it.  Any other line (none,
+    `--help`, an unknown command) goes through the top-level parser.  Both
+    give the same namespace; only unrecognized arguments after a command are
+    reported against the command's usage, not the top-level one."""
     parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -2,14 +2,21 @@
 unwritable result file, a request over its budget or an exact value too
 long to render, exit 2 with
 `usage error: ...` for a malformed configuration, and never a traceback.
-Each budget is checked before the work it guards starts."""
+Each budget is checked before the work it guards starts.  A command line
+that starts with a command is parsed by that command's own parser, with
+the namespace the top-level parser would give."""
 
+import contextlib
+import io
 import json
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgen import classical, cli, qcore, qeuler
 from qgen.padic import QBracketMonomial, padic_limit_check
@@ -181,6 +188,66 @@ class TestBudgetsBeforeWork:
         if code:
             assert out == "" and err.startswith("error: exact value has more than")
 
+    @pytest.mark.parametrize("q", ["2", "-2", "7", "-7"])
+    def test_integer_qbinom_refused_on_a_lower_bound(self, capsys, digit_limit, monkeypatch, q):
+        # |C(n, k)_u| >= |u|^(k(n - k)) for u >= 2 and >= |u|^(r(n - r - 1))
+        # for u <= -2, r = min(k, n - k): over the limit, refused at once
+        def refuse(*args):
+            raise AssertionError("the quotient is not needed to refuse its rendering")
+
+        monkeypatch.setattr(cli, "gauss_binom", refuse)
+        t0 = time.perf_counter()
+        for n, k in ((2000, 1000), (2000, 10), (10 ** 12, 10 ** 6)):
+            code, out, err = run(capsys, "qbinom", "--n", n, "--k", k, f"--q={q}")
+            assert code == 1 and out == "" and err.startswith("error: exact value has more than")
+        assert time.perf_counter() - t0 < 1
+
+    def test_integer_qbinom_refusals_are_sound(self, monkeypatch):
+        # at the smallest digit limit, every (n, k, u) that is refused before
+        # the work really has a value too long to render, and values that
+        # render are never refused
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter renders integers of any length")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+
+        class Unrefused(Exception):
+            pass
+
+        def unrefused(*args):
+            raise Unrefused
+
+        refused = unrendered = 0
+        try:
+            for u in (2, -2, 3, -3, 10, -10):
+                for n in range(20, 140, 9):
+                    for k in range(1, n):
+                        monkeypatch.setattr(cli, "gauss_binom", unrefused)
+                        try:
+                            cli.dispatch("qbinom", {"n": n, "k": k, "q": Fraction(u)},
+                                         "exact", cli.Config())
+                        except Unrefused:
+                            was_refused = False
+                        except DomainError:
+                            was_refused = True
+                        monkeypatch.undo()
+                        try:
+                            qcore.rat_str(qcore.gauss_binom(n, k, u))
+                            renders = True
+                        except DomainError:
+                            renders = False
+                        assert not (was_refused and renders), (n, k, u)
+                        refused += was_refused
+                        unrendered += not renders
+        finally:
+            sys.set_int_max_str_digits(old)
+        # the bounds are close: most values too long to render are refused
+        assert 0 < refused and unrendered - refused < refused // 4
+
+    def test_integer_qbinom_within_limit_prints(self, capsys, digit_limit):
+        code, out, _ = run(capsys, "qbinom", "--n", 60, "--k", 30, "--q", 2)
+        assert code == 0 and json.loads(out)["value"].startswith("2926960157")
+
     def test_table_cell_over_digit_limit(self, capsys, digit_limit, tmp_path):
         code, _, err = run(capsys, "table", "--family", "qnum", "--range", "n=19999..20000",
                            "--q", 2, "--format", "json", "--out", tmp_path / "t.json")
@@ -306,3 +373,179 @@ class TestClassicalFlags:
     ])
     def test_order_one_is_accepted(self, capsys, argv):
         assert run(capsys, *argv)[0] == 0
+
+
+COMMANDS = [*cli.FAMILIES, "table", "verify"]
+# the flags a command needs before it can print a value
+NEEDED = {
+    "qnum": ("--n", "--q"), "qbinom": ("--n", "--k", "--q"), "euler": ("--n",),
+    "genocchi": ("--n",), "bernoulli": ("--n",), "frobenius": ("--n", "--u"),
+    "qeuler": ("--m", "--h", "--q"), "qgenocchi": ("--n", "--h", "--q"),
+    "twisted-euler": ("--n", "--w", "--q"), "twisted-genocchi": ("--n", "--w", "--q"),
+    "gf": ("--kind", "--k", "--q", "--t"),
+    "table": ("--family", "--range", "--format", "--out"), "verify": (),
+}
+
+
+class TestHelpAndUsage:
+    """Every command answers `--help` with its own usage, and a flag error
+    after a command is reported against that command's usage."""
+
+    def test_every_command_is_listed(self):
+        assert sorted(cli.build_parser().commands) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help(self, capsys, command):
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: qgen {command} ")
+
+    def test_top_level_help(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert (code, err) == (0, "") and out.startswith("usage: qgen ")
+
+    def test_no_command(self, capsys):
+        code, out, err = run(capsys)
+        assert (code, out) == (2, "") and err.startswith("usage: qgen ")
+        assert "qgen: error: the following arguments are required: command" in err
+
+    @pytest.mark.parametrize("extra", [("--bogus", "2"), ("--bogus=2",), ("stray",)])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unrecognized_after_a_command(self, capsys, tmp_path, command, extra):
+        complete = {"table": ("--family", "euler", "--range", "n=0..2",
+                              "--out", tmp_path / "t.json"),
+                    "verify": ("classical",)}.get(command, ())
+        code, out, err = run(capsys, command, *complete, *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: qgen {command} ")
+        assert f"\nqgen {command}: error: unrecognized arguments: {' '.join(extra)}\n" in err
+        assert not (tmp_path / "t.json").exists()
+
+
+# Flag values for the argv fuzzer, each a pair (well formed, malformed or
+# out of range).  Sizes stay small, so that each example is fast; the
+# known gaps in the pre-work budgets (a symbolic plan at m near 50000, the
+# p-adic render at N >= 8, a table's later cells) are left out.
+_INT = (("0", "1", "2", "3", "4"), ("-1", "-3", "x", "1.5", "1/2", ""))
+_RAT = (("0", "1", "-1", "2", "-2", "4", "1/2", "3/4", "-1/3", "2/3"),
+        ("1/0", "0/0", "abc", "1.5", ""))
+_FAMILY_FLAGS = {
+    "--n": _INT, "--m": _INT, "--k": (("1", "2", "3"), ("0", "-1", "x")),
+    "--h": (("-1", "0", "1", "2", "3"), ("x", "")),
+    "--q": _RAT, "--w": _RAT, "--t": _RAT, "--u": _RAT, "--x": _RAT,
+    "--kind": (("fqk", "hqk", "hqkw"), ("gqk", "")),
+    "--mode": (("exact", "symbolic", "padic", "series"), ("fast",)),
+    "--p": (("3", "5", "7"), ("2", "4", "1", "0", "-3", "x")),
+    "--N": (("1", "2", "3"), ("0", "-1", "x")),
+    "--M": (("3", "20", "60"), ("0", "1", "2", "-1", "x")),
+    "--series-mode": (("direct", "cesaro1"), ("cesaro2",)),
+}
+_RANGES = (("n=0..3", "n=1..3", "m=0..2", "k=1..2", "h=-1..1", "n=3..0"),
+           ("n=0:3", "q=0..2", "n=0..x", ""))
+_TABLE_FLAGS = {
+    **_FAMILY_FLAGS,
+    "--family": (tuple(cli.FAMILIES), ("table",)),
+    "--range": _RANGES, "--range2": _RANGES,
+    "--format": (("json", "csv"), ("xml",)),
+    "--out": (("{tmp}/table.out",), ("{tmp}/missing/table.out", "{tmp}")),
+}
+_VERIFY_FLAGS = {
+    "--padic-level": (("1", "2", "3"), ("0", "-1", "x")),
+    "--M": (("20", "60"), ("0", "1", "3", "-1", "x")),
+    "--report-json": (("{tmp}/report.json",), ("{tmp}/missing/report.json",)),
+}
+_SUITES = (*cli.verify_mod.SUITE_ORDER, "all")
+_HELP = ("-h", "--help", "--he")
+_EXTRAS = ("--bogus", "--bogus=1", "-z", "stray", "3", "--", *_HELP)
+
+
+@st.composite
+def _value(draw, pools):
+    good, bad = pools
+    return draw(st.sampled_from(good if draw(st.integers(0, 7)) else bad))
+
+
+@st.composite
+def command_lines(draw):
+    """A command line for one of the 13 commands: its needed flags (most of
+    the time) and a few others, each spelled out or abbreviated, given as
+    `--flag value` or `--flag=value`, with well-formed or malformed values,
+    in any order, plus now and then an unknown flag, a stray positional or
+    a help request."""
+    command = draw(st.sampled_from(COMMANDS))
+    flags = {"table": _TABLE_FLAGS, "verify": _VERIFY_FLAGS}.get(command, _FAMILY_FLAGS)
+    needed = NEEDED[command]
+    if command == "table":  # a table's cells need their family's flags too
+        family = draw(_value(flags["--family"]))
+        needed += NEEDED.get(family, ())
+        flags = {**flags, "--family": ((family,), ("nosuch",))}
+    names = [f for f in needed if draw(st.integers(0, 7))]
+    names += draw(st.lists(st.sampled_from(sorted(set(flags) - set(names))), max_size=3,
+                           unique=True))
+    groups = []
+    if command == "verify" and draw(st.integers(0, 7)):
+        groups.append([draw(_value((_SUITES, ("nosuch",))))])
+    for name in names:
+        value = draw(_value(flags[name]))
+        if len(name) > 4 and draw(st.integers(0, 3)) == 0:
+            name = name[:draw(st.integers(4, len(name) - 1))]
+        groups.append([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+    if draw(st.integers(0, 3)) == 0:
+        groups.append([draw(st.sampled_from(_EXTRAS))])
+    groups = draw(st.permutations(groups))
+    return [command, *(token for group in groups for token in group)]
+
+
+_ODD_LINES = st.sampled_from([
+    [], ["--help"], ["-h"], ["--he"], ["nosuch", "--n", "1"], ["--", "qnum", "--n", "1"],
+    ["--n", "3", "qnum"], ["Qnum", "--n", "3"], ["qnu", "--n", "3"]])
+
+
+def _parse(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv)), None, out.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue()
+
+
+class TestCommandLineProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(argv=st.one_of(command_lines(), _ODD_LINES))
+    def test_parse_matches_the_top_level_parser(self, argv):
+        # the top-level parser hands a command's tokens to its subparser;
+        # parsing them with the subparser alone gives the same namespace, or
+        # the same exit, and the same help text
+        reference = _parse(cli.build_parser().parse_args, argv)
+        assert _parse(cli.parse_args, argv) == reference
+
+    @settings(max_examples=250, deadline=None)
+    @given(argv=st.one_of(command_lines(), _ODD_LINES))
+    def test_main_keeps_its_exit_contract(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [a.replace("{tmp}", tmp) for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        command = argv[0] if argv else None
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out + err
+        if code == 0 and out.startswith("usage: qgen"):
+            assert err == "" and any(a in _HELP for a in argv)
+        elif code == 0:
+            assert err == ""
+            if command == "verify":
+                assert out.endswith("\nall suites passed\n")
+            elif command == "table":
+                assert out == ""
+            else:
+                assert out.endswith("\n") and out.count("\n") == 1
+                assert isinstance(json.loads(out), dict)
+        elif command == "verify" and code == 1:
+            # a failing check is reported on stdout; a report file that
+            # cannot be written, after the report, on stderr
+            assert err or out.endswith("\nFAILURES detected\n")
+        else:
+            assert out == "" and err
