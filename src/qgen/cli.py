@@ -4,15 +4,16 @@ verification suites.
 Grammar:
   qgen <family> [--n --m --h --k --x --q --w --t ...] [--mode ...] [--p --N --M]
   qgen table --family F --range n=0..8 [--range2 h=0..2] --format json|csv --out PATH
-  qgen verify <suite> [--padic-level N] [--report-json PATH]
+  qgen verify <suite> [--padic-level N] [--M M] [--report-json PATH]
 
 Exit codes: 0 success, 1 domain error (vanishing denominator, divergence,
 budget, unwritable result file, an exact value too long to render), 2 usage
-or parse error (including a malformed configuration).  The p-adic term
-count (p^N)^k, the series term counts (M^k for the k-variable box, M for
-the Gaussian-weight series), a symbolic result's degree and the binomial
-products of a classical value's tables are checked against the term
-budget before any work.  All rationals serialize as exact
+or parse error (including a malformed configuration, a mode the family does
+not answer, and a `verify` level below 1 or truncation below 3).  The
+p-adic term count (p^N)^k, the series term counts (M^k for the k-variable
+box, M for the Gaussian-weight series), a symbolic result's degree and the
+binomial products of a classical value's tables are checked against the
+term budget before any work.  All rationals serialize as exact
 strings ("num/den"), never as floating point; symbolic values serialize as
 {"num": [...], "den": [...]} with coefficients lowest degree first.
 Configuration precedence: flags > JSON file named by QGEN_CONFIG > defaults."""
@@ -58,7 +59,7 @@ from .qeuler import (
     qeuler_hk_series,
     qeuler_twisted,
 )
-from .qgenocchi import QGenocchiSpec, qgenocchi, qgenocchi_hk, qgenocchi_hk_series, qgenocchi_twisted
+from .qgenocchi import QGenocchiSpec, qgenocchi_hk, qgenocchi_hk_series, qgenocchi_twisted
 
 
 class UsageError(Exception):
@@ -69,13 +70,9 @@ class OutputError(Exception):
     """A result file could not be written."""
 
 
-FAMILIES = [
-    "qnum", "qbinom", "euler", "genocchi", "bernoulli", "frobenius",
-    "qeuler", "qgenocchi", "twisted-euler", "twisted-genocchi", "gf",
-]
-
 INT_PARAMS = ("n", "m", "h", "k", "p", "N", "M")
 RAT_PARAMS = ("q", "w", "t", "u", "x")
+MODES = ("exact", "symbolic", "padic", "series")
 
 
 @dataclass
@@ -128,17 +125,13 @@ def _write_file(path: str, text: str, newline=None) -> None:
 
 
 def _add_family_flags(sub):
-    for name in ("n", "m", "h", "k"):
+    for name in INT_PARAMS:
         sub.add_argument(f"--{name}", type=int, default=None)
-    for name in ("q", "w", "t", "u", "x"):
+    for name in RAT_PARAMS:
         sub.add_argument(f"--{name}", type=str, default=None)
     sub.add_argument("--kind", type=str, default=None,
                      choices=["fqk", "hqk", "hqkw"], help="generating function kind")
-    sub.add_argument("--mode", type=str, default="exact",
-                     choices=["exact", "symbolic", "padic", "series"])
-    sub.add_argument("--p", type=int, default=None)
-    sub.add_argument("--N", type=int, default=None)
-    sub.add_argument("--M", type=int, default=None)
+    sub.add_argument("--mode", type=str, default="exact", choices=MODES)
     sub.add_argument("--series-mode", type=str, default=None,
                      choices=["direct", "cesaro1"])
 
@@ -177,23 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _params_from_args(args) -> dict:
     params = {}
-    for name in INT_PARAMS:
+    for name in (*INT_PARAMS, *RAT_PARAMS, "kind"):
         v = getattr(args, name, None)
         if v is not None:
-            params[name] = v
-    for name in RAT_PARAMS:
-        v = getattr(args, name, None)
-        if v is not None:
-            params[name] = parse_rat(v)
-    if getattr(args, "kind", None):
-        params["kind"] = args.kind
+            params[name] = parse_rat(v) if name in RAT_PARAMS else v
     return params
-
-
-def _require(params: dict, *names):
-    missing = [x for x in names if x not in params]
-    if missing:
-        raise UsageError(f"missing required parameter(s): {', '.join('--' + m for m in missing)}")
 
 
 def _int_param(params: dict, name: str, minimum: int = 0) -> int:
@@ -252,7 +233,6 @@ class QFamily(NamedTuple):
     the series mode sums the k-variable box of `real_series`.  A Genocchi family (`scaled`) reports the scale it
     applies to an oracle sum."""
 
-    flags: tuple[str, ...]
     spec: Callable
     closed: Callable
     kernel: Callable
@@ -261,51 +241,20 @@ class QFamily(NamedTuple):
     scaled: bool = False
 
 
-# The lambdas look the public functions up at call time, so a caller that
-# rebinds a module-level name (a profiler, a test double) sees every call.
-Q_FAMILIES = {
-    "qeuler": QFamily(
-        flags=("m", "h"), spec=_euler_spec,
-        closed=lambda s, qv: qeuler_hk(s, qv),
-        kernel=QEulerSpec.kernel,
-        gauss_series=lambda s, qv, sp, budget: qeuler_hk_series(s, qv, sp, budget)),
-    "qgenocchi": QFamily(
-        flags=("n", "h"), spec=_genocchi_spec,
-        closed=lambda s, qv: qgenocchi_hk(s, qv),
-        kernel=QGenocchiSpec.kernel,
-        gauss_series=lambda s, qv, sp, budget: qgenocchi_hk_series(s, qv, sp, budget),
-        scaled=True),
-    "twisted-euler": QFamily(
-        flags=("n", "w"), spec=_twist,
-        closed=lambda s, qv: qeuler_twisted(s[0], s[1], qv),
-        kernel=lambda s: QEulerSpec(m=s[0], h=1, k=1, w=s[1]).kernel(),
-        classical=lambda s: classical.twisted_euler_classical(*s)),
-    "twisted-genocchi": QFamily(
-        flags=("n", "w"), spec=_twist,
-        closed=lambda s, qv: qgenocchi_twisted(s[0], qv, s[1]),
-        kernel=lambda s: QGenocchiSpec(n=s[0] - 1, h=1, k=1, w=s[1]).kernel() if s[0] else None,
-        classical=lambda s: classical.twisted_genocchi_classical(*s),
-        scaled=True),
-}
-
-
-def _dispatch_q_family(fam: QFamily, params: dict, mode: str, qv, cfg: Config, series_mode):
-    _require(params, *fam.flags)
+def _run_q_family(fam: QFamily, params: dict, mode: str, cfg: Config, series_mode):
     spec = fam.spec(params)
+    kernel = fam.kernel(spec)
     if mode == "symbolic":
-        kernel = fam.kernel(spec)
         if kernel is not None:
             check_symbolic_budget(kernel[0], cfg.term_budget)
         return fam.closed(spec, None), {}
-    if mode == "exact" and "q" not in params and fam.classical:
-        kernel = fam.kernel(spec)
+    if "q" not in params:  # exact mode, by the classical route
         if kernel is not None:
             _check_products(kernel[0].m, 1, cfg)
         return fam.classical(spec), {}
-    _require(params, "q")
+    qv = params["q"]
     if mode == "exact":
         return fam.closed(spec, qv), {}
-    kernel = fam.kernel(spec)
     if kernel is None:
         return Fraction(0), {}
     espec, scale = kernel
@@ -349,99 +298,131 @@ def _check_degree(degree: int, cfg: Config) -> None:
             f"symbolic degree {degree} exceeds the budget of {cfg.term_budget}")
 
 
-def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None):
-    """Compute one family value; returns (value, meta)."""
-    meta: dict = {}
-    qv = params.get("q")
+def _run_qnum(params: dict, mode: str, cfg: Config, series_mode):
+    n = _int_param(params, "n")
     if mode == "symbolic":
-        qv = None
+        _check_degree(n - 1, cfg)
+        return q_int(n), {}
+    return q_int(n, params["q"]), {}
 
-    if family == "qnum":
-        _require(params, "n")
-        if mode == "exact":
-            _require(params, "q")
-            return q_int(_int_param(params, "n"), qv), meta
-        if mode == "symbolic":
-            n = _int_param(params, "n")
-            _check_degree(n - 1, cfg)
-            return q_int(n), meta
-        raise UsageError(f"qnum does not support mode {mode!r}")
 
-    if family == "qbinom":
-        _require(params, "n", "k")
-        n, k = _int_param(params, "n"), _int_param(params, "k")
-        if mode == "exact":
-            _require(params, "q")
-            if isinstance(qv, Fraction) and 0 <= k <= n:
-                u, v = qv.numerator, qv.denominator
-                if v > 1:
-                    # the reduced value's denominator is v^(k(n - k)) at q = u/v,
-                    # since C(n, k)_q has constant and top coefficients 1
-                    check_power_renders(v, k * (n - k))
-                elif u >= 2:
-                    # every coefficient is positive and the top one is 1
-                    check_power_renders(u, k * (n - k))
-                elif u <= -2:
-                    # C(n, k)_u is the product over i = 1..r, r = min(k, n - k),
-                    # of (u^a - 1)/(u^i - 1) with a = n - r + i, and each factor
-                    # has |u^a - 1|/|u^i - 1| >= (|u|^a - 1)/(|u|^i + 1)
-                    # >= |u|^(a - i - 1)
-                    r = min(k, n - k)
-                    check_power_renders(-u, r * (n - r - 1))
-            return gauss_binom(n, k, qv), meta
-        if mode == "symbolic":
-            _check_degree(k * (n - k), cfg)
-            return gauss_binom(n, k), meta
-        raise UsageError(f"qbinom does not support mode {mode!r}")
+def _run_qbinom(params: dict, mode: str, cfg: Config, series_mode):
+    n, k = _int_param(params, "n"), _int_param(params, "k")
+    if mode == "symbolic":
+        _check_degree(k * (n - k), cfg)
+        return gauss_binom(n, k), {}
+    qv = params["q"]
+    if isinstance(qv, Fraction) and 0 <= k <= n:
+        u, v = qv.numerator, qv.denominator
+        if v > 1:
+            # the reduced value's denominator is v^(k(n - k)) at q = u/v,
+            # since C(n, k)_q has constant and top coefficients 1
+            check_power_renders(v, k * (n - k))
+        elif u >= 2:
+            # every coefficient is positive and the top one is 1
+            check_power_renders(u, k * (n - k))
+        elif u <= -2:
+            # C(n, k)_u is the product over i = 1..r, r = min(k, n - k),
+            # of (u^a - 1)/(u^i - 1) with a = n - r + i, and each factor
+            # has |u^a - 1|/|u^i - 1| >= (|u|^a - 1)/(|u|^i + 1)
+            # >= |u|^(a - i - 1)
+            r = min(k, n - k)
+            check_power_renders(-u, r * (n - r - 1))
+    return gauss_binom(n, k, qv), {}
 
-    if family in ("euler", "genocchi", "bernoulli", "frobenius"):
-        if mode != "exact":
-            raise UsageError(f"{family} is classical; only mode 'exact' applies")
-        _require(params, "n")
-        n = _int_param(params, "n")
-        order = _int_param(params, "k") if "k" in params else 1
-        if family in ("bernoulli", "frobenius") and order != 1:
-            raise UsageError(f"{family} has no higher order; --k must be 1")
-        if family == "bernoulli":
-            if "x" in params:
-                raise UsageError("Bernoulli polynomials are not defined here")
-            _check_products(n, 1, cfg)
-            return classical.bernoulli(n), meta
-        if family == "euler":
-            _check_products(n, order, cfg)
-            if "x" in params:
-                return classical.higher_euler_poly(n, order)(params["x"]), meta
-            return classical.higher_euler_number(n, order), meta
-        if family == "genocchi":
-            if "x" in params:
-                if order != 1:
-                    raise UsageError("higher-order Genocchi polynomials are not defined here")
-                _check_products(n - 1, 1, cfg)
-                return classical.genocchi_poly(n)(params["x"]), meta
-            _check_products(n - order, order, cfg)
-            return classical.higher_genocchi(n, order), meta
-        _require(params, "u")
-        _check_products(n, 1, cfg)
+
+def _run_classical(family: str, params: dict, mode: str, cfg: Config, series_mode):
+    n = _int_param(params, "n")
+    order = _int_param(params, "k") if "k" in params else 1
+    if family in ("bernoulli", "frobenius") and order != 1:
+        raise UsageError(f"{family} has no higher order; --k must be 1")
+    if family == "bernoulli":
         if "x" in params:
-            return classical.frobenius_euler_poly(n, params["u"])(params["x"]), meta
-        return classical.frobenius_euler(n, params["u"]), meta
+            raise UsageError("Bernoulli polynomials are not defined here")
+        _check_products(n, 1, cfg)
+        return classical.bernoulli(n), {}
+    if family == "euler":
+        _check_products(n, order, cfg)
+        if "x" in params:
+            return classical.higher_euler_poly(n, order)(params["x"]), {}
+        return classical.higher_euler_number(n, order), {}
+    if family == "genocchi":
+        if "x" in params:
+            if order != 1:
+                raise UsageError("higher-order Genocchi polynomials are not defined here")
+            _check_products(n - 1, 1, cfg)
+            return classical.genocchi_poly(n)(params["x"]), {}
+        _check_products(n - order, order, cfg)
+        return classical.higher_genocchi(n, order), {}
+    _check_products(n, 1, cfg)
+    if "x" in params:
+        return classical.frobenius_euler_poly(n, params["u"])(params["x"]), {}
+    return classical.frobenius_euler(n, params["u"]), {}
 
-    if family in Q_FAMILIES:
-        return _dispatch_q_family(Q_FAMILIES[family], params, mode, qv, cfg, series_mode)
 
-    if family == "gf":
-        _require(params, "kind", "k", "q", "t")
-        sp = _series_params(params, cfg, "cesaro1", series_mode)
-        x = _int_param(params, "x") if "x" in params else 0
-        k = _int_param(params, "k", 1)
-        w = params.get("w", Fraction(1))
-        lhs, rhs = gf_eval(params["kind"], k, x, w, qv, params["t"], sp,
-                           term_budget=cfg.term_budget)
-        meta = {"rhs": rat_str(rhs), "abs_diff": rat_str(abs(lhs - rhs)),
-                "truncation": sp.M}
-        return lhs, meta
+def _run_gf(params: dict, mode: str, cfg: Config, series_mode):
+    sp = _series_params(params, cfg, "cesaro1", series_mode)
+    x = _int_param(params, "x") if "x" in params else 0
+    lhs, rhs = gf_eval(params["kind"], _int_param(params, "k", 1), x, params.get("w", Fraction(1)),
+                       params["q"], params["t"], sp, term_budget=cfg.term_budget)
+    return lhs, {"rhs": rat_str(rhs), "abs_diff": rat_str(abs(lhs - rhs)), "truncation": sp.M}
 
-    raise UsageError(f"unknown family {family!r}")
+
+# A q-family answers every mode and needs --q outside symbolic mode; a
+# twisted family's classical route answers exact mode without it.
+_Q_MODES = {"exact": ("q",), "symbolic": (), "padic": ("q",), "series": ("q",)}
+_TWISTED_MODES = {**_Q_MODES, "exact": ()}
+_EXACT = {"exact": ()}
+
+# Each family's entry is (flags, modes, run): the flags every query needs,
+# a map from each mode the family answers to the further flags a query in
+# that mode needs, and `run(params, mode, cfg, series_mode)`, which checks
+# the query's budget before its work and returns (value, meta).  The
+# lambdas look the public functions up at call time, so a caller that
+# rebinds a module-level name (a profiler, a test double) sees every call.
+FAMILIES = {
+    "qnum": (("n",), {"exact": ("q",), "symbolic": ()}, _run_qnum),
+    "qbinom": (("n", "k"), {"exact": ("q",), "symbolic": ()}, _run_qbinom),
+    "euler": (("n",), _EXACT, functools.partial(_run_classical, "euler")),
+    "genocchi": (("n",), _EXACT, functools.partial(_run_classical, "genocchi")),
+    "bernoulli": (("n",), _EXACT, functools.partial(_run_classical, "bernoulli")),
+    "frobenius": (("n", "u"), _EXACT, functools.partial(_run_classical, "frobenius")),
+    "qeuler": (("m", "h"), _Q_MODES, functools.partial(_run_q_family, QFamily(
+        spec=_euler_spec,
+        closed=lambda s, qv: qeuler_hk(s, qv),
+        kernel=QEulerSpec.kernel,
+        gauss_series=lambda s, qv, sp, budget: qeuler_hk_series(s, qv, sp, budget)))),
+    "qgenocchi": (("n", "h"), _Q_MODES, functools.partial(_run_q_family, QFamily(
+        spec=_genocchi_spec,
+        closed=lambda s, qv: qgenocchi_hk(s, qv),
+        kernel=QGenocchiSpec.kernel,
+        gauss_series=lambda s, qv, sp, budget: qgenocchi_hk_series(s, qv, sp, budget),
+        scaled=True))),
+    "twisted-euler": (("n", "w"), _TWISTED_MODES, functools.partial(_run_q_family, QFamily(
+        spec=_twist,
+        closed=lambda s, qv: qeuler_twisted(s[0], s[1], qv),
+        kernel=lambda s: QEulerSpec(m=s[0], h=1, k=1, w=s[1]).kernel(),
+        classical=lambda s: classical.twisted_euler_classical(*s)))),
+    "twisted-genocchi": (("n", "w"), _TWISTED_MODES, functools.partial(_run_q_family, QFamily(
+        spec=_twist,
+        closed=lambda s, qv: qgenocchi_twisted(s[0], qv, s[1]),
+        kernel=lambda s: QGenocchiSpec(n=s[0] - 1, h=1, k=1, w=s[1]).kernel() if s[0] else None,
+        classical=lambda s: classical.twisted_genocchi_classical(*s),
+        scaled=True))),
+    "gf": (("kind", "k", "q", "t"), _EXACT, _run_gf),
+}
+
+
+def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None):
+    """Compute one family value; returns (value, meta).  A mode the family
+    does not answer, or a flag the query needs, is refused before any work."""
+    flags, modes, run = FAMILIES[family]
+    if mode not in modes:
+        raise UsageError(f"{family} does not answer mode {mode!r}; it answers {', '.join(modes)}")
+    missing = [name for name in (*flags, *modes[mode]) if name not in params]
+    if missing:
+        raise UsageError(f"missing required parameter(s): {', '.join('--' + m for m in missing)}")
+    return run(params, mode, cfg, series_mode)
 
 
 def _echo_params(params: dict) -> dict:
@@ -523,9 +504,13 @@ def run_verify(args, cfg: Config) -> int:
     if level < 1:
         source = "--padic-level" if args.padic_level is not None else "config N"
         raise UsageError(f"{source} must be >= 1, not {level}")
+    M = args.M if args.M is not None else cfg.M
+    if M < 3:  # the cesaro1 boundary series needs three partial sums
+        source = "--M" if args.M is not None else "config M"
+        raise UsageError(f"{source} must be >= 3, not {M}")
     vcfg = verify_mod.VerifyConfig(
         padic_level=level,
-        M=args.M if args.M is not None else cfg.M,
+        M=M,
         cesaro_tol=cfg.cesaro_tol,
         term_budget=cfg.term_budget,
     )

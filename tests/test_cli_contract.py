@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgen import classical, cli, qcore, qeuler
@@ -37,6 +37,11 @@ def config(tmp_path, monkeypatch):
         path.write_text(text)
         monkeypatch.setenv("QGEN_CONFIG", str(path))
     return write
+
+
+@pytest.fixture
+def no_suite(monkeypatch):
+    monkeypatch.setattr(cli.verify_mod, "run_suites", lambda *args: pytest.fail("a suite ran"))
 
 
 @pytest.fixture
@@ -90,11 +95,6 @@ class TestPadicLevel:
     """A p-adic level below 1 is refused before any work: by `verify` as a
     usage error, by `padic_limit_check` as a domain error."""
 
-    @pytest.fixture
-    def no_suite(self, monkeypatch):
-        monkeypatch.setattr(cli.verify_mod, "run_suites",
-                            lambda *args: pytest.fail("a suite ran"))
-
     @pytest.mark.parametrize("suite", ["padic", "qeuler", "qgenocchi", "all", "classical"])
     @pytest.mark.parametrize("level", [0, -2])
     def test_verify_level_below_one(self, capsys, no_suite, suite, level):
@@ -111,6 +111,25 @@ class TestPadicLevel:
     def test_limit_check_needs_a_level(self):
         with pytest.raises(DomainError, match="at least one level"):
             padic_limit_check(QBracketMonomial(m=1), 1, Fraction(4), 3, [])
+
+
+class TestVerifyTruncation:
+    """`verify` refuses a series truncation below 3, the three partial sums
+    the cesaro1 boundary series needs, as a usage error before any suite
+    runs, whether it comes from --M or from the configuration."""
+
+    @pytest.mark.parametrize("suite", ["padic", "qeuler", "qcore", "all"])
+    @pytest.mark.parametrize("M", [2, 1, 0, -3])
+    def test_flag_below_three(self, capsys, no_suite, suite, M):
+        code, out, err = run(capsys, "verify", suite, "--M", M)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: --M must be >= 3, not {M}\n"
+
+    def test_configured_below_three(self, capsys, config, no_suite):
+        config('{"M": 2}')
+        code, out, err = run(capsys, "verify", "qgenocchi")
+        assert (code, out) == (2, "")
+        assert err == "usage error: config M must be >= 3, not 2\n"
 
 
 class TestBudgetsBeforeWork:
@@ -387,6 +406,31 @@ NEEDED = {
 }
 
 
+# a value for each flag in NEEDED at which every family answers each of its
+# modes, and the modes each family answers, as README documents them
+_NEEDED_VALUES = {"--n": 2, "--m": 1, "--h": 0, "--k": 1, "--q": "1/2", "--w": "1/2",
+                  "--t": "1/2", "--u": 2, "--kind": "fqk"}
+_MODES = ("exact", "symbolic", "padic", "series")
+_ANSWERED = {"qnum": ("exact", "symbolic"), "qbinom": ("exact", "symbolic"), "gf": ("exact",),
+            **dict.fromkeys(("euler", "genocchi", "bernoulli", "frobenius"), ("exact",)),
+            **dict.fromkeys(("qeuler", "qgenocchi", "twisted-euler", "twisted-genocchi"), _MODES)}
+
+
+class TestModeContract:
+    @pytest.mark.parametrize("mode", _MODES)
+    @pytest.mark.parametrize("family", list(cli.FAMILIES))
+    def test_every_family_in_every_mode(self, capsys, family, mode):
+        # a mode the family does not answer is a usage error that names the
+        # mode, before any work; one it answers is computed
+        flags = [token for flag in NEEDED[family] for token in (flag, _NEEDED_VALUES[flag])]
+        code, out, err = run(capsys, family, *flags, "--mode", mode)
+        if mode in _ANSWERED[family]:
+            assert (code, err) == (0, "") and json.loads(out)["mode"] == mode
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("usage error: ") and repr(mode) in err
+
+
 class TestHelpAndUsage:
     """Every command answers `--help` with its own usage, and a flag error
     after a command is reported against that command's usage."""
@@ -522,6 +566,8 @@ class TestCommandLineProperties:
 
     @settings(max_examples=250, deadline=None)
     @given(argv=st.one_of(command_lines(), _ODD_LINES))
+    @example(argv=["gf", "--kind", "fqk", "--k", "1", "--q", "1/2", "--t", "1/2",
+                   "--mode", "symbolic"])
     def test_main_keeps_its_exit_contract(self, argv):
         with tempfile.TemporaryDirectory() as tmp:
             argv = [a.replace("{tmp}", tmp) for a in argv]
