@@ -3,6 +3,7 @@ verification suites.
 
 Grammar:
   qgen <family> [--n --m --h --k --x --q --w --t ...] [--mode ...] [--p --N --M]
+               [--series-mode direct|cesaro1]
   qgen table --family F --range n=0..8 [--range2 h=0..2] --format json|csv --out PATH
   qgen verify <suite> [--padic-level N] [--M M] [--report-json PATH]
 
@@ -29,7 +30,6 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 from . import classical, verify as verify_mod
 from .padic import (
@@ -51,15 +51,8 @@ from .qcore import (
     q_int,
     rat_str,
 )
-from .qeuler import (
-    QEulerSpec,
-    check_symbolic_budget,
-    gf_eval,
-    qeuler_hk,
-    qeuler_hk_series,
-    qeuler_twisted,
-)
-from .qgenocchi import QGenocchiSpec, qgenocchi_hk, qgenocchi_hk_series, qgenocchi_twisted
+from .qeuler import QEulerSpec, check_symbolic_budget, gf_eval, qeuler_hk, qeuler_hk_series
+from .qgenocchi import QGenocchiSpec, qgenocchi_hk, qgenocchi_hk_series
 
 
 class UsageError(Exception):
@@ -216,50 +209,42 @@ def _genocchi_spec(params: dict) -> QGenocchiSpec:
                          w=params.get("w", Fraction(1)))
 
 
-def _twist(params: dict) -> tuple[int, Fraction]:
-    return _int_param(params, "n"), params["w"]
+def _twisted_euler_spec(params: dict) -> QEulerSpec:
+    return QEulerSpec(m=_int_param(params, "n"), h=1, k=1, w=params["w"])
 
 
-class QFamily(NamedTuple):
-    """How one q-family maps onto the q-Euler closed form.
-
-    `spec` builds the family's parameters from the query and `closed`
-    evaluates them through the family's public closed form.  `kernel`
-    returns the spec type's `kernel()`, the q-Euler parameters and integer
-    scale that the p-adic and series routes use, or None where the value
-    vanishes identically.  `classical` answers exact mode without --q,
-    where the family allows it.  `gauss_series` is the Gaussian-weight
-    series route, which checks the term budget it is passed; without it
-    the series mode sums the k-variable box of `real_series`.  A Genocchi family (`scaled`) reports the scale it
-    applies to an oracle sum."""
-
-    spec: Callable
-    closed: Callable
-    kernel: Callable
-    classical: Callable | None = None
-    gauss_series: Callable | None = None
-    scaled: bool = False
+def _twisted_genocchi_spec(params: dict) -> QGenocchiSpec | None:
+    # index n is the order-1 value of shifted index n - 1; index 0, below
+    # the order, vanishes identically
+    n = _int_param(params, "n")
+    return QGenocchiSpec(n=n - 1, h=1, k=1, w=params["w"]) if n else None
 
 
-def _run_q_family(fam: QFamily, params: dict, mode: str, cfg: Config, series_mode):
-    spec = fam.spec(params)
-    kernel = fam.kernel(spec)
+def _run_q_family(params: dict, mode: str, cfg: Config, series_mode, *, spec_of,
+                  classical_route=None, gauss_series=False):
+    """One q-family value from the spec `spec_of` builds, a `QEulerSpec` or a
+    `QGenocchiSpec`, or None where the value vanishes identically.  The
+    spec type picks its closed form and its Gaussian-weight series; the
+    p-adic and series routes sum the q-Euler integrand of `spec.kernel()`
+    times its integer scale, which a Genocchi value reports.  Without
+    `gauss_series` the series mode sums the k-variable box of `real_series`;
+    `classical_route` answers exact mode without --q."""
+    spec = spec_of(params)
+    if spec is None:
+        return Fraction(0), {}
+    espec, scale = spec.kernel()
+    genocchi = isinstance(spec, QGenocchiSpec)
     if mode == "symbolic":
-        if kernel is not None:
-            check_symbolic_budget(kernel[0], cfg.term_budget)
-        return fam.closed(spec, None), {}
+        check_symbolic_budget(espec, cfg.term_budget)
+        return (qgenocchi_hk if genocchi else qeuler_hk)(spec, None), {}
     if "q" not in params:  # exact mode, by the classical route
-        if kernel is not None:
-            _check_products(kernel[0].m, 1, cfg)
-        return fam.classical(spec), {}
+        _check_products(espec.m, 1, cfg)
+        return classical_route(spec), {}
     qv = params["q"]
     if mode == "exact":
-        return fam.closed(spec, qv), {}
-    if kernel is None:
-        return Fraction(0), {}
-    espec, scale = kernel
+        return (qgenocchi_hk if genocchi else qeuler_hk)(spec, qv), {}
     f = espec.integrand()
-    scale_meta = {"scale": str(scale)} if fam.scaled else {}
+    scale_meta = {"scale": str(scale)} if genocchi else {}
     if mode == "padic":
         p, N = params.get("p", cfg.p), params.get("N", cfg.N)
         # checked before PadicParams tests p for primality, as README documents
@@ -267,10 +252,11 @@ def _run_q_family(fam: QFamily, params: dict, mode: str, cfg: Config, series_mod
         pp = PadicParams(p, N)
         meta = {"p": pp.p, "N": pp.N, **scale_meta}
         return scale * fermionic_sum(f, qv, pp, cfg.term_budget), meta
-    if fam.gauss_series:
+    if gauss_series:
         sp = _series_params(params, cfg, "cesaro1" if abs(espec.w) == 1 else "direct",
                             series_mode)
-        value, bound = fam.gauss_series(spec, qv, sp, cfg.term_budget)
+        series = qgenocchi_hk_series if genocchi else qeuler_hk_series
+        value, bound = series(spec, qv, sp, cfg.term_budget)
         meta = {"truncation": sp.M, "series_mode": sp.mode}
     else:
         sp = _series_params(params, cfg, "direct", series_mode)
@@ -377,9 +363,11 @@ _EXACT = {"exact": ()}
 # Each family's entry is (flags, modes, run): the flags every query needs,
 # a map from each mode the family answers to the further flags a query in
 # that mode needs, and `run(params, mode, cfg, series_mode)`, which checks
-# the query's budget before its work and returns (value, meta).  The
-# lambdas look the public functions up at call time, so a caller that
-# rebinds a module-level name (a profiler, a test double) sees every call.
+# the query's budget before its work and returns (value, meta).  A
+# q-family's run names its spec builder, its classical route and whether
+# its series mode takes the Gaussian-weight route.  Every run looks the
+# public functions up at call time, so a caller that rebinds a
+# module-level name (a profiler, a test double) sees every call.
 FAMILIES = {
     "qnum": (("n",), {"exact": ("q",), "symbolic": ()}, _run_qnum),
     "qbinom": (("n", "k"), {"exact": ("q",), "symbolic": ()}, _run_qbinom),
@@ -387,28 +375,16 @@ FAMILIES = {
     "genocchi": (("n",), _EXACT, functools.partial(_run_classical, "genocchi")),
     "bernoulli": (("n",), _EXACT, functools.partial(_run_classical, "bernoulli")),
     "frobenius": (("n", "u"), _EXACT, functools.partial(_run_classical, "frobenius")),
-    "qeuler": (("m", "h"), _Q_MODES, functools.partial(_run_q_family, QFamily(
-        spec=_euler_spec,
-        closed=lambda s, qv: qeuler_hk(s, qv),
-        kernel=QEulerSpec.kernel,
-        gauss_series=lambda s, qv, sp, budget: qeuler_hk_series(s, qv, sp, budget)))),
-    "qgenocchi": (("n", "h"), _Q_MODES, functools.partial(_run_q_family, QFamily(
-        spec=_genocchi_spec,
-        closed=lambda s, qv: qgenocchi_hk(s, qv),
-        kernel=QGenocchiSpec.kernel,
-        gauss_series=lambda s, qv, sp, budget: qgenocchi_hk_series(s, qv, sp, budget),
-        scaled=True))),
-    "twisted-euler": (("n", "w"), _TWISTED_MODES, functools.partial(_run_q_family, QFamily(
-        spec=_twist,
-        closed=lambda s, qv: qeuler_twisted(s[0], s[1], qv),
-        kernel=lambda s: QEulerSpec(m=s[0], h=1, k=1, w=s[1]).kernel(),
-        classical=lambda s: classical.twisted_euler_classical(*s)))),
-    "twisted-genocchi": (("n", "w"), _TWISTED_MODES, functools.partial(_run_q_family, QFamily(
-        spec=_twist,
-        closed=lambda s, qv: qgenocchi_twisted(s[0], qv, s[1]),
-        kernel=lambda s: QGenocchiSpec(n=s[0] - 1, h=1, k=1, w=s[1]).kernel() if s[0] else None,
-        classical=lambda s: classical.twisted_genocchi_classical(*s),
-        scaled=True))),
+    "qeuler": (("m", "h"), _Q_MODES, functools.partial(
+        _run_q_family, spec_of=_euler_spec, gauss_series=True)),
+    "qgenocchi": (("n", "h"), _Q_MODES, functools.partial(
+        _run_q_family, spec_of=_genocchi_spec, gauss_series=True)),
+    "twisted-euler": (("n", "w"), _TWISTED_MODES, functools.partial(
+        _run_q_family, spec_of=_twisted_euler_spec,
+        classical_route=lambda s: classical.twisted_euler_classical(s.m, s.w))),
+    "twisted-genocchi": (("n", "w"), _TWISTED_MODES, functools.partial(
+        _run_q_family, spec_of=_twisted_genocchi_spec,
+        classical_route=lambda s: classical.twisted_genocchi_classical(s.n + 1, s.w))),
     "gf": (("kind", "k", "q", "t"), _EXACT, _run_gf),
 }
 

@@ -431,6 +431,66 @@ class TestModeContract:
             assert err.startswith("usage error: ") and repr(mode) in err
 
 
+class TestQFamilyRoutes:
+    """Each q-family value comes from its spec type: the twisted q-Genocchi
+    value of index 0, below the order, is "0" in every mode, before any
+    other argument is checked, and every route is reached through its
+    module-level name at call time."""
+
+    @pytest.mark.parametrize("extra", [
+        (), ("--q", "1/2"), ("--q", "0"), ("--q", "1"), ("--q=-1",),
+        ("--mode", "symbolic"), ("--w=-1", "--mode", "symbolic"),
+        ("--q", "4", "--mode", "padic"), ("--q", "4", "--mode", "padic", "--p", "4"),
+        ("--q", "1/2", "--mode", "series"), ("--q", "1", "--mode", "series", "--M", "0"),
+    ])
+    def test_twisted_genocchi_index_zero(self, capsys, extra):
+        code, out, err = run(capsys, "twisted-genocchi", "--n", 0, "--w", "1/2", *extra)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["value"], doc["meta"]) == ("0", {})
+
+    _ROUTES = {
+        "qeuler": ("qeuler_hk", "qeuler_hk", "fermionic_sum", "qeuler_hk_series"),
+        "qgenocchi": ("qgenocchi_hk", "qgenocchi_hk", "fermionic_sum", "qgenocchi_hk_series"),
+        "twisted-euler": ("qeuler_hk", "qeuler_hk", "fermionic_sum", "real_series"),
+        "twisted-genocchi": ("qgenocchi_hk", "qgenocchi_hk", "fermionic_sum", "real_series"),
+    }
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        calls = []
+
+        def spy(name, result):
+            def record(*args, **kwargs):
+                calls.append(name)
+                return result
+            return record
+
+        for name in ("qeuler_hk", "qgenocchi_hk", "fermionic_sum"):
+            monkeypatch.setattr(cli, name, spy(name, Fraction(7)))
+        for name in ("qeuler_hk_series", "qgenocchi_hk_series", "real_series"):
+            monkeypatch.setattr(cli, name, spy(name, (Fraction(7), Fraction(0))))
+        for name in ("twisted_euler_classical", "twisted_genocchi_classical"):
+            monkeypatch.setattr(classical, name, spy(name, Fraction(7)))
+        return calls
+
+    @pytest.mark.parametrize("mode", _MODES)
+    @pytest.mark.parametrize("family", list(_ROUTES))
+    def test_each_mode_reaches_its_route(self, capsys, spies, family, mode):
+        flags = [token for flag in NEEDED[family] for token in (flag, _NEEDED_VALUES[flag])]
+        code, out, err = run(capsys, family, *flags, "--mode", mode)
+        doc = json.loads(out)
+        # a Genocchi value scales an oracle sum and reports the scale
+        assert (code, err, doc["value"]) == (0, "", str(7 * int(doc["meta"].get("scale", 1))))
+        assert spies == [self._ROUTES[family][_MODES.index(mode)]]
+
+    @pytest.mark.parametrize("family", ["twisted-euler", "twisted-genocchi"])
+    def test_exact_mode_without_q_takes_the_classical_route(self, capsys, spies, family):
+        code, out, err = run(capsys, family, "--n", 2, "--w", "1/2")
+        assert (code, err, json.loads(out)["value"]) == (0, "", "7")
+        assert spies == [family.replace("-", "_") + "_classical"]
+
+
 class TestHelpAndUsage:
     """Every command answers `--help` with its own usage, and a flag error
     after a command is reported against that command's usage."""
