@@ -28,7 +28,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import classical, verify as verify_mod
@@ -68,14 +67,16 @@ RAT_PARAMS = ("q", "w", "t", "u", "x")
 MODES = ("exact", "symbolic", "padic", "series")
 
 
-@dataclass
 class Config:
-    p: int = 3
-    N: int = 2
-    M: int = 400
-    term_budget: int = DEFAULT_TERM_BUDGET
-    cesaro_tol: Fraction = Fraction(1, 1000)
-    table_budget: int = 10000
+    def __init__(self, p: int = 3, N: int = 2, M: int = 400,
+                 term_budget: int = DEFAULT_TERM_BUDGET,
+                 cesaro_tol: Fraction = Fraction(1, 1000), table_budget: int = 10000):
+        self.p = p
+        self.N = N
+        self.M = M
+        self.term_budget = term_budget
+        self.cesaro_tol = cesaro_tol
+        self.table_budget = table_budget
 
 
 def load_config() -> Config:
@@ -91,7 +92,7 @@ def load_config() -> Config:
             raise UsageError(f"config {path} must hold a JSON object")
         for key in ("p", "N", "M", "term_budget", "table_budget"):
             if key in data:
-                cfg.__dict__[key] = _config_int(path, key, data[key])
+                setattr(cfg, key, _config_int(path, key, data[key]))
         if "cesaro_tol" in data:
             try:
                 cfg.cesaro_tol = parse_rat(str(data["cesaro_tol"]))
@@ -438,6 +439,8 @@ def run_table(args, cfg: Config) -> int:
     r2 = _parse_range(args.range2) if args.range2 else None
     if r1[0] not in INT_PARAMS or (r2 and r2[0] not in INT_PARAMS):
         raise UsageError("ranges apply to integer parameters only")
+    if r2 and r2[0] == r1[0]:
+        raise UsageError(f"--range and --range2 both range over {r1[0]}")
     span1 = range(r1[1], r1[2] + 1)
     span2 = range(r2[1], r2[2] + 1) if r2 else [None]
     cells = len(span1) * len(span2)

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .qcore import _MEMO, DomainError, q_bracket_neg, q_power, to_frac
+from .qcore import _MEMO, DomainError, Record, q_bracket_neg, q_power, to_frac
 
 DEFAULT_TERM_BUDGET = 100_000
 
@@ -101,42 +100,46 @@ def _check_odd_prime(p: int):
         raise DomainError(f"p = {p} is not an odd prime")
 
 
-@dataclass(frozen=True)
-class PadicParams:
+class PadicParams(Record):
     """Evaluation context for level-N sums: odd prime p and level N."""
 
-    p: int = 3
-    N: int = 2
+    __slots__ = ("p", "N")
 
-    def __post_init__(self):
-        _check_odd_prime(self.p)
-        if self.N < 1:
+    def __init__(self, p: int = 3, N: int = 2):
+        _check_odd_prime(p)
+        if N < 1:
             raise DomainError("level N must be >= 1")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "N", N)
 
 
-@dataclass(frozen=True)
-class ClassicalMonomial:
+class ClassicalMonomial(Record):
     """Single-variable integrand f(y) = w^y (y + c)^n."""
 
-    n: int
-    w: Fraction = Fraction(1)
-    c: int = 0
+    __slots__ = ("n", "w", "c")
+
+    def __init__(self, n: int, w: Fraction = Fraction(1), c: int = 0):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "c", c)
 
     @property
     def num_vars(self) -> int:
         return 1
 
 
-@dataclass(frozen=True)
-class QBracketMonomial:
+class QBracketMonomial(Record):
     """k-variable integrand f(x1..xk) =
     (prod_j w^{x_j} q^{(h-j) x_j}) [x1 + ... + xk + x]_q^m."""
 
-    m: int
-    k: int = 1
-    h: int = 1
-    w: Fraction = Fraction(1)
-    x: int = 0
+    __slots__ = ("m", "k", "h", "w", "x")
+
+    def __init__(self, m: int, k: int = 1, h: int = 1, w: Fraction = Fraction(1), x: int = 0):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "x", x)
 
     @property
     def num_vars(self) -> int:
@@ -146,8 +149,7 @@ class QBracketMonomial:
 IntegrandFamily = Union[ClassicalMonomial, QBracketMonomial]
 
 
-@dataclass(frozen=True)
-class SeriesParams:
+class SeriesParams(Record):
     """Real-series evaluation context: truncation M and summation mode.
 
     "direct" truncates an absolutely convergent sum and reports an exact
@@ -155,17 +157,17 @@ class SeriesParams:
     the partial sums, which removes the period-two oscillation of
     boundary alternating series and converges to their Abel value."""
 
-    M: int = 400
-    mode: str = "direct"
+    __slots__ = ("M", "mode")
 
-    def __post_init__(self):
-        if self.M < 1:
+    def __init__(self, M: int = 400, mode: str = "direct"):
+        if M < 1:
             raise DomainError("series truncation M must be >= 1")
-        if self.mode not in ("direct", "cesaro1"):
-            raise DomainError(f"unknown series mode {self.mode!r}")
+        if mode not in ("direct", "cesaro1"):
+            raise DomainError(f"unknown series mode {mode!r}")
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "mode", mode)
 
 
-@dataclass
 class ValuationReport:
     """Exact p-adic valuations of level-sum residuals, level by level.
 
@@ -173,9 +175,20 @@ class ValuationReport:
     one reaches at least max(levels) - 1.  Valuation of an exact zero
     residual is reported as +infinity."""
 
-    levels: list[int]
-    valuations: list
-    verdict: bool
+    def __init__(self, levels: list[int], valuations: list, verdict: bool):
+        self.levels = levels
+        self.valuations = valuations
+        self.verdict = verdict
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.levels, self.valuations, self.verdict)
+                == (other.levels, other.valuations, other.verdict))
+
+    def __repr__(self):
+        return (f"ValuationReport(levels={self.levels!r}, "
+                f"valuations={self.valuations!r}, verdict={self.verdict!r})")
 
     def to_json_dict(self) -> dict:
         vals = ["inf" if v == math.inf else v for v in self.valuations]

@@ -49,6 +49,46 @@ class DomainError(ValueError):
     """An operation was evaluated outside its mathematical domain."""
 
 
+class Record:
+    """Base of the immutable parameter records (`QEulerSpec`,
+    `SeriesParams`, ...).  A subclass lists its fields in `__slots__`, in
+    constructor order; its `__init__` validates its arguments and then
+    stores each field through `object.__setattr__`.  Equality, hashing and
+    the repr run over the fields as a frozen dataclass's do: a record
+    equals only a record of the same class with equal fields, hashes as the
+    tuple of its fields, and prints as `Name(field=value, ...)`.  Plain
+    classes rather than dataclasses, because importing `dataclasses` also
+    imports `inspect`, `ast`, `dis` and `tokenize`, and building each class
+    execs generated code: together about half of what a cold query spends
+    above the bare interpreter's start-up."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def to_frac(v) -> Fraction:
     """Coerce an int, Fraction, or "num/den" string to an exact rational."""
     if isinstance(v, Fraction):

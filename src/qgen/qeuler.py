@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -46,6 +45,7 @@ from .qcore import (
     DomainError,
     Poly,
     QRat,
+    Record,
     _coeff_divmod,
     _int_mul,
     _kronecker_read,
@@ -62,20 +62,20 @@ from .qcore import (
 )
 
 
-@dataclass(frozen=True)
-class QEulerSpec:
+class QEulerSpec(Record):
     """Parameters: degree m, integer weight h, order k, integer shift x,
     and rational twist w (w = 1 recovers the untwisted family)."""
 
-    m: int
-    h: int
-    k: int = 1
-    x: int = 0
-    w: Fraction = Fraction(1)
+    __slots__ = ("m", "h", "k", "x", "w")
 
-    def __post_init__(self):
-        if self.m < 0 or self.k < 1 or self.x < 0:
+    def __init__(self, m: int, h: int, k: int = 1, x: int = 0, w: Fraction = Fraction(1)):
+        if m < 0 or k < 1 or x < 0:
             raise DomainError("need m >= 0, k >= 1, x >= 0")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "w", w)
 
     def kernel(self) -> tuple[QEulerSpec, int]:
         """The q-Euler parameters and integer scale of this value: itself, 1."""

@@ -17,27 +17,26 @@ prefactor of the generating function)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import DEFAULT_TERM_BUDGET, SeriesParams
-from .qcore import DomainError
+from .qcore import DomainError, Record
 from .qeuler import QEulerSpec, _euler_sum, _normalize_q, qeuler_hk_series
 
 
-@dataclass(frozen=True)
-class QGenocchiSpec:
+class QGenocchiSpec(Record):
     """Parameters: shifted index n (the reported value has index n + k),
     integer weight h, order k, and rational twist w."""
 
-    n: int
-    h: int
-    k: int = 1
-    w: Fraction = Fraction(1)
+    __slots__ = ("n", "h", "k", "w")
 
-    def __post_init__(self):
-        if self.n < 0 or self.k < 1:
+    def __init__(self, n: int, h: int, k: int = 1, w: Fraction = Fraction(1)):
+        if n < 0 or k < 1:
             raise DomainError("need n >= 0, k >= 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "w", w)
 
     def kernel(self) -> tuple[QEulerSpec, int]:
         """The q-Euler parameters this value scales (degree n, shift 0) and

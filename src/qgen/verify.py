@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import classical, padic, qcore
@@ -26,20 +25,22 @@ from .qeuler import QEulerSpec, qeuler_hk, qeuler_hk_series, qeuler_twisted
 from .qgenocchi import QGenocchiSpec, qgenocchi, qgenocchi_hk, qgenocchi_hk_series, qgenocchi_twisted
 
 
-@dataclass
 class VerifyConfig:
-    padic_level: int = 2
-    M: int = 400
-    cesaro_tol: Fraction = Fraction(1, 1000)
-    term_budget: int = padic.DEFAULT_TERM_BUDGET
+    def __init__(self, padic_level: int = 2, M: int = 400,
+                 cesaro_tol: Fraction = Fraction(1, 1000),
+                 term_budget: int = padic.DEFAULT_TERM_BUDGET):
+        self.padic_level = padic_level
+        self.M = M
+        self.cesaro_tol = cesaro_tol
+        self.term_budget = term_budget
 
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    points: int
-    detail: str = ""
+    def __init__(self, name: str, ok: bool, points: int, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.points = points
+        self.detail = detail
 
 
 def _run_grid(name: str, points) -> CheckResult:

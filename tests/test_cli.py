@@ -157,6 +157,14 @@ class TestTable:
         assert [(r["n"], r["k"]) for r in rows] == \
             [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)]
 
+    def test_two_ranges_over_one_parameter_is_two(self, tmp_path):
+        out = tmp_path / "x.csv"
+        res = qgen("table", "--family", "euler", "--range", "n=0..2",
+                   "--range2", "n=0..1", "--format", "csv", "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr == "usage error: --range and --range2 both range over n\n"
+        assert not out.exists()
+
     def test_byte_identical_table(self, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -176,7 +175,7 @@ def _reflected(spec: QGenocchiSpec, qv):
     (1/qv, or the generator when qv is None), and (c, t), c carrying the
     integer scale."""
     espec, scale = spec.kernel()
-    mirror = dataclasses.replace(espec, x=espec.k - espec.x, w=1 / espec.w)
+    mirror = QEulerSpec(m=espec.m, h=espec.h, k=espec.k, x=espec.k - espec.x, w=1 / espec.w)
     lhs = typed_outcome(lambda: qgenocchi_hk(spec, qv))
     rhs = typed_outcome(lambda: qeuler_hk(mirror, None if qv is None else 1 / qv))
     c, t = reflection_factor(espec.m, espec.h, espec.k, espec.w)
