@@ -441,6 +441,9 @@ def run_table(args, cfg: Config) -> int:
         raise UsageError("ranges apply to integer parameters only")
     if r2 and r2[0] == r1[0]:
         raise UsageError(f"--range and --range2 both range over {r1[0]}")
+    for flag, r in (("--range", r1), ("--range2", r2)):
+        if r and r[0] in params:
+            raise UsageError(f"--{r[0]} fixes {r[0]}, which {flag} ranges over")
     span1 = range(r1[1], r1[2] + 1)
     span2 = range(r2[1], r2[2] + 1) if r2 else [None]
     cells = len(span1) * len(span2)

@@ -12,18 +12,22 @@ Every sum here is a box sum: an integrand times prod_j (-q)^{x_j}
 equals prod_j b_j^{x_j} g[x1 + ... + xk] for per-variable ratios b_j and
 a table g over s = x1 + ... + xk, so `_box_sums` convolves the k geometric
 weight tables into one weight per s (`_distribution`) and never enumerates
-the box, then sums the weights against g by Horner's rule.  That pass
-(`_horner`) runs on integers over one common denominator, exactly or modulo
-p^L, and returns the numerators of the prefix sums it reads;
-`_prefix_sums` divides them out into Fractions or residues, and
-`_cesaro1_sums` combines the last three into the cesaro1 value and gap
-while they are still integers.  Boxes of several sides share one table of
-g, and for k = 1 one Horner pass.  A constant integrand (m = 0, or n = 0)
-has no table: its box sum is the total mass of the box, the product of its
-k geometric sums (`_geometric_sum`), so its levels cost O(k log p^N) on
-the modular and the exact route alike.  The parts that do not depend on the
-degree m (the bracket numerators of g and the distributions) come from one
-bounded memo.
+the box, then sums the weights against g.  Exactly, that pass (`_horner`)
+is Horner's rule on integers over one common denominator and returns the
+numerators of the prefix sums it reads; `_prefix_sums` divides them out
+into Fractions, and `_cesaro1_sums` combines the last three into the
+cesaro1 value and gap while they are still integers.  Modulo p^L every
+table holds residues of the terms themselves (the brackets, the weights,
+b^s for k = 1), so the common denominators are 1 and `_prefix_sums` is one
+running sum of products, built from whole-list operations: geometric
+tables by doubling (`qcore._geometric_residues`), the m-th powers by one
+`map`, the sum by `itertools.accumulate`.  Boxes of several sides share
+one table of g, and for k = 1 one prefix-sum pass.  A constant integrand
+(m = 0, or n = 0) has no table: its box sum is the total mass of the box,
+the product of its k geometric sums (`_geometric_sum`), so its levels cost
+O(k log p^N) on the modular and the exact route alike.  The parts that do
+not depend on the degree m (the bracket tables of g and the distributions)
+come from one bounded memo.
 `padic_limit_check` reads its levels so modulo p^L (`_level_sums`), then
 sums exactly the levels whose residue cannot decide the valuation; a
 cesaro1 `real_series` reads its last three boxes so.
@@ -39,10 +43,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .qcore import _MEMO, DomainError, Record, q_bracket_neg, q_power, to_frac
+from .qcore import (
+    _MEMO,
+    DomainError,
+    Record,
+    _geometric_residues,
+    q_bracket_neg,
+    q_power,
+    to_frac,
+)
 
 DEFAULT_TERM_BUDGET = 100_000
 
@@ -243,27 +256,31 @@ def check_shift_budget(x: int, last: int, term_budget: int) -> None:
 
 def _bracket_numerators(qf: Fraction, x: int, size: int,
                         modulus: int | None) -> tuple[tuple[int, ...], int, int]:
-    """(U, c, K) with [s + x]_q = U[s] / (K c^s) for s < size, U reduced
-    modulo `modulus` when one is given.
+    """(U, c, K) with [s + x]_q = U[s] / (K c^s) for s < size.
 
-    With q = a/c and K a common denominator of [x]_q and q^x = X / K, the
-    step br_{s+1} = br_s + q^{x+s} is U_{s+1} = c (U_s + X a^s)."""
+    Modulo `modulus` (q a unit there) U holds the residues of the brackets
+    themselves and c = K = 1: [x]_q plus the running sums of the residues of
+    q^x q^s, a geometric table (`_geometric_residues`).
+
+    Exactly, with q = a/c and K a common denominator of [x]_q and
+    q^x = X / K, the step br_{s+1} = br_s + q^{x+s} is
+    U_{s+1} = c (U_s + X a^s)."""
     qpow = q_power(qf, x)
     br = Fraction(x) if qf == 1 else (1 - qpow) / (1 - qf)
+    if modulus:
+        steps = _geometric_residues(_residue(qpow, modulus), _residue(qf, modulus),
+                                    size - 1, modulus)
+        brackets = itertools.accumulate(steps, initial=_residue(br, modulus))
+        return tuple(map(operator.mod, brackets, itertools.repeat(modulus))), 1, 1
     K = math.lcm(br.denominator, qpow.denominator)
     a, c = qf.numerator, qf.denominator
     u = br.numerator * (K // br.denominator)
     t = qpow.numerator * (K // qpow.denominator)
-    if modulus:
-        u %= modulus
     U = []
     for _ in range(size):
         U.append(u)
         u = c * (u + t)
         t *= a
-        if modulus:
-            u %= modulus
-            t %= modulus
     return tuple(U), c, K
 
 
@@ -271,14 +288,14 @@ def _sum_table(f: IntegrandFamily, qf: Fraction, size: int, term_budget: int,
                modulus: int | None = None) -> tuple[Sequence[int] | None, int, int]:
     """The factor g[s] of the integrand that depends only on s = x1 + ... + xk,
     for s = 0..size-1: (s + c)^n, or [s + x]_q^m.  Returned as integers
-    (G, R, C) with g[s] = G[s] / (R^s C), G reduced modulo `modulus` when
-    one is given.  The constant g = 1 (n = 0 or m = 0) is (None, 1, 1):
-    `_box_sums` sums its boxes as geometric sums, and `_horner` reads it as
-    a table of ones.
+    (G, R, C) with g[s] = G[s] / (R^s C).  Modulo `modulus` G holds the
+    residues of g itself and R = C = 1.  The constant g = 1 (n = 0 or
+    m = 0) is (None, 1, 1): `_box_sums` sums its boxes as geometric sums,
+    and `_horner` reads it as a table of ones.
 
-    For brackets, G[s] = U[s]^m with the numerators U of
-    `_bracket_numerators`, which do not depend on m and are read from the
-    memo, so R = c^m and C = K^m."""
+    For brackets, G[s] = U[s]^m with the table U of `_bracket_numerators`,
+    which does not depend on m and is read from the memo, so R = c^m and
+    C = K^m (both 1 modulo `modulus`); at m = 1, G is U itself."""
     if isinstance(f, ClassicalMonomial):
         if f.n < 0:
             raise DomainError("integrand exponent n must be >= 0")
@@ -292,7 +309,7 @@ def _sum_table(f: IntegrandFamily, qf: Fraction, size: int, term_budget: int,
         return None, 1, 1
     U, c, K = _MEMO.get(("bracket", qf, f.x, size, modulus),
                         lambda: _bracket_numerators(qf, f.x, size, modulus))
-    G = U if f.m == 1 else [pow(u, f.m, modulus) for u in U]
+    G = U if f.m == 1 else list(map(pow, U, itertools.repeat(f.m), itertools.repeat(modulus)))
     return G, c ** f.m, K ** f.m
 
 
@@ -300,8 +317,11 @@ def _distribution(bases: Sequence[Fraction], L: int, modulus: int | None = None,
                   size: int | None = None) -> tuple[tuple[int, ...], int]:
     """The s-distribution of the k geometric tables (b_j^0, ..., b_j^{L-1}):
     integers D[s] with sum over x1 + ... + xk = s of prod_j b_j^{x_j} equal
-    to D[s] / E^s, where E is the common denominator of the bases.  With a
-    `size`, only s < size is kept.  Read from the memo by its inputs.
+    to D[s] / E^s, where E is the common denominator of the bases.  Modulo
+    `modulus` (every denominator a unit there) D holds the residues of the
+    weights themselves and E = 1; for k = 1 that is the geometric table of
+    b^s.  With a `size`, only s < size is kept.  Read from the memo by its
+    inputs.
 
     Each table is convolved in by the running form
     d'[s] = d[s] + b d'[s-1] - b^L d[s-L], starting from the unit table, in
@@ -314,10 +334,16 @@ def _distribution(bases: Sequence[Fraction], L: int, modulus: int | None = None,
 
 def _build_distribution(bases: Sequence[Fraction], L: int, modulus: int | None,
                         size: int | None) -> tuple[tuple[int, ...], int]:
-    E = math.lcm(*(b.denominator for b in bases))
+    if modulus:
+        E, scaled = 1, [_residue(b, modulus) for b in bases]
+        if len(bases) == 1:
+            n = L if size is None else min(L, size)
+            return tuple(_geometric_residues(1, scaled[0], n, modulus)), 1
+    else:
+        E = math.lcm(*(b.denominator for b in bases))
+        scaled = [b.numerator * (E // b.denominator) for b in bases]
     dist = [1]
-    for b in bases:
-        B = b.numerator * (E // b.denominator)
+    for B in scaled:
         BL = pow(B, L, modulus)
         padded = dist + [0] * (L - 1)
         if size is not None:
@@ -333,11 +359,13 @@ def _build_distribution(bases: Sequence[Fraction], L: int, modulus: int | None,
 
 
 def _horner(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, int],
-            reads: Sequence[int], modulus: int | None = None) -> list[int]:
+            reads: Sequence[int]) -> list[int]:
     """The integers A_n = sum_{s<=n} D[s] G[s] (E R)^(n-s) at each n of the
-    ascending `reads`, from one Horner pass over the distribution, reduced
-    modulo `modulus` when one is given.  With g[s] = G[s] / (R^s C), the
-    prefix sum sum_{s<=n} (D[s] / E^s) g[s] is A_n / (C (E R)^n)."""
+    ascending `reads`, from one Horner pass over the distribution.  With
+    g[s] = G[s] / (R^s C), the prefix sum sum_{s<=n} (D[s] / E^s) g[s] is
+    A_n / (C (E R)^n).  The exact route only: modulo p^L the tables hold
+    residues of the terms, E = R = C = 1, and `_prefix_sums` adds them up
+    with no Horner step."""
     G, R, _ = table
     ER = E * R
     terms = zip(dist, itertools.repeat(1) if G is None else G)
@@ -345,11 +373,14 @@ def _horner(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, int],
     for n in reads:
         for d, v in itertools.islice(terms, n + 1 - done):
             acc = acc * ER + d * v
-            if modulus:
-                acc %= modulus
         done = n + 1
         accs.append(acc)
     return accs
+
+
+def _residue(v: Fraction, modulus: int) -> int:
+    """The residue of a rational with a unit denominator modulo `modulus`."""
+    return v.numerator * pow(v.denominator, -1, modulus) % modulus
 
 
 def _over(num, den: int, modulus: int | None):
@@ -363,11 +394,22 @@ def _over(num, den: int, modulus: int | None):
 def _prefix_sums(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, int],
                  reads: Sequence[int], modulus: int | None = None) -> list:
     """The prefix sums P_n = sum_{s<=n} (D[s] / E^s) g[s] at each n of the
-    ascending `reads`, A_n / (C (E R)^n) from `_horner`: Fractions, or
-    residues when a `modulus` is given."""
-    _, R, C = table
-    accs = _horner(dist, E, table, reads, modulus)
-    return [_over(a, C * pow(E * R, n, modulus), modulus) for n, a in zip(reads, accs)]
+    ascending `reads`: Fractions, or residues when a `modulus` is given.
+
+    Exactly, A_n / (C (E R)^n) from `_horner`.  Modulo `modulus` the
+    distribution and the table hold residues of the terms, E = R = C = 1,
+    and P_n is one running sum of the products D[s] G[s], unreduced, read
+    at each n and reduced once per read."""
+    if not modulus:
+        _, R, C = table
+        accs = _horner(dist, E, table, reads)
+        return [Fraction(a, C * (E * R) ** n) for n, a in zip(reads, accs)]
+    running = itertools.accumulate(map(operator.mul, dist, table[0]))
+    sums, done = [], 0
+    for n in reads:
+        sums.append(next(itertools.islice(running, n - done, None)) % modulus)
+        done = n + 1
+    return sums
 
 
 def _box_sums(bases: Sequence[Fraction], table: tuple[Sequence[int], int, int],
@@ -379,7 +421,7 @@ def _box_sums(bases: Sequence[Fraction], table: tuple[Sequence[int], int, int],
     s-distribution of its box; `table` may run past the largest.
 
     For k = 1 the box [0, L) is a prefix of the largest one, so one
-    distribution and one Horner pass read every side at s = L - 1; for
+    distribution and one prefix-sum pass read every side at s = L - 1; for
     k >= 2 the box distributions differ, so each side builds its own.
 
     A constant table (g = 1) needs no distribution: a box's sum is then its
@@ -400,22 +442,21 @@ def _box_sums(bases: Sequence[Fraction], table: tuple[Sequence[int], int, int],
 def _geometric_sum(b: Fraction, L: int, modulus: int | None = None):
     """sum_{x<L} b^x for L >= 1: (1 - b^L) / (1 - b), or L at b = 1.
 
-    With a `modulus`, its residue (the denominator E of b = B / E must be a
-    unit), from S_n = sum_{x<n} B^x E^(n-1-x) = E^(n-1) sum_{x<n} b^x by
-    binary doubling, S_2n = S_n (E^n + B^n) and S_(n+1) = S_n E + B^n.
-    That divides by nothing but E^(L-1): 1 - b may be a non-unit, as when
-    w = -1 and q = 1 mod p make 1 + w q^e = 0 mod p."""
+    With a `modulus`, its residue (b must be a unit), from the residue r
+    of b by binary doubling, S_2n = S_n (1 + r^n) and S_(n+1) = S_n + r^n.
+    That divides by nothing: 1 - b may be a non-unit, as when w = -1 and
+    q = 1 mod p make 1 + w q^e = 0 mod p."""
     if not modulus:
         return Fraction(L) if b == 1 else (1 - b ** L) / (1 - b)
-    B, E = b.numerator % modulus, b.denominator % modulus
-    S, Bn, En = 1, B, E  # S_n, B^n and E^n at n = 1
+    r = _residue(b, modulus)
+    S, rn = 1, r  # S_n and r^n at n = 1
     for bit in bin(L)[3:]:
-        S = S * (En + Bn) % modulus
-        Bn, En = Bn * Bn % modulus, En * En % modulus
+        S = S * (1 + rn) % modulus
+        rn = rn * rn % modulus
         if bit == "1":
-            S = (S * E + Bn) % modulus
-            Bn, En = Bn * B % modulus, En * E % modulus
-    return _over(S, pow(E, L - 1, modulus), modulus)
+            S = (S + rn) % modulus
+            rn = rn * r % modulus
+    return S
 
 
 def check_level_budget(p: int, N: int, k: int, term_budget: int) -> None:
@@ -432,12 +473,15 @@ def check_level_budget(p: int, N: int, k: int, term_budget: int) -> None:
 
 
 def _units_mod_p(f: IntegrandFamily, qf: Fraction, p: int) -> bool:
-    """True when q, 1 + q and w are p-adic units.  Then so are every
-    denominator of the level sum (E, R and C of `_box_sums`, products of
-    numerators and denominators of q and w) and the norm [p^N]_{-q}, which
+    """True when q, 1 + q and w are p-adic units.  Then so are the ratios
+    b_j and the denominators of every bracket [s + x]_q (products of
+    numerators and denominators of q and w), so the tables of `_box_sums`
+    can hold residues of the terms, and so is the norm [p^N]_{-q}, which
     is 1 mod p because (-q)^(p^N) = -q mod p; so the level sum is
     p-integral and can be read modulo p^L."""
-    return all(v.numerator % p and v.denominator % p for v in (qf, 1 + qf, to_frac(f.w)))
+    # q = a/c in lowest terms, so 1 + q = (a + c)/c is too
+    a, c, w = qf.numerator, qf.denominator, to_frac(f.w)
+    return all(v % p for v in (a, c, a + c, w.numerator, w.denominator))
 
 
 def _level_sums(f: IntegrandFamily, qf: Fraction, p: int, levels: Sequence[int],
@@ -502,7 +546,7 @@ def _residual_valuation(r: int, target: Fraction, p: int, modulus: int):
     tell its valuation."""
     if target.denominator % p == 0:
         return val_p(target, p)
-    res = (r - target.numerator * pow(target.denominator, -1, modulus)) % modulus
+    res = (r - _residue(target, modulus)) % modulus
     return _val_int(res, p) if res else None
 
 
@@ -526,7 +570,7 @@ def padic_limit_check(f: IntegrandFamily, target, qv, p: int = 3,
     fails, is summed exactly, so every valuation equals the exact one.
 
     Each route sums all its levels from one table and, for k = 1, one
-    Horner pass over the deepest box (`_level_sums`), inside its first
+    prefix-sum pass over the deepest box (`_level_sums`), inside its first
     `fermionic_sum` call; the module's `fermionic_sum` is still called once
     per level and route."""
     if not levels:

@@ -290,6 +290,17 @@ def falling(n: int, r: int) -> int:
     return out
 
 
+def _geometric_residues(first: int, ratio: int, size: int, modulus: int) -> list[int]:
+    """The residues of first * ratio^i modulo `modulus` for i < size, by
+    doubling: the first n residues times ratio^n are the next n, so each
+    doubling is one `pow` and one list comprehension."""
+    table = [first % modulus][:size]
+    while len(table) < size:
+        step = pow(ratio, len(table), modulus)
+        table += [v * step % modulus for v in itertools.islice(table, size - len(table))]
+    return table
+
+
 def _common_numerators(cs) -> tuple[int, list[int]]:
     """(D, N) with cs[i] = N[i] / D, D the least common denominator of the
     canonical coefficients `cs`."""

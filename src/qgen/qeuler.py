@@ -47,6 +47,7 @@ from .qcore import (
     QRat,
     Record,
     _coeff_divmod,
+    _geometric_residues,
     _int_mul,
     _kronecker_read,
     _scaled,
@@ -219,10 +220,7 @@ def _remainder(cs, key, base: Poly, modulus: int | None = None) -> tuple:
         top = max(len(cs) - 1, 0) // e
         if hi % modulus:
             c = -lo * pow(hi, -1, modulus) % modulus
-            weights = [pow(hi, top, modulus)]
-            while len(weights) <= top:
-                step = pow(c, len(weights), modulus)
-                weights += [x * step % modulus for x in weights]
+            weights = _geometric_residues(pow(hi, top, modulus), c, top + 1, modulus)
         else:
             weights = [0] * top + [pow(-lo, top, modulus)]
         return tuple(sum(map(operator.mul, weights, cs[i::e])) % modulus for i in range(e))

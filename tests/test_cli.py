@@ -165,6 +165,19 @@ class TestTable:
         assert res.stderr == "usage error: --range and --range2 both range over n\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("ranges, flag, message", [
+        (["--range", "n=0..2"], ["--n", "5"], "--n fixes n, which --range ranges over"),
+        (["--range", "n=0..2", "--range2", "k=0..1"], ["--k", "1"],
+         "--k fixes k, which --range2 ranges over"),
+    ])
+    def test_fixed_flag_for_a_ranged_parameter_is_two(self, tmp_path, ranges, flag, message):
+        out = tmp_path / "x.csv"
+        res = qgen("table", "--family", "euler", *ranges, *flag, "--format", "csv",
+                   "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr == f"usage error: {message}\n"
+        assert not out.exists()
+
     def test_byte_identical_table(self, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):

@@ -550,6 +550,113 @@ class TestModularRoute:
         assert padic_limit_check(f, target, qv, p, levels) == ValuationReport(levels, vals, verdict)
 
 
+def _residue(v, P):
+    v = F(v)
+    return v.numerator * pow(v.denominator, -1, P) % P
+
+
+@st.composite
+def _unit_checks(draw):
+    """(p, q, w, k, m, h, x, levels): q, 1 + q and w p-adic units, negative
+    and fractional ones included, and levels whose boxes have at most 729
+    points."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    unit, sign = st.integers(1, 30).filter(lambda v: v % p), st.sampled_from([1, -1])
+    qv, w = [F(draw(sign) * draw(unit), draw(unit)) for _ in range(2)]
+    assume((qv.numerator + qv.denominator) % p)
+    k = draw(st.integers(1, 3))
+    top = 1
+    while (p ** (top + 1)) ** k <= 729:
+        top += 1
+    levels = draw(st.lists(st.integers(1, top), min_size=1, max_size=3))
+    return (p, qv, w, k, draw(st.integers(0, 3)), draw(st.integers(-1, k + 1)),
+            draw(st.integers(0, 3)), levels)
+
+
+class TestResidueTables:
+    """Modulo p^L the tables hold residues of the terms themselves, with
+    E = R = C = 1; each table, prefix sum and level sum must be the
+    residue of the exact one, and a check's valuations the exact ones."""
+
+    @given(_unit_checks(), st.integers(0, 2))
+    @example((7, F(-2, 3), F(-1, 2), 3, 3, 4, 3, [1]), 0)
+    @example((3, F(-2), F(1, 4), 1, 3, -1, 2, [6, 1]), 1)
+    @settings(max_examples=100, deadline=None)
+    def test_residues_of_the_exact_route(self, check, kind):
+        p, qv, w, k, m, h, x, levels = check
+        P = p ** (max(levels) + padic.MODULAR_MARGIN)
+        f = QBracketMonomial(m=m, k=k, h=h, w=w, x=x)
+        size = k * (p ** max(levels) - 1) + 1
+        exact = _sum_table(f, qv, size, 10 ** 5)
+        table = _sum_table(f, qv, size, 10 ** 5, P)
+        if m == 0:
+            assert exact == table == (None, 1, 1)
+        else:
+            G, R, C = exact
+            assert table[1:] == (1, 1)
+            assert list(table[0]) == [_residue(F(g, R ** s * C), P) for s, g in enumerate(G)]
+        bases = padic._ratios(f, qv)
+        for N in levels:
+            dist, E = _distribution(bases, p ** N)
+            residues, one = _distribution(bases, p ** N, P)
+            assert one == 1
+            assert list(residues) == [_residue(F(d, E ** s), P) for s, d in enumerate(dist)]
+            reads = range(len(dist))
+            if m:  # a constant table is summed as geometric sums instead
+                assert _prefix_sums(residues, 1, table, reads, P) == \
+                    [_residue(v, P) for v in _prefix_sums(dist, E, exact, reads)]
+            level = fermionic_sum(f, qv, PadicParams(p, N))
+            assert fermionic_sum(f, qv, PadicParams(p, N), modulus=P) == _residue(level, P)
+        # the closed form, the exact lowest level sum (a zero residual
+        # there) and a plain rational
+        try:
+            closed = qeuler_hk(QEulerSpec(m=m, h=h, k=k, x=x, w=w), qv)
+        except DomainError:
+            closed = F(2, 7)
+        target = [closed, fermionic_sum(f, qv, PadicParams(p, min(levels))), F(5, 11)][kind]
+        vals = [val_p(fermionic_sum(f, qv, PadicParams(p, N)) - target, p) for N in levels]
+        assert padic_limit_check(f, target, qv, p, levels).valuations == vals
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_limit_check_builds_each_table_once_per_route(self, monkeypatch, m):
+        # k = 1, levels 1..3 at q = 4, target the exact level-2 sum: the
+        # modular route reads every level, the exact one level 2.  Each
+        # route builds one bracket table and one distribution and makes one
+        # prefix-sum pass; at m = 1 that pass sums the bracket table itself.
+        built, passes = [], []
+        brackets, build, prefix_sums = (padic._bracket_numerators,
+                                        padic._build_distribution, padic._prefix_sums)
+
+        def bracket(*args):
+            built.append(("bracket", args[-1], brackets(*args)))
+            return built[-1][2]
+
+        def dist(*args):
+            built.append(("dist", args[2], None))
+            return build(*args)
+
+        def sums(dist, E, table, reads, modulus=None):
+            passes.append((table[0], list(reads), modulus))
+            return prefix_sums(dist, E, table, reads, modulus)
+
+        monkeypatch.setattr(padic, "_bracket_numerators", bracket)
+        monkeypatch.setattr(padic, "_build_distribution", dist)
+        monkeypatch.setattr(padic, "_prefix_sums", sums)
+        f = QBracketMonomial(m=m, k=1, h=1)
+        target = _level_reference(f, F(4), 2)
+        padic._MEMO.clear()
+        rep = padic_limit_check(f, target, F(4), 3, [1, 2, 3])
+        P = 3 ** (3 + padic.MODULAR_MARGIN)
+        assert [(kind, modulus) for kind, modulus, _ in built] == \
+            [("bracket", P), ("dist", P), ("bracket", None), ("dist", None)]
+        assert [(reads, modulus) for _, reads, modulus in passes] == \
+            [([2, 8, 26], P), ([8], None)]
+        for (_, _, (U, _, _)), (table, _, _) in zip(built[::2], passes):
+            assert (table is U) == (m == 1)
+        assert rep == _limit_check_per_level(f, target, F(4), 3, [1, 2, 3])
+        assert rep.valuations[1] == math.inf
+
+
 def _p_adic_one(p, i, j):
     """(1 + p i) / (1 + p j): a rational that is 1 mod p."""
     return F(1 + p * i, 1 + p * j)
@@ -620,7 +727,7 @@ def _deepest(p, k, span=729):
 
 class TestSharedLevels:
     """`padic_limit_check` sums all levels of a check from one table and,
-    for k = 1, one Horner pass; its reports must equal the level-by-level
+    for k = 1, one prefix-sum pass; its reports must equal the level-by-level
     loop's, valuations included."""
 
     @pytest.mark.parametrize("p", [3, 5, 7])
