@@ -36,6 +36,7 @@ from .padic import (
     BudgetExceeded,
     PadicParams,
     SeriesParams,
+    check_degree_budget,
     check_level_budget,
     fermionic_sum,
     real_series,
@@ -215,10 +216,7 @@ def _twisted_euler_spec(params: dict) -> QEulerSpec:
 
 
 def _twisted_genocchi_spec(params: dict) -> QGenocchiSpec | None:
-    # index n is the order-1 value of shifted index n - 1; index 0, below
-    # the order, vanishes identically
-    n = _int_param(params, "n")
-    return QGenocchiSpec(n=n - 1, h=1, k=1, w=params["w"]) if n else None
+    return QGenocchiSpec.at_index(_int_param(params, "n"), 1, 1, params["w"])
 
 
 def _run_q_family(params: dict, mode: str, cfg: Config, series_mode, *, spec_of,
@@ -278,17 +276,10 @@ def _check_products(order: int, power: int, cfg: Config) -> None:
             f"beyond the budget of {cfg.term_budget}")
 
 
-def _check_degree(degree: int, cfg: Config) -> None:
-    """Symbolic results are budgeted by degree, before any work."""
-    if degree > cfg.term_budget:
-        raise BudgetExceeded(
-            f"symbolic degree {degree} exceeds the budget of {cfg.term_budget}")
-
-
 def _run_qnum(params: dict, mode: str, cfg: Config, series_mode):
     n = _int_param(params, "n")
     if mode == "symbolic":
-        _check_degree(n - 1, cfg)
+        check_degree_budget(n - 1, cfg.term_budget)
         return q_int(n), {}
     return q_int(n, params["q"]), {}
 
@@ -296,7 +287,7 @@ def _run_qnum(params: dict, mode: str, cfg: Config, series_mode):
 def _run_qbinom(params: dict, mode: str, cfg: Config, series_mode):
     n, k = _int_param(params, "n"), _int_param(params, "k")
     if mode == "symbolic":
-        _check_degree(k * (n - k), cfg)
+        check_degree_budget(k * (n - k), cfg.term_budget)
         return gauss_binom(n, k), {}
     qv = params["q"]
     if isinstance(qv, Fraction) and 0 <= k <= n:
@@ -355,51 +346,67 @@ def _run_gf(params: dict, mode: str, cfg: Config, series_mode):
     return lhs, {"rhs": rat_str(rhs), "abs_diff": rat_str(abs(lhs - rhs)), "truncation": sp.M}
 
 
-# A q-family answers every mode and needs --q outside symbolic mode; a
-# twisted family's classical route answers exact mode without it.
-_Q_MODES = {"exact": ("q",), "symbolic": (), "padic": ("q",), "series": ("q",)}
-_TWISTED_MODES = {**_Q_MODES, "exact": ()}
-_EXACT = {"exact": ()}
+def _q_modes(spec: tuple, exact_needs: tuple = ("q",)) -> dict:
+    """The modes of a q-family whose spec reads the optional flags `spec`.
+    Every mode but symbolic reads --q and needs it, except that exact mode
+    needs `exact_needs` (a twisted family's classical route answers it
+    without --q); padic mode also reads the level flags, series mode the
+    truncation."""
+    return {"exact": (exact_needs, spec + ("q",)), "symbolic": ((), spec),
+            "padic": (("q",), spec + ("p", "N")), "series": (("q",), spec + ("M",))}
+
+
+_CLASSICAL = {"exact": ((), ("k", "x"))}
 
 # Each family's entry is (flags, modes, run): the flags every query needs,
-# a map from each mode the family answers to the further flags a query in
-# that mode needs, and `run(params, mode, cfg, series_mode)`, which checks
-# the query's budget before its work and returns (value, meta).  A
-# q-family's run names its spec builder, its classical route and whether
-# its series mode takes the Gaussian-weight route.  Every run looks the
-# public functions up at call time, so a caller that rebinds a
-# module-level name (a profiler, a test double) sees every call.
+# a map from each mode the family answers to (needs, reads), the further
+# flags a query in that mode needs and the flags it reads when given, and
+# `run(params, mode, cfg, series_mode)`, which checks the query's budget
+# before its work and returns (value, meta).  A q-family's run names its
+# spec builder, its classical route and whether its series mode takes the
+# Gaussian-weight route.  Every run looks the public functions up at call
+# time, so a caller that rebinds a module-level name (a profiler, a test
+# double) sees every call.
 FAMILIES = {
-    "qnum": (("n",), {"exact": ("q",), "symbolic": ()}, _run_qnum),
-    "qbinom": (("n", "k"), {"exact": ("q",), "symbolic": ()}, _run_qbinom),
-    "euler": (("n",), _EXACT, functools.partial(_run_classical, "euler")),
-    "genocchi": (("n",), _EXACT, functools.partial(_run_classical, "genocchi")),
-    "bernoulli": (("n",), _EXACT, functools.partial(_run_classical, "bernoulli")),
-    "frobenius": (("n", "u"), _EXACT, functools.partial(_run_classical, "frobenius")),
-    "qeuler": (("m", "h"), _Q_MODES, functools.partial(
+    "qnum": (("n",), {"exact": (("q",), ()), "symbolic": ((), ())}, _run_qnum),
+    "qbinom": (("n", "k"), {"exact": (("q",), ()), "symbolic": ((), ())}, _run_qbinom),
+    "euler": (("n",), _CLASSICAL, functools.partial(_run_classical, "euler")),
+    "genocchi": (("n",), _CLASSICAL, functools.partial(_run_classical, "genocchi")),
+    "bernoulli": (("n",), _CLASSICAL, functools.partial(_run_classical, "bernoulli")),
+    "frobenius": (("n", "u"), _CLASSICAL, functools.partial(_run_classical, "frobenius")),
+    "qeuler": (("m", "h"), _q_modes(("k", "x", "w")), functools.partial(
         _run_q_family, spec_of=_euler_spec, gauss_series=True)),
-    "qgenocchi": (("n", "h"), _Q_MODES, functools.partial(
+    "qgenocchi": (("n", "h"), _q_modes(("k", "w")), functools.partial(
         _run_q_family, spec_of=_genocchi_spec, gauss_series=True)),
-    "twisted-euler": (("n", "w"), _TWISTED_MODES, functools.partial(
+    "twisted-euler": (("n", "w"), _q_modes((), exact_needs=()), functools.partial(
         _run_q_family, spec_of=_twisted_euler_spec,
         classical_route=lambda s: classical.twisted_euler_classical(s.m, s.w))),
-    "twisted-genocchi": (("n", "w"), _TWISTED_MODES, functools.partial(
+    "twisted-genocchi": (("n", "w"), _q_modes((), exact_needs=()), functools.partial(
         _run_q_family, spec_of=_twisted_genocchi_spec,
         classical_route=lambda s: classical.twisted_genocchi_classical(s.n + 1, s.w))),
-    "gf": (("kind", "k", "q", "t"), _EXACT, _run_gf),
+    "gf": (("kind", "k", "q", "t"), {"exact": ((), ("x", "w", "M"))}, _run_gf),
 }
+
+
+def _mode_flags(family: str, mode: str) -> tuple[tuple, tuple]:
+    """(needs, reads): every flag a query of `family` in `mode` needs, and
+    the further flags it reads when given.  A mode the family does not
+    answer is a usage error."""
+    flags, modes, _ = FAMILIES[family]
+    if mode not in modes:
+        raise UsageError(f"{family} does not answer mode {mode!r}; it answers {', '.join(modes)}")
+    needs, reads = modes[mode]
+    return flags + needs, reads
 
 
 def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None):
     """Compute one family value; returns (value, meta).  A mode the family
     does not answer, or a flag the query needs, is refused before any work."""
-    flags, modes, run = FAMILIES[family]
-    if mode not in modes:
-        raise UsageError(f"{family} does not answer mode {mode!r}; it answers {', '.join(modes)}")
-    missing = [name for name in (*flags, *modes[mode]) if name not in params]
+    needs, _ = _mode_flags(family, mode)
+    missing = [name for name in needs if name not in params]
     if missing:
         raise UsageError(f"missing required parameter(s): {', '.join('--' + m for m in missing)}")
-    return run(params, mode, cfg, series_mode)
+    return FAMILIES[family][2](params, mode, cfg, series_mode)
 
 
 def _echo_params(params: dict) -> dict:
@@ -441,9 +448,13 @@ def run_table(args, cfg: Config) -> int:
         raise UsageError("ranges apply to integer parameters only")
     if r2 and r2[0] == r1[0]:
         raise UsageError(f"--range and --range2 both range over {r1[0]}")
+    needs, reads = _mode_flags(args.family, args.mode)
     for flag, r in (("--range", r1), ("--range2", r2)):
         if r and r[0] in params:
             raise UsageError(f"--{r[0]} fixes {r[0]}, which {flag} ranges over")
+        if r and r[0] not in needs + reads:
+            raise UsageError(f"{flag} ranges over {r[0]}, which {args.family} does not read "
+                             f"in {args.mode} mode")
     span1 = range(r1[1], r1[2] + 1)
     span2 = range(r2[1], r2[2] + 1) if r2 else [None]
     cells = len(span1) * len(span2)

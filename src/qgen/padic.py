@@ -44,8 +44,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .qcore import (
     _MEMO,
@@ -53,6 +53,7 @@ from .qcore import (
     Record,
     _geometric_residues,
     q_bracket_neg,
+    q_int,
     q_power,
     to_frac,
 )
@@ -159,7 +160,7 @@ class QBracketMonomial(Record):
         return self.k
 
 
-IntegrandFamily = Union[ClassicalMonomial, QBracketMonomial]
+IntegrandFamily = ClassicalMonomial | QBracketMonomial
 
 
 class SeriesParams(Record):
@@ -440,14 +441,14 @@ def _box_sums(bases: Sequence[Fraction], table: tuple[Sequence[int], int, int],
 
 
 def _geometric_sum(b: Fraction, L: int, modulus: int | None = None):
-    """sum_{x<L} b^x for L >= 1: (1 - b^L) / (1 - b), or L at b = 1.
+    """sum_{x<L} b^x for L >= 1: the q-integer [L]_b (`q_int`).
 
     With a `modulus`, its residue (b must be a unit), from the residue r
     of b by binary doubling, S_2n = S_n (1 + r^n) and S_(n+1) = S_n + r^n.
     That divides by nothing: 1 - b may be a non-unit, as when w = -1 and
     q = 1 mod p make 1 + w q^e = 0 mod p."""
     if not modulus:
-        return Fraction(L) if b == 1 else (1 - b ** L) / (1 - b)
+        return q_int(L, b)
     r = _residue(b, modulus)
     S, rn = 1, r  # S_n and r^n at n = 1
     for bit in bin(L)[3:]:
@@ -470,6 +471,14 @@ def check_level_budget(p: int, N: int, k: int, term_budget: int) -> None:
         terms *= abs(p)
         if terms > term_budget:
             raise BudgetExceeded(f"({p}^{N})^{k} terms exceed the budget of {term_budget}")
+
+
+def check_degree_budget(degree: int, budget: int) -> None:
+    """Raise BudgetExceeded when a symbolic result of the given degree
+    exceeds the budget; the q-Euler closed form's plan and the CLI's `qnum`
+    and `qbinom` share this refusal."""
+    if degree > budget:
+        raise BudgetExceeded(f"symbolic degree {degree} exceeds the budget of {budget}")
 
 
 def _units_mod_p(f: IntegrandFamily, qf: Fraction, p: int) -> bool:

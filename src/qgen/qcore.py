@@ -41,8 +41,8 @@ import operator
 import sys
 import threading
 from collections import OrderedDict
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 
 class DomainError(ValueError):
@@ -835,7 +835,7 @@ class QRat:
 q = Poly((0, 1), "q")
 q_sym = QRat(q)
 
-Scalar = Union[Fraction, Poly, QRat]
+Scalar = Fraction | Poly | QRat
 
 
 def is_zero_scalar(v) -> bool:

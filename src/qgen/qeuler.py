@@ -10,23 +10,24 @@ The closed form for the order-k family with weight h, twist w, and shift x is
 which the fermionic level sums of `padic` approximate p-adically and the
 series below approximate for 0 < q < 1.  This is the only closed-form code
 path: the twisted q-Euler number and every q-Genocchi value (`qgenocchi`)
-are this sum at fixed parameters times an integer scale.  It has three
-routes (`_euler_sum`): one integer accumulation (`_accumulate`), run at a
-rational q or, for |w| != 1, at q = X = 2^B and read back into the
-coefficients of the numerator and of the known denominator; the row build
-over the known denominator at the generator for |w| = 1, in integer lists;
-and the general loop for any other argument.  At the generator both builds
-read each factor 1 + w q^e from one cached record, and the result stays in
-integer tuples up to its reduction, so a sweep over m pays little per call
-beyond its coefficients."""
+are this sum at fixed parameters times an integer scale.  It has two
+routes (`_euler_sum`): one integer accumulation (`_accumulate`) at a
+rational q, and the build over the known denominator at the generator,
+which for |w| != 1 is the same accumulation at q = X = 2^B, read back into
+the coefficients of the numerator and of the known denominator, and for
+|w| = 1 a row build in integer lists.  Any other symbolic argument takes
+the generator's reduced result composed at that argument.  At the
+generator both builds read each factor 1 + w q^e from one cached record,
+and the result stays in integer tuples up to its reduction, so a sweep
+over m pays little per call beyond its coefficients."""
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
 from fractions import Fraction
-from typing import NamedTuple
 
 from .padic import (
     DEFAULT_TERM_BUDGET,
@@ -39,6 +40,7 @@ from .padic import (
     _ratios,
     _series_regime,
     _sum_table,
+    check_degree_budget,
     check_shift_budget,
 )
 from .qcore import (
@@ -54,9 +56,9 @@ from .qcore import (
     _slot_size,
     falling,
     is_zero_scalar,
+    pochhammer_q,
     poly_gcd,
     q as _qgen,
-    q_int,
     q_power,
     q_sym,
     to_frac,
@@ -152,18 +154,13 @@ def _cyclotomic(d: int) -> Poly:
 _PHI1, _PHI2 = ("phi", 1), ("phi", 2)
 
 
-class _Factor(NamedTuple):
-    """1 + w q^e = C q^(-shift) P for a rational constant C, where the
-    integer polynomial P of the given degree is the product of the known
-    factors named by `keys`, of the degrees `degrees`: ("phi", d) is
-    Phi_d, ("w", e) is b + a q^e for e > 0 and a + b q^|e| for e < 0, with
-    w = a/b in lowest terms (`_factor_base`).  A constant factor (w = 0 or
-    e = 0) has no keys and no shift."""
-
-    shift: int
-    keys: tuple
-    degree: int
-    degrees: tuple
+#: 1 + w q^e = C q^(-shift) P for a rational constant C, where the integer
+#: polynomial P of the given degree is the product of the known factors
+#: named by `keys`, of the degrees `degrees`: ("phi", d) is Phi_d, ("w", e)
+#: is b + a q^e for e > 0 and a + b q^|e| for e < 0, with w = a/b in lowest
+#: terms (`_factor_base`).  A constant factor (w = 0 or e = 0) has no keys
+#: and no shift.
+_Factor = collections.namedtuple("_Factor", "shift keys degree degrees")
 
 
 @functools.lru_cache(maxsize=512)
@@ -317,18 +314,13 @@ def _shares_factor(cs: tuple, key, base: Poly, reduced: tuple | None = None) -> 
     return poly_gcd(base, Poly(_remainder(cs, key, base))).degree > 0
 
 
-class _KnownDenominator(NamedTuple):
-    """The closed form over its known denominator.  Row j of the sum
-    divides by the factors of the exponents h + j - l, l < k; `powers`
-    gives each known factor's exponent in the rows' common denominator D,
-    and `cancel` the powers of Phi_2 = 1 + q that [2]_q^k cancels from
-    it.  `degree` bounds the degree of the result: it is the larger degree
-    of the unreduced numerator and denominator."""
-
-    factors: dict
-    powers: dict
-    cancel: int
-    degree: int
+#: The closed form over its known denominator.  Row j of the sum divides by
+#: the factors of the exponents h + j - l, l < k; `powers` gives each known
+#: factor's exponent in the rows' common denominator D, and `cancel` the
+#: powers of Phi_2 = 1 + q that [2]_q^k cancels from it.  `degree` bounds
+#: the degree of the result: it is the larger degree of the unreduced
+#: numerator and denominator.
+_KnownDenominator = collections.namedtuple("_KnownDenominator", "factors powers cancel degree")
 
 
 def _known_denominator(m: int, h: int, k: int, x: int, w: Fraction,
@@ -383,8 +375,8 @@ def _known_denominator(m: int, h: int, k: int, x: int, w: Fraction,
     cancel = min(k, powers.get(_PHI2, 0))
     den_degree = sum(degrees[key] * e for key, e in powers.items())
     total = max(m + den_degree - cancel, k - cancel + den_degree + max(rows))
-    if budget is not None and total > budget:
-        raise BudgetExceeded(f"symbolic degree {total} exceeds the budget of {budget}")
+    if budget is not None:
+        check_degree_budget(total, budget)
     return _KnownDenominator(factors, powers, cancel, total)
 
 
@@ -630,20 +622,41 @@ def _euler_sum(m: int, h: int, k: int, x: int, w, qv, scale: int = 1):
     """The one closed form, times an integer scale:
     scale [2]_q^k (1-q)^{-m} sum_j C(m,j) (-1)^j q^{xj} / prod_l (1 + w q^{h+j-l}).
 
-    Three routes give it.  The integer accumulation (`_accumulate`) sums
-    it at a rational q as one integer numerator over one denominator
-    (`_euler_sum_exact`), and at the symbolic generator, for |w| != 1, as
-    one integer at q = 2^B read back into coefficients
-    (`_euler_sum_symbolic`).  At the generator with |w| = 1 the row build
-    divides the known denominator by each row's factors.  Other symbolic
-    arguments take the general loop (`_euler_sum_loop`)."""
+    Two routes give it.  The integer accumulation (`_accumulate`) sums it
+    at a rational q as one integer numerator over one denominator
+    (`_euler_sum_exact`), and the known-denominator build gives the
+    reduced rational function at the symbolic generator
+    (`_euler_sum_symbolic`).  Any other symbolic argument v (q^2, 1/q, a
+    constant, the generator in another variable) takes that result
+    composed at v (`_compose`), once the scan for a factor
+    1 + w v^e that vanishes has passed, so a vanishing factor raises the
+    same DomainError as at a rational q.  Composing the reduced result is
+    total where the closed form has a removable singularity: at the
+    constant 1 with m >= 1 it gives the q -> 1 limit (`QRat.at_one`)."""
     qv = _normalize_q(qv)
     w = to_frac(w)
     if isinstance(qv, Fraction):
         return _euler_sum_exact(m, h, k, x, w, qv, scale)
     if qv is q_sym or (qv == q_sym and qv.num.var == _qgen.var):
         return _euler_sum_symbolic(m, h, k, x, w, scale)
-    return _euler_sum_loop(m, h, k, x, w, qv, scale)
+    _check_factors(m, h, k, lambda e: is_zero_scalar(w * q_power(qv, e) + 1))
+    return _compose(_euler_sum_symbolic(m, h, k, x, w, scale), qv)
+
+
+def _compose(value: QRat, qv: QRat) -> QRat:
+    """value(qv) with one reduction: for qv = a/b and d the larger degree
+    of value's numerator and denominator, each is b^d p(a/b), a Horner in
+    Poly arithmetic, and their quotient is value(qv)."""
+    a, b = qv.num, qv.den
+    d = max(value.num.degree, value.den.degree)
+
+    def homogenized(p: Poly) -> Poly:  # b^d p(a/b)
+        acc, bp = Poly((), a.var), b ** 0
+        for c in reversed(p.coeffs + (0,) * (d + 1 - len(p.coeffs))):
+            acc, bp = acc * a + bp * c, bp * b
+        return acc
+
+    return QRat(homogenized(value.num), homogenized(value.den))
 
 
 def _euler_sum_exact(m: int, h: int, k: int, x: int, w: Fraction, qf: Fraction,
@@ -679,23 +692,6 @@ def _euler_sum_exact(m: int, h: int, k: int, x: int, w: Fraction, qf: Fraction,
     return Fraction(num, den)
 
 
-def _euler_sum_loop(m: int, h: int, k: int, x: int, w: Fraction, qv, scale: int):
-    """The closed form term by term in the domain of qv (a Fraction or a
-    QRat).  The scale joins the prefactor before the final product, so a
-    scaled family costs no extra full-degree reduction."""
-    factors = {}  # each factor 1 + w q^e once, in the scan's order
-    _check_factors(m, h, k, lambda e: is_zero_scalar(
-        factors.setdefault(e, w * q_power(qv, e) + 1)))
-    acc = qv * 0
-    for j in range(m + 1):
-        den = math.prod(map(factors.get, range(h + j, h + j - k, -1)), start=qv ** 0)
-        acc = acc + math.comb(m, j) * (-1) ** j * q_power(qv, x * j) / den
-    pref = scale * q_int(2, qv) ** k
-    if m:
-        pref = pref * q_power(1 - qv, -m)
-    return pref * acc
-
-
 def qeuler_hk(spec: QEulerSpec, qv=None):
     """Closed form of the order-k q-Euler value E_m^{(h,k)}(x; w).
 
@@ -712,14 +708,6 @@ def qeuler_twisted(n: int, w, qv=None):
     if n < 0:
         raise DomainError("need n >= 0")
     return _euler_sum(n, 1, 1, 0, w, qv)
-
-
-def _gauss_weight_bound(k: int, qf: Fraction) -> Fraction:
-    """C(k+n-1, n)_q increases in n to 1/prod_{i=1}^{k-1}(1 - q^i)."""
-    out = Fraction(1)
-    for i in range(1, k):
-        out /= 1 - qf ** i
-    return out
 
 
 def _check_series_budget(M: int, x: int, k: int, term_budget: int) -> None:
@@ -759,9 +747,9 @@ def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams,
     if sp.mode == "cesaro1":
         value, gap, D = _cesaro1_sums(dist, E, table, sp.M)
         return Fraction(num * value, den * D), Fraction(num * gap, den * D)
+    # C(k+n-1, n)_q increases in n to 1/(q; q)_(k-1)
     aw = abs(to_frac(spec.w))
-    tail = (_gauss_weight_bound(spec.k, qf) * q_power(1 - qf, -spec.m)
-            * aw ** sp.M / (1 - aw))
+    tail = q_power(1 - qf, -spec.m) * aw ** sp.M / (1 - aw) / pochhammer_q(qf, spec.k - 1, qf)
     _, R, C = table
     n = sp.M - 1
     (A,) = _horner(dist, E, table, [n])

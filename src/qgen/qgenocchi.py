@@ -44,6 +44,17 @@ class QGenocchiSpec(Record):
         return (QEulerSpec(m=self.n, h=self.h, k=self.k, w=self.w),
                 math.factorial(self.k) * math.comb(self.n + self.k, self.k))
 
+    @classmethod
+    def at_index(cls, index: int, h: int, k: int,
+                 w: Fraction = Fraction(1)) -> QGenocchiSpec | None:
+        """The spec of the order-k value of absolute index `index`: None
+        below the order, where the value vanishes identically (the t^k
+        prefactor of the generating function), and otherwise the spec of
+        shifted index n = index - k."""
+        if index < 0:
+            raise DomainError("need index >= 0")
+        return None if index < k else cls(n=index - k, h=h, k=k, w=w)
+
 
 def qgenocchi(n: int, qv=None):
     """Base q-Genocchi number
@@ -65,14 +76,10 @@ def qgenocchi_hk(spec: QGenocchiSpec, qv=None):
 
 
 def qgenocchi_hk_at_index(index: int, h: int, k: int, qv=None, w=Fraction(1)):
-    """Order-k value addressed by its absolute index: indices below k are
-    identically zero (structural, no computation); index j >= k maps to
-    the shifted spec n = j - k."""
-    if index < 0:
-        raise DomainError("need index >= 0")
-    if index < k:
-        return _normalize_q(qv) * 0
-    return qgenocchi_hk(QGenocchiSpec(n=index - k, h=h, k=k, w=w), qv)
+    """Order-k value addressed by its absolute index
+    (`QGenocchiSpec.at_index`): zero below the order, with no computation."""
+    spec = QGenocchiSpec.at_index(index, h, k, w)
+    return _normalize_q(qv) * 0 if spec is None else qgenocchi_hk(spec, qv)
 
 
 def qgenocchi_hk_series(spec: QGenocchiSpec, qv, sp: SeriesParams,

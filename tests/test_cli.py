@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from qgen import cli
-from qgen.qcore import Poly, QRat, parse_rat
+from qgen.padic import BudgetExceeded
+from qgen.qcore import DomainError, Poly, QRat, parse_rat
 
 F = Fraction
 
@@ -177,6 +178,64 @@ class TestTable:
         assert res.returncode == 2
         assert res.stderr == f"usage error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "qnum", "--range", "n=0..2", "--range2", "k=0..1", "--q", "1/2"],
+         "--range2 ranges over k, which qnum does not read in exact mode"),
+        (["--family", "qeuler", "--range", "N=1..2", "--m", "1", "--h", "1", "--q", "1/2"],
+         "--range ranges over N, which qeuler does not read in exact mode"),
+        (["--family", "twisted-euler", "--range", "n=0..1", "--range2", "k=1..2", "--w", "1/2",
+          "--mode", "symbolic"],
+         "--range2 ranges over k, which twisted-euler does not read in symbolic mode"),
+    ])
+    def test_range_over_a_parameter_the_mode_does_not_read_is_two(self, tmp_path, argv,
+                                                                  message):
+        # each value would print again under every value of that range
+        out = tmp_path / "x.json"
+        res = qgen("table", *argv, "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr == f"usage error: {message}\n"
+        assert not out.exists()
+
+    def test_range_over_the_level_in_padic_mode(self, tmp_path):
+        out = tmp_path / "levels.csv"
+        res = qgen("table", "--family", "qeuler", "--range", "N=1..2", "--m", "1", "--h", "1",
+                   "--q", "4", "--mode", "padic", "--format", "csv", "--out", str(out))
+        assert res.returncode == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "N,value" and len(lines) == 3 and lines[1] != lines[2]
+
+    # Each mode's `reads` in `cli.FAMILIES` must name exactly the optional
+    # flags its run reads: a listed flag changes the outcome (value, meta or
+    # refusal) at some base query, an unlisted one changes none.  The two
+    # bases differ in h, since a q-family's series mode needs h = k - 1.
+    _BASES = ({"h": 1}, {"h": 0})
+    _BASE = {"n": 4, "m": 3, "k": 2, "w": F(-1, 2), "u": F(-2), "kind": "hqkw",
+             "q": F(1, 3), "t": F(1, 5)}
+    _PROBES = {"n": (2, 5), "m": (2, 5), "h": (0, 2), "k": (1, 3), "p": (2, 5), "N": (1, 3),
+               "M": (10, 30), "q": (F(1, 2), F(-2)), "w": (F(1, 3), F(2)), "t": (F(1, 7),),
+               "u": (F(3),), "x": (F(1), F(2))}
+
+    @staticmethod
+    def _outcome(family, params, mode):
+        try:
+            return cli.dispatch(family, params, mode, cli.Config(M=40))
+        except (cli.UsageError, DomainError, BudgetExceeded) as exc:
+            return type(exc).__name__, str(exc)
+
+    @pytest.mark.parametrize("family, mode", [
+        (family, mode) for family, (_, modes, _) in cli.FAMILIES.items() for mode in modes])
+    def test_reads_names_the_flags_the_mode_reads(self, family, mode):
+        assert set(self._PROBES) == {*cli.INT_PARAMS, *cli.RAT_PARAMS}
+        needs, reads = cli._mode_flags(family, mode)
+        read = set()
+        for b in self._BASES:
+            base = {f: {**self._BASE, **b}[f] for f in needs}
+            ref = self._outcome(family, base, mode)
+            read |= {flag for flag, probes in self._PROBES.items() if flag not in needs
+                     and any(self._outcome(family, {**base, flag: v}, mode) != ref
+                             for v in probes)}
+        assert read == set(reads).difference(needs)
 
     def test_byte_identical_table(self, tmp_path):
         outs = []

@@ -38,6 +38,7 @@ from qgen.qeuler import (
     qeuler_twisted,
 )
 from qgen.qgenocchi import QGenocchiSpec, qgenocchi_hk, qgenocchi_hk_series
+from closed_form_reference import euler_sum_loop
 from reflection_check import reflected_equal, reflection_factor, typed_outcome
 
 F = Fraction
@@ -110,7 +111,8 @@ def _outcome(fn, *args):
 
 class TestKnownDenominatorRoute:
     """The symbolic generator takes the known-denominator route; the
-    general loop (`_euler_sum_loop`, any other argument) is its reference."""
+    term-by-term sum (`closed_form_reference.euler_sum_loop`) is its
+    reference."""
 
     @given(st.integers(0, 6), st.integers(-2, 4), st.integers(1, 3), st.integers(0, 5),
            st.sampled_from(ROUTE_TWISTS), st.sampled_from((1, 6, 24)),
@@ -118,7 +120,7 @@ class TestKnownDenominatorRoute:
     @settings(max_examples=40, deadline=None)
     def test_route_matches_general_loop_and_exact_mode(self, m, h, k, x, w, scale, q0):
         routed = _outcome(qeuler._euler_sum, m, h, k, x, w, None, scale)
-        general = _outcome(qeuler._euler_sum_loop, m, h, k, x, w, q_sym, scale)
+        general = _outcome(euler_sum_loop, m, h, k, x, w, q_sym, scale)
         if isinstance(routed, str):  # a vanishing factor: same message, same (j, l)
             assert routed == general
             return
@@ -133,10 +135,72 @@ class TestKnownDenominatorRoute:
     def test_order_two_matches_general_loop_to_m_10(self):
         for m in range(11):
             spec = QEulerSpec(m=m, h=2, k=2)
-            assert qeuler_hk(spec) == qeuler._euler_sum_loop(m, 2, 2, 0, F(1), q_sym, 1)
+            assert qeuler_hk(spec) == euler_sum_loop(m, 2, 2, 0, F(1), q_sym, 1)
 
     def test_order_two_m_20_has_classical_limit(self):
         assert qeuler_hk(QEulerSpec(m=20, h=2, k=2)).at_one() == higher_euler_poly(20, 2)(F(0))
+
+
+# symbolic arguments other than the generator: rational functions of q, the
+# generator in another variable, and constants, where a twist can make a
+# factor vanish (and a negative power of 0 divides by zero)
+COMPOSED_ARGS = {
+    "q^2": q_sym ** 2, "1/q": 1 / q_sym, "-q": -q_sym, "(1+q)/q": (1 + q_sym) / q_sym,
+    "x": QRat(Poly([0, 1], var="x")),
+    "1/2": QRat(F(1, 2)), "-3": QRat(-3), "0": QRat(0), "-1": QRat(-1),
+}
+
+
+class TestComposedRoute:
+    """Any other symbolic argument takes the generator's reduced result
+    composed at it, after the scan for a vanishing factor; the
+    term-by-term sum in that argument's domain is the reference, errors and
+    the first vanishing factor's (j, l) included."""
+
+    @given(st.integers(0, 3), st.integers(-1, 3), st.integers(1, 3), st.integers(0, 2),
+           st.sampled_from(sorted(COMPOSED_ARGS)), st.sampled_from((1, 6)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_term_by_term_sum(self, m, h, k, x, name, scale, data):
+        qv = COMPOSED_ARGS[name]
+        if qv.is_constant and not qv.is_zero and data.draw(st.booleans()):
+            # a twist that makes one factor 1 + w q^e vanish at the constant
+            w = -1 / qv.constant_value() ** data.draw(st.integers(h - k + 1, h + m))
+        else:
+            w = data.draw(st.sampled_from(ROUTE_TWISTS))
+        assert self._outcome(qeuler._euler_sum, m, h, k, x, w, qv, scale) == \
+            self._outcome(euler_sum_loop, m, h, k, x, w, qv, scale)
+
+    @pytest.mark.parametrize("name", ["1/q", "q^2", "(1+q)/q", "x"])
+    @pytest.mark.parametrize("w", [F(2), F(-1), F(-1, 3)])
+    def test_matches_at_degree_eight(self, name, w):
+        # the property stops at m = 3; QRat equality is structural, so this
+        # also checks that the composition is reduced
+        args = (8, 2, 2, 1, w, COMPOSED_ARGS[name], 6)
+        assert qeuler._euler_sum(*args) == euler_sum_loop(*args)
+
+    @staticmethod
+    def _outcome(fn, *args):
+        # the constant 0 raised to a negative power divides by zero in both
+        try:
+            return fn(*args)
+        except (DomainError, ZeroDivisionError) as exc:
+            return type(exc).__name__, str(exc)
+
+    @pytest.mark.parametrize("m, h, k, x, w", [
+        (1, 1, 1, 0, F(1)), (3, 2, 2, 1, F(2)), (2, -1, 3, 2, F(-1, 3)), (4, 0, 1, 0, F(0)),
+    ])
+    def test_constant_one_gives_the_limit(self, m, h, k, x, w):
+        # at m >= 1 the closed form has a removable singularity at q = 1: the
+        # term-by-term sum divides by (1 - q)^m, the reduced result does not
+        one = QRat(1)
+        with pytest.raises(ZeroDivisionError):
+            euler_sum_loop(m, h, k, x, w, one, 1)
+        assert qeuler._euler_sum(m, h, k, x, w, one) == qeuler._euler_sum(
+            m, h, k, x, w, None).at_one()
+
+    def test_constant_one_at_degree_zero_is_the_sum(self):
+        assert qeuler._euler_sum(0, 1, 2, 0, F(2), QRat(1)) == \
+            euler_sum_loop(0, 1, 2, 0, F(2), QRat(1), 1) == F(4, 9)
 
 
 def _binomial(lo, hi, e):
@@ -265,7 +329,7 @@ _EXACT_QS = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(
 
 class TestExactRoute:
     """A rational q takes the integer route (`_euler_sum_exact`); the
-    general loop (`_euler_sum_loop`) in Fractions is its reference."""
+    term-by-term sum (`euler_sum_loop`) in Fractions is its reference."""
 
     @given(st.integers(0, 12), st.integers(-3, 6), st.integers(1, 3), st.integers(0, 3),
            _EXACT_QS, st.sampled_from((1, 2, 6)), st.data())
@@ -277,11 +341,11 @@ class TestExactRoute:
         else:
             w = data.draw(st.sampled_from(ROUTE_TWISTS + (F(-3, 2), F(-5))))
         exact = _outcome(qeuler._euler_sum, m, h, k, x, w, q0, scale)
-        assert exact == _outcome(qeuler._euler_sum_loop, m, h, k, x, w, q0, scale)
+        assert exact == _outcome(euler_sum_loop, m, h, k, x, w, q0, scale)
 
     def test_degree_300(self):
         args = (300, 2, 3, 2, F(2, 3), F(-5, 4), 6)
-        assert qeuler._euler_sum(*args) == qeuler._euler_sum_loop(*args)
+        assert qeuler._euler_sum(*args) == euler_sum_loop(*args)
 
     @pytest.mark.parametrize("qv", [F(1, 2), F(4), F(2, 3), F(-3, 5)])
     @pytest.mark.parametrize("w", [F(1), F(4), F(1, 2), F(-2, 3)])
@@ -406,7 +470,7 @@ class TestReflectionRelation:
 class TestPackedRoute:
     """At the generator, |w| != 1 sums the closed form by the exact route's
     accumulation at q = 2^B and reads it back from B-bit slots; |w| = 1
-    keeps the row build.  The general loop in Fractions at three rational
+    keeps the row build.  The term-by-term sum in Fractions at three rational
     points is the reference."""
 
     @pytest.mark.parametrize("m, h, k, x, w", [
@@ -424,7 +488,7 @@ class TestPackedRoute:
     def test_matches_loop_at_rational_points(self, m, h, k, x, w):
         sym = qeuler._euler_sum(m, h, k, x, w, None, 6)
         for qv in (F(1, 3), F(-5, 2), F(7, 4)):
-            assert sym.evaluate(qv) == qeuler._euler_sum_loop(m, h, k, x, w, qv, 6)
+            assert sym.evaluate(qv) == euler_sum_loop(m, h, k, x, w, qv, 6)
 
     @pytest.mark.parametrize("w, route", [
         (F(1), "_row_numerator"), (F(-1), "_row_numerator"),
@@ -755,8 +819,9 @@ def _series_reference(spec, qf, sp):
         value, gap = cesaro1_value(partials)
         return pref * value, pref * gap
     aw = abs(w)
-    tail = (qeuler._gauss_weight_bound(spec.k, qf) * (1 - qf) ** -spec.m
-            * aw ** sp.M / (1 - aw))
+    # C(k+n-1, n)_q increases in n to 1/prod_{i<k} (1 - q^i)
+    weight_bound = F(1) / math.prod(1 - qf ** i for i in range(1, spec.k))
+    tail = weight_bound * (1 - qf) ** -spec.m * aw ** sp.M / (1 - aw)
     return pref * s, pref * tail
 
 

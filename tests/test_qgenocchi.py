@@ -60,6 +60,15 @@ class TestHigherOrder:
                 assert qgenocchi_hk_at_index(j, h=k - 1, k=k, qv=QH) == 0
         assert qgenocchi_hk_at_index(0, h=1, k=2).is_zero
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_spec_at_index_edges(self, k):
+        with pytest.raises(DomainError, match=r"^need index >= 0$"):
+            QGenocchiSpec.at_index(-1, 1, k)
+        assert QGenocchiSpec.at_index(k - 1, 1, k) is None
+        assert QGenocchiSpec.at_index(k, 1, k, F(2)) == QGenocchiSpec(n=0, h=1, k=k, w=F(2))
+        with pytest.raises(DomainError, match=r"^need index >= 0$"):
+            qgenocchi_hk_at_index(-1, 1, k, QH)
+
     def test_degree_zero_single_term(self):
         for k in (1, 2, 3):
             for w in (F(1), F(1, 2)):

@@ -112,8 +112,9 @@ def test_invalid_arguments_raise_the_domain_error_texts(build, message):
 
 
 def test_cold_query_imports_no_dataclasses():
-    # `dataclasses` imports the other four; each costs start-up time.  -S
-    # keeps the `.pth` files of site-packages from importing any of them
+    # `dataclasses` imports the other four; each costs start-up time, and
+    # so does `typing`, which no `qgen` module needs.  -S keeps the `.pth`
+    # files of site-packages from importing any of them
     code = (
         "import contextlib, io, sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
@@ -121,7 +122,7 @@ def test_cold_query_imports_no_dataclasses():
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    code = cli.main(['qnum', '--n', '3', '--q', '2/3'])\n"
         "assert code == 0 and '\"value\":\"19/9\"' in out.getvalue(), out.getvalue()\n"
-        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')"
+        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing')"
         " if m in sys.modules])\n"
     )
     res = subprocess.run([sys.executable, "-I", "-S", "-c", code],
