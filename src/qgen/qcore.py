@@ -845,17 +845,18 @@ def is_zero_scalar(v) -> bool:
 
 
 def q_power(qv, e: int):
-    """qv**e for any integer e, promoting a Poly base to QRat when e < 0."""
+    """qv**e for any integer e, promoting a Poly base to QRat when e < 0.
+    A negative power of q = 0, constant or symbolic, is outside the
+    domain."""
     if e >= 0:
         return qv ** e
+    if is_zero_scalar(qv):
+        raise DomainError("negative power of q = 0")
     if isinstance(qv, Poly):
         return QRat(Poly((1,), qv.var), qv ** (-e))
     if isinstance(qv, QRat):
         return qv ** e
-    qf = to_frac(qv)
-    if qf == 0:
-        raise DomainError("negative power of q = 0")
-    return qf ** e
+    return to_frac(qv) ** e
 
 
 def _domain_zero(qv):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -291,27 +292,99 @@ def _coprime_mod(a: tuple, b: tuple) -> bool:
     return len(a) == 1
 
 
-def _shares_factor(cs: tuple, key, base: Poly, reduced: tuple | None = None) -> bool:
+#: X = 2^_POINT_BITS, the point of the integer-value test: small, so that
+#: P(X) has 16 bits per degree and N(X) mod P(X) costs one short division
+#: of N(X), not a long division by a value the size of N's
+_POINT_BITS = 16
+
+
+def _value_at_point(cs) -> int:
+    """The value at q = X = 2^`_POINT_BITS` of the int coefficients cs, by
+    pairwise packing: c_2i + c_(2i+1) X, then the same at X^2, one list
+    per round, so each round's additions are linear in the value's size."""
+    vals, bits = list(cs), _POINT_BITS
+    while len(vals) > 1:
+        if len(vals) % 2:
+            vals.append(0)
+        vals = [a + (b << bits) for a, b in zip(vals[::2], vals[1::2])]
+        bits *= 2
+    return vals[0] if vals else 0
+
+
+@functools.lru_cache(maxsize=256)
+def _phi_at_point(d: int) -> int:
+    """Phi_d(X) at X = 2^`_POINT_BITS`, cached with Phi_d."""
+    return _value_at_point(_cyclotomic(d).coeffs)
+
+
+def _shares_factor(cs: tuple, key, base: Poly, value: int | None = None,
+                   reduced=None) -> bool:
     """Whether the int coefficients cs share a nonconstant factor with the
-    base of a known factor.  A nonzero remainder settles it when the base
-    is irreducible, which every Phi_d is.  A binomial's remainder is taken
-    modulo `_MOD_PRIME` first, where a nonzero residue proves it nonzero,
-    and exactly only when every residue is 0 or a GCD needs it; `reduced`,
+    base P of a known factor.
+
+    `value`, cs's value N(X) at X = 2^`_POINT_BITS` (`_value_at_point`),
+    settles the common case in one integer remainder: when P is known to
+    be irreducible, which every Phi_d is and a binomial is when
+    `_may_split` rejects it, N(X) mod P(X) != 0 proves that P does not
+    divide cs, so they share nothing.  P is primitive, so by Gauss's
+    lemma P | N gives N = P R with R in Z[q], and P(X) divides N(X).  A
+    zero remainder, a binomial that may split, or P(X) = 0 (the base q - X
+    at w = -X and e = -1, or X - q at w = -1/X and e = 1) settles nothing
+    there, and the polynomial tests below run as without a value.
+
+    A nonzero polynomial remainder settles it for an irreducible base.  A
+    binomial's remainder is taken modulo `_MOD_PRIME` first, where a
+    nonzero residue proves it nonzero, and exactly only when every
+    residue is 0 or a GCD needs it; `reduced`, a function that returns
     cs modulo the prime, gives the same residues from word-size products
     when a caller tests one cs against many binomials.  For a binomial
     that may split, the remainder and the binomial coprime modulo the
     prime settle it, and otherwise one GCD of the two, below the
     binomial's degree."""
-    if key[0] == "phi":
+    phi = key[0] == "phi"
+    splits = not phi and _may_split(base.coeffs[0], base.coeffs[-1], base.degree)
+    if value is not None and not splits:
+        at = _phi_at_point(key[1]) if phi else \
+            base.coeffs[0] + (base.coeffs[-1] << _POINT_BITS * base.degree)
+        if at and value % at:
+            return False
+    if phi:
         return not any(_remainder(cs, key, base))
-    residues = _remainder(cs if reduced is None else reduced, key, base, _MOD_PRIME)
+    residues = _remainder(cs if reduced is None else reduced(), key, base, _MOD_PRIME)
     if not any(residues) and not any(_remainder(cs, key, base)):
         return True
-    if not _may_split(base.coeffs[0], base.coeffs[-1], base.degree):
-        return False
-    if _coprime_mod(base.coeffs, residues):
+    if not splits or _coprime_mod(base.coeffs, residues):
         return False
     return poly_gcd(base, Poly(_remainder(cs, key, base))).degree > 0
+
+
+class _LazyResidues:
+    """A call returns the int coefficients cs modulo `_MOD_PRIME`, built
+    on the first call, so a closed form builds them at most once, and only
+    when a factor test needs them."""
+
+    __slots__ = ("cs", "residues")
+
+    def __init__(self, cs: tuple):
+        self.cs, self.residues = cs, None
+
+    def __call__(self) -> tuple:
+        if self.residues is None:
+            self.residues = tuple([c % _MOD_PRIME for c in self.cs])
+        return self.residues
+
+
+def _root_one_quotient(cs, v: int) -> tuple:
+    """The exact quotient of the coefficients cs by (q - 1)^v: v synthetic
+    divisions by q - 1, each one pass of suffix sums (quotient coefficient
+    i is c_(i+1) + ... + c_n, the remainder the sum of all).  Raises
+    ArithmeticError on a nonzero remainder, as `Poly.exact_div` does."""
+    for _ in range(v):
+        sums = list(itertools.accumulate(reversed(cs), initial=0))
+        if sums[-1]:
+            raise ArithmeticError(f"{Poly(cs)} is not divisible by q - 1")
+        cs = tuple(sums[-2:0:-1])
+    return cs
 
 
 #: The closed form over its known denominator.  Row j of the sum divides by
@@ -426,12 +499,22 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
     So gcd(N, denominator) is the product of gcd(N, P^e) over the factor
     powers P^e, and dividing N and D by each GCD leaves a denominator
     coprime to the numerator: the pair is reduced without a second
-    full-degree GCD.  Most factors share nothing with N, which one integer
-    remainder of N by each base P shows (`_shares_factor`, a twist
-    binomial's remainder taken modulo a prime first), so `poly_gcd` runs
-    only where a shared factor exists, such as (q - 1)^m.  The
-    denominator is then D / Phi_2^t / (the GCDs other than Phi_1's) times
-    Phi_1^(m - v), v the power of Phi_1 that its GCD removed.
+    full-degree GCD.  Most factors share nothing with N, and one integer
+    remainder shows it (`_shares_factor`): N's value N(X) at X = 2^16,
+    packed once per closed form (`_value_at_point`), modulo P(X).  Every
+    base P is primitive, so by Gauss's lemma P | N forces P(X) | N(X), and
+    a nonzero remainder rules out a factor shared with a P known to be
+    irreducible: every Phi_d, and each twist binomial that `_may_split`
+    rejects.  A zero remainder, a binomial that may split, or P(X) = 0
+    leaves the decision to the polynomial remainder of N by P (a twist
+    binomial's taken modulo a prime first, on N's residues, built at most
+    once per closed form and only when first needed).  So `poly_gcd` runs
+    only where a shared factor exists, such as (q - 1)^m.  Its GCD
+    (q - 1)^v leaves N by v synthetic divisions, each one pass of suffix
+    sums (`_root_one_quotient`), and another factor's GCD by an exact
+    division.  The denominator is then D / Phi_2^t (t passes of
+    `_unit_quotient` by q + 1) / (the GCDs other than Phi_1's) times
+    Phi_1^(m - v).
 
     At the small degrees of a `table` row or a `verify` grid the cost is
     per object, not per coefficient, so the route keeps its fixed cost
@@ -440,7 +523,7 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
     are the factors' base polynomials (`_factor_base`, built only after
     the plan) and the splitting rule (`_may_split`); both
     builds return int tuples, and the |w| = 1 product tree for D runs on
-    them; the twist binomials' tests share N's residues modulo the prime;
+    them; the factor tests share N's value at X and its residues;
     every power of q + 1 or q - 1 is read from a binomial row
     (`_unit_power`); and the content and the monic denominator take one
     pass over the coefficients each (`qcore._scaled`)."""
@@ -452,15 +535,17 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
         num, n0, den = _packed_numerator(m, h, k, x, w, plan)
     if not num or not scale:
         return QRat._from_reduced(Poly(), Poly((1,)))
-    # the remainder tests read the integer numerator before any division:
+    # the factor tests read the integer numerator before any division:
     # dividing out a shared factor keeps it coprime to every other factor;
-    # the twist binomials' tests share its residues modulo the prime
+    # they share its value at X and, built on first use, its residues
+    # modulo the prime
     ints = num
-    reduced = None if unit else tuple([c % _MOD_PRIME for c in ints])
+    value = _value_at_point(ints)
+    reduced = _LazyResidues(ints)
     num = Poly._from_coeffs(num) * _unit_power(k - plan.cancel, 1)
-    den = Poly._from_coeffs(den)
-    if plan.cancel:
-        den = den.exact_div(_unit_power(plan.cancel, 1))
+    for _ in range(plan.cancel):
+        den = _unit_quotient(den, 1, 1)
+    den = Poly._from_coeffs(tuple(den))
     powers = dict(plan.powers)
     powers[_PHI1] = powers.get(_PHI1, 0) + m
     if plan.cancel:
@@ -468,13 +553,16 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
     phi1 = m  # the power of q - 1 that D lacks, less what its GCD removes
     for key, e in powers.items():
         base = _factor_base(w.numerator, w.denominator, key)
-        if e > 0 and _shares_factor(ints, key, base, reduced):
-            g = poly_gcd(num, _unit_power(e, -1) if key == _PHI1 else base ** e)
+        if not (e > 0 and _shares_factor(ints, key, base, value, reduced)):
+            continue
+        if key == _PHI1:
+            v = poly_gcd(num, _unit_power(e, -1)).degree
+            num = Poly(_root_one_quotient(num.coeffs, v))
+            phi1 -= v
+        else:
+            g = poly_gcd(num, base ** e)
             num = num.exact_div(g)
-            if key == _PHI1:
-                phi1 -= g.degree
-            else:
-                den = den.exact_div(g)
+            den = den.exact_div(g)
     if phi1 > 0:
         den = den * _unit_power(phi1, -1)
     elif phi1 < 0:

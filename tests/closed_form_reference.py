@@ -27,5 +27,5 @@ def euler_sum_loop(m: int, h: int, k: int, x: int, w, qv, scale: int):
         acc = acc + math.comb(m, j) * (-1) ** j * q_power(qv, x * j) / den
     pref = scale * q_int(2, qv) ** k
     if m:
-        pref = pref * q_power(1 - qv, -m)
+        pref = pref / (1 - qv) ** m
     return pref * acc

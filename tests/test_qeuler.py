@@ -143,7 +143,7 @@ class TestKnownDenominatorRoute:
 
 # symbolic arguments other than the generator: rational functions of q, the
 # generator in another variable, and constants, where a twist can make a
-# factor vanish (and a negative power of 0 divides by zero)
+# factor vanish (and a negative power of 0 is outside the domain)
 COMPOSED_ARGS = {
     "q^2": q_sym ** 2, "1/q": 1 / q_sym, "-q": -q_sym, "(1+q)/q": (1 + q_sym) / q_sym,
     "x": QRat(Poly([0, 1], var="x")),
@@ -167,8 +167,8 @@ class TestComposedRoute:
             w = -1 / qv.constant_value() ** data.draw(st.integers(h - k + 1, h + m))
         else:
             w = data.draw(st.sampled_from(ROUTE_TWISTS))
-        assert self._outcome(qeuler._euler_sum, m, h, k, x, w, qv, scale) == \
-            self._outcome(euler_sum_loop, m, h, k, x, w, qv, scale)
+        assert _outcome(qeuler._euler_sum, m, h, k, x, w, qv, scale) == \
+            _outcome(euler_sum_loop, m, h, k, x, w, qv, scale)
 
     @pytest.mark.parametrize("name", ["1/q", "q^2", "(1+q)/q", "x"])
     @pytest.mark.parametrize("w", [F(2), F(-1), F(-1, 3)])
@@ -177,14 +177,6 @@ class TestComposedRoute:
         # also checks that the composition is reduced
         args = (8, 2, 2, 1, w, COMPOSED_ARGS[name], 6)
         assert qeuler._euler_sum(*args) == euler_sum_loop(*args)
-
-    @staticmethod
-    def _outcome(fn, *args):
-        # the constant 0 raised to a negative power divides by zero in both
-        try:
-            return fn(*args)
-        except (DomainError, ZeroDivisionError) as exc:
-            return type(exc).__name__, str(exc)
 
     @pytest.mark.parametrize("m, h, k, x, w", [
         (1, 1, 1, 0, F(1)), (3, 2, 2, 1, F(2)), (2, -1, 3, 2, F(-1, 3)), (4, 0, 1, 0, F(0)),
@@ -198,9 +190,36 @@ class TestComposedRoute:
         assert qeuler._euler_sum(m, h, k, x, w, one) == qeuler._euler_sum(
             m, h, k, x, w, None).at_one()
 
+    def test_constant_zero_to_a_negative_power_is_a_domain_error(self):
+        # 1 + w q^(-1) at q = 0: the scan raises DomainError, as at q = 0 in
+        # exact mode, not a bare ZeroDivisionError
+        with pytest.raises(DomainError, match="negative power of q = 0"):
+            qeuler_hk(QEulerSpec(m=0, h=0, k=2), QRat(0))
+
     def test_constant_one_at_degree_zero_is_the_sum(self):
         assert qeuler._euler_sum(0, 1, 2, 0, F(2), QRat(1)) == \
             euler_sum_loop(0, 1, 2, 0, F(2), QRat(1), 1) == F(4, 9)
+
+
+class TestIntegerValueTest:
+    """The twists whose binomial vanishes at the point X = 2^16 of the
+    integer-value test: w = -X (the base q - X at e = -1) and w = -1/X
+    (X - q at e = 1).  There N(X) mod P(X) is undefined, so the test must
+    step aside and the polynomial tests decide."""
+
+    POINT = 2 ** qeuler._POINT_BITS
+
+    @pytest.mark.parametrize("w, e", [(F(-POINT), -1), (F(-1, POINT), 1)])
+    def test_base_vanishes_at_the_point(self, w, e):
+        base = qeuler._factor_base(w.numerator, w.denominator, ("w", e))
+        assert qeuler._value_at_point(base.coeffs) == 0
+
+    @pytest.mark.parametrize("w", [F(-POINT), F(-1, POINT)])
+    @pytest.mark.parametrize("m, h, k, x", [
+        (2, -1, 1, 0), (2, 1, 1, 0), (3, 0, 2, 1), (4, 2, 3, 2), (1, -1, 3, 0), (5, 1, 2, 0),
+    ])
+    def test_matches_the_reference(self, w, m, h, k, x):
+        assert qeuler._euler_sum(m, h, k, x, w, None, 6) == euler_sum_loop(m, h, k, x, w, q_sym, 6)
 
 
 def _binomial(lo, hi, e):
@@ -311,6 +330,55 @@ class TestKnownFactorTests:
     def test_unit_quotient_inverts_the_product(self, quo, n, sign):
         product = Poly(quo) * _binomial(sign, 1, n)
         assert Poly(qeuler._unit_quotient(product.coeffs, n, sign)) == Poly(quo)
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12),
+           st.sampled_from([
+               *((("phi", d), qeuler._cyclotomic(d)) for d in (1, 2, 3, 4, 6, 12, 15, 30)),
+               *((("w", e), _binomial(3, 2, e)) for e in (1, 2, 3, 4, 6)),  # irreducible
+               (("w", 2), _binomial(4, -1, 2)), (("w", 4), _binomial(4, 1, 4)),  # may split
+               # P(X) = 0 at the point X of the integer-value test
+               (("w", 1), _binomial(2 ** qeuler._POINT_BITS, -1, 1)),
+               (("w", 1), _binomial(-2 ** qeuler._POINT_BITS, 1, 1)),
+           ]),
+           st.one_of(st.just([]), st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8),
+                     # c times a factor of 4 - q^2 or of 4 + q^4
+                     st.tuples(st.sampled_from([[2, -1], [2, 1], [2, 2, 1], [2, -2, 1]]),
+                               st.integers(-9, 9)).map(lambda t: [t[1] * c for c in t[0]])),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_value_keeps_the_decision(self, r, factor, s, lazy):
+        # N = P R + S with S below P's degree, often 0: the value N(X) only
+        # settles a "no shared factor" sooner, never changes the decision
+        key, base = factor
+        n = base * Poly(r) + Poly(s[:base.degree])
+        assume(not n.is_zero)
+        cs = n.coeffs
+        reduced = qeuler._LazyResidues(cs) if lazy else None
+        shared = qeuler._shares_factor(cs, key, base, qeuler._value_at_point(cs), reduced)
+        assert shared == qeuler._shares_factor(cs, key, base)
+        assert shared == (poly_gcd(n, base).degree > 0)
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_value_at_point_is_horner(self, cs):
+        point = 2 ** qeuler._POINT_BITS
+        assert qeuler._value_at_point(cs) == sum(c * point ** i for i, c in enumerate(cs))
+
+    @given(st.lists(st.integers(-10 ** 20, 10 ** 20), max_size=20), st.integers(0, 5),
+           st.integers(-10 ** 6, 10 ** 6).filter(bool), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_root_one_quotient_is_exact_div(self, r, v, c, data):
+        divisor = qeuler._unit_power(v, -1)
+        n = Poly(r) * divisor
+        assert Poly(qeuler._root_one_quotient(n.coeffs, v)) == n.exact_div(divisor) == Poly(r)
+        if v:
+            # c (q - 1)^j, j < v, leaves q = 1 a root of order exactly j
+            j = data.draw(st.integers(0, v - 1))
+            off = n + c * qeuler._unit_power(j, -1)
+            with pytest.raises(ArithmeticError):
+                off.exact_div(divisor)
+            with pytest.raises(ArithmeticError):
+                qeuler._root_one_quotient(off.coeffs, v)
 
     def test_modulus_is_a_safe_prime(self):
         ell = qeuler._MOD_PRIME
