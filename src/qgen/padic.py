@@ -20,7 +20,7 @@ cesaro1 value and gap while they are still integers.  Modulo p^L every
 table holds residues of the terms themselves (the brackets, the weights,
 b^s for k = 1), so the common denominators are 1 and `_prefix_sums` is one
 running sum of products, built from whole-list operations: geometric
-tables by doubling (`qcore._geometric_residues`), the m-th powers by one
+tables (`qcore._geometric_table`) by doubling, the m-th powers by one
 `map`, the sum by `itertools.accumulate`.  Boxes of several sides share
 one table of g, and for k = 1 one prefix-sum pass.  A constant integrand
 (m = 0, or n = 0) has no table: its box sum is the total mass of the box,
@@ -51,7 +51,7 @@ from .qcore import (
     _MEMO,
     DomainError,
     Record,
-    _geometric_residues,
+    _geometric_table,
     q_bracket_neg,
     q_int,
     q_power,
@@ -261,7 +261,7 @@ def _bracket_numerators(qf: Fraction, x: int, size: int,
 
     Modulo `modulus` (q a unit there) U holds the residues of the brackets
     themselves and c = K = 1: [x]_q plus the running sums of the residues of
-    q^x q^s, a geometric table (`_geometric_residues`).
+    q^x q^s, a geometric table (`_geometric_table`).
 
     Exactly, with q = a/c and K a common denominator of [x]_q and
     q^x = X / K, the step br_{s+1} = br_s + q^{x+s} is
@@ -269,8 +269,8 @@ def _bracket_numerators(qf: Fraction, x: int, size: int,
     qpow = q_power(qf, x)
     br = Fraction(x) if qf == 1 else (1 - qpow) / (1 - qf)
     if modulus:
-        steps = _geometric_residues(_residue(qpow, modulus), _residue(qf, modulus),
-                                    size - 1, modulus)
+        steps = _geometric_table(_residue(qpow, modulus), _residue(qf, modulus),
+                                 size - 1, modulus)
         brackets = itertools.accumulate(steps, initial=_residue(br, modulus))
         return tuple(map(operator.mod, brackets, itertools.repeat(modulus))), 1, 1
     K = math.lcm(br.denominator, qpow.denominator)
@@ -322,29 +322,27 @@ def _distribution(bases: Sequence[Fraction], L: int, modulus: int | None = None,
     `modulus` (every denominator a unit there) D holds the residues of the
     weights themselves and E = 1; for k = 1 that is the geometric table of
     b^s.  With a `size`, only s < size is kept.  Read from the memo by its
-    inputs.
-
-    Each table is convolved in by the running form
-    d'[s] = d[s] + b d'[s-1] - b^L d[s-L], starting from the unit table, in
-    O(k^2 L) operations instead of L^k.  The b^L term first acts at s = L,
-    so below it the distribution is the simplex's: for s < L the weight is
-    the complete homogeneous sum h_s(b_1, ..., b_k)."""
+    inputs (`_build_distribution`).  The b^L corrections first act at
+    s = L, so below it the distribution is the simplex's: for s < L the
+    weight is the complete homogeneous sum h_s(b_1, ..., b_k)."""
     return _MEMO.get(("dist", tuple(bases), L, modulus, size),
                      lambda: _build_distribution(bases, L, modulus, size))
 
 
 def _build_distribution(bases: Sequence[Fraction], L: int, modulus: int | None,
                         size: int | None) -> tuple[tuple[int, ...], int]:
+    """From the first base's geometric table B_1^s, s < L (what the running
+    form's first pass over the unit table gives, its b^L term idle below
+    s = L), each further base is convolved in by the running form
+    d'[s] = d[s] + b d'[s-1] - b^L d[s-L]: O(k^2 L) operations, not L^k."""
     if modulus:
         E, scaled = 1, [_residue(b, modulus) for b in bases]
-        if len(bases) == 1:
-            n = L if size is None else min(L, size)
-            return tuple(_geometric_residues(1, scaled[0], n, modulus)), 1
     else:
         E = math.lcm(*(b.denominator for b in bases))
         scaled = [b.numerator * (E // b.denominator) for b in bases]
-    dist = [1]
-    for B in scaled:
+    n = L if size is None else min(L, size)
+    dist = _geometric_table(1, scaled[0], n, modulus) if scaled else [1]
+    for B in scaled[1:]:
         BL = pow(B, L, modulus)
         padded = dist + [0] * (L - 1)
         if size is not None:
@@ -362,18 +360,18 @@ def _build_distribution(bases: Sequence[Fraction], L: int, modulus: int | None,
 def _horner(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, int],
             reads: Sequence[int]) -> list[int]:
     """The integers A_n = sum_{s<=n} D[s] G[s] (E R)^(n-s) at each n of the
-    ascending `reads`, from one Horner pass over the distribution.  With
+    ascending `reads`, by Horner's rule over one `map` of D[s] G[s].  With
     g[s] = G[s] / (R^s C), the prefix sum sum_{s<=n} (D[s] / E^s) g[s] is
     A_n / (C (E R)^n).  The exact route only: modulo p^L the tables hold
     residues of the terms, E = R = C = 1, and `_prefix_sums` adds them up
     with no Horner step."""
     G, R, _ = table
     ER = E * R
-    terms = zip(dist, itertools.repeat(1) if G is None else G)
+    terms = iter(dist) if G is None else map(operator.mul, dist, G)
     acc, done, accs = 0, 0, []
     for n in reads:
-        for d, v in itertools.islice(terms, n + 1 - done):
-            acc = acc * ER + d * v
+        for t in itertools.islice(terms, n + 1 - done):
+            acc = acc * ER + t
         done = n + 1
         accs.append(acc)
     return accs
@@ -460,17 +458,24 @@ def _geometric_sum(b: Fraction, L: int, modulus: int | None = None):
     return S
 
 
+def _power_exceeds(base: int, exp: int, budget: int) -> bool:
+    """base^exp > budget for base >= 1 and exp >= 1 (False at exp < 1),
+    without forming base^exp: the first power over the budget decides, so at
+    base >= 2 it takes O(log budget) products."""
+    power = 1
+    for _ in range(exp):
+        power *= base
+        if power > budget:
+            return True
+    return False
+
+
 def check_level_budget(p: int, N: int, k: int, term_budget: int) -> None:
     """Raise BudgetExceeded when a level-N sum in k variables, (p^N)^k
     terms, exceeds the budget.  Takes O(log term_budget) steps for any p
     and N, so it can run before the primality test of p."""
-    if abs(p) < 2:
-        return
-    terms = 1
-    for _ in range(N * k):
-        terms *= abs(p)
-        if terms > term_budget:
-            raise BudgetExceeded(f"({p}^{N})^{k} terms exceed the budget of {term_budget}")
+    if abs(p) >= 2 and _power_exceeds(abs(p), N * k, term_budget):
+        raise BudgetExceeded(f"({p}^{N})^{k} terms exceed the budget of {term_budget}")
 
 
 def check_degree_budget(degree: int, budget: int) -> None:
@@ -724,7 +729,7 @@ def real_series(f: IntegrandFamily, qv, sp: SeriesParams,
     if not 0 < qf <= 1:
         raise DomainError("real series needs 0 < q <= 1")
     k = f.num_vars
-    if sp.M ** k > term_budget:
+    if _power_exceeds(sp.M, k, term_budget):
         raise BudgetExceeded(f"{sp.M}^{k} terms exceed the budget of {term_budget}")
     classical = isinstance(f, ClassicalMonomial)
     # bracket integrands: [s + x]_q stays below 1/(1-q) only for q < 1
@@ -741,15 +746,9 @@ def real_series(f: IntegrandFamily, qv, sp: SeriesParams,
         return pref * value, pref * gap
     if classical:
         tail = _classical_tail_bound(f, abs(bases[0]), sp.M, term_budget)
-    else:
+    else:  # sum_j r_j^M / prod_i (1 - r_i) over the ratios' sizes r
         ratios = [abs(b) for b in bases]
-        tail = Fraction(0)
-        for j, r in enumerate(ratios):
-            piece = r ** sp.M / (1 - r)
-            for i, ri in enumerate(ratios):
-                if i != j:
-                    piece *= 1 / (1 - ri)
-            tail += piece
+        tail = sum((r ** sp.M for r in ratios), Fraction(0)) / math.prod(1 - r for r in ratios)
         tail *= q_power(1 - qf, -f.m)
     return pref * _box_sums(bases, g, [sp.M])[0], pref * tail
 
@@ -768,9 +767,9 @@ def shift_identity_residual(f: IntegrandFamily, n_shift: int, qv,
     qf = to_frac(qv)
     if qf == -1:
         raise DomainError("undefined at q = -1")
+    if _power_exceeds(params.p, params.N, term_budget):
+        raise BudgetExceeded(f"{params.p}^{params.N} terms exceed the budget of {term_budget}")
     span = params.p ** params.N
-    if span > term_budget:
-        raise BudgetExceeded(f"{span} terms exceed the budget of {term_budget}")
     if f.num_vars != 1:
         raise DomainError("single-variable evaluation needs k = 1")
     bases = _ratios(f, qf)

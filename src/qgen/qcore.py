@@ -290,10 +290,13 @@ def falling(n: int, r: int) -> int:
     return out
 
 
-def _geometric_residues(first: int, ratio: int, size: int, modulus: int) -> list[int]:
-    """The residues of first * ratio^i modulo `modulus` for i < size, by
-    doubling: the first n residues times ratio^n are the next n, so each
-    doubling is one `pow` and one list comprehension."""
+def _geometric_table(first: int, ratio: int, size: int, modulus: int | None = None) -> list[int]:
+    """first * ratio^i for i < size: exactly, one `itertools.accumulate` of
+    products; modulo `modulus`, by doubling, as the first n residues times
+    ratio^n are the next n (one `pow` and one list comprehension each)."""
+    if not modulus:
+        return list(itertools.accumulate(itertools.repeat(ratio, size - 1), operator.mul,
+                                         initial=first))[:size]
     table = [first % modulus][:size]
     while len(table) < size:
         step = pow(ratio, len(table), modulus)

@@ -50,7 +50,7 @@ from .qcore import (
     QRat,
     Record,
     _coeff_divmod,
-    _geometric_residues,
+    _geometric_table,
     _int_mul,
     _kronecker_read,
     _scaled,
@@ -218,7 +218,7 @@ def _remainder(cs, key, base: Poly, modulus: int | None = None) -> tuple:
         top = max(len(cs) - 1, 0) // e
         if hi % modulus:
             c = -lo * pow(hi, -1, modulus) % modulus
-            weights = _geometric_residues(pow(hi, top, modulus), c, top + 1, modulus)
+            weights = _geometric_table(pow(hi, top, modulus), c, top + 1, modulus)
         else:
             weights = [0] * top + [pow(-lo, top, modulus)]
         return tuple(sum(map(operator.mul, weights, cs[i::e])) % modulus for i in range(e))
@@ -854,8 +854,8 @@ def _exp_table(qf: Fraction, x: int, t: Fraction, T: int,
     gamma_l = (-rho q^x)^l / l! sum_{i<T-l} rho^i / i!.  For q = a/c,
     t = tau/sigma and r = T - 1, the integers Gamma_l = C gamma_l with
     C = r! (sigma (c - a))^r c^(xr) give G[s] = sum_l Gamma_l z_l^s with
-    z_l = a^l c^(r-l), and R = c^r; each term steps to the next s by its
-    small factor z_l."""
+    z_l = a^l c^(r-l), and R = c^r: T geometric columns Gamma_l z_l^s
+    (`qcore._geometric_table`), added up row by row by `map`."""
     if T == 0:
         return [0] * size, 1, 1
     r = T - 1
@@ -867,11 +867,9 @@ def _exp_table(qf: Fraction, x: int, t: Fraction, T: int,
              * sum(fact(r) // (fact(l) * fact(i)) * N ** i * Dn ** (r - l - i)
                    for i in range(T - l))
              for l in range(T)]
-    steps = [a ** l * c ** (r - l) for l in range(T)]
-    G = []
-    for _ in range(size):
-        G.append(sum(terms))
-        terms = [v * z for v, z in zip(terms, steps)]
+    G, *columns = [_geometric_table(v, a ** l * c ** (r - l), size) for l, v in enumerate(terms)]
+    for column in columns:
+        G = list(map(operator.add, G, column))
     return G, c ** r, fact(r) * Dn ** r * c ** (x * r)
 
 

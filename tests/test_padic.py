@@ -494,6 +494,37 @@ class TestBudgetsBeforeWork:
             shift_identity_residual(QBracketMonomial(m=1, x=x), 2, F(4), PadicParams(3, 2))
         assert time.perf_counter() - t0 < 1
 
+    def test_shift_identity_level_refused_before_its_size(self):
+        # 3^100000 has more digits than an int may render: the refusal
+        # must come before it is formed
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=r"^3\^100000 terms exceed the budget of 100000$"):
+            shift_identity_residual(QBracketMonomial(m=1, k=1, h=1), 1, 4, PadicParams(3, 10 ** 5))
+        assert time.perf_counter() - t0 < 0.1
+        f = QBracketMonomial(m=1, k=1, h=1)
+        shift_identity_residual(f, 1, F(4), PadicParams(3, 2), term_budget=9)
+        with pytest.raises(BudgetExceeded, match=r"^3\^2 terms exceed the budget of 8$"):
+            shift_identity_residual(f, 1, F(4), PadicParams(3, 2), term_budget=8)
+
+    def test_series_terms_refused_without_the_power(self):
+        f = QBracketMonomial(m=1, k=10 ** 7, h=1)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded,
+                           match=r"^400\^10000000 terms exceed the budget of 100000$"):
+            real_series(f, F(1, 2), SeriesParams(400))
+        assert time.perf_counter() - t0 < 0.1
+        f = QBracketMonomial(m=1, k=2, h=1, w=F(1, 2))
+        real_series(f, F(1, 2), SeriesParams(20), term_budget=400)
+        with pytest.raises(BudgetExceeded, match=r"^20\^2 terms exceed the budget of 399$"):
+            real_series(f, F(1, 2), SeriesParams(20), term_budget=399)
+
+    @given(st.integers(1, 40), st.integers(-2, 60), st.integers(-3, 10 ** 30))
+    @settings(max_examples=200, deadline=None)
+    @example(base=1, exp=60, budget=0)
+    @example(base=1, exp=60, budget=1)
+    def test_power_exceeds(self, base, exp, budget):
+        assert padic._power_exceeds(base, exp, budget) == (exp >= 1 and base ** exp > budget)
+
     def test_shift_budget_is_tight(self):
         # the table of a level-2 sum in two variables reaches q^(x + 2 (9 - 1))
         f = QBracketMonomial(m=1, k=2, h=2, x=84)
