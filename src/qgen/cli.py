@@ -10,11 +10,11 @@ Grammar:
 Exit codes: 0 success, 1 domain error (vanishing denominator, divergence,
 budget, unwritable result file, an exact value too long to render), 2 usage
 or parse error (including a malformed configuration, a mode the family does
-not answer, and a `verify` level below 1 or truncation below 3).  The
-p-adic term count (p^N)^k, the series term counts (M^k for the k-variable
-box, M for the Gaussian-weight series), a symbolic result's degree and the
-binomial products of a classical value's tables are checked against the
-term budget before any work.  All rationals serialize as exact
+not answer, and a `verify` level below 1 or truncation below 3).  A query's
+checks (its flags, records and budgets: term counts, q exponents, symbolic
+degree, classical products) run before its work, and a table runs every
+cell's checks before its first value (see `FAMILIES`; errors only the work
+finds come in cell order).  All rationals serialize as exact
 strings ("num/den"), never as floating point; symbolic values serialize as
 {"num": [...], "den": [...]} with coefficients lowest degree first.
 Configuration precedence: flags > JSON file named by QGEN_CONFIG > defaults."""
@@ -36,6 +36,7 @@ from .padic import (
     BudgetExceeded,
     PadicParams,
     SeriesParams,
+    check_box_budget,
     check_degree_budget,
     check_level_budget,
     fermionic_sum,
@@ -51,7 +52,8 @@ from .qcore import (
     q_int,
     rat_str,
 )
-from .qeuler import QEulerSpec, check_symbolic_budget, gf_eval, qeuler_hk, qeuler_hk_series
+from .qeuler import (QEulerSpec, check_series_budget, check_symbolic_budget, gf_eval, qeuler_hk,
+                     qeuler_hk_series)
 from .qgenocchi import QGenocchiSpec, qgenocchi_hk, qgenocchi_hk_series
 
 
@@ -230,18 +232,18 @@ def _run_q_family(params: dict, mode: str, cfg: Config, series_mode, *, spec_of,
     `classical_route` answers exact mode without --q."""
     spec = spec_of(params)
     if spec is None:
-        return Fraction(0), {}
+        return lambda: (Fraction(0), {})
     espec, scale = spec.kernel()
     genocchi = isinstance(spec, QGenocchiSpec)
     if mode == "symbolic":
         check_symbolic_budget(espec, cfg.term_budget)
-        return (qgenocchi_hk if genocchi else qeuler_hk)(spec, None), {}
+        return lambda: ((qgenocchi_hk if genocchi else qeuler_hk)(spec, None), {})
     if "q" not in params:  # exact mode, by the classical route
         _check_products(espec.m, 1, cfg)
-        return classical_route(spec), {}
+        return lambda: (classical_route(spec), {})
     qv = params["q"]
     if mode == "exact":
-        return (qgenocchi_hk if genocchi else qeuler_hk)(spec, qv), {}
+        return lambda: ((qgenocchi_hk if genocchi else qeuler_hk)(spec, qv), {})
     f = espec.integrand()
     scale_meta = {"scale": str(scale)} if genocchi else {}
     if mode == "padic":
@@ -250,20 +252,25 @@ def _run_q_family(params: dict, mode: str, cfg: Config, series_mode, *, spec_of,
         check_level_budget(p, N, f.num_vars, cfg.term_budget)
         pp = PadicParams(p, N)
         meta = {"p": pp.p, "N": pp.N, **scale_meta}
-        return scale * fermionic_sum(f, qv, pp, cfg.term_budget), meta
+        return lambda: (scale * fermionic_sum(f, qv, pp, cfg.term_budget), meta)
     if gauss_series:
         sp = _series_params(params, cfg, "cesaro1" if abs(espec.w) == 1 else "direct",
                             series_mode)
-        series = qgenocchi_hk_series if genocchi else qeuler_hk_series
-        value, bound = series(spec, qv, sp, cfg.term_budget)
+        check_series_budget(sp.M, espec.x, espec.k, cfg.term_budget)
         meta = {"truncation": sp.M, "series_mode": sp.mode}
     else:
         sp = _series_params(params, cfg, "direct", series_mode)
-        value, bound = real_series(f, qv, sp, cfg.term_budget)
-        value, bound = scale * value, scale * bound
+        check_box_budget(f, sp.M, cfg.term_budget)
         meta = {"truncation": sp.M, "series_mode": sp.mode, **scale_meta}
-    meta["tail_bound" if sp.mode == "direct" else "smoothing_gap"] = rat_str(bound)
-    return value, meta
+    def work():
+        if gauss_series:
+            value, bound = (qgenocchi_hk_series if genocchi else qeuler_hk_series)(
+                spec, qv, sp, cfg.term_budget)
+        else:
+            value, bound = (scale * v for v in real_series(f, qv, sp, cfg.term_budget))
+        meta["tail_bound" if sp.mode == "direct" else "smoothing_gap"] = rat_str(bound)
+        return value, meta
+    return work
 
 
 def _check_products(order: int, power: int, cfg: Config) -> None:
@@ -280,15 +287,15 @@ def _run_qnum(params: dict, mode: str, cfg: Config, series_mode):
     n = _int_param(params, "n")
     if mode == "symbolic":
         check_degree_budget(n - 1, cfg.term_budget)
-        return q_int(n), {}
-    return q_int(n, params["q"]), {}
+        return lambda: (q_int(n), {})
+    return lambda: (q_int(n, params["q"]), {})
 
 
 def _run_qbinom(params: dict, mode: str, cfg: Config, series_mode):
     n, k = _int_param(params, "n"), _int_param(params, "k")
     if mode == "symbolic":
         check_degree_budget(k * (n - k), cfg.term_budget)
-        return gauss_binom(n, k), {}
+        return lambda: (gauss_binom(n, k), {})
     qv = params["q"]
     if isinstance(qv, Fraction) and 0 <= k <= n:
         u, v = qv.numerator, qv.denominator
@@ -306,7 +313,7 @@ def _run_qbinom(params: dict, mode: str, cfg: Config, series_mode):
             # >= |u|^(a - i - 1)
             r = min(k, n - k)
             check_power_renders(-u, r * (n - r - 1))
-    return gauss_binom(n, k, qv), {}
+    return lambda: (gauss_binom(n, k, qv), {})
 
 
 def _run_classical(family: str, params: dict, mode: str, cfg: Config, series_mode):
@@ -318,32 +325,35 @@ def _run_classical(family: str, params: dict, mode: str, cfg: Config, series_mod
         if "x" in params:
             raise UsageError("Bernoulli polynomials are not defined here")
         _check_products(n, 1, cfg)
-        return classical.bernoulli(n), {}
+        return lambda: (classical.bernoulli(n), {})
     if family == "euler":
         _check_products(n, order, cfg)
         if "x" in params:
-            return classical.higher_euler_poly(n, order)(params["x"]), {}
-        return classical.higher_euler_number(n, order), {}
+            return lambda: (classical.higher_euler_poly(n, order)(params["x"]), {})
+        return lambda: (classical.higher_euler_number(n, order), {})
     if family == "genocchi":
         if "x" in params:
             if order != 1:
                 raise UsageError("higher-order Genocchi polynomials are not defined here")
             _check_products(n - 1, 1, cfg)
-            return classical.genocchi_poly(n)(params["x"]), {}
+            return lambda: (classical.genocchi_poly(n)(params["x"]), {})
         _check_products(n - order, order, cfg)
-        return classical.higher_genocchi(n, order), {}
+        return lambda: (classical.higher_genocchi(n, order), {})
     _check_products(n, 1, cfg)
     if "x" in params:
-        return classical.frobenius_euler_poly(n, params["u"])(params["x"]), {}
-    return classical.frobenius_euler(n, params["u"]), {}
+        return lambda: (classical.frobenius_euler_poly(n, params["u"])(params["x"]), {})
+    return lambda: (classical.frobenius_euler(n, params["u"]), {})
 
 
 def _run_gf(params: dict, mode: str, cfg: Config, series_mode):
     sp = _series_params(params, cfg, "cesaro1", series_mode)
-    x = _int_param(params, "x") if "x" in params else 0
-    lhs, rhs = gf_eval(params["kind"], _int_param(params, "k", 1), x, params.get("w", Fraction(1)),
-                       params["q"], params["t"], sp, term_budget=cfg.term_budget)
-    return lhs, {"rhs": rat_str(rhs), "abs_diff": rat_str(abs(lhs - rhs)), "truncation": sp.M}
+    x, k = _int_param(params, "x") if "x" in params else 0, _int_param(params, "k", 1)
+    check_series_budget(sp.M, x, k, cfg.term_budget)
+    def work():
+        lhs, rhs = gf_eval(params["kind"], k, x, params.get("w", Fraction(1)),
+                           params["q"], params["t"], sp, term_budget=cfg.term_budget)
+        return lhs, {"rhs": rat_str(rhs), "abs_diff": rat_str(abs(lhs - rhs)), "truncation": sp.M}
+    return work
 
 
 def _q_modes(spec: tuple, exact_needs: tuple = ("q",)) -> dict:
@@ -361,12 +371,12 @@ _CLASSICAL = {"exact": ((), ("k", "x"))}
 # Each family's entry is (flags, modes, run): the flags every query needs,
 # a map from each mode the family answers to (needs, reads), the further
 # flags a query in that mode needs and the flags it reads when given, and
-# `run(params, mode, cfg, series_mode)`, which checks the query's budget
-# before its work and returns (value, meta).  A q-family's run names its
-# spec builder, its classical route and whether its series mode takes the
-# Gaussian-weight route.  Every run looks the public functions up at call
-# time, so a caller that rebinds a module-level name (a profiler, a test
-# double) sees every call.
+# `run(params, mode, cfg, series_mode)`, which makes the query's checks and
+# returns its work, a callable of no argument that returns (value, meta).
+# A q-family's run names its spec builder, its classical route and whether
+# its series mode takes the Gaussian-weight route.  Every run and its work
+# look the public functions up at call time, so a caller that rebinds a
+# module-level name (a profiler, a test double) sees every call.
 FAMILIES = {
     "qnum": (("n",), {"exact": (("q",), ()), "symbolic": ((), ())}, _run_qnum),
     "qbinom": (("n", "k"), {"exact": (("q",), ()), "symbolic": ((), ())}, _run_qbinom),
@@ -399,14 +409,19 @@ def _mode_flags(family: str, mode: str) -> tuple[tuple, tuple]:
     return flags + needs, reads
 
 
-def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None):
-    """Compute one family value; returns (value, meta).  A mode the family
-    does not answer, or a flag the query needs, is refused before any work."""
+def _plan(family: str, params: dict, mode: str, cfg: Config, series_mode=None):
+    """Check one family value, a mode the family does not answer or a flag
+    the query needs first, and return its work (see `FAMILIES`)."""
     needs, _ = _mode_flags(family, mode)
     missing = [name for name in needs if name not in params]
     if missing:
         raise UsageError(f"missing required parameter(s): {', '.join('--' + m for m in missing)}")
     return FAMILIES[family][2](params, mode, cfg, series_mode)
+
+
+def dispatch(family: str, params: dict, mode: str, cfg: Config, series_mode=None):
+    """Compute one family value; returns (value, meta), all checks first."""
+    return _plan(family, params, mode, cfg, series_mode)()
 
 
 def _echo_params(params: dict) -> dict:
@@ -462,17 +477,17 @@ def run_table(args, cfg: Config) -> int:
         raise BudgetExceeded(f"{cells} cells exceed the table budget of {cfg.table_budget}")
 
     header = [r1[0]] + ([r2[0]] if r2 else []) + ["value"]
-    rows = []
+    works = []  # every cell's checks run before the first cell's value
     for v1 in span1:
         for v2 in span2:
             cell = dict(params)
             cell[r1[0]] = v1
             if r2:
                 cell[r2[0]] = v2
-            value, _ = dispatch(args.family, cell, args.mode, cfg,
-                                getattr(args, "series_mode", None))
-            key = [v1] + ([v2] if r2 else [])
-            rows.append((key, serialize_value(value)))
+            works.append(([v1] + ([v2] if r2 else []),
+                          _plan(args.family, cell, args.mode, cfg,
+                                getattr(args, "series_mode", None))))
+    rows = [(key, serialize_value(work()[0])) for key, work in works]
 
     if args.format == "csv":
         buf = io.StringIO()

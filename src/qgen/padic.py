@@ -149,6 +149,8 @@ class QBracketMonomial(Record):
     __slots__ = ("m", "k", "h", "w", "x")
 
     def __init__(self, m: int, k: int = 1, h: int = 1, w: Fraction = Fraction(1), x: int = 0):
+        if k < 1:
+            raise DomainError("need k >= 1")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "h", h)
@@ -204,10 +206,6 @@ class ValuationReport:
         return (f"ValuationReport(levels={self.levels!r}, "
                 f"valuations={self.valuations!r}, verdict={self.verdict!r})")
 
-    def to_json_dict(self) -> dict:
-        vals = ["inf" if v == math.inf else v for v in self.valuations]
-        return {"levels": list(self.levels), "valuations": vals, "verdict": self.verdict}
-
 
 def val_p(value: Fraction, p: int):
     """Exact p-adic valuation of a rational; +infinity for 0."""
@@ -247,14 +245,6 @@ def _ratios(f: IntegrandFamily, qf: Fraction) -> list[Fraction]:
     return [-w * q_power(qf, f.h - j + 1) for j in range(1, f.k + 1)]
 
 
-def check_shift_budget(x: int, last: int, term_budget: int) -> None:
-    """Raise BudgetExceeded when [s + x]_q for s = 0..last reaches a q
-    exponent beyond the budget; an entry then has about that many digits."""
-    top = max(abs(x), abs(x + last))
-    if top > term_budget:
-        raise BudgetExceeded(f"q exponent {top} exceeds the budget of {term_budget}")
-
-
 def _bracket_numerators(qf: Fraction, x: int, size: int,
                         modulus: int | None) -> tuple[tuple[int, ...], int, int]:
     """(U, c, K) with [s + x]_q = U[s] / (K c^s) for s < size.
@@ -285,7 +275,7 @@ def _bracket_numerators(qf: Fraction, x: int, size: int,
     return tuple(U), c, K
 
 
-def _sum_table(f: IntegrandFamily, qf: Fraction, size: int, term_budget: int,
+def _sum_table(f: IntegrandFamily, qf: Fraction, size: int,
                modulus: int | None = None) -> tuple[Sequence[int] | None, int, int]:
     """The factor g[s] of the integrand that depends only on s = x1 + ... + xk,
     for s = 0..size-1: (s + c)^n, or [s + x]_q^m.  Returned as integers
@@ -305,7 +295,6 @@ def _sum_table(f: IntegrandFamily, qf: Fraction, size: int, term_budget: int,
         return [pow(s + f.c, f.n, modulus) for s in range(size)], 1, 1
     if f.m < 0:
         raise DomainError("integrand exponent m must be >= 0")
-    check_shift_budget(f.x, size - 1, term_budget)
     if f.m == 0:
         return None, 1, 1
     U, c, K = _MEMO.get(("bracket", qf, f.x, size, modulus),
@@ -461,7 +450,9 @@ def _geometric_sum(b: Fraction, L: int, modulus: int | None = None):
 def _power_exceeds(base: int, exp: int, budget: int) -> bool:
     """base^exp > budget for base >= 1 and exp >= 1 (False at exp < 1),
     without forming base^exp: the first power over the budget decides, so at
-    base >= 2 it takes O(log budget) products."""
+    base >= 2 it takes O(log budget) products, and base 1 none."""
+    if base == 1:
+        return exp >= 1 and 1 > budget
     power = 1
     for _ in range(exp):
         power *= base
@@ -470,20 +461,53 @@ def _power_exceeds(base: int, exp: int, budget: int) -> bool:
     return False
 
 
+def _abs_sum(lo: int, hi: int) -> int:
+    """sum |v| over lo <= v <= hi, for lo <= hi."""
+    def tri(n):  # 1 + 2 + ... + n, and 0 for n <= 0
+        return n * (n + 1) // 2 if n > 0 else 0
+    return tri(hi) - tri(lo - 1) + tri(-lo) - tri(-hi - 1)
+
+
+# The budget rules, one refusal each: every public route calls its rules at
+# entry, and the CLI before any value; the summing kernels take no budget.
+def check_term_budget(base: int, exp: int, budget: int, terms: str, *parts) -> None:
+    """Refuse base^exp terms over the budget, named by `terms.format(*parts)`."""
+    if _power_exceeds(base, exp, budget):
+        raise BudgetExceeded(f"{terms.format(*parts)} terms exceed the budget of {budget}")
+
+
+def check_shift_budget(x: int, last: int, term_budget: int) -> None:
+    """Raise BudgetExceeded when [s + x]_q for s = 0..last reaches a q
+    exponent beyond the budget; an entry then has about that many digits."""
+    top = max(abs(x), abs(x + last))
+    if top > term_budget:
+        raise BudgetExceeded(f"q exponent {top} exceeds the budget of {term_budget}")
+
+
 def check_level_budget(p: int, N: int, k: int, term_budget: int) -> None:
     """Raise BudgetExceeded when a level-N sum in k variables, (p^N)^k
     terms, exceeds the budget.  Takes O(log term_budget) steps for any p
     and N, so it can run before the primality test of p."""
-    if abs(p) >= 2 and _power_exceeds(abs(p), N * k, term_budget):
-        raise BudgetExceeded(f"({p}^{N})^{k} terms exceed the budget of {term_budget}")
+    if abs(p) >= 2:
+        check_term_budget(abs(p), N * k, term_budget, "({}^{})^{}", p, N, k)
 
 
-def check_degree_budget(degree: int, budget: int) -> None:
-    """Raise BudgetExceeded when a symbolic result of the given degree
-    exceeds the budget; the q-Euler closed form's plan and the CLI's `qnum`
-    and `qbinom` share this refusal."""
+def check_box_budget(f: IntegrandFamily, M: int, budget: int) -> None:
+    """Budget the box of `real_series`: its M^k terms, then for brackets the
+    k ratios' total q exponent sum_j |h - j + 1| (the bit size of the ratios
+    and of the tail product prod_j (1 - r_j)) and its table's x + k(M - 1)."""
+    check_term_budget(M, f.num_vars, budget, "{}^{}", M, f.num_vars)
+    if isinstance(f, QBracketMonomial):
+        check_shift_budget(_abs_sum(f.h - f.k + 1, f.h), 0, budget)
+        check_shift_budget(f.x, f.k * (M - 1), budget)
+
+
+def check_degree_budget(degree: int, budget: int, at_least: bool = False) -> None:
+    """Raise BudgetExceeded when a symbolic degree, or with `at_least` a lower bound
+    on it, exceeds the budget: for the q-Euler closed form, `qnum` and `qbinom`."""
     if degree > budget:
-        raise BudgetExceeded(f"symbolic degree {degree} exceeds the budget of {budget}")
+        bound = "of at least " if at_least else ""
+        raise BudgetExceeded(f"symbolic degree {bound}{degree} exceeds the budget of {budget}")
 
 
 def _units_mod_p(f: IntegrandFamily, qf: Fraction, p: int) -> bool:
@@ -499,20 +523,14 @@ def _units_mod_p(f: IntegrandFamily, qf: Fraction, p: int) -> bool:
 
 
 def _level_sums(f: IntegrandFamily, qf: Fraction, p: int, levels: Sequence[int],
-                term_budget: int, modulus: int | None = None) -> dict:
+                modulus: int | None = None) -> dict:
     """The level-N sums of `fermionic_sum` for each N in `levels`, from one
     table of g at the deepest level's size, whose prefixes serve the
     shallower levels, and the level boxes [0, p^N)^k of `_box_sums`."""
     k = f.num_vars
     spans = {N: p ** N for N in sorted(set(levels))}
     bases = _ratios(f, qf)
-    top = max(spans.values())
-    try:
-        table = _sum_table(f, qf, k * (top - 1) + 1, term_budget, modulus)
-    except BudgetExceeded:
-        for N in levels:  # name the first level over the budget, as its own table would
-            check_shift_budget(f.x, k * (spans[N] - 1), term_budget)
-        raise
+    table = _sum_table(f, qf, k * (max(spans.values()) - 1) + 1, modulus)
     boxes = _box_sums(bases, table, list(spans.values()), modulus)
     # each box over [p^N]_{-q}^k, where [p^N]_{-q} is
     # (c^span - (-a)^span) / (c^(span-1) (c + a)) with q = a/c
@@ -532,9 +550,9 @@ def fermionic_sum(f: IntegrandFamily, qv, params: PadicParams,
     in [0, modulus), which needs q, 1 + q and w to be p-adic units.
 
     `_sums` maps each level of one check to its sum, or to None before the
-    first call: that call checks the unit condition and sums every level in
-    it from shared work (`_level_sums`), and each call returns its own
-    level's entry."""
+    first call: that call checks the unit condition and each level's q
+    exponent, and sums every level in it from shared work (`_level_sums`),
+    and each call returns its own level's entry."""
     qf = to_frac(qv)
     if qf == -1:
         raise DomainError("fermionic sum undefined at q = -1")
@@ -544,7 +562,10 @@ def fermionic_sum(f: IntegrandFamily, qv, params: PadicParams,
         if modulus is not None and not _units_mod_p(f, qf, params.p):
             raise DomainError(f"a level sum modulo {params.p}^L needs q, 1 + q and w "
                               f"to be {params.p}-adic units")
-        sums.update(_level_sums(f, qf, params.p, list(sums), term_budget, modulus))
+        if isinstance(f, QBracketMonomial):
+            for N in sums:
+                check_shift_budget(f.x, f.k * (params.p ** N - 1), term_budget)
+        sums.update(_level_sums(f, qf, params.p, list(sums), modulus))
     return sums[params.N]
 
 
@@ -724,13 +745,12 @@ def real_series(f: IntegrandFamily, qv, sp: SeriesParams,
     [2]_q^k sum over x in N^k of f(x) prod_j (-q)^{x_j}, truncated at M
     terms per variable.  Returns (value, bound), where bound is an exact
     geometric/ratio tail majorant in direct mode and the final smoothing
-    gap in cesaro1 mode."""
+    gap in cesaro1 mode.  The budget (`check_box_budget`) is checked first."""
+    check_box_budget(f, sp.M, term_budget)
     qf = to_frac(qv)
     if not 0 < qf <= 1:
         raise DomainError("real series needs 0 < q <= 1")
     k = f.num_vars
-    if _power_exceeds(sp.M, k, term_budget):
-        raise BudgetExceeded(f"{sp.M}^{k} terms exceed the budget of {term_budget}")
     classical = isinstance(f, ClassicalMonomial)
     # bracket integrands: [s + x]_q stays below 1/(1-q) only for q < 1
     if not classical and qf == 1:
@@ -738,7 +758,7 @@ def real_series(f: IntegrandFamily, qv, sp: SeriesParams,
     bases = _ratios(f, qf)
     _series_regime(f, bases, sp)
     pref = (1 + qf) ** k
-    g = _sum_table(f, qf, k * (sp.M - 1) + 1, term_budget)
+    g = _sum_table(f, qf, k * (sp.M - 1) + 1)
     if sp.mode == "cesaro1":
         # the boxes [0, L)^k of the last three partial sums
         value, gap = cesaro1_value(
@@ -767,13 +787,14 @@ def shift_identity_residual(f: IntegrandFamily, n_shift: int, qv,
     qf = to_frac(qv)
     if qf == -1:
         raise DomainError("undefined at q = -1")
-    if _power_exceeds(params.p, params.N, term_budget):
-        raise BudgetExceeded(f"{params.p}^{params.N} terms exceed the budget of {term_budget}")
+    check_term_budget(params.p, params.N, term_budget, "{}^{}", params.p, params.N)
     span = params.p ** params.N
     if f.num_vars != 1:
         raise DomainError("single-variable evaluation needs k = 1")
+    if isinstance(f, QBracketMonomial):
+        check_shift_budget(f.x, span + n_shift - 1, term_budget)
     bases = _ratios(f, qf)
-    g = G, R, C = _sum_table(f, qf, span + n_shift, term_budget)
+    g = G, R, C = _sum_table(f, qf, span + n_shift)
     norm = q_bracket_neg(span, qf)
     # the table of g[s + n]; a constant one is its own shift
     shifted = None if G is None else G[n_shift:], R, C * R ** n_shift

@@ -32,9 +32,9 @@ from fractions import Fraction
 
 from .padic import (
     DEFAULT_TERM_BUDGET,
-    BudgetExceeded,
     QBracketMonomial,
     SeriesParams,
+    _abs_sum,
     _cesaro1_sums,
     _distribution,
     _horner,
@@ -43,6 +43,7 @@ from .padic import (
     _sum_table,
     check_degree_budget,
     check_shift_budget,
+    check_term_budget,
 )
 from .qcore import (
     DomainError,
@@ -399,7 +400,7 @@ _KnownDenominator = collections.namedtuple("_KnownDenominator", "factors powers 
 def _known_denominator(m: int, h: int, k: int, x: int, w: Fraction,
                        budget: int | None = None) -> _KnownDenominator:
     """Plan the symbolic closed form in O(m + k) steps without a product or
-    a polynomial.  With a budget, raise BudgetExceeded when the result's
+    a polynomial.  With a budget, refuse (`check_degree_budget`) when the result's
     degree bound exceeds it; lower bounds reject a huge request before
     the loops, so these stay within the budget's reach."""
     a, b = w.numerator, w.denominator
@@ -409,7 +410,7 @@ def _known_denominator(m: int, h: int, k: int, x: int, w: Fraction,
         # keeps (1 + q)^k; otherwise row 0 divides by factors of total
         # degree sum_l |h - l|, of which [2]_q^k cancels at most k
         low = max(m, k) if a == 0 else m + _abs_sum(lo, h) - k
-        _check_low(low, budget)
+        check_degree_budget(low, budget, at_least=True)
     if a == -b:  # w = -1: 1 - q^e vanishes at e = 0
         _check_factors(m, h, k, lambda e: e == 0)
     if budget is not None and b == 1 and a in (1, -1):
@@ -418,7 +419,8 @@ def _known_denominator(m: int, h: int, k: int, x: int, w: Fraction,
         # range, of degree phi >= sqrt(|e| / 2)
         top = max(-lo, h + m)
         bottom = 1 if lo <= 0 <= h + m else min(abs(lo), abs(h + m))
-        _check_low(m - k + sum(math.isqrt(n // 2) for n in range(bottom, top + 1)), budget)
+        check_degree_budget(m - k + sum(math.isqrt(n // 2) for n in range(bottom, top + 1)),
+                            budget, at_least=True)
     factors = {e: _split_factor(a, b, e) for e in range(lo, h + m + 1)}
     # slide a window of k exponents: at e >= h it holds row j = e - h; the
     # windows before are prefixes of row 0, so their counts raise no power
@@ -451,23 +453,6 @@ def _known_denominator(m: int, h: int, k: int, x: int, w: Fraction,
     if budget is not None:
         check_degree_budget(total, budget)
     return _KnownDenominator(factors, powers, cancel, total)
-
-
-def _check_low(low: int, budget: int) -> None:
-    if low > budget:
-        raise BudgetExceeded(
-            f"symbolic degree of at least {low} exceeds the budget of {budget}")
-
-
-def _abs_sum(lo: int, hi: int) -> int:
-    """sum |v| over lo <= v <= hi."""
-    def tri(n):
-        return n * (n + 1) // 2
-    if lo >= 0:
-        return tri(hi) - tri(lo - 1)
-    if hi <= 0:
-        return tri(-lo) - tri(-hi - 1)
-    return tri(-lo) + tri(hi)
 
 
 def check_symbolic_budget(spec: QEulerSpec, budget: int) -> None:
@@ -798,14 +783,13 @@ def qeuler_twisted(n: int, w, qv=None):
     return _euler_sum(n, 1, 1, 0, w, qv)
 
 
-def _check_series_budget(M: int, x: int, k: int, term_budget: int) -> None:
+def check_series_budget(M: int, x: int, k: int, term_budget: int) -> None:
     """Budget a Gaussian-weight series of M terms, order k and shift x:
     its M terms, then the q exponent x + k(M - 1).  The bracket table
     reaches only q^(x + M - 1); k(M - 1) stands for the top q exponent of
     the Gaussian-weight distribution, whose last weight C(k + M - 2, M - 1)_q
     adds (k - 1)(M - 1) to it and whose convolution does the work."""
-    if M > term_budget:
-        raise BudgetExceeded(f"{M} terms exceed the budget of {term_budget}")
+    check_term_budget(M, 1, term_budget, "{}", M)
     check_shift_budget(x, k * (M - 1), term_budget)
 
 
@@ -819,7 +803,7 @@ def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams,
     |w| = 1 is the boundary case and needs cesaro1.  The integer `scale`
     (a q-Genocchi value's) multiplies value and bound.  `term_budget` is
     checked before anything else.  Returns (value, bound)."""
-    _check_series_budget(sp.M, spec.x, spec.k, term_budget)
+    check_series_budget(sp.M, spec.x, spec.k, term_budget)
     if spec.h != spec.k - 1:
         raise DomainError("the series expansion exists only for h = k - 1")
     qf = to_frac(qv)
@@ -831,7 +815,7 @@ def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams,
     # scale [2]_q^k = num / den
     num, den = scale * (qf.numerator + qf.denominator) ** spec.k, qf.denominator ** spec.k
     dist, E = _distribution(bases, sp.M, size=sp.M)
-    table = _sum_table(f, qf, sp.M, term_budget)  # [n+x]_q^m as integers
+    table = _sum_table(f, qf, sp.M)  # [n+x]_q^m as integers
     if sp.mode == "cesaro1":
         value, gap, D = _cesaro1_sums(dist, E, table, sp.M)
         return Fraction(num * value, den * D), Fraction(num * gap, den * D)
@@ -890,7 +874,7 @@ def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
     smoothed by cesaro1 (`padic._cesaro1_sums`); the prefactors join its
     integer numerator and denominator, so the left side is one Fraction.
     `term_budget` is checked first.  Returns (lhs, rhs)."""
-    _check_series_budget(sp.M, x, k, term_budget)
+    check_series_budget(sp.M, x, k, term_budget)
     if kind not in ("fqk", "hqk", "hqkw"):
         raise DomainError(f"unknown generating function kind {kind!r}")
     qf = to_frac(qv)
@@ -901,11 +885,11 @@ def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
     if kind in ("hqk", "hqkw"):
         if x != 0:
             raise DomainError("the Genocchi generating functions have no shift")
+    if k < 1 or x < 0:
+        raise DomainError("need k >= 1, x >= 0")
     f = QBracketMonomial(m=1, k=k, h=k - 1, w=w, x=x)
     bases = _ratios(f, qf)
     _series_regime(f, bases, SeriesParams(sp.M, "cesaro1"))
-    if k < 1 or x < 0:
-        raise DomainError("need k >= 1, x >= 0")
     if t_terms < 0:
         raise DomainError("need t_terms >= 0")
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qgen import classical, cli, qcore, qeuler
+from qgen import classical, cli, padic, qcore, qeuler
 from qgen.padic import QBracketMonomial, padic_limit_check
 from qgen.qcore import DomainError
 
@@ -370,6 +370,46 @@ class TestClassicalBudget:
         assert run(capsys, "euler", "--n", 9)[0] == 0   # 45 products, table kept
         assert run(capsys, "euler", "--n", 10)[0] == 1
         assert run(capsys, "twisted-genocchi", "--n", 0, "--w", 2)[0] == 0  # no table
+
+
+class TestTableChecksBeforeWork:
+    """A table runs every cell's checks before its first value, so a table
+    with a cell over its budget is refused before any kernel runs, in every
+    mode, and writes no file."""
+
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel ran before the table's refusal")
+        for module in (padic, qeuler):  # qeuler imports the padic kernels by name
+            monkeypatch.setattr(module, "_sum_table", refuse)
+            monkeypatch.setattr(module, "_distribution", refuse)
+        for name in ("_accumulate", "_euler_sum_symbolic"):
+            monkeypatch.setattr(qeuler, name, refuse)
+        for name in ("_reciprocal", "_product", "_euler_power", "_bernoulli_nums"):
+            monkeypatch.setattr(classical, name, refuse)
+
+    @pytest.mark.parametrize("argv,refusal", [
+        (("--family", "euler", "--range", "n=0..1000"),
+         "classical tables to order 447 take 100128 binomial products, "
+         "beyond the budget of 100000"),
+        (("--family", "qeuler", "--range", "m=0..460", "--h", 1, "--w", 2, "--mode", "symbolic"),
+         "symbolic degree 100126 exceeds the budget of 100000"),
+        (("--family", "qeuler", "--range", "N=1..12", "--m", 1, "--h", 1, "--q", 4,
+          "--mode", "padic"), "(3^11)^1 terms exceed the budget of 100000"),
+        (("--family", "qeuler", "--range", "M=99990..100010", "--m", 1, "--h", 0, "--w", "1/2",
+          "--q", "1/2", "--mode", "series"), "100001 terms exceed the budget of 100000"),
+        (("--family", "twisted-euler", "--range", "M=99990..100010", "--n", 1, "--w", "1/2",
+          "--q", "1/2", "--mode", "series"), "100001^1 terms exceed the budget of 100000"),
+        (("--family", "gf", "--range", "M=99999..100001", "--kind", "fqk", "--k", 1,
+          "--q", "1/2", "--t", "1/2"), "100001 terms exceed the budget of 100000"),
+    ])
+    def test_refused_before_any_value(self, capsys, tmp_path, no_kernel, argv, refusal):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "table", *argv, "--out", tmp_path / "t.json")
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (1, "") and err == f"error: {refusal}\n"
+        assert not (tmp_path / "t.json").exists()
 
 
 class TestClassicalFlags:

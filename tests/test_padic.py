@@ -107,10 +107,6 @@ class TestValuation:
         assert val_p(F(2, 27), 3) == -3
         assert val_p(F(0), 3) == math.inf
 
-    def test_report_json(self):
-        rep = ValuationReport([1, 2], [1, math.inf], True)
-        assert rep.to_json_dict() == {"levels": [1, 2], "valuations": [1, "inf"], "verdict": True}
-
 
 class TestMeasure:
     def test_zero_residue(self):
@@ -365,7 +361,7 @@ class TestBoxSumAgainstEnumeration:
         box, E = _distribution(bases, L)
         simplex, E_simplex = _distribution(bases, L, size=L)
         assert (simplex, E_simplex) == (box[:L], E)
-        table = _sum_table(f, qf, L, 100)
+        table = _sum_table(f, qf, L)
         sums = _prefix_sums(simplex, E, table, range(max(L - 3, 0), L))
         assert len(sums) == min(3, L)
         for n, got in zip(range(L - len(sums), L), sums):
@@ -456,10 +452,10 @@ class TestConstantTable:
 
     def test_constant_table(self):
         for f in (QBracketMonomial(m=0, k=2, h=1, x=3), ClassicalMonomial(n=0, c=2)):
-            assert _sum_table(f, F(4), 50, 100) == (None, 1, 1)
-        # the shift budget is still checked first
+            assert _sum_table(f, F(4), 50) == (None, 1, 1)
+        # the route still checks the shift budget of a constant integrand
         with pytest.raises(BudgetExceeded, match="q exponent"):
-            _sum_table(QBracketMonomial(m=0, x=10 ** 6), F(4), 50, 100)
+            fermionic_sum(QBracketMonomial(m=0, x=10 ** 6), F(4), PadicParams(3, 2), 100)
 
     def test_limit_check_builds_no_distribution(self, monkeypatch):
         # levels 1..9 at q = 4: the level sums are exactly 1, so every level
@@ -517,6 +513,21 @@ class TestBudgetsBeforeWork:
         real_series(f, F(1, 2), SeriesParams(20), term_budget=400)
         with pytest.raises(BudgetExceeded, match=r"^20\^2 terms exceed the budget of 399$"):
             real_series(f, F(1, 2), SeriesParams(20), term_budget=399)
+
+    def test_box_ratio_exponent_budget(self):
+        # after its M^k terms, which pass at M = 1 for any k, a box is
+        # budgeted by its ratios' total q exponent sum_j |h - j + 1|
+        for k, h, total in ((3000, 2999, 4498500), (10 ** 7, 1, 49999985000002)):
+            t0 = time.perf_counter()
+            with pytest.raises(BudgetExceeded,
+                               match=f"^q exponent {total} exceeds the budget of 100000$"):
+                real_series(QBracketMonomial(m=1, k=k, h=h, w=F(1, 2)), F(1, 2), SeriesParams(1))
+            assert time.perf_counter() - t0 < 0.1
+        f = QBracketMonomial(m=1, k=300, h=299, w=F(1, 2))
+        value, bound = real_series(f, F(1, 2), SeriesParams(1))  # 44850 is within the budget
+        assert value == 0 and bound > 0  # the one-point box holds [0]_q = 0
+        with pytest.raises(BudgetExceeded, match=r"^q exponent 44850 exceeds the budget of 44849$"):
+            real_series(f, F(1, 2), SeriesParams(1), term_budget=44849)
 
     @given(st.integers(1, 40), st.integers(-2, 60), st.integers(-3, 10 ** 30))
     @settings(max_examples=200, deadline=None)
@@ -618,8 +629,8 @@ class TestResidueTables:
         P = p ** (max(levels) + padic.MODULAR_MARGIN)
         f = QBracketMonomial(m=m, k=k, h=h, w=w, x=x)
         size = k * (p ** max(levels) - 1) + 1
-        exact = _sum_table(f, qv, size, 10 ** 5)
-        table = _sum_table(f, qv, size, 10 ** 5, P)
+        exact = _sum_table(f, qv, size)
+        table = _sum_table(f, qv, size, P)
         if m == 0:
             assert exact == table == (None, 1, 1)
         else:

@@ -97,6 +97,8 @@ def test_constructor_defaults(rec, text):
     (lambda: QEulerSpec(1, 1, x=-1), "need m >= 0, k >= 1, x >= 0"),
     (lambda: QGenocchiSpec(-1, 1), "need n >= 0, k >= 1"),
     (lambda: QGenocchiSpec(1, 1, k=0), "need n >= 0, k >= 1"),
+    (lambda: QBracketMonomial(1, k=0), "need k >= 1"),
+    (lambda: QBracketMonomial(1, k=-2), "need k >= 1"),
     (lambda: PadicParams(p=9), "p = 9 is not an odd prime"),
     (lambda: PadicParams(p=2), "p = 2 is not an odd prime"),
     (lambda: PadicParams(N=0), "level N must be >= 1"),
