@@ -550,15 +550,16 @@ def fermionic_sum(f: IntegrandFamily, qv, params: PadicParams,
     in [0, modulus), which needs q, 1 + q and w to be p-adic units.
 
     `_sums` maps each level of one check to its sum, or to None before the
-    first call: that call checks the unit condition and each level's q
-    exponent, and sums every level in it from shared work (`_level_sums`),
-    and each call returns its own level's entry."""
+    first call: that call checks the budget of the deepest level, the unit
+    condition and each level's q exponent, and sums every level in it from
+    shared work (`_level_sums`), and each call returns its own level's
+    entry."""
     qf = to_frac(qv)
     if qf == -1:
         raise DomainError("fermionic sum undefined at q = -1")
-    check_level_budget(params.p, params.N, f.num_vars, term_budget)
     sums = {params.N: None} if _sums is None else _sums
     if sums[params.N] is None:
+        check_level_budget(params.p, max(sums), f.num_vars, term_budget)
         if modulus is not None and not _units_mod_p(f, qf, params.p):
             raise DomainError(f"a level sum modulo {params.p}^L needs q, 1 + q and w "
                               f"to be {params.p}-adic units")
@@ -585,13 +586,6 @@ def _residual_valuation(r: int, target: Fraction, p: int, modulus: int):
     return _val_int(res, p) if res else None
 
 
-def _shared_levels(levels: Sequence[int]) -> dict:
-    """The `_sums` dict of one route of a check: its levels up to the first
-    one below 1, which `PadicParams` rejects before that level's call, so
-    no level after it is summed."""
-    return dict.fromkeys(itertools.takewhile(lambda N: N >= 1, levels))
-
-
 def padic_limit_check(f: IntegrandFamily, target, qv, p: int = 3,
                       levels: Sequence[int] = (1, 2, 3),
                       term_budget: int = DEFAULT_TERM_BUDGET) -> ValuationReport:
@@ -604,28 +598,30 @@ def padic_limit_check(f: IntegrandFamily, target, qv, p: int = 3,
     level whose residual is 0 mod P, or any level when a unit condition
     fails, is summed exactly, so every valuation equals the exact one.
 
-    Each route sums all its levels from one table and, for k = 1, one
-    prefix-sum pass over the deepest box (`_level_sums`), inside its first
-    `fermionic_sum` call; the module's `fermionic_sum` is still called once
-    per level and route."""
+    The level budget is checked for the deepest level on entry (and again
+    only by each route's first, summing, `fermionic_sum` call), and each
+    level's `PadicParams` (so the primality test of p) is built once, before
+    any sum: a level below 1 stops the check there.  Each route sums all
+    its levels from one table and, for k = 1, one prefix-sum pass over the
+    deepest box (`_level_sums`), inside its first `fermionic_sum` call; the
+    module's `fermionic_sum` is still called once per level and route."""
     if not levels:
         raise DomainError("a limit check needs at least one level")
     target = to_frac(target)
     qf = to_frac(qv)
     check_level_budget(p, max(levels), f.num_vars, term_budget)
+    params = {N: PadicParams(p=p, N=N) for N in levels}
     vals = dict.fromkeys(levels)
     if _units_mod_p(f, qf, p):
         modulus = p ** (max(levels) + MODULAR_MARGIN)
-        residues = _shared_levels(levels)
+        residues = dict.fromkeys(levels)
         for N in levels:
-            r = fermionic_sum(f, qf, PadicParams(p=p, N=N), term_budget, modulus=modulus,
-                              _sums=residues)
+            r = fermionic_sum(f, qf, params[N], term_budget, modulus=modulus, _sums=residues)
             vals[N] = _residual_valuation(r, target, p, modulus)
     inexact = [N for N in levels if vals[N] is None]
-    sums = _shared_levels(inexact)
+    sums = dict.fromkeys(inexact)
     for N in inexact:
-        vals[N] = val_p(fermionic_sum(f, qf, PadicParams(p=p, N=N), term_budget,
-                                      _sums=sums) - target, p)
+        vals[N] = val_p(fermionic_sum(f, qf, params[N], term_budget, _sums=sums) - target, p)
     valuations = [vals[N] for N in levels]
     ok = all(a <= b for a, b in zip(valuations, valuations[1:]))
     ok = ok and valuations[-1] >= max(levels) - 1

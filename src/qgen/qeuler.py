@@ -199,37 +199,30 @@ def _unit_power(e: int, sign: int) -> Poly:
     return Poly._from_coeffs(tuple([math.comb(e, i) * sign ** (e - i) for i in range(e + 1)]))
 
 
-def _remainder(cs, key, base: Poly, modulus: int | None = None) -> tuple:
-    """A nonzero constant times the remainder of the int coefficients cs
-    by the base polynomial of a known factor, in integers: zero exactly
-    when the base divides cs.  For Phi_d, the fold of cs modulo q^d - 1 (d
-    slice sums, so q - 1 gives the coefficient sum) divided by the monic
-    Phi_d.  For lo + hi q^e, the substitution q^e -> -lo/hi over chunks of
-    e coefficients, scaled by hi^T for a top chunk T.  With a modulus, the
-    residues of that remainder (padded to e terms), from word-size
-    weights, so a nonzero residue proves a nonzero remainder."""
-    kind, d = key
-    if kind == "phi":
-        return _coeff_divmod([sum(cs[i::d]) for i in range(min(d, len(cs)))], base.coeffs)[1]
-    e, lo, hi = base.degree, base.coeffs[0], base.coeffs[-1]
-    if modulus is not None:
-        # the Horner unrolled: R = sum_t (-lo)^t hi^(T-t) C_t, whose weights
-        # are hi^T c^t with c = -lo/hi, or only (-lo)^T at t = T when the
-        # modulus divides hi; one dot product per residue class mod e
-        top = max(len(cs) - 1, 0) // e
-        if hi % modulus:
-            c = -lo * pow(hi, -1, modulus) % modulus
-            weights = _geometric_table(pow(hi, top, modulus), c, top + 1, modulus)
-        else:
-            weights = [0] * top + [pow(-lo, top, modulus)]
-        return tuple(sum(map(operator.mul, weights, cs[i::e])) % modulus for i in range(e))
-    cs = tuple(cs) + (0,) * (-len(cs) % e)
-    acc, scale = cs[-e:], 1
-    # Horner from the top chunk T: acc_t = hi^(T-t) C_t - lo acc_(t+1)
-    for i in range(len(cs) - 2 * e, -1, -e):
-        scale *= hi
-        acc = [scale * c - lo * a for c, a in zip(cs[i:i + e], acc)]
-    return tuple(acc)
+def _phi_remainder(cs, d: int) -> tuple:
+    """The remainder of the int coefficients cs by Phi_d: the fold of cs
+    modulo q^d - 1 (d slice sums) divided by the monic Phi_d."""
+    return _coeff_divmod([sum(cs[i::d]) for i in range(min(d, len(cs)))],
+                         _cyclotomic(d).coeffs)[1]
+
+
+def _binomial_residues(cs, base: Poly) -> tuple:
+    """Modulo `_MOD_PRIME` and padded to e terms, hi^T times the remainder
+    of the int coefficients cs (or their residues) by lo + hi q^e, T the
+    top chunk of e coefficients, so a nonzero residue proves a nonzero
+    remainder: R = sum_t (-lo)^t hi^(T-t) C_t, whose weights are hi^T c^t
+    with c = -lo/hi, or only (-lo)^T at t = T when the prime divides hi;
+    one dot product per residue class mod e.  The only remainder by a
+    twist binomial: where `_shares_factor` needs an exact one, it takes
+    it from the one division loop."""
+    ell, e, lo, hi = _MOD_PRIME, base.degree, base.coeffs[0], base.coeffs[-1]
+    top = max(len(cs) - 1, 0) // e
+    if hi % ell:
+        c = -lo * pow(hi, -1, ell) % ell
+        weights = _geometric_table(pow(hi, top, ell), c, top + 1, ell)
+    else:
+        weights = [0] * top + [pow(-lo, top, ell)]
+    return tuple(sum(map(operator.mul, weights, cs[i::e])) % ell for i in range(e))
 
 
 def _is_power(v: Fraction, p: int) -> bool:
@@ -318,61 +311,40 @@ def _phi_at_point(d: int) -> int:
     return _value_at_point(_cyclotomic(d).coeffs)
 
 
-def _shares_factor(cs: tuple, key, base: Poly, value: int | None = None,
-                   reduced=None) -> bool:
+def _shares_factor(cs: tuple, key, base: Poly, value: int, residues) -> bool:
     """Whether the int coefficients cs share a nonconstant factor with the
-    base P of a known factor.
+    base P of a known factor, given cs's value N(X) at X = 2^`_POINT_BITS`
+    (`_value_at_point`) and `residues`, a function that returns cs modulo
+    `_MOD_PRIME` (built once for many bases).  Each step of the ladder
+    settles what it can:
 
-    `value`, cs's value N(X) at X = 2^`_POINT_BITS` (`_value_at_point`),
-    settles the common case in one integer remainder: when P is known to
-    be irreducible, which every Phi_d is and a binomial is when
-    `_may_split` rejects it, N(X) mod P(X) != 0 proves that P does not
-    divide cs, so they share nothing.  P is primitive, so by Gauss's
-    lemma P | N gives N = P R with R in Z[q], and P(X) divides N(X).  A
-    zero remainder, a binomial that may split, or P(X) = 0 (the base q - X
-    at w = -X and e = -1, or X - q at w = -1/X and e = 1) settles nothing
-    there, and the polynomial tests below run as without a value.
-
-    A nonzero polynomial remainder settles it for an irreducible base.  A
-    binomial's remainder is taken modulo `_MOD_PRIME` first, where a
-    nonzero residue proves it nonzero, and exactly only when every
-    residue is 0 or a GCD needs it; `reduced`, a function that returns
-    cs modulo the prime, gives the same residues from word-size products
-    when a caller tests one cs against many binomials.  For a binomial
-    that may split, the remainder and the binomial coprime modulo the
-    prime settle it, and otherwise one GCD of the two, below the
-    binomial's degree."""
+    1. N(X) mod P(X) != 0 proves that P does not divide cs (P is primitive,
+       so by Gauss's lemma P | N gives P(X) | N(X)), so they share nothing
+       when P is irreducible: every Phi_d, and a binomial that `_may_split`
+       rejects.  P(X) = 0 (q - X at w = -X and e = -1, or X - q at
+       w = -1/X and e = 1) settles nothing here;
+    2. for Phi_d, its exact remainder (`_phi_remainder`) decides;
+    3. a binomial's remainder modulo the prime (`_binomial_residues`): a
+       nonzero residue proves that an irreducible binomial shares nothing;
+    4. for a binomial that may split, those residues and the binomial
+       coprime modulo the prime (`_coprime_mod`) prove them coprime;
+    5. otherwise the exact remainder, from the one division loop
+       (`qcore._coeff_divmod`): zero shares P, and a nonzero one shares a
+       factor only with a splitting binomial, by one GCD of the two."""
     phi = key[0] == "phi"
     splits = not phi and _may_split(base.coeffs[0], base.coeffs[-1], base.degree)
-    if value is not None and not splits:
+    if not splits:
         at = _phi_at_point(key[1]) if phi else \
             base.coeffs[0] + (base.coeffs[-1] << _POINT_BITS * base.degree)
         if at and value % at:
             return False
     if phi:
-        return not any(_remainder(cs, key, base))
-    residues = _remainder(cs if reduced is None else reduced(), key, base, _MOD_PRIME)
-    if not any(residues) and not any(_remainder(cs, key, base)):
-        return True
-    if not splits or _coprime_mod(base.coeffs, residues):
+        return not any(_phi_remainder(cs, key[1]))
+    rem = _binomial_residues(residues(), base)
+    if any(rem) and (not splits or _coprime_mod(base.coeffs, rem)):
         return False
-    return poly_gcd(base, Poly(_remainder(cs, key, base))).degree > 0
-
-
-class _LazyResidues:
-    """A call returns the int coefficients cs modulo `_MOD_PRIME`, built
-    on the first call, so a closed form builds them at most once, and only
-    when a factor test needs them."""
-
-    __slots__ = ("cs", "residues")
-
-    def __init__(self, cs: tuple):
-        self.cs, self.residues = cs, None
-
-    def __call__(self) -> tuple:
-        if self.residues is None:
-            self.residues = tuple([c % _MOD_PRIME for c in self.cs])
-        return self.residues
+    rem = Poly(cs) % base
+    return rem.is_zero or (splits and poly_gcd(base, rem).degree > 0)
 
 
 def _root_one_quotient(cs, v: int) -> tuple:
@@ -491,9 +463,11 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
     a nonzero remainder rules out a factor shared with a P known to be
     irreducible: every Phi_d, and each twist binomial that `_may_split`
     rejects.  A zero remainder, a binomial that may split, or P(X) = 0
-    leaves the decision to the polynomial remainder of N by P (a twist
-    binomial's taken modulo a prime first, on N's residues, built at most
-    once per closed form and only when first needed).  So `poly_gcd` runs
+    goes down the ladder: Phi_d's exact remainder; a twist binomial's
+    remainder modulo a prime on N's residues (built at most once per
+    closed form, when first needed), Euclid modulo the prime for one that
+    may split, then the exact remainder (`qcore._coeff_divmod`) and a
+    GCD only where those find nothing.  So `poly_gcd` runs
     only where a shared factor exists, such as (q - 1)^m.  Its GCD
     (q - 1)^v leaves N by v synthetic divisions, each one pass of suffix
     sums (`_root_one_quotient`), and another factor's GCD by an exact
@@ -515,19 +489,18 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
     plan = _known_denominator(m, h, k, x, w)
     unit = w.denominator == 1 and w.numerator in (1, -1)
     if unit:
-        num, n0, den = _row_numerator(m, h, k, x, w.numerator, plan)
+        ints, n0, den = _row_numerator(m, h, k, x, w.numerator, plan)
     else:
-        num, n0, den = _packed_numerator(m, h, k, x, w, plan)
-    if not num or not scale:
+        ints, n0, den = _packed_numerator(m, h, k, x, w, plan)
+    if not ints or not scale:
         return QRat._from_reduced(Poly(), Poly((1,)))
     # the factor tests read the integer numerator before any division:
     # dividing out a shared factor keeps it coprime to every other factor;
     # they share its value at X and, built on first use, its residues
     # modulo the prime
-    ints = num
     value = _value_at_point(ints)
-    reduced = _LazyResidues(ints)
-    num = Poly._from_coeffs(num) * _unit_power(k - plan.cancel, 1)
+    residues = functools.cache(lambda: tuple([c % _MOD_PRIME for c in ints]))
+    num = Poly._from_coeffs(ints) * _unit_power(k - plan.cancel, 1)
     for _ in range(plan.cancel):
         den = _unit_quotient(den, 1, 1)
     den = Poly._from_coeffs(tuple(den))
@@ -538,7 +511,7 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
     phi1 = m  # the power of q - 1 that D lacks, less what its GCD removes
     for key, e in powers.items():
         base = _factor_base(w.numerator, w.denominator, key)
-        if not (e > 0 and _shares_factor(ints, key, base, value, reduced)):
+        if not (e > 0 and _shares_factor(ints, key, base, value, residues)):
             continue
         if key == _PHI1:
             v = poly_gcd(num, _unit_power(e, -1)).degree

@@ -226,6 +226,23 @@ def _binomial(lo, hi, e):
     return Poly([lo] + [0] * (e - 1) + [hi])
 
 
+def _shares_factor(cs, key, base, value=None):
+    """`qeuler._shares_factor` given cs's value at X, or `value` (0 is a
+    multiple of every P(X), so it settles nothing), and cs's residues."""
+    cs = tuple(cs)
+    value = qeuler._value_at_point(cs) if value is None else value
+    return qeuler._shares_factor(cs, key, base, value,
+                                 lambda: tuple(c % qeuler._MOD_PRIME for c in cs))
+
+
+def _scaled_remainder(cs, base):
+    """hi^T times the remainder of cs by the binomial lo + hi q^e, T the
+    top chunk of cs: the remainder whose residues `_binomial_residues`
+    gives."""
+    top = max(-(-len(cs) // base.degree) - 1, 0)
+    return (Poly(cs) % base) * base.coeffs[-1] ** top
+
+
 class TestKnownFactorTests:
     """The remainder test and the splitting rule that let the symbolic
     route skip the GCD with a known factor that shares nothing with it."""
@@ -274,11 +291,15 @@ class TestKnownFactorTests:
     def test_remainder_is_scaled_divmod(self, cs, factor):
         key, base = factor
         cs = tuple(Poly(cs).coeffs)
-        rem = Poly(qeuler._remainder(cs, key, base))
-        # a binomial's remainder is scaled by hi^T, T the top chunk of cs
-        scale = 1 if key[0] == "phi" else base.coeffs[-1] ** max(
-            -(-len(cs) // base.degree) - 1, 0)
-        assert rem == (Poly(cs) % base) * scale
+        if key[0] == "phi":
+            assert Poly(qeuler._phi_remainder(cs, key[1])) == Poly(cs) % base
+            return
+        # a binomial's remainder is scaled by hi^T, T the top chunk of cs,
+        # and read modulo the prime, from cs or from its residues
+        ell = qeuler._MOD_PRIME
+        expected = Poly([c % ell for c in _scaled_remainder(cs, base).coeffs])
+        assert Poly(qeuler._binomial_residues(cs, base)) == expected
+        assert Poly(qeuler._binomial_residues(tuple(c % ell for c in cs), base)) == expected
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=12).filter(any),
            st.sampled_from([
@@ -299,7 +320,7 @@ class TestKnownFactorTests:
         a = Poly(cs)
         if pick is not None and pieces:
             a = a * Poly(pieces[pick])
-        shared = qeuler._shares_factor(a.coeffs, ("w", e), _binomial(lo, hi, e))
+        shared = _shares_factor(a.coeffs, ("w", e), _binomial(lo, hi, e))
         assert shared == (poly_gcd(a, _binomial(lo, hi, e)).degree > 0)
 
     @pytest.mark.parametrize("cs, binomial, shared", [
@@ -309,7 +330,7 @@ class TestKnownFactorTests:
     ])
     def test_zero_residues_fall_back_to_exact(self, cs, binomial, shared):
         # every residue of the remainder is 0, but the remainder is not
-        assert qeuler._shares_factor(cs, ("w", binomial[2]), _binomial(*binomial)) is shared
+        assert _shares_factor(cs, ("w", binomial[2]), _binomial(*binomial)) is shared
 
     @given(st.lists(st.integers(-10 ** 40, 10 ** 40), max_size=40),
            st.sampled_from((1, 3, 10 ** 20 + 1, -(10 ** 20 + 1), 2 ** 61 - 2373)),
@@ -318,11 +339,11 @@ class TestKnownFactorTests:
     def test_remainder_residues(self, cs, lo, hi, e):
         # the Horner on residues gives the residues of the exact remainder,
         # also when the prime divides a coefficient of the binomial
-        ell, key, base = qeuler._MOD_PRIME, ("w", e), _binomial(lo, hi, e)
-        exact = qeuler._remainder(tuple(Poly(cs).coeffs), key, base)
-        residues = qeuler._remainder(tuple(Poly(cs).coeffs), key, base, ell)
+        ell, base = qeuler._MOD_PRIME, _binomial(lo, hi, e)
+        exact = _scaled_remainder(tuple(Poly(cs).coeffs), base)
+        residues = qeuler._binomial_residues(tuple(Poly(cs).coeffs), base)
         assert len(residues) == e
-        assert Poly(residues) == Poly([r % ell for r in exact])
+        assert Poly(residues) == Poly([r % ell for r in exact.coeffs])
 
     @given(st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=40), st.integers(1, 9),
            st.sampled_from((1, -1)))
@@ -336,26 +357,25 @@ class TestKnownFactorTests:
                *((("phi", d), qeuler._cyclotomic(d)) for d in (1, 2, 3, 4, 6, 12, 15, 30)),
                *((("w", e), _binomial(3, 2, e)) for e in (1, 2, 3, 4, 6)),  # irreducible
                (("w", 2), _binomial(4, -1, 2)), (("w", 4), _binomial(4, 1, 4)),  # may split
+               (("w", 4), _binomial(1, 4, 4)),  # splits, with leading coefficient 4
                # P(X) = 0 at the point X of the integer-value test
                (("w", 1), _binomial(2 ** qeuler._POINT_BITS, -1, 1)),
                (("w", 1), _binomial(-2 ** qeuler._POINT_BITS, 1, 1)),
            ]),
            st.one_of(st.just([]), st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8),
-                     # c times a factor of 4 - q^2 or of 4 + q^4
-                     st.tuples(st.sampled_from([[2, -1], [2, 1], [2, 2, 1], [2, -2, 1]]),
-                               st.integers(-9, 9)).map(lambda t: [t[1] * c for c in t[0]])),
-           st.booleans())
+                     # c times a factor of 4 - q^2, of 4 + q^4 or of 1 + 4q^4
+                     st.tuples(st.sampled_from([[2, -1], [2, 1], [2, 2, 1], [2, -2, 1],
+                                                [1, 2, 2], [1, -2, 2]]),
+                               st.integers(-9, 9)).map(lambda t: [t[1] * c for c in t[0]])))
     @settings(max_examples=300, deadline=None)
-    def test_integer_value_keeps_the_decision(self, r, factor, s, lazy):
+    def test_integer_value_keeps_the_decision(self, r, factor, s):
         # N = P R + S with S below P's degree, often 0: the value N(X) only
         # settles a "no shared factor" sooner, never changes the decision
         key, base = factor
         n = base * Poly(r) + Poly(s[:base.degree])
         assume(not n.is_zero)
-        cs = n.coeffs
-        reduced = qeuler._LazyResidues(cs) if lazy else None
-        shared = qeuler._shares_factor(cs, key, base, qeuler._value_at_point(cs), reduced)
-        assert shared == qeuler._shares_factor(cs, key, base)
+        shared = _shares_factor(n.coeffs, key, base)
+        assert shared == _shares_factor(n.coeffs, key, base, value=0)
         assert shared == (poly_gcd(n, base).degree > 0)
 
     @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=20))
