@@ -192,7 +192,7 @@ def _series_params(params: dict, cfg: Config, default_mode: str, series_mode) ->
 
 def serialize_value(v):
     if isinstance(v, Poly):
-        v = QRat(v)
+        v = QRat._from_reduced(v, Poly((1,), v.var))
     if isinstance(v, QRat):
         return v.to_obj()
     return rat_str(v)

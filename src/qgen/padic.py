@@ -184,27 +184,19 @@ class SeriesParams(Record):
         object.__setattr__(self, "mode", mode)
 
 
-class ValuationReport:
+class ValuationReport(Record):
     """Exact p-adic valuations of level-sum residuals, level by level.
 
     The verdict is true iff the valuations are nondecreasing and the final
     one reaches at least max(levels) - 1.  Valuation of an exact zero
     residual is reported as +infinity."""
 
+    __slots__ = ("levels", "valuations", "verdict")
+
     def __init__(self, levels: list[int], valuations: list, verdict: bool):
-        self.levels = levels
-        self.valuations = valuations
-        self.verdict = verdict
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.levels, self.valuations, self.verdict)
-                == (other.levels, other.valuations, other.verdict))
-
-    def __repr__(self):
-        return (f"ValuationReport(levels={self.levels!r}, "
-                f"valuations={self.valuations!r}, verdict={self.verdict!r})")
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "valuations", valuations)
+        object.__setattr__(self, "verdict", verdict)
 
 
 def val_p(value: Fraction, p: int):

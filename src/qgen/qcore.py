@@ -50,17 +50,21 @@ class DomainError(ValueError):
 
 
 class Record:
-    """Base of the immutable parameter records (`QEulerSpec`,
-    `SeriesParams`, ...).  A subclass lists its fields in `__slots__`, in
-    constructor order; its `__init__` validates its arguments and then
-    stores each field through `object.__setattr__`.  Equality, hashing and
-    the repr run over the fields as a frozen dataclass's do: a record
-    equals only a record of the same class with equal fields, hashes as the
-    tuple of its fields, and prints as `Name(field=value, ...)`.  Plain
-    classes rather than dataclasses, because importing `dataclasses` also
-    imports `inspect`, `ast`, `dis` and `tokenize`, and building each class
-    execs generated code: together about half of what a cold query spends
-    above the bare interpreter's start-up."""
+    """Base of the immutable records: the parameter records (`QEulerSpec`,
+    `SeriesParams`, ...), `padic.ValuationReport`, `Poly` and `QRat`.  A
+    subclass lists its fields in `__slots__`, in constructor order, and its
+    `__init__` validates its arguments and stores each field through
+    `object.__setattr__`.  Assigning or deleting an attribute raises
+    `AttributeError`; copy and pickle rebuild a record through its own
+    constructor, so an unpickled `QRat` is reduced again.  Equality,
+    hashing and the repr run over the fields as a frozen dataclass's do
+    (`Poly` and `QRat` keep their own): a record equals only a record of
+    the same class with equal fields, hashes as the tuple of its fields,
+    and prints as `Name(field=value, ...)`.  Plain classes rather than
+    dataclasses, because importing `dataclasses` also imports `inspect`,
+    `ast`, `dis` and `tokenize`, and building each class execs generated
+    code: together about half of what a cold query spends above the bare
+    interpreter's start-up."""
 
     __slots__ = ()
 
@@ -411,13 +415,13 @@ _INT_HEADER_BITS = 256  # a small int's object and its tuple slot, in bits
 _MEMO = _TableMemo(MEMO_BITS)
 
 
-class Poly:
+class Poly(Record):
     """Dense univariate polynomial over the rationals; coefficient i is the
     coefficient of var**i, an `int` when integral and a `Fraction`
     otherwise.  Normalized: no trailing zero coefficients, so the empty
-    tuple is the zero polynomial.  Immutable and hashable; since
-    3 == Fraction(3) and both hash alike, equality and hashing do not
-    depend on the coefficient type."""
+    tuple is the zero polynomial.  An immutable `Record`, hashable by its
+    coefficients alone; since 3 == Fraction(3) and both hash alike,
+    equality and hashing do not depend on the coefficient type."""
 
     __slots__ = ("coeffs", "var")
 
@@ -427,9 +431,6 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "var", var)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def _from_coeffs(cls, coeffs: tuple, var: str = "q") -> "Poly":
@@ -677,7 +678,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(a_cs, a._join_var(b)).monic()
 
 
-class QRat:
+class QRat(Record):
     """Reduced rational function num/den with rational coefficients.
 
     Invariants: den is nonzero, monic, and coprime to num, so structural
@@ -717,9 +718,6 @@ class QRat:
         object.__setattr__(out, "num", num)
         object.__setattr__(out, "den", den)
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QRat is immutable")
 
     @staticmethod
     def _coerce(other):

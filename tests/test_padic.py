@@ -857,8 +857,8 @@ class TestSharedLevels:
         assert summed == [[2, 1], [2, 1]] and rep.valuations == [math.inf] * 3
 
     def test_level_below_one_stops_the_check(self):
-        # as the level-by-level loop: levels before it are summed, then
-        # PadicParams refuses it
+        # PadicParams refuses it: padic_limit_check builds every level's
+        # before any sum, the level-by-level loop after summing those before it
         for x, levels in ((0, [1, 0, 2]), (0, [0, 1]), (0, [2, -1]), (99_995, [1, 0, 3])):
             f = QBracketMonomial(m=1, x=x)
             for check in (padic_limit_check, _limit_check_per_level):

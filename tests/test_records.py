@@ -1,9 +1,11 @@
-"""The parameter records on `qcore.Record`: the contract a frozen dataclass
-gave them (immutability, field equality and hashing, the repr, the
-constructor defaults and its DomainError texts), and the cold start that
-not being dataclasses buys."""
+"""The records on `qcore.Record`: the contract a frozen dataclass gave the
+parameter records (immutability, field equality and hashing, the repr,
+the constructor defaults and its DomainError texts), the part of it that
+`Poly`, `QRat` and `ValuationReport` share, and the cold start that not
+being dataclasses buys."""
 
 import copy
+import math
 import pickle
 import subprocess
 import sys
@@ -12,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from qgen.padic import ClassicalMonomial, PadicParams, QBracketMonomial, SeriesParams
-from qgen.qcore import DomainError
-from qgen.qeuler import QEulerSpec
+from qgen.padic import (ClassicalMonomial, PadicParams, QBracketMonomial, SeriesParams,
+                        ValuationReport)
+from qgen.qcore import DomainError, Poly, QRat, q_sym
+from qgen.qeuler import QEulerSpec, qeuler_hk
 from qgen.qgenocchi import QGenocchiSpec
 
 F = Fraction
@@ -62,6 +65,39 @@ class TestRecordContract:
         rec = cls(**fields)
         for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
             assert twin == rec and repr(twin) == text
+
+
+# the closed form at a twist |w| != 1, reduced, with Fraction coefficients
+_TWISTED = qeuler_hk(QEulerSpec(m=1, h=1, k=1, w=F(2)), q_sym)
+
+# records that keep their own hash (`Poly`, `QRat`) or have none
+# (`ValuationReport`, whose fields are lists): (class, fields, repr)
+VALUES = [
+    (Poly, dict(coeffs=(1, F(-1, 2), 3), var="t"),
+     "Poly([1, Fraction(-1, 2), 3], var='t')"),
+    (QRat, dict(num=Poly((0, 1)), den=Poly((-1, 0, 1))),
+     "QRat(Poly([0, 1], var='q'), Poly([-1, 0, 1], var='q'))"),
+    (QRat, dict(num=_TWISTED.num, den=_TWISTED.den),
+     "QRat(Poly([0, Fraction(-1, 2), Fraction(-1, 2)], var='q'), "
+     "Poly([Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), 1], var='q'))"),
+    (ValuationReport, dict(levels=[1, 2, 3], valuations=[2, 3, math.inf], verdict=True),
+     "ValuationReport(levels=[1, 2, 3], valuations=[2, 3, inf], verdict=True)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES,
+                         ids=["Poly", "QRat", "QRat-twisted", "ValuationReport"])
+class TestValueContract:
+    test_fields_cannot_be_assigned_or_deleted = (
+        TestRecordContract.test_fields_cannot_be_assigned_or_deleted)
+    test_repr = TestRecordContract.test_repr
+    test_copy_and_pickle_round_trip = TestRecordContract.test_copy_and_pickle_round_trip
+
+
+
+def test_valuation_report_stays_unhashable():
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(ValuationReport([1], [0], True))
 
 
 def test_a_changed_field_gives_an_unequal_record():
