@@ -670,12 +670,11 @@ def _last_three(M: int) -> range:
     return range(max(M - 3, 0), M)
 
 
-def _series_regime(f: IntegrandFamily, bases: Sequence[Fraction], sp: SeriesParams) -> bool:
+def _series_regime(f: IntegrandFamily, bases: Sequence[Fraction], sp: SeriesParams) -> None:
     """Raise DivergenceError unless the series of f with per-variable ratios
     `bases` is summed by mode `sp.mode`: every |b_j| <= 1 and no b_j = 1;
     a b_j = -1 is the alternating boundary, which only cesaro1 sums, and
-    only for bracket integrands or a constant classical one.  Returns
-    whether the series is at that boundary."""
+    only for bracket integrands or a constant classical one."""
     classical = isinstance(f, ClassicalMonomial)
     if any(abs(b) > 1 for b in bases):
         raise DivergenceError("effective ratio |q w| exceeds 1" if classical
@@ -690,7 +689,6 @@ def _series_regime(f: IntegrandFamily, bases: Sequence[Fraction], sp: SeriesPara
             "first-order averaging does not sum it")
     if sp.mode == "direct" and boundary:
         raise DivergenceError("boundary alternating series: use cesaro1")
-    return boundary
 
 
 def _classical_tail_bound(f: ClassicalMonomial, rho: Fraction, M: int,

@@ -318,24 +318,22 @@ def _common_numerators(cs) -> tuple[int, list[int]]:
                  for c in cs]
 
 
-def _rational_value(cs, point: Fraction) -> Fraction:
-    """sum_i cs[i] point^i as one Fraction: with point = a/d and the
-    coefficients N[i] / D, one integer Horner pass gives
-    sum_i N[i] a^i d^(n-i), which is D d^n times the value."""
-    if not cs:
-        return Fraction(0)
-    den, nums = _common_numerators(cs)
-    a, d = point.numerator, point.denominator
-    acc = 0
-    if d == 1:
-        for c in reversed(nums):
+def _homogenized(cs, a, b, d: int):
+    """b^d p(a/b) for p = sum_i cs[i] var^i of degree at most d, by one
+    Horner pass acc <- acc a + cs[i] b^(d-i) from the top coefficient
+    down, in the arithmetic of a and b: integers at a rational point a/b
+    (`cs` the integer numerators of `_common_numerators`), `Poly`s at a
+    `Poly` or `QRat` point.  At b = 1 it is p(a), with no power of b."""
+    acc = a * 0
+    if b == 1:
+        for c in reversed(cs):
             acc = acc * a + c
-        return Fraction(acc, den)
-    dp = 1
-    for c in reversed(nums):
-        acc = acc * a + c * dp
-        dp *= d
-    return Fraction(acc, den * (dp // d))
+        return acc
+    bp = b ** (d + 1 - len(cs))
+    for c in reversed(cs):
+        acc = acc * a + c * bp
+        bp = bp * b
+    return acc
 
 
 class _TableMemo:
@@ -572,15 +570,21 @@ class Poly(Record):
         return Poly._from_coeffs(_scaled(self.coeffs, 1 / Fraction(lead)), self.var)
 
     def __call__(self, point):
-        """Evaluate by Horner's rule.  `point` may be an int, a "num/den"
-        string or a Fraction (exact evaluation, one Fraction), a Poly
-        (composition), or a QRat."""
-        if isinstance(point, (int, str, Fraction)):
-            return _rational_value(self.coeffs, to_frac(point))
-        acc = point * 0
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        """The value at a point a/b by one `_homogenized` pass: at a
+        rational point the integer D b^n p(a/b) over D b^n, D the
+        coefficients' common denominator and n = deg, as one Fraction; at a
+        Poly the composed Poly; at a QRat the reduced b^n p(a/b) / b^n."""
+        if not isinstance(point, (Poly, QRat)):
+            point = to_frac(point)
+            den, nums = _common_numerators(self.coeffs)
+            if not nums:
+                return Fraction(0)
+            b, n = point.denominator, len(nums) - 1
+            return Fraction(_homogenized(nums, point.numerator, b, n), den * b ** n)
+        if isinstance(point, Poly):
+            return _homogenized(self.coeffs, point, 1, self.degree)
+        n = max(self.degree, 0)
+        return QRat(_homogenized(self.coeffs, point.num, point.den, n), point.den ** n)
 
     def shifted(self, a) -> "Poly":
         """Substitute var -> var + a, for a rational a.
@@ -753,7 +757,7 @@ class QRat(Record):
         return not self.is_zero
 
     def __neg__(self):
-        return QRat(-self.num, self.den)
+        return QRat._from_reduced(-self.num, self.den)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -798,19 +802,29 @@ class QRat(Record):
         return other / self
 
     def __pow__(self, e: int):
-        if e >= 0:
-            return QRat(self.num ** e, self.den ** e)
+        if e >= 0:  # a monic den coprime to num stays so in powers
+            return QRat._from_reduced(self.num ** e, self.den ** e)
         if self.is_zero:
             raise ZeroDivisionError("negative power of zero")
         return QRat(self.den ** (-e), self.num ** (-e))
 
-    def evaluate(self, point) -> Fraction:
-        """Exact evaluation at a rational point with den(point) != 0."""
+    def evaluate(self, point):
+        """The value at a point a/b from b^d num(a/b) and b^d den(a/b), d
+        the larger degree, each one `_homogenized` pass: at a rational point
+        one Fraction, a DomainError where den(a/b) = 0; at a Poly or a QRat
+        the composition, one reduced QRat."""
+        d = max(self.num.degree, self.den.degree)
+        if isinstance(point, (Poly, QRat)):
+            a, b = (point, 1) if isinstance(point, Poly) else (point.num, point.den)
+            return QRat(_homogenized(self.num.coeffs, a, b, d),
+                        _homogenized(self.den.coeffs, a, b, d))
         point = to_frac(point)
-        dv = self.den(point)
-        if dv == 0:
+        a, b = point.numerator, point.denominator
+        (nd, nums), (dd, dens) = map(_common_numerators, (self.num.coeffs, self.den.coeffs))
+        dv = _homogenized(dens, a, b, d)
+        if not dv:
             raise DomainError(f"pole at q = {rat_str(point)}")
-        return self.num(point) / dv
+        return Fraction(_homogenized(nums, a, b, d) * dd, dv * nd)
 
     def at_one(self) -> Fraction:
         """Exact q -> 1 limit of the reduced quotient."""
@@ -884,12 +898,7 @@ def q_int(n: int, qv=None):
         return (1 - qf ** n) / (1 - qf)
     if _is_generator(qv):
         return Poly._from_coeffs((1,) * n, qv.var)
-    acc = _domain_zero(qv)
-    pw = qv ** 0
-    for _ in range(n):
-        acc = acc + pw
-        pw = pw * qv
-    return acc
+    return Poly._from_coeffs((1,) * n)(qv)
 
 
 def q_bracket_neg(x: int, qv=None):

@@ -521,10 +521,14 @@ def _euler_sum_symbolic(m: int, h: int, k: int, x: int, w: Fraction, scale: int)
             g = poly_gcd(num, base ** e)
             num = num.exact_div(g)
             den = den.exact_div(g)
-    if phi1 > 0:
+    # phi1 >= 0: D carries Phi_1 only at w = -1, where no valid window
+    # holds e = 0, so each row's window has k nonzero exponents of one
+    # sign; with g_k(x) = 1/(x(x-1)...(x-k+1)), Delta g_k = -k g_(k+1)(x+1),
+    # so the sum's leading Laurent coefficient at q = 1 is
+    # +-k(k+1)...(k+m-1) g_(k+m)(h+m) != 0, the pole order is m + k and the
+    # GCD removes v = 0; at every other w, v <= m
+    if phi1:
         den = den * _unit_power(phi1, -1)
-    elif phi1 < 0:
-        den = den.exact_div(_unit_power(-phi1, -1))
     lead = den.coeffs[-1]
     # reduced by the per-factor GCDs above (pairwise-coprime factors)
     return QRat._from_reduced(
@@ -674,7 +678,7 @@ def _euler_sum(m: int, h: int, k: int, x: int, w, qv, scale: int = 1):
     reduced rational function at the symbolic generator
     (`_euler_sum_symbolic`).  Any other symbolic argument v (q^2, 1/q, a
     constant, the generator in another variable) takes that result
-    composed at v (`_compose`), once the scan for a factor
+    composed at v (`QRat.evaluate`), once the scan for a factor
     1 + w v^e that vanishes has passed, so a vanishing factor raises the
     same DomainError as at a rational q.  Composing the reduced result is
     total where the closed form has a removable singularity: at the
@@ -686,23 +690,7 @@ def _euler_sum(m: int, h: int, k: int, x: int, w, qv, scale: int = 1):
     if qv is q_sym or (qv == q_sym and qv.num.var == _qgen.var):
         return _euler_sum_symbolic(m, h, k, x, w, scale)
     _check_factors(m, h, k, lambda e: is_zero_scalar(w * q_power(qv, e) + 1))
-    return _compose(_euler_sum_symbolic(m, h, k, x, w, scale), qv)
-
-
-def _compose(value: QRat, qv: QRat) -> QRat:
-    """value(qv) with one reduction: for qv = a/b and d the larger degree
-    of value's numerator and denominator, each is b^d p(a/b), a Horner in
-    Poly arithmetic, and their quotient is value(qv)."""
-    a, b = qv.num, qv.den
-    d = max(value.num.degree, value.den.degree)
-
-    def homogenized(p: Poly) -> Poly:  # b^d p(a/b)
-        acc, bp = Poly((), a.var), b ** 0
-        for c in reversed(p.coeffs + (0,) * (d + 1 - len(p.coeffs))):
-            acc, bp = acc * a + bp * c, bp * b
-        return acc
-
-    return QRat(homogenized(value.num), homogenized(value.den))
+    return _euler_sum_symbolic(m, h, k, x, w, scale).evaluate(qv)
 
 
 def _euler_sum_exact(m: int, h: int, k: int, x: int, w: Fraction, qf: Fraction,

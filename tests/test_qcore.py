@@ -113,11 +113,12 @@ class TestCoefficientTypes:
             Poly([0.5])
 
 
-def _fraction_horner(p: Poly, x: Fraction) -> Fraction:
-    """The reference: Horner's rule in Fractions, one reduction a step."""
-    acc = F(0)
+def _term_by_term(p: Poly, point):
+    """The reference: Horner's rule in the point's own arithmetic (Fraction,
+    Poly or QRat), one operation and one reduction per coefficient."""
+    acc = point * 0
     for c in reversed(p.coeffs):
-        acc = acc * x + c
+        acc = acc * point + c
     return acc
 
 
@@ -138,7 +139,7 @@ class TestRationalEvaluation:
         if form == "int":
             x = F(x.numerator)
         value = p(point)
-        assert type(value) is F and value == _fraction_horner(p, x)
+        assert type(value) is F and value == _term_by_term(p, x)
 
     def test_zero_polynomial_and_int_points(self):
         assert Poly([])(F(3, 7)) == 0 and type(Poly([])(5)) is F
@@ -162,6 +163,66 @@ class TestRationalEvaluation:
         p = Poly([0, 0, 1], var="x")
         assert p.shifted("1/2") == Poly([F(1, 4), 1, 1], var="x")
         assert p.shifted(0) == p and Poly([]).shifted(3) == Poly([])
+
+
+def _qrats(max_degree=2, var="q"):
+    return st.tuples(_polys(max_degree), _polys(max_degree).filter(bool)).map(
+        lambda nd: QRat(Poly(nd[0].coeffs, var), Poly(nd[1].coeffs, var)))
+
+
+_SYMBOLIC_POINTS = st.one_of(
+    _polys(2),
+    _polys(2).map(lambda p: Poly(p.coeffs, "x")),
+    _qrats(),
+    _qrats(var="x"),
+)
+
+
+class TestOneHornerPass:
+    """`Poly.__call__` and `QRat.evaluate` run one homogenized Horner pass at
+    a rational, a Poly or a QRat point, and equal a term-by-term Horner in
+    the point's own arithmetic (`Poly.__call__` at a rational point is
+    `TestRationalEvaluation`'s)."""
+
+    @given(_polys(5), _SYMBOLIC_POINTS)
+    @settings(max_examples=150, deadline=None)
+    def test_poly_call_matches_term_by_term(self, p, point):
+        value, expected = p(point), _term_by_term(p, point)
+        assert type(value) is type(expected) and value == expected
+        if isinstance(point, Poly):
+            assert value.var == expected.var and _canonical(value)
+
+    @given(_qrats(3), st.one_of(_POINTS.map(F), _SYMBOLIC_POINTS))
+    @settings(max_examples=150, deadline=None)
+    def test_qrat_evaluate_matches_term_by_term(self, r, point):
+        num, den = _term_by_term(r.num, point), _term_by_term(r.den, point)
+        if isinstance(point, F):
+            if den == 0:
+                with pytest.raises(DomainError, match=f"pole at q = {rat_str(point)}"):
+                    r.evaluate(point)
+                return
+            expected = num / den
+        else:
+            if den == 0:
+                with pytest.raises(ZeroDivisionError):
+                    r.evaluate(point)
+                return
+            expected = QRat._coerce(num) / QRat._coerce(den)
+        value = r.evaluate(point)
+        assert type(value) is type(expected) and value == expected
+        if isinstance(value, QRat):
+            assert _canonical(value.num) and _canonical(value.den)
+
+    def test_composition_at_the_inverse_and_a_constant(self):
+        r = QRat(Poly([1, 0, 0, 0, 0, -1]), Poly([1, -1]))  # [5]_q
+        assert r.evaluate(QRat(Poly([1]), q)) == QRat(Poly([1, 1, 1, 1, 1]), Poly([0, 0, 0, 0, 1]))
+        assert r.evaluate(QRat(1)) == 5 == r.at_one()
+        assert r.evaluate(Poly([0, 0, 1])) == QRat(Poly([1, 0, 1, 0, 1, 0, 1, 0, 1]))
+
+    def test_a_point_outside_the_rationals_is_refused(self):
+        for f in (Poly([1, 2]), QRat(Poly([1]), q)):
+            with pytest.raises(TypeError, match="cannot interpret 0.5 as an exact rational"):
+                f(0.5) if isinstance(f, Poly) else f.evaluate(0.5)
 
 
 class TestQRat:
@@ -269,6 +330,28 @@ class TestGaussBinom:
                 assert tri[n][k] == tri_alt[n][k]
                 assert tri[n][k] == gauss_binom_factorial(n, k)
                 assert tri[n][k] == gauss_binom_compositions(n, k)
+
+    @pytest.mark.parametrize("q0", [F(1, 2), F(-2, 3), F(3), F(-1), F(1)])
+    def test_mirrored_row_at_rational_q(self, q0):
+        # the mirrored recursion in Fraction arithmetic, against the
+        # primary form's triangle and the integer quotient
+        tri = gauss_binom_triangle(9, q0)
+        tri_alt = gauss_binom_triangle(9, q0, alt=True)
+        for n in range(10):
+            for k in range(n + 1):
+                alt = gauss_binom_alt(n, k, q0)
+                assert type(alt) is F and alt == tri[n][k] == tri_alt[n][k]
+                assert alt == gauss_binom(n, k, q0), (n, k)
+
+    def test_factorial_quotient_at_a_polynomial(self):
+        # q^2 is not the generator, so the three q-factorials are built and
+        # divided as polynomials; the result is the generator's entry
+        # composed at q^2
+        for n in range(9):
+            for k in range(n + 1):
+                entry = gauss_binom_factorial(n, k, q ** 2)
+                assert entry == gauss_binom(n, k)(q ** 2) and _canonical(entry), (n, k)
+                assert QRat(gauss_binom(n, k)).evaluate(q ** 2) == entry
 
     def test_symmetry_to_twenty(self):
         tri = gauss_binom_triangle(20)

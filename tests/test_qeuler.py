@@ -897,7 +897,9 @@ def _series_reference(spec, qf, sp):
     """`qeuler_hk_series` with one Fraction partial sum per term."""
     w = F(spec.w)
     f = spec.integrand()
-    boundary = padic._series_regime(f, padic._ratios(f, qf), sp)
+    bases = padic._ratios(f, qf)
+    padic._series_regime(f, bases, sp)
+    boundary = -1 in bases
     partials, s = [], F(0)
     for c, br in _gauss_weight_terms(spec.k, spec.x, w, qf, sp.M):
         s += c * br ** spec.m
