@@ -453,11 +453,14 @@ def _power_exceeds(base: int, exp: int, budget: int) -> bool:
     return False
 
 
+def _tri(n: int) -> int:
+    """1 + 2 + ... + n, and 0 for n <= 0."""
+    return n * (n + 1) // 2 if n > 0 else 0
+
+
 def _abs_sum(lo: int, hi: int) -> int:
     """sum |v| over lo <= v <= hi, for lo <= hi."""
-    def tri(n):  # 1 + 2 + ... + n, and 0 for n <= 0
-        return n * (n + 1) // 2 if n > 0 else 0
-    return tri(hi) - tri(lo - 1) + tri(-lo) - tri(-hi - 1)
+    return _tri(hi) - _tri(lo - 1) + _tri(-lo) - _tri(-hi - 1)
 
 
 # The budget rules, one refusal each: every public route calls its rules at

@@ -693,10 +693,11 @@ class QRat(Record):
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
+        var = num.var if isinstance(num, Poly) else den.var if isinstance(den, Poly) else "q"
         if not isinstance(num, Poly):
-            num = Poly((to_frac(num),)) if not isinstance(num, (list, tuple)) else Poly(num)
+            num = Poly(num if isinstance(num, (list, tuple)) else (to_frac(num),), var)
         if not isinstance(den, Poly):
-            den = Poly((to_frac(den),)) if not isinstance(den, (list, tuple)) else Poly(den)
+            den = Poly(den if isinstance(den, (list, tuple)) else (to_frac(den),), var)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator in rational function")
         if num.is_zero:
@@ -811,13 +812,15 @@ class QRat(Record):
     def evaluate(self, point):
         """The value at a point a/b from b^d num(a/b) and b^d den(a/b), d
         the larger degree, each one `_homogenized` pass: at a rational point
-        one Fraction, a DomainError where den(a/b) = 0; at a Poly or a QRat
-        the composition, one reduced QRat."""
+        one Fraction, at a Poly or a QRat the composition, one reduced QRat;
+        a pole, which a composition meets only at a constant, is a DomainError."""
         d = max(self.num.degree, self.den.degree)
         if isinstance(point, (Poly, QRat)):
             a, b = (point, 1) if isinstance(point, Poly) else (point.num, point.den)
-            return QRat(_homogenized(self.num.coeffs, a, b, d),
-                        _homogenized(self.den.coeffs, a, b, d))
+            den = _homogenized(self.den.coeffs, a, b, d)
+            if den.is_zero:
+                raise DomainError(f"pole at q = {rat_str(point.constant_value())}")
+            return QRat(_homogenized(self.num.coeffs, a, b, d), den)
         point = to_frac(point)
         a, b = point.numerator, point.denominator
         (nd, nums), (dd, dens) = map(_common_numerators, (self.num.coeffs, self.den.coeffs))

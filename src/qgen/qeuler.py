@@ -41,6 +41,7 @@ from .padic import (
     _ratios,
     _series_regime,
     _sum_table,
+    _tri,
     check_degree_budget,
     check_shift_budget,
     check_term_budget,
@@ -369,12 +370,27 @@ def _root_one_quotient(cs, v: int) -> tuple:
 _KnownDenominator = collections.namedtuple("_KnownDenominator", "factors powers cancel degree")
 
 
+def _twist_degree(m: int, h: int, k: int, x: int, w_zero: bool) -> int:
+    """The plan's `degree` at |w| != 1 in O(1).  Each exponent e != 0 gives
+    one twist binomial of degree |e| and power 1, so D has degree S =
+    sum |e| and nothing cancels; row j is x j less its window's positive
+    exponents, T(h + j) - T(h + j - k).  The rows are concave, each step
+    x - clamp(h + j + 1, 0, k), so the largest is at j = m when x > k and
+    else where h + j + 1 reaches x.  At w = 0 there is no factor at all."""
+    if w_zero:
+        return max(m, k + x * m)
+    s = _abs_sum(h - k + 1, h + m)
+    j = m if x > k else min(max(x - h - 1, 0), m)
+    return max(m + s, k + s + x * j - _tri(h + j) + _tri(h + j - k))
+
+
 def _known_denominator(m: int, h: int, k: int, x: int, w: Fraction,
                        budget: int | None = None) -> _KnownDenominator:
     """Plan the symbolic closed form in O(m + k) steps without a product or
     a polynomial.  With a budget, refuse (`check_degree_budget`) when the result's
     degree bound exceeds it; lower bounds reject a huge request before
-    the loops, so these stay within the budget's reach."""
+    the loops, and at |w| != 1 the exact degree (`_twist_degree`) does,
+    so these stay within the budget's reach."""
     a, b = w.numerator, w.denominator
     lo = h - k + 1
     if budget is not None:
@@ -383,6 +399,8 @@ def _known_denominator(m: int, h: int, k: int, x: int, w: Fraction,
         # degree sum_l |h - l|, of which [2]_q^k cancels at most k
         low = max(m, k) if a == 0 else m + _abs_sum(lo, h) - k
         check_degree_budget(low, budget, at_least=True)
+        if abs(a) != b:  # |w| != 1: the exact degree, before any record
+            check_degree_budget(_twist_degree(m, h, k, x, a == 0), budget)
     if a == -b:  # w = -1: 1 - q^e vanishes at e = 0
         _check_factors(m, h, k, lambda e: e == 0)
     if budget is not None and b == 1 and a in (1, -1):

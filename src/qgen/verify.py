@@ -1,11 +1,14 @@
 """Verification suites: each module's invariant grid as a runnable check,
 with a fixed report order, exact tolerances, and machine-readable results.
-These back the `qgen verify` command."""
+These back the `qgen verify` command.  A suite is a generator of its
+checks, `(name, points)` in report order; `run_suites` runs each one to
+its report row (`_run_grid`) as it is yielded."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import classical, padic, qcore
@@ -35,22 +38,16 @@ class VerifyConfig:
         self.term_budget = term_budget
 
 
-class CheckResult:
-    def __init__(self, name: str, ok: bool, points: int, detail: str = ""):
-        self.name = name
-        self.ok = ok
-        self.points = points
-        self.detail = detail
-
-
-def _run_grid(name: str, points) -> CheckResult:
-    """points yields (label, ok, info); collects the first failure."""
+def _run_grid(name: str, points) -> dict:
+    """The report row of check `name`: points yields (label, ok, info),
+    and the row stops at the first failure."""
     count = 0
     for label, ok, info in points:
         count += 1
         if not ok:
-            return CheckResult(name, False, count, f"failed at {label}: {info}")
-    return CheckResult(name, True, count)
+            return {"name": name, "ok": False, "points": count,
+                    "detail": f"failed at {label}: {info}"}
+    return {"name": name, "ok": True, "points": count, "detail": ""}
 
 
 # The q-family grids below are (label, spec) streams over `QEulerSpec` or
@@ -124,9 +121,7 @@ def _higher_genocchi_at_index(spec):
 
 # ---------------------------------------------------------------- qcore
 
-def suite_qcore(cfg: VerifyConfig) -> list[CheckResult]:
-    out = []
-
+def suite_qcore(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
     tri = qcore.gauss_binom_triangle(20)
     tri_alt = qcore.gauss_binom_triangle(20, alt=True)
 
@@ -135,7 +130,7 @@ def suite_qcore(cfg: VerifyConfig) -> list[CheckResult]:
             for k in range(n + 1):
                 yield (n, k), tri[n][k] == tri_alt[n][k], "recursion forms differ"
 
-    out.append(_run_grid("gauss-binom-recursion-forms", recursions()))
+    yield "gauss-binom-recursion-forms", recursions()
 
     def quotient():
         for n in range(13):
@@ -143,7 +138,7 @@ def suite_qcore(cfg: VerifyConfig) -> list[CheckResult]:
                 b = qcore.gauss_binom_factorial(n, k)
                 yield (n, k), tri[n][k] == b, "factorial quotient differs"
 
-    out.append(_run_grid("gauss-binom-factorial-quotient", quotient()))
+    yield "gauss-binom-factorial-quotient", quotient()
 
     def compositions():
         for n in range(13):
@@ -151,7 +146,7 @@ def suite_qcore(cfg: VerifyConfig) -> list[CheckResult]:
                 b = qcore.gauss_binom_compositions(n, k)
                 yield (n, k), tri[n][k] == b, "composition enumeration differs"
 
-    out.append(_run_grid("gauss-binom-compositions", compositions()))
+    yield "gauss-binom-compositions", compositions()
 
     def symmetry():
         # the mirrored form: the primary one builds columns above n/2 by
@@ -160,7 +155,7 @@ def suite_qcore(cfg: VerifyConfig) -> list[CheckResult]:
             for k in range(n + 1):
                 yield (n, k), tri_alt[n][k] == tri_alt[n][n - k], "asymmetric"
 
-    out.append(_run_grid("gauss-binom-symmetry", symmetry()))
+    yield "gauss-binom-symmetry", symmetry()
 
     def signed_expansion():
         for n in range(11):
@@ -169,7 +164,7 @@ def suite_qcore(cfg: VerifyConfig) -> list[CheckResult]:
                 expect = (tri[n][k] * q ** math.comb(k, 2)) * ((-1) ** k)
                 yield (n, k), coeffs[k] == expect, "signed Gaussian sum differs"
 
-    out.append(_run_grid("pochhammer-signed-expansion", signed_expansion()))
+    yield "pochhammer-signed-expansion", signed_expansion()
 
     def reciprocal_truncation():
         depth = 12
@@ -183,7 +178,7 @@ def suite_qcore(cfg: VerifyConfig) -> list[CheckResult]:
                 expect = q ** 0 if d == 0 else q * 0
                 yield (n, d), acc == expect, "truncated reciprocal fails"
 
-    out.append(_run_grid("pochhammer-reciprocal-truncation", reciprocal_truncation()))
+    yield "pochhammer-reciprocal-truncation", reciprocal_truncation()
 
     def ratio_inversion():
         for j in range(9):
@@ -193,7 +188,7 @@ def suite_qcore(cfg: VerifyConfig) -> list[CheckResult]:
                     if j + k - 1 >= 0 else a
                 yield (j, k), a == b, "ratio-inverted product differs"
 
-    out.append(_run_grid("pochhammer-ratio-inversion", ratio_inversion()))
+    yield "pochhammer-ratio-inversion", ratio_inversion()
 
     def homomorphism():
         samples = [Fraction(1, 2), Fraction(2, 3), Fraction(4), Fraction(-2)]
@@ -210,8 +205,7 @@ def suite_qcore(cfg: VerifyConfig) -> list[CheckResult]:
                     sg = tri[n][k]
                     yield ("gauss", n, k, q0), sg(q0) == rows[n][k], "gauss mismatch"
 
-    out.append(_run_grid("evaluation-homomorphism", homomorphism()))
-    return out
+    yield "evaluation-homomorphism", homomorphism()
 
 
 # ------------------------------------------------------------- classical
@@ -232,8 +226,7 @@ def _binomial_convolution(a: list[int], b: list[int]) -> list[int]:
     return [sum(math.comb(j, i) * a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))]
 
 
-def suite_classical(cfg: VerifyConfig) -> list[CheckResult]:
-    out = []
+def suite_classical(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
     xp = classical.x
     # E_j = euler[j] / 2^j; an order-r convolution keeps the scale 2^j
     euler = _euler_numerators(20)
@@ -247,7 +240,7 @@ def suite_classical(cfg: VerifyConfig) -> list[CheckResult]:
             lhs = e.shifted(1) + e
             yield n, lhs == 2 * xp ** n, "E_n(x+1)+E_n(x) != 2x^n"
 
-    out.append(_run_grid("euler-complementarity", complementarity()))
+    yield "euler-complementarity", complementarity()
 
     def order_coefficients():
         order_r = [1] + [0] * 10
@@ -258,7 +251,7 @@ def suite_classical(cfg: VerifyConfig) -> list[CheckResult]:
                 rhs = qcore.falling(n + r, r) * Fraction(order_r[n], 2 ** n)
                 yield (n, r), lhs == rhs, f"{lhs} != {rhs}"
 
-    out.append(_run_grid("higher-genocchi-euler-coefficients", order_coefficients()))
+    yield "higher-genocchi-euler-coefficients", order_coefficients()
 
     def genocchi_identities():
         for n in range(0, 21, 2):
@@ -272,7 +265,7 @@ def suite_classical(cfg: VerifyConfig) -> list[CheckResult]:
         for n in range(3, 20, 2):
             yield ("odd", n), classical.genocchi(n) == 0, "odd index not zero"
 
-    out.append(_run_grid("genocchi-identities", genocchi_identities()))
+    yield "genocchi-identities", genocchi_identities()
 
     def order_one():
         for n in range(13):
@@ -282,7 +275,7 @@ def suite_classical(cfg: VerifyConfig) -> list[CheckResult]:
             genocchi = n * euler_number(n - 1) if n else 0
             yield ("genocchi", n), classical.higher_genocchi(n, 1) == genocchi, "order-1 genocchi"
 
-    out.append(_run_grid("order-one-reduction", order_one()))
+    yield "order-one-reduction", order_one()
 
     def frobenius_at_zero():
         for u in (Fraction(2), Fraction(-2), Fraction(1, 3)):
@@ -290,15 +283,12 @@ def suite_classical(cfg: VerifyConfig) -> list[CheckResult]:
                 p = classical.frobenius_euler_poly(n, u)
                 yield (n, u), p(Fraction(0)) == classical.frobenius_euler(n, u), "H_n(u,0) != H_n(u)"
 
-    out.append(_run_grid("frobenius-poly-at-zero", frobenius_at_zero()))
-    return out
+    yield "frobenius-poly-at-zero", frobenius_at_zero()
 
 
 # ----------------------------------------------------------------- padic
 
-def suite_padic(cfg: VerifyConfig) -> list[CheckResult]:
-    out = []
-
+def suite_padic(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
     def normalization():
         # the constant integrand needs a trivial weight: k = 1 with h = 1,
         # or the degree-0 classical monomial
@@ -308,7 +298,7 @@ def suite_padic(cfg: VerifyConfig) -> list[CheckResult]:
                     s = padic.fermionic_sum(f, qv, PadicParams(3, N), cfg.term_budget)
                     yield (qv, type(f).__name__, N), s == 1, f"normalized sum is {s}"
 
-    out.append(_run_grid("constant-integrand-normalization", normalization()))
+    yield "constant-integrand-normalization", normalization()
 
     def additivity():
         qv = Fraction(4)
@@ -320,28 +310,28 @@ def suite_padic(cfg: VerifyConfig) -> list[CheckResult]:
                 rhs = sum(padic.measure_value(a + i * 3 ** (N - 1), fine, qv) for i in range(3))
                 yield (N, a), lhs == rhs, "refinement sum differs"
 
-    out.append(_run_grid("measure-additivity", additivity()))
+    yield "measure-additivity", additivity()
 
     q4, qh = Fraction(4), Fraction(1, 2)
     levels = list(range(1, cfg.padic_level + 1))
     specs = (((m, k, h, w), QEulerSpec(m=m, h=h, k=k, w=w))
              for k in (1, 2) for m in range(3) for h in (k - 1, k)
              for w in (Fraction(1), Fraction(4)))
-    out.append(_run_grid("closed-form-valuation-growth",
-                         _oracle_points(specs, qeuler_hk, q4, levels, cfg.term_budget)))
+    yield ("closed-form-valuation-growth",
+           _oracle_points(specs, qeuler_hk, q4, levels, cfg.term_budget))
 
     specs = (((m, k), QEulerSpec(m=m, h=k, k=k)) for k in (1, 2) for m in range(3))
-    out.append(_run_grid("absolute-series-tail-bounds",
-                         _series_points(specs, qeuler_hk, qh, (10, 20, 40), cfg.term_budget)))
+    yield ("absolute-series-tail-bounds",
+           _series_points(specs, qeuler_hk, qh, (10, 20, 40), cfg.term_budget))
 
     def box_series(spec, qv, sp, budget):
         return real_series(spec.integrand(), qv, sp, budget)
 
     k1 = ((("k1", m), QEulerSpec(m=m, h=0, k=1)) for m in range(3))
     k2 = [(("k2", 1), QEulerSpec(m=1, h=1, k=2))]
-    out.append(_run_grid("boundary-series-regularization", itertools.chain(
+    yield "boundary-series-regularization", itertools.chain(
         _boundary_points(k1, qeuler_hk, box_series, qh, SeriesParams(cfg.M, "cesaro1"), cfg),
-        _boundary_points(k2, qeuler_hk, box_series, qh, SeriesParams(60, "cesaro1"), cfg))))
+        _boundary_points(k2, qeuler_hk, box_series, qh, SeriesParams(60, "cesaro1"), cfg))
 
     def shifts():
         res = shift_identity_residual(ClassicalMonomial(n=0), 1, Fraction(1), PadicParams(3, 2))
@@ -355,16 +345,13 @@ def suite_padic(cfg: VerifyConfig) -> list[CheckResult]:
                 ok = all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
                 yield (type(f).__name__, n_shift), ok, f"valuations {vals}"
 
-    out.append(_run_grid("shift-identity-residuals", shifts()))
-    return out
+    yield "shift-identity-residuals", shifts()
 
 
 # ---------------------------------------------------------------- qeuler
 
-def suite_qeuler(cfg: VerifyConfig) -> list[CheckResult]:
-    out = []
-    q4 = Fraction(4)
-    qh = Fraction(1, 2)
+def suite_qeuler(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
+    q4, qh = Fraction(4), Fraction(1, 2)
 
     levels = list(range(1, cfg.padic_level + 1))
     twists = (Fraction(1), Fraction(4))
@@ -375,24 +362,25 @@ def suite_qeuler(cfg: VerifyConfig) -> list[CheckResult]:
           for m in range(3) for h in (2, 3, 4) for w in twists)
     # the k = 3 oracle goes as deep as the budget allows, level 3 by default
     k3_levels = [N for N in levels if (3 ** N) ** 3 <= cfg.term_budget] or levels[:1]
-    out.append(_run_grid("integral-oracle-valuations", itertools.chain(
+    yield "integral-oracle-valuations", itertools.chain(
         _oracle_points(specs, qeuler_hk, q4, levels, cfg.term_budget),
-        _oracle_points(k3, qeuler_hk, q4, k3_levels, cfg.term_budget))))
+        _oracle_points(k3, qeuler_hk, q4, k3_levels, cfg.term_budget))
 
-    twists = (Fraction(1), Fraction(1, 2))
+    # not `twists`: the oracle grid above reads that name when it runs
+    series_twists = (Fraction(1), Fraction(1, 2))
     specs = (((m, k, h, w), QEulerSpec(m=m, h=h, k=k, w=w))
-             for k in (1, 2) for m in range(4) for h in (k, k + 1) for w in twists)
-    out.append(_run_grid("real-series-absolute-oracle",
-                         _series_points(specs, qeuler_hk, qh, (40,), cfg.term_budget)))
+             for k in (1, 2) for m in range(4) for h in (k, k + 1) for w in series_twists)
+    yield ("real-series-absolute-oracle",
+           _series_points(specs, qeuler_hk, qh, (40,), cfg.term_budget))
 
     specs = (((m, k, xx, w), QEulerSpec(m=m, h=k - 1, k=k, x=xx, w=w))
-             for k in (1, 2) for m in range(4) for xx in (0, 1, 2) for w in twists)
-    out.append(_run_grid("boundary-series-closed-agreement", _boundary_points(
-        specs, qeuler_hk, qeuler_hk_series, qh, SeriesParams(cfg.M, "cesaro1"), cfg)))
+             for k in (1, 2) for m in range(4) for xx in (0, 1, 2) for w in series_twists)
+    yield "boundary-series-closed-agreement", _boundary_points(
+        specs, qeuler_hk, qeuler_hk_series, qh, SeriesParams(cfg.M, "cesaro1"), cfg)
 
     specs = (((s.m, s.k, s.h, s.x), s) for s in _euler_limit_specs())
-    out.append(_run_grid("classical-limit", _limit_points(
-        specs, qeuler_hk, _higher_euler_at_x, "q->1 limit differs")))
+    yield "classical-limit", _limit_points(
+        specs, qeuler_hk, _higher_euler_at_x, "q->1 limit differs")
 
     def twist_reduction():
         for n in range(9):
@@ -403,7 +391,7 @@ def suite_qeuler(cfg: VerifyConfig) -> list[CheckResult]:
             sym = qeuler_twisted(n, Fraction(1))
             yield ("symbolic", n), sym.evaluate(qh) == a, "symbolic twist mismatch"
 
-    out.append(_run_grid("twist-reduction", twist_reduction()))
+    yield "twist-reduction", twist_reduction()
 
     def remark_identity():
         for w in (Fraction(1, 2), Fraction(1, 3), Fraction(2)):
@@ -412,38 +400,34 @@ def suite_qeuler(cfg: VerifyConfig) -> list[CheckResult]:
                 rhs = Fraction(2) / (w + 1) * classical.frobenius_euler(n, -1 / w)
                 yield (n, w), lhs == rhs, f"{lhs} != {rhs}"
 
-    out.append(_run_grid("twisted-euler-frobenius-identity", remark_identity()))
-    return out
+    yield "twisted-euler-frobenius-identity", remark_identity()
 
 
 # ------------------------------------------------------------- qgenocchi
 
-def suite_qgenocchi(cfg: VerifyConfig) -> list[CheckResult]:
-    out = []
-    q4 = Fraction(4)
-    qh = Fraction(1, 2)
+def suite_qgenocchi(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
+    q4, qh = Fraction(4), Fraction(1, 2)
 
     def moment(spec, qv):
         # the index-shifted number: G_(n+1) / (n + 1) is the n-th moment
         return qgenocchi(spec.n + 1, qv)
 
     specs = ((n, QGenocchiSpec(n=n, h=1, k=1)) for n in range(6))
-    out.append(_run_grid("index-shift-moments",
-                         _series_points(specs, moment, qh, (60,), cfg.term_budget)))
+    yield "index-shift-moments", _series_points(specs, moment, qh, (60,), cfg.term_budget)
 
     levels = list(range(1, cfg.padic_level + 1))
     specs = (((n, k, h, w), QGenocchiSpec(n=n, h=h, k=k, w=w))
              for k in (1, 2) for n in range(4) for h in (k - 1, k, k + 1)
              for w in (Fraction(1), Fraction(4)))
-    out.append(_run_grid("integral-oracle-valuations",
-                         _oracle_points(specs, qgenocchi_hk, q4, levels, cfg.term_budget)))
+    yield ("integral-oracle-valuations",
+           _oracle_points(specs, qgenocchi_hk, q4, levels, cfg.term_budget))
 
     base = ((("base", n), n) for n in range(11))
     order = ((("order", s.n, s.k), s) for s in _genocchi_limit_specs())
-    out.append(_run_grid("classical-limit", itertools.chain(
+    yield "classical-limit", itertools.chain(
         _limit_points(base, qgenocchi, classical.genocchi, "q->1 differs"),
         _limit_points(order, qgenocchi_hk, _higher_genocchi_at_index,
-                      "higher-order q->1 differs"))))
+                      "higher-order q->1 differs"))
 
     def coefficient_consistency():
         for k in range(1, 5):
@@ -452,7 +436,7 @@ def suite_qgenocchi(cfg: VerifyConfig) -> list[CheckResult]:
                 b = qcore.falling(n + k, k)
                 yield (n, k), a == b, f"{a} != {b}"
 
-    out.append(_run_grid("order-coefficient-forms", coefficient_consistency()))
+    yield "order-coefficient-forms", coefficient_consistency()
 
     def twist_continuity():
         for n in range(9):
@@ -466,35 +450,33 @@ def suite_qgenocchi(cfg: VerifyConfig) -> list[CheckResult]:
             b = qgenocchi_hk(QGenocchiSpec(n=n, h=1, k=2), qh)
             yield ("hk", n), a == b, "hk twist default mismatch"
 
-    out.append(_run_grid("twist-continuity", twist_continuity()))
+    yield "twist-continuity", twist_continuity()
 
     def g1():
         for qv in (Fraction(1, 2), Fraction(1, 3), Fraction(4)):
             yield qv, qgenocchi(1, qv) == 1, "G_1 != 1"
         yield "symbolic", qgenocchi(1) == 1, "G_1 != 1 symbolically"
 
-    out.append(_run_grid("first-value-is-one", g1()))
+    yield "first-value-is-one", g1()
 
     specs = (((n, k, w), QGenocchiSpec(n=n, h=k - 1, k=k, w=w))
              for k in (1, 2) for n in range(4) for w in (Fraction(1), Fraction(1, 2)))
-    out.append(_run_grid("boundary-series-closed-agreement", _boundary_points(
-        specs, qgenocchi_hk, qgenocchi_hk_series, qh, SeriesParams(cfg.M, "cesaro1"), cfg)))
-    return out
+    yield "boundary-series-closed-agreement", _boundary_points(
+        specs, qgenocchi_hk, qgenocchi_hk_series, qh, SeriesParams(cfg.M, "cesaro1"), cfg)
 
 
 # ---------------------------------------------------------------- limits
 
-def suite_limits(cfg: VerifyConfig) -> list[CheckResult]:
-    out = []
+def suite_limits(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
     qh = Fraction(1, 2)
 
     specs = (((s.m, s.k, s.x), s) for s in _euler_limit_specs() if s.h == s.k - 1)
-    out.append(_run_grid("qeuler-classical-limits", _limit_points(
-        specs, qeuler_hk, _higher_euler_at_x, "E-limit differs")))
+    yield "qeuler-classical-limits", _limit_points(
+        specs, qeuler_hk, _higher_euler_at_x, "E-limit differs")
 
     specs = (((s.n, s.k), s) for s in _genocchi_limit_specs())
-    out.append(_run_grid("qgenocchi-classical-limits", _limit_points(
-        specs, qgenocchi_hk, _higher_genocchi_at_index, "G-limit differs")))
+    yield "qgenocchi-classical-limits", _limit_points(
+        specs, qgenocchi_hk, _higher_genocchi_at_index, "G-limit differs")
 
     def twist_collapse():
         one = Fraction(1)
@@ -513,8 +495,7 @@ def suite_limits(cfg: VerifyConfig) -> list[CheckResult]:
             sym = qgenocchi_twisted(n, w=one)
             yield ("tgen-sym", n), sym.evaluate(qh) == tgen[n], "symbolic twisted genocchi"
 
-    out.append(_run_grid("twist-unity-collapse", twist_collapse()))
-    return out
+    yield "twist-unity-collapse", twist_collapse()
 
 
 SUITES = {
@@ -538,15 +519,9 @@ def run_suites(names, cfg: VerifyConfig | None = None) -> dict:
         names = [n for n in SUITE_ORDER if n in names]
     report = {"suites": [], "ok": True}
     for name in names:
-        results = SUITES[name](cfg)
-        ok = all(r.ok for r in results)
+        # each check runs to its end before its suite resumes
+        checks = [_run_grid(*check) for check in SUITES[name](cfg)]
+        ok = all(c["ok"] for c in checks)
         report["ok"] = report["ok"] and ok
-        report["suites"].append({
-            "suite": name,
-            "ok": ok,
-            "checks": [
-                {"name": r.name, "ok": r.ok, "points": r.points, "detail": r.detail}
-                for r in results
-            ],
-        })
+        report["suites"].append({"suite": name, "ok": ok, "checks": checks})
     return report

@@ -289,8 +289,14 @@ class TestBudgetsBeforeWork:
         ("qgenocchi", "--n", 10 ** 8, "--h", 1),
         ("twisted-euler", "--n", 10 ** 8, "--w", 2),
         ("twisted-genocchi", "--n", 10 ** 8, "--w", "1/2"),
+        # within the first bound under a wide budget: at |w| != 1 the exact
+        # degree refuses it before the plan's records
+        ({"term_budget": 10 ** 6}, "qeuler", "--m", 10 ** 6, "--h", 1, "--w", 2),
     ])
-    def test_symbolic_degree_over_budget(self, capsys, argv):
+    def test_symbolic_degree_over_budget(self, capsys, config, argv):
+        if isinstance(argv[0], dict):
+            config(json.dumps(argv[0]))
+            argv = argv[1:]
         t0 = time.perf_counter()
         code, _, err = run(capsys, *argv, "--mode", "symbolic")
         assert time.perf_counter() - t0 < 1

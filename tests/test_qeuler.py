@@ -132,6 +132,15 @@ class TestKnownDenominatorRoute:
         assume(not isinstance(exact, str))  # q0 is a pole of an unreduced factor
         assert routed.evaluate(q0) == exact
 
+    @given(st.integers(0, 24), st.integers(-5, 7), st.integers(1, 4), st.integers(0, 5),
+           st.sampled_from(tuple(map(F, ("0", "2", "-2", "1/2", "-1/2", "2/3", "-3/5", "4",
+                                         "-1/4", "7")))))
+    @settings(max_examples=300, deadline=None)
+    def test_twist_degree_is_the_plans(self, m, h, k, x, w):
+        # at |w| != 1 the budget check reads the plan's degree in O(1)
+        assert qeuler._twist_degree(m, h, k, x, w == 0) == \
+            qeuler._known_denominator(m, h, k, x, w).degree
+
     def test_order_two_matches_general_loop_to_m_10(self):
         for m in range(11):
             spec = QEulerSpec(m=m, h=2, k=2)

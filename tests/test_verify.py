@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgen import verify
+from qgen import cli, verify
 from qgen.padic import SeriesParams
 
 ALL_CHECKS = [
@@ -74,7 +74,7 @@ def test_k3_oracle_depth_follows_the_budget(monkeypatch, level, budget, k3_level
         return check(f, target, qv, p, levels, term_budget)
 
     monkeypatch.setattr(verify, "padic_limit_check", spy)
-    verify.suite_qeuler(verify.VerifyConfig(padic_level=level, term_budget=budget))
+    verify.run_suites(["qeuler"], verify.VerifyConfig(padic_level=level, term_budget=budget))
     requested = tuple(range(1, level + 1))
     assert seen == {(1, requested), (2, requested), (3, k3_levels)}
 
@@ -94,3 +94,35 @@ def test_boundary_detail_only_on_failure(diff, ok, detail):
     points = verify._boundary_points([("p", None)], closed, series, Fraction(1, 2),
                                      SeriesParams(3, "cesaro1"), verify.VerifyConfig())
     assert list(points) == [("p", ok, detail)]
+
+
+def _failing_suite(cfg):
+    """Two checks: the first fails at its third point, the second passes."""
+    yield "fails-third", ((("p", i), i != 2, f"info {i}") for i in range(5))
+    yield "passes", iter([("a", True, "")])
+
+
+def test_failing_check_row_and_exit(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "SUITES", {**verify.SUITES, "qcore": _failing_suite})
+    report = verify.run_suites(["qcore"])
+    assert report == {"ok": False, "suites": [{"suite": "qcore", "ok": False, "checks": [
+        {"name": "fails-third", "ok": False, "points": 3,
+         "detail": "failed at ('p', 2): info 2"},
+        {"name": "passes", "ok": True, "points": 1, "detail": ""},
+    ]}]}
+    assert cli.main(["verify", "qcore"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["[FAIL] qcore/fails-third: 3 points (failed at ('p', 2): info 2)",
+                   "[PASS] qcore/passes: 1 points",
+                   "FAILURES detected"]
+
+
+@pytest.mark.parametrize("name", verify.SUITE_ORDER)
+def test_checks_do_not_depend_on_when_they_run(name):
+    """A suite's grids read nothing that the suite rebinds after yielding
+    them: collecting every check before running any gives the same rows
+    as running each as it is yielded."""
+    cfg = verify.VerifyConfig()
+    collected = list(verify.SUITES[name](cfg))
+    rows = [verify._run_grid(check_name, points) for check_name, points in collected]
+    assert rows == verify.run_suites([name], cfg)["suites"][0]["checks"]
