@@ -12,11 +12,15 @@ Every sum here is a box sum: an integrand times prod_j (-q)^{x_j}
 equals prod_j b_j^{x_j} g[x1 + ... + xk] for per-variable ratios b_j and
 a table g over s = x1 + ... + xk, so `_box_sums` convolves the k geometric
 weight tables into one weight per s (`_distribution`) and never enumerates
-the box, then sums the weights against g.  Exactly, that pass (`_horner`)
-is Horner's rule on integers over one common denominator and returns the
-numerators of the prefix sums it reads; `_prefix_sums` divides them out
-into Fractions, and `_cesaro1_sums` combines the last three into the
-cesaro1 value and gap while they are still integers.  Modulo p^L every
+the box, then sums the weights against g.  Every route reads the ratios in
+one integer form, numerators over their common denominator (`_ratios`):
+the regime rules, the distributions and their memo keys, the geometric
+sums and the tail majorants compare and multiply integers.  Exactly, the
+pass over the weights (`_horner`) is Horner's rule on integers over one
+common denominator and returns the numerators of the prefix sums it reads;
+`_prefix_sums` pairs them with their denominators, and `_cesaro1_sums`
+combines the last three into the cesaro1 value and gap while they are
+still integers.  Modulo p^L every
 table holds residues of the terms themselves (the brackets, the weights,
 b^s for k = 1), so the common denominators are 1 and `_prefix_sums` is one
 running sum of products, built from whole-list operations: geometric
@@ -53,8 +57,6 @@ from .qcore import (
     Record,
     _geometric_table,
     q_bracket_neg,
-    q_int,
-    q_power,
     to_frac,
 )
 
@@ -227,38 +229,62 @@ def measure_value(a: int, params: PadicParams, qv) -> Fraction:
     return (-qf) ** a / q_bracket_neg(span, qf)
 
 
-def _ratios(f: IntegrandFamily, qf: Fraction) -> list[Fraction]:
+def _ratios(f: IntegrandFamily, qf: Fraction) -> tuple[tuple[int, ...], int]:
     """Per-variable ratios b_j of the signed integrand: f(x) prod_j (-q)^{x_j}
     = prod_j b_j^{x_j} g[x1 + ... + xk].  Classical: -q w; bracket variable
-    j: w q^{h-j} (-q) = -w q^{h-j+1}."""
+    j: w q^{h-j} (-q) = -w q^{h-j+1}.  Returned in integers as (B, E) with
+    b_j = B_j / E, E > 0 the least common denominator of the b_j: the one
+    form every route reads them in."""
+    a, c = qf.numerator, qf.denominator
     w = to_frac(f.w)
+    u, v = w.numerator, w.denominator
     if isinstance(f, ClassicalMonomial):
-        return [-qf * w]
-    return [-w * q_power(qf, f.h - j + 1) for j in range(1, f.k + 1)]
+        pairs = [(-a * u, c * v)]
+    else:
+        if a == 0 and f.h - f.k + 1 < 0:
+            raise DomainError("negative power of q = 0")
+        # -w q^e = -u a^e / (v c^e), or -u c^|e| / (v a^|e|) for e < 0
+        pairs = [(-u * a ** e, v * c ** e) if e >= 0 else (-u * c ** -e, v * a ** -e)
+                 for e in range(f.h, f.h - f.k, -1)]
+    # each in lowest terms; E = lcm |den|, so num (E // den) keeps the sign
+    nums, dens = [], []
+    for num, den in pairs:
+        g = math.gcd(num, den)
+        nums.append(num // g)
+        dens.append(den // g)
+    E = math.lcm(*dens)
+    return tuple([num * (E // den) for num, den in zip(nums, dens)]), E
 
 
-def _bracket_numerators(qf: Fraction, x: int, size: int,
+def _bracket_numerators(a: int, c: int, x: int, size: int,
                         modulus: int | None) -> tuple[tuple[int, ...], int, int]:
-    """(U, c, K) with [s + x]_q = U[s] / (K c^s) for s < size.
+    """(U, c, K) with [s + x]_q = U[s] / (K c^s) for s < size, at q = a/c in
+    lowest terms.
+
+    Exactly, K is the least common denominator of [x]_q and q^x = X / K:
+    with S = sum_{i<|x|} a^i c^(|x|-1-i), [x]_q = c S / c^x and q^x = a^x / c^x
+    for x >= 0, and [x]_q = -q^x [-x]_q = -c S / a^|x| and q^x = c^|x| / a^|x|
+    for x < 0 (S is prime to c, and to a).  The step br_{s+1} = br_s + q^{x+s}
+    is then U_{s+1} = c (U_s + X a^s).
 
     Modulo `modulus` (q a unit there) U holds the residues of the brackets
     themselves and c = K = 1: [x]_q plus the running sums of the residues of
-    q^x q^s, a geometric table (`_geometric_table`).
-
-    Exactly, with q = a/c and K a common denominator of [x]_q and
-    q^x = X / K, the step br_{s+1} = br_s + q^{x+s} is
-    U_{s+1} = c (U_s + X a^s)."""
-    qpow = q_power(qf, x)
-    br = Fraction(x) if qf == 1 else (1 - qpow) / (1 - qf)
+    q^x q^s, a geometric table (`_geometric_table`)."""
+    n = abs(x)
+    S = n if a == c else (c ** n - a ** n) // (c - a)
+    if x >= 0:
+        u, t, K = c * S, a ** n, c ** n
+    elif a == 0:
+        raise DomainError("negative power of q = 0")
+    else:
+        u, t, K = -c * S, c ** n, a ** n
+        if K < 0:
+            u, t, K = -u, -t, -K
     if modulus:
-        steps = _geometric_table(_residue(qpow, modulus), _residue(qf, modulus),
-                                 size - 1, modulus)
-        brackets = itertools.accumulate(steps, initial=_residue(br, modulus))
+        inv = pow(K, -1, modulus)
+        steps = _geometric_table(t * inv, a * pow(c, -1, modulus), size - 1, modulus)
+        brackets = itertools.accumulate(steps, initial=u * inv % modulus)
         return tuple(map(operator.mod, brackets, itertools.repeat(modulus))), 1, 1
-    K = math.lcm(br.denominator, qpow.denominator)
-    a, c = qf.numerator, qf.denominator
-    u = br.numerator * (K // br.denominator)
-    t = qpow.numerator * (K // qpow.denominator)
     U = []
     for _ in range(size):
         U.append(u)
@@ -289,38 +315,39 @@ def _sum_table(f: IntegrandFamily, qf: Fraction, size: int,
         raise DomainError("integrand exponent m must be >= 0")
     if f.m == 0:
         return None, 1, 1
-    U, c, K = _MEMO.get(("bracket", qf, f.x, size, modulus),
-                        lambda: _bracket_numerators(qf, f.x, size, modulus))
+    a, c = qf.numerator, qf.denominator
+    U, c, K = _MEMO.get(("bracket", a, c, f.x, size, modulus),
+                        lambda: _bracket_numerators(a, c, f.x, size, modulus))
     G = U if f.m == 1 else list(map(pow, U, itertools.repeat(f.m), itertools.repeat(modulus)))
     return G, c ** f.m, K ** f.m
 
 
-def _distribution(bases: Sequence[Fraction], L: int, modulus: int | None = None,
+def _distribution(ratios: tuple[Sequence[int], int], L: int, modulus: int | None = None,
                   size: int | None = None) -> tuple[tuple[int, ...], int]:
-    """The s-distribution of the k geometric tables (b_j^0, ..., b_j^{L-1}):
-    integers D[s] with sum over x1 + ... + xk = s of prod_j b_j^{x_j} equal
-    to D[s] / E^s, where E is the common denominator of the bases.  Modulo
-    `modulus` (every denominator a unit there) D holds the residues of the
-    weights themselves and E = 1; for k = 1 that is the geometric table of
-    b^s.  With a `size`, only s < size is kept.  Read from the memo by its
-    inputs (`_build_distribution`).  The b^L corrections first act at
-    s = L, so below it the distribution is the simplex's: for s < L the
-    weight is the complete homogeneous sum h_s(b_1, ..., b_k)."""
-    return _MEMO.get(("dist", tuple(bases), L, modulus, size),
-                     lambda: _build_distribution(bases, L, modulus, size))
+    """The s-distribution of the k geometric tables (b_j^0, ..., b_j^{L-1})
+    of the ratios (B, E) of `_ratios`, b_j = B_j / E: integers D[s] with
+    sum over x1 + ... + xk = s of prod_j b_j^{x_j} equal to D[s] / E^s.
+    Modulo `modulus` (E a unit there) D holds the residues of the weights
+    themselves and the returned E is 1; for k = 1 that is the geometric
+    table of b^s.  With a `size`, only s < size is kept.  Read from the
+    memo by its inputs (`_build_distribution`).  The b^L corrections first
+    act at s = L, so below it the distribution is the simplex's: for s < L
+    the weight is the complete homogeneous sum h_s(b_1, ..., b_k)."""
+    B, E = ratios
+    return _MEMO.get(("dist", tuple(B), E, L, modulus, size),
+                     lambda: _build_distribution(ratios, L, modulus, size))
 
 
-def _build_distribution(bases: Sequence[Fraction], L: int, modulus: int | None,
+def _build_distribution(ratios: tuple[Sequence[int], int], L: int, modulus: int | None,
                         size: int | None) -> tuple[tuple[int, ...], int]:
     """From the first base's geometric table B_1^s, s < L (what the running
     form's first pass over the unit table gives, its b^L term idle below
     s = L), each further base is convolved in by the running form
     d'[s] = d[s] + b d'[s-1] - b^L d[s-L]: O(k^2 L) operations, not L^k."""
+    scaled, E = ratios
     if modulus:
-        E, scaled = 1, [_residue(b, modulus) for b in bases]
-    else:
-        E = math.lcm(*(b.denominator for b in bases))
-        scaled = [b.numerator * (E // b.denominator) for b in bases]
+        inv = pow(E, -1, modulus)
+        E, scaled = 1, [B * inv % modulus for B in scaled]
     n = L if size is None else min(L, size)
     dist = _geometric_table(1, scaled[0], n, modulus) if scaled else [1]
     for B in scaled[1:]:
@@ -363,27 +390,20 @@ def _residue(v: Fraction, modulus: int) -> int:
     return v.numerator * pow(v.denominator, -1, modulus) % modulus
 
 
-def _over(num, den: int, modulus: int | None):
-    """num / den for a rational num and an int den: a Fraction, or with a
-    `modulus` the residue of that quotient, for an int num and a unit den."""
-    if modulus:
-        return num * pow(den, -1, modulus) % modulus
-    return Fraction(num, den)
-
-
 def _prefix_sums(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, int],
                  reads: Sequence[int], modulus: int | None = None) -> list:
     """The prefix sums P_n = sum_{s<=n} (D[s] / E^s) g[s] at each n of the
-    ascending `reads`: Fractions, or residues when a `modulus` is given.
+    ascending `reads`: pairs of integers (numerator, denominator), or
+    residues when a `modulus` is given.
 
-    Exactly, A_n / (C (E R)^n) from `_horner`.  Modulo `modulus` the
-    distribution and the table hold residues of the terms, E = R = C = 1,
-    and P_n is one running sum of the products D[s] G[s], unreduced, read
-    at each n and reduced once per read."""
+    Exactly, P_n = A_n / (C (E R)^n) with A_n from `_horner`.  Modulo
+    `modulus` the distribution and the table hold residues of the terms,
+    E = R = C = 1, and P_n is one running sum of the products D[s] G[s],
+    unreduced, read at each n and reduced once per read."""
     if not modulus:
         _, R, C = table
         accs = _horner(dist, E, table, reads)
-        return [Fraction(a, C * (E * R) ** n) for n, a in zip(reads, accs)]
+        return [(a, C * (E * R) ** n) for n, a in zip(reads, accs)]
     running = itertools.accumulate(map(operator.mul, dist, table[0]))
     sums, done = [], 0
     for n in reads:
@@ -392,50 +412,60 @@ def _prefix_sums(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, i
     return sums
 
 
-def _box_sums(bases: Sequence[Fraction], table: tuple[Sequence[int], int, int],
+def _box_sums(ratios: tuple[Sequence[int], int], table: tuple[Sequence[int], int, int],
               sides: Sequence[int], modulus: int | None = None) -> list:
     """The sums over x in [0, L)^k of prod_j b_j^{x_j} g[x1 + ... + xk] for
-    each L of the ascending `sides`: Fractions, or residues modulo
-    `modulus` when one is given (every denominator must then be a unit).
-    Only s = x1 + ... + xk reaches g, so each is the full sum over the
-    s-distribution of its box; `table` may run past the largest.
+    each L of the ascending `sides`, with the ratios (B, E) of `_ratios`:
+    pairs of integers (numerator, denominator) as `_prefix_sums` gives
+    them, or residues modulo `modulus` when one is given (E must then be a
+    unit).  Only s = x1 + ... + xk reaches g, so each is the full sum over
+    the s-distribution of its box; `table` may run past the largest.
 
     For k = 1 the box [0, L) is a prefix of the largest one, so one
     distribution and one prefix-sum pass read every side at s = L - 1; for
     k >= 2 the box distributions differ, so each side builds its own.
 
     A constant table (g = 1) needs no distribution: a box's sum is then its
-    total mass, the product of its k geometric sums (`_geometric_sum`)."""
+    total mass, the product of its k geometric sums (`_geometric_sum`),
+    over E^(k (L - 1))."""
+    B, E = ratios
     if table[0] is None:
-        boxes = [math.prod(_geometric_sum(b, L, modulus) for b in bases) for L in sides]
-        return [box % modulus for box in boxes] if modulus else boxes
-    if len(bases) == 1:
-        dist, E = _distribution(bases, sides[-1], modulus)
+        k = len(B)
+        if modulus:
+            return [math.prod(_geometric_sum(b, E, L, modulus) for b in B)
+                    * pow(E, -k * (L - 1), modulus) % modulus for L in sides]
+        return [(math.prod(_geometric_sum(b, E, L) for b in B), E ** (k * (L - 1)))
+                for L in sides]
+    if len(B) == 1:
+        dist, E = _distribution(ratios, sides[-1], modulus)
         return _prefix_sums(dist, E, table, [L - 1 for L in sides], modulus)
     sums = []
     for L in sides:
-        dist, E = _distribution(bases, L, modulus)
+        dist, E = _distribution(ratios, L, modulus)
         sums += _prefix_sums(dist, E, table, [len(dist) - 1], modulus)
     return sums
 
 
-def _geometric_sum(b: Fraction, L: int, modulus: int | None = None):
-    """sum_{x<L} b^x for L >= 1: the q-integer [L]_b (`q_int`).
+def _geometric_sum(b: int, e: int, L: int, modulus: int | None = None) -> int:
+    """sum_{x<L} b^x e^(L-1-x) for L >= 1: e^(L-1) times the q-integer
+    [L]_(b/e), exactly (e^L - b^L) / (e - b), or L e^(L-1) at b = e.
 
-    With a `modulus`, its residue (b must be a unit), from the residue r
-    of b by binary doubling, S_2n = S_n (1 + r^n) and S_(n+1) = S_n + r^n.
-    That divides by nothing: 1 - b may be a non-unit, as when w = -1 and
-    q = 1 mod p make 1 + w q^e = 0 mod p."""
+    With a `modulus`, its residue by binary doubling, S_2n = S_n (e^n + b^n)
+    and S_(n+1) = e S_n + b^n.  That divides by nothing: e - b may be a
+    non-unit, as when w = -1 and q = 1 mod p make a factor 1 + w q^j
+    vanish mod p."""
     if not modulus:
-        return q_int(L, b)
-    r = _residue(b, modulus)
-    S, rn = 1, r  # S_n and r^n at n = 1
+        return L * e ** (L - 1) if b == e else (e ** L - b ** L) // (e - b)
+    b, e = b % modulus, e % modulus
+    S, bn, en = 1, b, e  # S_n, b^n and e^n at n = 1
     for bit in bin(L)[3:]:
-        S = S * (1 + rn) % modulus
-        rn = rn * rn % modulus
+        S = S * (en + bn) % modulus
+        bn = bn * bn % modulus
+        en = en * en % modulus
         if bit == "1":
-            S = (S + rn) % modulus
-            rn = rn * r % modulus
+            S = (e * S + bn) % modulus
+            bn = bn * b % modulus
+            en = en * e % modulus
     return S
 
 
@@ -524,15 +554,21 @@ def _level_sums(f: IntegrandFamily, qf: Fraction, p: int, levels: Sequence[int],
     shallower levels, and the level boxes [0, p^N)^k of `_box_sums`."""
     k = f.num_vars
     spans = {N: p ** N for N in sorted(set(levels))}
-    bases = _ratios(f, qf)
+    ratios = _ratios(f, qf)
     table = _sum_table(f, qf, k * (max(spans.values()) - 1) + 1, modulus)
-    boxes = _box_sums(bases, table, list(spans.values()), modulus)
+    boxes = _box_sums(ratios, table, list(spans.values()), modulus)
     # each box over [p^N]_{-q}^k, where [p^N]_{-q} is
     # (c^span - (-a)^span) / (c^(span-1) (c + a)) with q = a/c
     a, c = qf.numerator, qf.denominator
-    return {N: _over(box * pow(pow(c, span - 1, modulus) * (c + a), k, modulus),
-                     pow(pow(c, span, modulus) - pow(-a, span, modulus), k, modulus), modulus)
-            for (N, span), box in zip(spans.items(), boxes)}
+    sums = {}
+    for (N, span), box in zip(spans.items(), boxes):
+        top = pow(pow(c, span - 1, modulus) * (c + a), k, modulus)
+        bottom = pow(pow(c, span, modulus) - pow(-a, span, modulus), k, modulus)
+        if modulus:
+            sums[N] = box * top * pow(bottom, -1, modulus) % modulus
+        else:
+            sums[N] = Fraction(box[0] * top, box[1] * bottom)
+    return sums
 
 
 def fermionic_sum(f: IntegrandFamily, qv, params: PadicParams,
@@ -571,16 +607,6 @@ def fermionic_sum(f: IntegrandFamily, qv, params: PadicParams,
 MODULAR_MARGIN = 10
 
 
-def _residual_valuation(r: int, target: Fraction, p: int, modulus: int):
-    """v_p(S - target) for a p-integral S with residue r modulo a power of
-    p, or None when the residual is 0 there and only the exact sum can
-    tell its valuation."""
-    if target.denominator % p == 0:
-        return val_p(target, p)
-    res = (r - _residue(target, modulus)) % modulus
-    return _val_int(res, p) if res else None
-
-
 def padic_limit_check(f: IntegrandFamily, target, qv, p: int = 3,
                       levels: Sequence[int] = (1, 2, 3),
                       term_budget: int = DEFAULT_TERM_BUDGET) -> ValuationReport:
@@ -599,7 +625,16 @@ def padic_limit_check(f: IntegrandFamily, target, qv, p: int = 3,
     any sum: a level below 1 stops the check there.  Each route sums all
     its levels from one table and, for k = 1, one prefix-sum pass over the
     deepest box (`_level_sums`), inside its first `fermionic_sum` call; the
-    module's `fermionic_sum` is still called once per level and route."""
+    module's `fermionic_sum` is still called once per level and route.
+
+    The level sums converge to the fermionic integral, and so the residuals
+    of its closed form to 0, only where q = 1 and w = 1 (mod p): with q = a/c
+    and w = u/v, p must divide a - c and u - v.  The q-measure converges
+    when |1 - q|_p < 1, and x -> w^x is continuous when |1 - w|_p < 1.
+    Being p-adic units is not enough: at q = 2 or 1/2 (p = 3 or 5), or at
+    w = 2 or -1 (p = 3), the valuations stall and the verdict fails though
+    the closed form is right.  Such a check is not refused: its report is
+    returned as computed."""
     if not levels:
         raise DomainError("a limit check needs at least one level")
     target = to_frac(target)
@@ -610,9 +645,17 @@ def padic_limit_check(f: IntegrandFamily, target, qv, p: int = 3,
     if _units_mod_p(f, qf, p):
         modulus = p ** (max(levels) + MODULAR_MARGIN)
         residues = dict.fromkeys(levels)
+        # a target with p in its denominator has residual valuation
+        # v_p(target) at every level; any other is read as one residue
+        pole = target.denominator % p == 0
+        t = val_p(target, p) if pole else _residue(target, modulus)
         for N in levels:
             r = fermionic_sum(f, qf, params[N], term_budget, modulus=modulus, _sums=residues)
-            vals[N] = _residual_valuation(r, target, p, modulus)
+            if pole:
+                vals[N] = t
+            else:  # a residual of 0 mod P leaves the level to the exact route
+                res = (r - t) % modulus
+                vals[N] = _val_int(res, p) if res else None
     inexact = [N for N in levels if vals[N] is None]
     sums = dict.fromkeys(inexact)
     for N in inexact:
@@ -673,19 +716,22 @@ def _last_three(M: int) -> range:
     return range(max(M - 3, 0), M)
 
 
-def _series_regime(f: IntegrandFamily, bases: Sequence[Fraction], sp: SeriesParams) -> None:
-    """Raise DivergenceError unless the series of f with per-variable ratios
-    `bases` is summed by mode `sp.mode`: every |b_j| <= 1 and no b_j = 1;
-    a b_j = -1 is the alternating boundary, which only cesaro1 sums, and
-    only for bracket integrands or a constant classical one."""
+def _series_regime(f: IntegrandFamily, ratios: tuple[Sequence[int], int],
+                   sp: SeriesParams) -> None:
+    """Raise DivergenceError unless the series of f with the per-variable
+    ratios (B, E) of `_ratios`, b_j = B_j / E, is summed by mode `sp.mode`:
+    every |b_j| <= 1 and no b_j = 1; a b_j = -1 is the alternating boundary,
+    which only cesaro1 sums, and only for bracket integrands or a constant
+    classical one."""
     classical = isinstance(f, ClassicalMonomial)
-    if any(abs(b) > 1 for b in bases):
+    B, E = ratios
+    if any(abs(b) > E for b in B):
         raise DivergenceError("effective ratio |q w| exceeds 1" if classical
                               else "an effective per-variable ratio exceeds 1")
-    if 1 in bases:
+    if E in B:
         raise DivergenceError("positively divergent series (q w = -1)" if classical
                               else "positively divergent variable (w q^(h-j+1) = -1)")
-    boundary = -1 in bases
+    boundary = -E in B
     if classical and boundary and f.n >= 1:
         raise DivergenceError(
             "alternating series with polynomially growing terms; "
@@ -694,18 +740,19 @@ def _series_regime(f: IntegrandFamily, bases: Sequence[Fraction], sp: SeriesPara
         raise DivergenceError("boundary alternating series: use cesaro1")
 
 
-def _classical_tail_bound(f: ClassicalMonomial, rho: Fraction, M: int,
-                          term_budget: int) -> Fraction:
-    """Exact majorant for sum_{y >= M} |y + c|^n rho^y with rho < 1.
+def _classical_tail_bound(f: ClassicalMonomial, r: int, d: int, M: int,
+                          term_budget: int) -> tuple[int, int]:
+    """Exact majorant for sum_{y >= M} |y + c|^n rho^y with rho = r / d < 1,
+    as integers (numerator, denominator).
 
     Where y + c >= 1, successive term ratios are at most
     rho ((y0 + 1 + c)/(y0 + c))^n for y >= y0, so from the first
-    y0 >= max(M, 1 - c) where that bound r is below 1 the tail is at most
-    its first term over 1 - r; the terms for M <= y < y0 are added exactly.
-    Raises DivergenceError when those are more than the term budget."""
-    if rho == 0:
-        return Fraction(0)
-    r, d = rho.numerator, rho.denominator
+    y0 >= max(M, 1 - c) where that bound r_hat is below 1 the tail is at
+    most its first term over 1 - r_hat; the terms for M <= y < y0 are added
+    exactly.  Raises DivergenceError when those are more than the term
+    budget."""
+    if r == 0:
+        return 0, 1
 
     def ratio_below_one(b):  # rho ((b + 1) / b)^n < 1
         return r * (b + 1) ** f.n < d * b ** f.n
@@ -724,8 +771,10 @@ def _classical_tail_bound(f: ClassicalMonomial, rho: Fraction, M: int,
     for y in range(M, y0):
         acc = acc * d + abs(y + f.c) ** f.n * power
         power *= r
-    r_hat = rho * Fraction(hi + 1, hi) ** f.n
-    return Fraction(acc, d ** (y0 - 1)) + Fraction(hi) ** f.n * rho ** y0 / (1 - r_hat)
+    # the first term over 1 - r_hat, hi^n rho^y0 / (1 - r_hat), is
+    # hi^2n r^y0 / (d^(y0-1) X) with X = d hi^n - r (hi + 1)^n > 0
+    X = d * hi ** f.n - r * (hi + 1) ** f.n
+    return acc * X + hi ** (2 * f.n) * power, d ** (y0 - 1) * X
 
 
 def real_series(f: IntegrandFamily, qv, sp: SeriesParams,
@@ -744,22 +793,29 @@ def real_series(f: IntegrandFamily, qv, sp: SeriesParams,
     # bracket integrands: [s + x]_q stays below 1/(1-q) only for q < 1
     if not classical and qf == 1:
         raise DomainError("bracket integrands need 0 < q < 1 in series mode")
-    bases = _ratios(f, qf)
-    _series_regime(f, bases, sp)
-    pref = (1 + qf) ** k
+    ratios = B, E = _ratios(f, qf)
+    _series_regime(f, ratios, sp)
+    a, c = qf.numerator, qf.denominator
+    num, den = (c + a) ** k, c ** k  # [2]_q^k
     g = _sum_table(f, qf, k * (sp.M - 1) + 1)
     if sp.mode == "cesaro1":
         # the boxes [0, L)^k of the last three partial sums
         value, gap = cesaro1_value(
-            _box_sums(bases, g, [L + 1 for L in _last_three(sp.M)]))
+            [Fraction(*box) for box in _box_sums(ratios, g, [L + 1 for L in _last_three(sp.M)])])
+        pref = Fraction(num, den)
         return pref * value, pref * gap
     if classical:
-        tail = _classical_tail_bound(f, abs(bases[0]), sp.M, term_budget)
-    else:  # sum_j r_j^M / prod_i (1 - r_i) over the ratios' sizes r
-        ratios = [abs(b) for b in bases]
-        tail = sum((r ** sp.M for r in ratios), Fraction(0)) / math.prod(1 - r for r in ratios)
-        tail *= q_power(1 - qf, -f.m)
-    return pref * _box_sums(bases, g, [sp.M])[0], pref * tail
+        tail_num, tail_den = _classical_tail_bound(f, abs(B[0]), E, sp.M, term_budget)
+    else:
+        # sum_j r_j^M / prod_i (1 - r_i) over the ratios' sizes r_j = |B_j| / E,
+        # times the bound on |[s + x]_q|^m at s >= M: q^min(0, s + x) / (1 - q)
+        # bounds the bracket, so (1 - q)^-m q^(m min(0, M + x)) its power
+        sizes = [abs(b) for b in B]
+        low = f.m * max(0, -(sp.M + f.x))
+        tail_num = sum(r ** sp.M for r in sizes) * E ** k * c ** (f.m + low)
+        tail_den = E ** sp.M * math.prod(E - r for r in sizes) * (c - a) ** f.m * a ** low
+    ((box_num, box_den),) = _box_sums(ratios, g, [sp.M])
+    return Fraction(num * box_num, den * box_den), Fraction(num * tail_num, den * tail_den)
 
 
 def shift_identity_residual(f: IntegrandFamily, n_shift: int, qv,
@@ -782,12 +838,14 @@ def shift_identity_residual(f: IntegrandFamily, n_shift: int, qv,
         raise DomainError("single-variable evaluation needs k = 1")
     if isinstance(f, QBracketMonomial):
         check_shift_budget(f.x, span + n_shift - 1, term_budget)
-    bases = _ratios(f, qf)
+    ratios = (B,), E = _ratios(f, qf)
     g = G, R, C = _sum_table(f, qf, span + n_shift)
     norm = q_bracket_neg(span, qf)
     # the table of g[s + n]; a constant one is its own shift
     shifted = None if G is None else G[n_shift:], R, C * R ** n_shift
-    lhs = (-bases[0]) ** n_shift * _box_sums(bases, shifted, [span])[0] / norm
-    rhs = (-1) ** n_shift * _box_sums(bases, g, [span])[0] / norm
-    corr = (-1) ** (n_shift - 1) * _box_sums(bases, g, [n_shift])[0]
+    shifted_box, box, head = (Fraction(*_box_sums(ratios, table, [L])[0])
+                              for table, L in ((shifted, span), (g, span), (g, n_shift)))
+    lhs = Fraction(-B, E) ** n_shift * shifted_box / norm
+    rhs = (-1) ** n_shift * box / norm
+    corr = (-1) ** (n_shift - 1) * head
     return lhs - rhs - (1 + qf) * corr

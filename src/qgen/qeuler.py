@@ -59,7 +59,6 @@ from .qcore import (
     _slot_size,
     falling,
     is_zero_scalar,
-    pochhammer_q,
     poly_gcd,
     q as _qgen,
     q_power,
@@ -390,7 +389,9 @@ def _known_denominator(m: int, h: int, k: int, x: int, w: Fraction,
     a polynomial.  With a budget, refuse (`check_degree_budget`) when the result's
     degree bound exceeds it; lower bounds reject a huge request before
     the loops, and at |w| != 1 the exact degree (`_twist_degree`) does,
-    so these stay within the budget's reach."""
+    so these stay within the budget's reach.  At |w| != 1 every factor
+    key is a twist binomial of one exponent, so each has power 1 and
+    nothing cancels: only |w| = 1 needs the window loop over the rows."""
     a, b = w.numerator, w.denominator
     lo = h - k + 1
     if budget is not None:
@@ -399,11 +400,16 @@ def _known_denominator(m: int, h: int, k: int, x: int, w: Fraction,
         # degree sum_l |h - l|, of which [2]_q^k cancels at most k
         low = max(m, k) if a == 0 else m + _abs_sum(lo, h) - k
         check_degree_budget(low, budget, at_least=True)
-        if abs(a) != b:  # |w| != 1: the exact degree, before any record
-            check_degree_budget(_twist_degree(m, h, k, x, a == 0), budget)
+    if abs(a) != b:  # |w| != 1: the exact degree, before any record
+        degree = _twist_degree(m, h, k, x, a == 0)
+        if budget is not None:
+            check_degree_budget(degree, budget)
+        factors = {e: _split_factor(a, b, e) for e in range(lo, h + m + 1)}
+        powers = {key: 1 for f in factors.values() for key in f.keys}
+        return _KnownDenominator(factors, powers, 0, degree)
     if a == -b:  # w = -1: 1 - q^e vanishes at e = 0
         _check_factors(m, h, k, lambda e: e == 0)
-    if budget is not None and b == 1 and a in (1, -1):
+    if budget is not None:
         # a record costs O(sqrt |e|) here, so a large m stops first: D
         # holds Phi_|e| (w = -1) or Phi_2|e| (w = 1) for each |e| in the
         # range, of degree phi >= sqrt(|e| / 2)
@@ -789,22 +795,28 @@ def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams,
     if not 0 < qf < 1:
         raise DomainError("series mode needs 0 < q < 1")
     f = spec.integrand()
-    bases = _ratios(f, qf)
-    _series_regime(f, bases, sp)
-    # scale [2]_q^k = num / den
-    num, den = scale * (qf.numerator + qf.denominator) ** spec.k, qf.denominator ** spec.k
-    dist, E = _distribution(bases, sp.M, size=sp.M)
+    ratios = _ratios(f, qf)
+    _series_regime(f, ratios, sp)
+    a, c = qf.numerator, qf.denominator
+    k, m = spec.k, spec.m
+    num, den = scale * (c + a) ** k, c ** k  # scale [2]_q^k
+    dist, E = _distribution(ratios, sp.M, size=sp.M)
     table = _sum_table(f, qf, sp.M)  # [n+x]_q^m as integers
     if sp.mode == "cesaro1":
         value, gap, D = _cesaro1_sums(dist, E, table, sp.M)
         return Fraction(num * value, den * D), Fraction(num * gap, den * D)
-    # C(k+n-1, n)_q increases in n to 1/(q; q)_(k-1)
-    aw = abs(to_frac(spec.w))
-    tail = q_power(1 - qf, -spec.m) * aw ** sp.M / (1 - aw) / pochhammer_q(qf, spec.k - 1, qf)
+    # the tail majorant (1 - q)^-m |w|^M / (1 - |w|) / (q; q)_(k-1), as
+    # C(k+n-1, n)_q increases in n to 1/(q; q)_(k-1); with w = u/v, that is
+    # c^m |u|^M c^T(k-1) / ((c - a)^m v^(M-1) (v - |u|) prod_{i<k} (c^i - a^i))
+    w = to_frac(spec.w)
+    u, v = abs(w.numerator), w.denominator
+    tail_num = c ** (m + _tri(k - 1)) * u ** sp.M
+    tail_den = ((c - a) ** m * v ** (sp.M - 1) * (v - u)
+                * math.prod(c ** i - a ** i for i in range(1, k)))
     _, R, C = table
     n = sp.M - 1
     (A,) = _horner(dist, E, table, [n])
-    return Fraction(num * A, den * C * (E * R) ** n), Fraction(num, den) * tail
+    return Fraction(num * A, den * C * (E * R) ** n), Fraction(num * tail_num, den * tail_den)
 
 
 def _exp_table(qf: Fraction, x: int, t: Fraction, T: int,
@@ -852,7 +864,9 @@ def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
     (`_exp_table`), and the boundary n-sum over it is one Horner pass
     smoothed by cesaro1 (`padic._cesaro1_sums`); the prefactors join its
     integer numerator and denominator, so the left side is one Fraction.
-    `term_budget` is checked first.  Returns (lhs, rhs)."""
+    The right side sums its closed-form coefficients over one common
+    denominator, so it is one Fraction too.  `term_budget` is checked
+    first.  Returns (lhs, rhs)."""
     check_series_budget(sp.M, x, k, term_budget)
     if kind not in ("fqk", "hqk", "hqkw"):
         raise DomainError(f"unknown generating function kind {kind!r}")
@@ -867,16 +881,15 @@ def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
     if k < 1 or x < 0:
         raise DomainError("need k >= 1, x >= 0")
     f = QBracketMonomial(m=1, k=k, h=k - 1, w=w, x=x)
-    bases = _ratios(f, qf)
-    _series_regime(f, bases, SeriesParams(sp.M, "cesaro1"))
+    ratios = _ratios(f, qf)
+    _series_regime(f, ratios, SeriesParams(sp.M, "cesaro1"))
     if t_terms < 0:
         raise DomainError("need t_terms >= 0")
 
-    dist, E = _distribution(bases, sp.M, size=sp.M)
+    dist, E = _distribution(ratios, sp.M, size=sp.M)
     core, _, D = _cesaro1_sums(dist, E, _exp_table(qf, x, t, t_terms, sp.M), sp.M)
     # [2]_q^k, and t^k for the Genocchi kinds
     num, den = (qf.numerator + qf.denominator) ** k * core, qf.denominator ** k * D
-    inv_fact = [Fraction(1, math.factorial(j)) for j in range(t_terms + k + 1)]
     if kind == "fqk":
         lhs = Fraction(num, den)
         coeffs = [_euler_sum(m, k - 1, k, x, w, qf) for m in range(t_terms)]
@@ -884,5 +897,12 @@ def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
         lhs = Fraction(num * t.numerator ** k, den * t.denominator ** k)
         coeffs = [0] * k + [_euler_sum(n - k, k - 1, k, 0, w, qf, falling(n, k))
                             for n in range(k, k + t_terms)]
-    rhs = sum((c * t ** n * inv_fact[n] for n, c in enumerate(coeffs)), Fraction(0))
-    return lhs, rhs
+    # sum_n c_n t^n / n! over one denominator: with t = tau / sigma, the
+    # coefficients' common denominator L and the top index r, term n is
+    # c_n L tau^n sigma^(r-n) r! / n! over L sigma^r r!
+    tau, sigma = t.numerator, t.denominator
+    r = max(len(coeffs) - 1, 0)
+    L = math.lcm(*[c.denominator for c in coeffs])
+    rhs = sum(c.numerator * (L // c.denominator) * tau ** n * sigma ** (r - n) * math.perm(r, r - n)
+              for n, c in enumerate(coeffs))
+    return lhs, Fraction(rhs, L * sigma ** r * math.factorial(r))

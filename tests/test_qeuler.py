@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -15,7 +16,6 @@ from qgen.padic import (
     DivergenceError,
     QBracketMonomial,
     SeriesParams,
-    cesaro1_value,
     convergence_envelope_ok,
     padic_limit_check,
     real_series,
@@ -38,8 +38,9 @@ from qgen.qeuler import (
     qeuler_twisted,
 )
 from qgen.qgenocchi import QGenocchiSpec, qgenocchi_hk, qgenocchi_hk_series
-from closed_form_reference import euler_sum_loop
+from closed_form_reference import euler_sum_loop, window_degree
 from reflection_check import reflected_equal, reflection_factor, typed_outcome
+from series_kernel_reference import gauss_series, gf_series, integer_form
 
 F = Fraction
 QH = F(1, 2)
@@ -137,8 +138,9 @@ class TestKnownDenominatorRoute:
                                          "-1/4", "7")))))
     @settings(max_examples=300, deadline=None)
     def test_twist_degree_is_the_plans(self, m, h, k, x, w):
-        # at |w| != 1 the budget check reads the plan's degree in O(1)
-        assert qeuler._twist_degree(m, h, k, x, w == 0) == \
+        # at |w| != 1 the plan's degree is the O(1) one, against the window
+        # loop over the rows that |w| = 1 plans run
+        assert qeuler._twist_degree(m, h, k, x, w == 0) == window_degree(m, h, k, x, w) == \
             qeuler._known_denominator(m, h, k, x, w).degree
 
     def test_order_two_matches_general_loop_to_m_10(self):
@@ -463,7 +465,7 @@ def _distribution_side(m, h, k, x, w, qv, d):
     with the weights prod_j (-w q^(h-j+1))^(a_j), a in [0, d)^k, grouped
     by A = a_1 + ... + a_k."""
     bases = [-w * qv ** (h - j + 1) for j in range(1, k + 1)]
-    dist, E = padic._distribution(bases, d, size=k * (d - 1) + 1)
+    dist, E = padic._distribution(integer_form(bases), d, size=k * (d - 1) + 1)
     inner = [qeuler._euler_sum(i, h, k, 0, w ** d, qv ** d) for i in range(m + 1)]
     qd = q_int(d, qv)
     total = F(0)
@@ -746,7 +748,7 @@ class TestBoundarySeries:
             qeuler_hk_series(QEulerSpec(m=1, h=1, k=1), QH, SeriesParams(50, "cesaro1"))
 
     def test_direct_rejected_at_boundary(self):
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError, match="^boundary alternating series: use cesaro1$"):
             qeuler_hk_series(QEulerSpec(m=1, h=0, k=1), QH, SeriesParams(50, "direct"))
 
     def test_degree_zero_value(self):
@@ -828,7 +830,7 @@ class TestTwistedSeries:
         assert abs(v - F(6, 5)) <= bound
 
     def test_large_twist_diverges(self):
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError, match="^an effective per-variable ratio exceeds 1$"):
             qeuler_hk_series(QEulerSpec(m=0, h=0, k=1, w=F(2)), QH,
                              SeriesParams(50, "direct"))
 
@@ -870,78 +872,26 @@ class TestGeneratingFunction:
         lhs, rhs = gf_eval("hqkw", 1, 0, F(1, 2), QH, F(1, 4), SeriesParams(200, "cesaro1"))
         assert abs(lhs - rhs) <= TOL
 
+    @pytest.mark.parametrize("kind,k,w,message", [
+        ("hqkw", 1, F(2), "an effective per-variable ratio exceeds 1"),
+        ("fqk", 2, F(-1), "positively divergent variable (w q^(h-j+1) = -1)"),
+    ])
+    def test_regime_refusals(self, kind, k, w, message):
+        with pytest.raises(DivergenceError, match=f"^{re.escape(message)}$"):
+            gf_eval(kind, k, 0, w, QH, F(1, 2), SeriesParams(50, "cesaro1"))
+
+    def test_boundary_is_summed_in_either_mode(self):
+        # the left side is a boundary series (w = 1, a ratio -1), which
+        # gf_eval always smooths by cesaro1: the direct-mode refusal of the
+        # boundary does not apply, and the mode asked for changes nothing
+        direct = gf_eval("hqk", 2, 0, F(1), QH, F(1, 2), SeriesParams(50, "direct"))
+        assert direct == gf_eval("hqk", 2, 0, F(1), QH, F(1, 2), SeriesParams(50, "cesaro1"))
+
     def test_kind_validation(self):
         with pytest.raises(DomainError):
             gf_eval("nope", 1, 0, F(1), QH, F(0), SeriesParams(50, "cesaro1"))
         with pytest.raises(DomainError):
             gf_eval("hqk", 1, 1, F(1), QH, F(0), SeriesParams(50, "cesaro1"))
-
-
-# ---------------------------------------------------------------------------
-# The Gaussian-weight series summed term by term in Fractions: the reference
-# for the integer kernel that `qeuler_hk_series` and `gf_eval` run on.
-
-def _gauss_weight_terms(k, x, w, qf, M):
-    """(C(k+n-1, n)_q (-w)^n, [n+x]_q) for n < M, each updated from the last."""
-    c = F(1)
-    br = (1 - qf ** x) / (1 - qf)
-    qpow = qf ** x
-    for n in range(M):
-        if n > 0:
-            c *= -w * (1 - qf ** (k + n - 1)) / (1 - qf ** n)
-            br += qpow
-            qpow *= qf
-        yield c, br
-
-
-def _truncated_exp(a, t, terms):
-    acc, pw = F(0), F(1)
-    for j in range(terms):
-        acc += pw / math.factorial(j)
-        pw *= a * t
-    return acc
-
-
-def _series_reference(spec, qf, sp):
-    """`qeuler_hk_series` with one Fraction partial sum per term."""
-    w = F(spec.w)
-    f = spec.integrand()
-    bases = padic._ratios(f, qf)
-    padic._series_regime(f, bases, sp)
-    boundary = -1 in bases
-    partials, s = [], F(0)
-    for c, br in _gauss_weight_terms(spec.k, spec.x, w, qf, sp.M):
-        s += c * br ** spec.m
-        partials.append(s)
-    pref = (1 + qf) ** spec.k
-    if boundary or sp.mode == "cesaro1":
-        value, gap = cesaro1_value(partials)
-        return pref * value, pref * gap
-    aw = abs(w)
-    # C(k+n-1, n)_q increases in n to 1/prod_{i<k} (1 - q^i)
-    weight_bound = F(1) / math.prod(1 - qf ** i for i in range(1, spec.k))
-    tail = weight_bound * (1 - qf) ** -spec.m * aw ** sp.M / (1 - aw)
-    return pref * s, pref * tail
-
-
-def _gf_reference(kind, k, x, w, qf, t, sp, t_terms=8):
-    """`gf_eval` with a truncated exponential per term and the right side
-    from the public closed forms."""
-    w = F(1) if kind == "hqk" else w
-    partials, s = [], F(0)
-    for c, br in _gauss_weight_terms(k, x, w, qf, sp.M):
-        s += c * _truncated_exp(br, t, t_terms)
-        partials.append(s)
-    core, _ = cesaro1_value(partials)
-    pref = (1 + qf) ** k
-    if kind == "fqk":
-        lhs = pref * core
-        coeffs = [qeuler_hk(QEulerSpec(m, k - 1, k, x, w), qf) for m in range(t_terms)]
-    else:
-        lhs = pref * t ** k * core
-        coeffs = [0] * k + [qgenocchi_hk(QGenocchiSpec(n - k, k - 1, k, w), qf)
-                            for n in range(k, k + t_terms)]
-    return lhs, sum((c * t ** n / math.factorial(n) for n, c in enumerate(coeffs)), F(0))
 
 
 SERIES_TWISTS = (F(1), F(0), F(1, 2), F(-1, 2), F(-1, 3))
@@ -960,14 +910,14 @@ class TestSeriesAgainstTermByTerm:
             sp = SeriesParams(M, mode)
             spec = QEulerSpec(m=m, h=k - 1, k=k, x=x, w=w)
             got = _outcome(lambda: qeuler_hk_series(spec, qv, sp))
-            ref = _outcome(lambda: _series_reference(spec, qv, sp))
+            ref = _outcome(lambda: gauss_series(spec, qv, sp))
             assert repr(got) == repr(ref), (spec, qv, sp)
             if x == 0:
                 gspec = QGenocchiSpec(n=m, h=k - 1, k=k, w=w)
                 got = _outcome(lambda: qgenocchi_hk_series(gspec, qv, sp))
                 scale = math.factorial(k) * math.comb(m + k, k)
                 ref = _outcome(lambda: tuple(scale * v
-                                             for v in _series_reference(spec, qv, sp)))
+                                             for v in gauss_series(spec, qv, sp)))
                 assert repr(got) == repr(ref), (gspec, qv, sp)
 
     @pytest.mark.parametrize("M", [1, 2])
@@ -978,7 +928,7 @@ class TestSeriesAgainstTermByTerm:
         with pytest.raises(DomainError, match="cesaro1 needs at least 3 partial sums"):
             qeuler_hk_series(QEulerSpec(m=1, h=0, k=1), QH, SeriesParams(M, "cesaro1"))
         got = qeuler_hk_series(spec, QH, SeriesParams(M, "direct"))
-        assert repr(got) == repr(_series_reference(spec, QH, SeriesParams(M, "direct")))
+        assert repr(got) == repr(gauss_series(spec, QH, SeriesParams(M, "direct")))
         with pytest.raises(DomainError, match="cesaro1 needs at least 3 partial sums"):
             gf_eval("fqk", 1, 0, F(1), QH, F(1, 4), SeriesParams(M, "cesaro1"))
 
@@ -994,7 +944,7 @@ class TestSeriesAgainstTermByTerm:
                 (8, 3, 2, 1, 0), (1, 2, 3, 4, 30)):
             sp = SeriesParams(M, "cesaro1")
             got = _outcome(gf_eval, kind, k, x, w, QH, t, sp, t_terms)
-            ref = _outcome(_gf_reference, kind, k, x, w, QH, t, sp, t_terms)
+            ref = _outcome(gf_series, kind, k, x, w, QH, t, sp, t_terms)
             assert repr(got) == repr(ref), (w, x, t, t_terms, M)
 
     def test_gf_eval_one_horner_pass(self, monkeypatch):
@@ -1142,7 +1092,7 @@ class TestGfEvalProperty:
         x = x if kind == "fqk" else 0
         sp = SeriesParams(M, "cesaro1")
         got = _outcome(gf_eval, kind, k, x, w, qv, t, sp, t_terms)
-        ref = _outcome(_gf_reference, kind, k, x, w, qv, t, sp, t_terms)
+        ref = _outcome(gf_series, kind, k, x, w, qv, t, sp, t_terms)
         assert repr(got) == repr(ref)
 
 

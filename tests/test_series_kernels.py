@@ -2,9 +2,13 @@
 their definitions: the geometric table, the truncated exponential of
 `qeuler.gf_eval`, the box and simplex weight distributions, and the Horner
 pass that reads their prefix sums.  The kernels build whole lists at once;
-every integer they return must equal the loop's."""
+every integer they return must equal the loop's.  Then the series routes
+against the same series summed term by term in Fractions: they set up in
+integers and build one Fraction per returned value, and every value,
+bound and refusal must equal the reference's."""
 
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -12,8 +16,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgen import padic, qeuler
-from qgen.qcore import _geometric_table
-from series_kernel_reference import exp_table_rows, running_form, zip_horner
+from qgen.padic import ClassicalMonomial, QBracketMonomial, SeriesParams, real_series
+from qgen.qcore import DomainError, _geometric_table
+from qgen.qeuler import QEulerSpec, gf_eval, qeuler_hk_series
+from qgen.qgenocchi import QGenocchiSpec, qgenocchi_hk_series
+from series_kernel_reference import (
+    box_series,
+    exp_table_rows,
+    fraction_ratios,
+    gauss_series,
+    gf_series,
+    integer_form,
+    running_form,
+    zip_horner,
+)
 
 INTS = st.integers(-10 ** 6, 10 ** 6)
 SMALL = st.integers(1, 30)
@@ -90,12 +106,12 @@ class TestDistribution:
     @example(([F(2, 3), F(-4), F(1, 7)], 40, 5 ** 40, 17))
     def test_equals_running_form(self, case):
         bases, L, modulus, size = case
-        assert padic._build_distribution(bases, L, modulus, size) == \
+        assert padic._build_distribution(integer_form(bases), L, modulus, size) == \
             running_form(bases, L, modulus, size)
 
     def test_no_bases(self):
-        assert padic._build_distribution([], 5, None, None) == running_form([], 5, None, None)
-        assert padic._build_distribution([], 5, 3 ** 5, 3) == running_form([], 5, 3 ** 5, 3)
+        assert padic._build_distribution(((), 1), 5, None, None) == running_form([], 5, None, None)
+        assert padic._build_distribution(((), 1), 5, 3 ** 5, 3) == running_form([], 5, 3 ** 5, 3)
 
 
 class TestHorner:
@@ -103,7 +119,7 @@ class TestHorner:
     @settings(max_examples=300, deadline=None)
     def test_every_read(self, case, data):
         bases, L, _, size = case
-        dist, E = padic._build_distribution(bases, L, None, size)
+        dist, E = padic._build_distribution(integer_form(bases), L, None, size)
         n = len(dist)
         if data.draw(st.booleans()):
             # a table of g may run past the distribution
@@ -115,3 +131,118 @@ class TestHorner:
         assert padic._horner(dist, E, table, every) == zip_horner(dist, E, table, every)
         reads = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
         assert padic._horner(dist, E, table, reads) == zip_horner(dist, E, table, reads)
+
+
+def _outcome(call):
+    """The repr of a route's result, or the type and text of its refusal."""
+    try:
+        return repr(call())
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+SERIES_Q = st.sampled_from([F(1, 3), F(1, 2), F(2, 3), F(3, 4)])
+# both signs, |w| = 1 (the boundary, or a ratio 1), |w| < 1, w = 0 and |w| > 1
+SERIES_W = st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 2), F(1, 3), F(-1, 3), F(0), F(2)])
+MODES = st.sampled_from(["direct", "cesaro1"])
+
+
+class TestRatios:
+    @given(st.integers(1, 3), st.integers(-3, 4), SERIES_W,
+           st.sampled_from([F(1, 3), F(3, 4), F(4), F(-2), F(-1, 2), F(1), F(0)]))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_form_of_the_fraction_ratios(self, k, h, w, qv):
+        f = QBracketMonomial(m=1, k=k, h=h, w=w)
+        if qv == 0 and h - k + 1 < 0:
+            with pytest.raises(DomainError, match="negative power of q = 0"):
+                padic._ratios(f, qv)
+            return
+        assert padic._ratios(f, qv) == integer_form(fraction_ratios(f, qv))
+        c = ClassicalMonomial(n=1, w=w)
+        assert padic._ratios(c, qv) == integer_form(fraction_ratios(c, qv))
+
+
+class TestValuesUnmoved:
+    """Each route's (value, bound), or its refusal, equals the term-by-term
+    Fraction reference (`series_kernel_reference`), whose ratios, regime
+    rules and tail majorants are the Fraction formulas."""
+
+    @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 2), SERIES_W, SERIES_Q,
+           st.integers(1, 12), MODES)
+    @settings(max_examples=150, deadline=None)
+    def test_gaussian_weight_series(self, k, m, x, w, qv, M, mode):
+        sp = SeriesParams(M, mode)
+        spec = QEulerSpec(m=m, h=k - 1, k=k, x=x, w=w)
+        assert _outcome(lambda: qeuler_hk_series(spec, qv, sp)) == \
+            _outcome(lambda: gauss_series(spec, qv, sp))
+        gspec = QGenocchiSpec(n=m, h=k - 1, k=k, w=w)
+        scale = math.factorial(k) * math.comb(m + k, k)
+        assert _outcome(lambda: qgenocchi_hk_series(gspec, qv, sp)) == \
+            _outcome(lambda: gauss_series(gspec.kernel()[0], qv, sp, scale))
+
+    @given(st.integers(1, 3), st.integers(0, 3), st.integers(-2, 4), st.integers(-4, 2),
+           SERIES_W, SERIES_Q, st.integers(1, 6), MODES)
+    @settings(max_examples=150, deadline=None)
+    def test_box_series(self, k, m, h, x, w, qv, M, mode):
+        f = QBracketMonomial(m=m, k=k, h=h, w=w, x=x)
+        sp = SeriesParams(M, mode)
+        assert _outcome(lambda: real_series(f, qv, sp)) == _outcome(lambda: box_series(f, qv, sp))
+
+    @given(st.integers(0, 3), st.integers(-3, 2), SERIES_W,
+           st.one_of(SERIES_Q, st.just(F(1))), st.integers(1, 12), MODES)
+    @settings(max_examples=150, deadline=None)
+    def test_classical_box_series(self, n, c, w, qv, M, mode):
+        f = ClassicalMonomial(n=n, w=w, c=c)
+        sp = SeriesParams(M, mode)
+        assert _outcome(lambda: real_series(f, qv, sp)) == _outcome(lambda: box_series(f, qv, sp))
+
+    @given(st.sampled_from(["fqk", "hqk", "hqkw"]), st.integers(1, 3), st.integers(0, 2),
+           SERIES_W, SERIES_Q, st.sampled_from([F(0), F(1, 2), F(-3, 7)]), st.integers(0, 8),
+           st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_generating_function(self, kind, k, x, w, qv, t, t_terms, M):
+        x = x if kind == "fqk" else 0
+        sp = SeriesParams(M, "cesaro1")
+        assert _outcome(lambda: gf_eval(kind, k, x, w, qv, t, sp, t_terms)) == \
+            _outcome(lambda: gf_series(kind, k, x, w, qv, t, sp, t_terms))
+
+
+def _fractions_built(call) -> int:
+    """The Fractions that call() constructs, counted by a profile hook on
+    the constructors of `fractions.Fraction`."""
+    codes = {F.__new__.__code__}
+    if hasattr(F, "_from_coprime_ints"):
+        codes.add(F._from_coprime_ints.__code__)
+    built = 0
+
+    def hook(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code in codes:
+            built += 1
+
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return built
+
+
+class TestOneFractionPerValue:
+    """A warm call (its tables in the memo) sets up its ratios, regime,
+    prefactor and tail majorant in integers: it builds only the two
+    Fractions it returns."""
+
+    @pytest.mark.parametrize("mode,w", [("cesaro1", F(1)), ("direct", F(1, 2))])
+    def test_gaussian_weight_series(self, mode, w):
+        spec, qv, sp = QEulerSpec(m=2, h=1, k=2, w=w), F(2, 3), SeriesParams(400, mode)
+        qeuler_hk_series(spec, qv, sp)
+        assert _fractions_built(lambda: qeuler_hk_series(spec, qv, sp)) == 2
+
+    @pytest.mark.parametrize("f", [QBracketMonomial(m=2, k=1, h=1, w=F(-1, 2)),
+                                   QBracketMonomial(m=1, k=3, h=3),
+                                   ClassicalMonomial(n=2, w=F(1, 3), c=1)])
+    def test_direct_box_series(self, f):
+        qv, sp = F(2, 3), SeriesParams(20, "direct")
+        real_series(f, qv, sp)
+        assert _fractions_built(lambda: real_series(f, qv, sp)) == 2
