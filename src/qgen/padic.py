@@ -16,11 +16,11 @@ the box, then sums the weights against g.  Every route reads the ratios in
 one integer form, numerators over their common denominator (`_ratios`):
 the regime rules, the distributions and their memo keys, the geometric
 sums and the tail majorants compare and multiply integers.  Exactly, the
-pass over the weights (`_horner`) is Horner's rule on integers over one
-common denominator and returns the numerators of the prefix sums it reads;
-`_prefix_sums` pairs them with their denominators, and `_cesaro1_sums`
-combines the last three into the cesaro1 value and gap while they are
-still integers.  Modulo p^L every
+one pass over the weights (`_prefix_sums`) is Horner's rule on integers
+and returns each prefix sum it reads as an integer pair (numerator,
+denominator); `_cesaro1` averages the last three pairs of any route, its
+prefix sums or its box sums, into the cesaro1 value and gap while they
+are still integers.  Modulo p^L every
 table holds residues of the terms themselves (the brackets, the weights,
 b^s for k = 1), so the common denominators are 1 and `_prefix_sums` is one
 running sum of products, built from whole-list operations: geometric
@@ -39,9 +39,9 @@ cesaro1 `real_series` reads its last three boxes so.
 The simplex sum over x1 + ... + xk < L is the box sum truncated at s < L:
 below s = L the two distributions agree.  The Gaussian-weight series and
 the generating-function comparator of `qeuler` run through it, with the
-ratios, regime (`_series_regime`) and cesaro1 window of their integrand;
-they read `_horner` and `_cesaro1_sums` and build one Fraction per value
-they return."""
+ratios, regime (`_series_regime`) and cesaro1 window (`_last_three`) of
+their integrand; they read `_prefix_sums` and `_cesaro1`, as the box
+series does, and build one Fraction per value they return."""
 
 from __future__ import annotations
 
@@ -300,7 +300,7 @@ def _sum_table(f: IntegrandFamily, qf: Fraction, size: int,
     (G, R, C) with g[s] = G[s] / (R^s C).  Modulo `modulus` G holds the
     residues of g itself and R = C = 1.  The constant g = 1 (n = 0 or
     m = 0) is (None, 1, 1): `_box_sums` sums its boxes as geometric sums,
-    and `_horner` reads it as a table of ones.
+    and `_prefix_sums` reads it as a table of ones.
 
     For brackets, G[s] = U[s]^m with the table U of `_bracket_numerators`,
     which does not depend on m and is read from the memo, so R = c^m and
@@ -365,26 +365,6 @@ def _build_distribution(ratios: tuple[Sequence[int], int], L: int, modulus: int 
     return tuple(dist), E
 
 
-def _horner(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, int],
-            reads: Sequence[int]) -> list[int]:
-    """The integers A_n = sum_{s<=n} D[s] G[s] (E R)^(n-s) at each n of the
-    ascending `reads`, by Horner's rule over one `map` of D[s] G[s].  With
-    g[s] = G[s] / (R^s C), the prefix sum sum_{s<=n} (D[s] / E^s) g[s] is
-    A_n / (C (E R)^n).  The exact route only: modulo p^L the tables hold
-    residues of the terms, E = R = C = 1, and `_prefix_sums` adds them up
-    with no Horner step."""
-    G, R, _ = table
-    ER = E * R
-    terms = iter(dist) if G is None else map(operator.mul, dist, G)
-    acc, done, accs = 0, 0, []
-    for n in reads:
-        for t in itertools.islice(terms, n + 1 - done):
-            acc = acc * ER + t
-        done = n + 1
-        accs.append(acc)
-    return accs
-
-
 def _residue(v: Fraction, modulus: int) -> int:
     """The residue of a rational with a unit denominator modulo `modulus`."""
     return v.numerator * pow(v.denominator, -1, modulus) % modulus
@@ -394,21 +374,30 @@ def _prefix_sums(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, i
                  reads: Sequence[int], modulus: int | None = None) -> list:
     """The prefix sums P_n = sum_{s<=n} (D[s] / E^s) g[s] at each n of the
     ascending `reads`: pairs of integers (numerator, denominator), or
-    residues when a `modulus` is given.
+    residues when a `modulus` is given.  The one reader of partial sums.
 
-    Exactly, P_n = A_n / (C (E R)^n) with A_n from `_horner`.  Modulo
-    `modulus` the distribution and the table hold residues of the terms,
-    E = R = C = 1, and P_n is one running sum of the products D[s] G[s],
-    unreduced, read at each n and reduced once per read."""
-    if not modulus:
-        _, R, C = table
-        accs = _horner(dist, E, table, reads)
-        return [(a, C * (E * R) ** n) for n, a in zip(reads, accs)]
-    running = itertools.accumulate(map(operator.mul, dist, table[0]))
-    sums, done = [], 0
+    Exactly, with g[s] = G[s] / (R^s C), P_n = A_n / (C (E R)^n) for the
+    integers A_n = sum_{s<=n} D[s] G[s] (E R)^(n-s), by Horner's rule over
+    one `map` of D[s] G[s] (of D[s] alone for a constant table, G = None).
+    Modulo `modulus` the distribution and the table hold residues of the
+    terms, E = R = C = 1, and P_n is one running sum of the products
+    D[s] G[s], unreduced, read at each n and reduced once per read."""
+    G, R, C = table
+    if modulus:
+        running = itertools.accumulate(map(operator.mul, dist, G))
+        sums, done = [], 0
+        for n in reads:
+            sums.append(next(itertools.islice(running, n - done, None)) % modulus)
+            done = n + 1
+        return sums
+    ER = E * R
+    terms = iter(dist) if G is None else map(operator.mul, dist, G)
+    acc, done, sums = 0, 0, []
     for n in reads:
-        sums.append(next(itertools.islice(running, n - done, None)) % modulus)
+        for t in itertools.islice(terms, n + 1 - done):
+            acc = acc * ER + t
         done = n + 1
+        sums.append((acc, C * ER ** n))
     return sums
 
 
@@ -679,40 +668,29 @@ def convergence_envelope_ok(report: ValuationReport) -> bool:
     return report.valuations[-1] >= max(report.levels) - 1
 
 
-def cesaro1_value(partials: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
-    """First-order averaged value of a boundary alternating series.
+def _cesaro1(pairs: Sequence[tuple[int, int]]) -> tuple[int, int, int]:
+    """First-order averaged value of a boundary alternating series, from
+    its last three partial sums P_i = A_i / D_i given as integer pairs
+    (A_i, D_i), each D_i > 0 dividing the last one's: integers (V, W, D),
+    the value V / D and the gap W / D.
 
     One averaging pass over adjacent partial sums removes the period-two
     oscillation exactly (sum (-1)^n c maps to c/2 at every index), and the
     smoothed sequence converges to the Abel value geometrically for the
-    families evaluated here.  Returns the final smoothed value and the
-    last smoothing step gap as a convergence indicator."""
-    if len(partials) < 3:
+    families evaluated here.  The value is the last average
+    (P_2 + P_1) / 2 and the gap, a convergence indicator, is the last
+    smoothing step |P_2 - P_0| / 2.  Every route's partial sums share one
+    denominator base (C (E R)^n from `_prefix_sums`, or E^(k (L - 1)) for
+    a constant table's boxes), so both are exact integer divisions."""
+    if len(pairs) < 3:
         raise DomainError("cesaro1 needs at least 3 partial sums")
-    t_last = (partials[-1] + partials[-2]) / 2
-    t_prev = (partials[-2] + partials[-3]) / 2
-    return t_last, abs(t_last - t_prev)
-
-
-def _cesaro1_sums(dist: Sequence[int], E: int, table: tuple[Sequence[int], int, int],
-                  M: int) -> tuple[int, int, int]:
-    """`cesaro1_value` of the last three of M prefix sums, as integers
-    (V, W, D): value V / D and gap W / D.
-
-    With P_i = A_i / (C X^i) from `_horner`, X = E R and n = M - 1,
-    value = (P_n + P_(n-1)) / 2 = (A_n + X A_(n-1)) / (2 C X^n) and
-    gap = |P_n - P_(n-2)| / 2 = |A_n - X^2 A_(n-2)| / (2 C X^n)."""
-    if M < 3:
-        raise DomainError("cesaro1 needs at least 3 partial sums")
-    _, R, C = table
-    X = E * R
-    a2, a1, a0 = _horner(dist, E, table, _last_three(M))
-    return a0 + X * a1, abs(a0 - X * X * a2), 2 * C * X ** (M - 1)
+    *_, (a2, d2), (a1, d1), (a0, d0) = pairs
+    return a0 + d0 // d1 * a1, abs(a0 - d0 // d2 * a2), 2 * d0
 
 
 def _last_three(M: int) -> range:
     """The indices of the last three partial sums of M terms, which
-    cesaro1 reads; fewer when M < 3, which `cesaro1_value` rejects."""
+    cesaro1 reads; fewer when M < 3, which `_cesaro1` rejects."""
     return range(max(M - 3, 0), M)
 
 
@@ -800,10 +778,8 @@ def real_series(f: IntegrandFamily, qv, sp: SeriesParams,
     g = _sum_table(f, qf, k * (sp.M - 1) + 1)
     if sp.mode == "cesaro1":
         # the boxes [0, L)^k of the last three partial sums
-        value, gap = cesaro1_value(
-            [Fraction(*box) for box in _box_sums(ratios, g, [L + 1 for L in _last_three(sp.M)])])
-        pref = Fraction(num, den)
-        return pref * value, pref * gap
+        value, gap, D = _cesaro1(_box_sums(ratios, g, [L + 1 for L in _last_three(sp.M)]))
+        return Fraction(num * value, den * D), Fraction(num * gap, den * D)
     if classical:
         tail_num, tail_den = _classical_tail_bound(f, abs(B[0]), E, sp.M, term_budget)
     else:

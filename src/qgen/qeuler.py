@@ -35,9 +35,10 @@ from .padic import (
     QBracketMonomial,
     SeriesParams,
     _abs_sum,
-    _cesaro1_sums,
+    _cesaro1,
     _distribution,
-    _horner,
+    _last_three,
+    _prefix_sums,
     _ratios,
     _series_regime,
     _sum_table,
@@ -803,7 +804,7 @@ def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams,
     dist, E = _distribution(ratios, sp.M, size=sp.M)
     table = _sum_table(f, qf, sp.M)  # [n+x]_q^m as integers
     if sp.mode == "cesaro1":
-        value, gap, D = _cesaro1_sums(dist, E, table, sp.M)
+        value, gap, D = _cesaro1(_prefix_sums(dist, E, table, _last_three(sp.M)))
         return Fraction(num * value, den * D), Fraction(num * gap, den * D)
     # the tail majorant (1 - q)^-m |w|^M / (1 - |w|) / (q; q)_(k-1), as
     # C(k+n-1, n)_q increases in n to 1/(q; q)_(k-1); with w = u/v, that is
@@ -813,10 +814,8 @@ def qeuler_hk_series(spec: QEulerSpec, qv, sp: SeriesParams,
     tail_num = c ** (m + _tri(k - 1)) * u ** sp.M
     tail_den = ((c - a) ** m * v ** (sp.M - 1) * (v - u)
                 * math.prod(c ** i - a ** i for i in range(1, k)))
-    _, R, C = table
-    n = sp.M - 1
-    (A,) = _horner(dist, E, table, [n])
-    return Fraction(num * A, den * C * (E * R) ** n), Fraction(num * tail_num, den * tail_den)
+    ((A, D),) = _prefix_sums(dist, E, table, [sp.M - 1])
+    return Fraction(num * A, den * D), Fraction(num * tail_num, den * tail_den)
 
 
 def _exp_table(qf: Fraction, x: int, t: Fraction, T: int,
@@ -861,9 +860,9 @@ def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
 
     Each exponential is truncated to its first T = t_terms terms in t.  On
     the left, that truncation at every [n+x]_q is one integer table
-    (`_exp_table`), and the boundary n-sum over it is one Horner pass
-    smoothed by cesaro1 (`padic._cesaro1_sums`); the prefactors join its
-    integer numerator and denominator, so the left side is one Fraction.
+    (`_exp_table`), and the boundary n-sum over it is one pass of
+    `padic._prefix_sums` smoothed by `padic._cesaro1`; the prefactors join
+    its integer numerator and denominator, so the left side is one Fraction.
     The right side sums its closed-form coefficients over one common
     denominator, so it is one Fraction too.  `term_budget` is checked
     first.  Returns (lhs, rhs)."""
@@ -887,7 +886,8 @@ def gf_eval(kind: str, k: int, x: int, w, qv, t, sp: SeriesParams,
         raise DomainError("need t_terms >= 0")
 
     dist, E = _distribution(ratios, sp.M, size=sp.M)
-    core, _, D = _cesaro1_sums(dist, E, _exp_table(qf, x, t, t_terms, sp.M), sp.M)
+    core, _, D = _cesaro1(_prefix_sums(dist, E, _exp_table(qf, x, t, t_terms, sp.M),
+                                       _last_three(sp.M)))
     # [2]_q^k, and t^k for the Genocchi kinds
     num, den = (qf.numerator + qf.denominator) ** k * core, qf.denominator ** k * D
     if kind == "fqk":

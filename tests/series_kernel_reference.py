@@ -2,21 +2,22 @@
 for its integer kernels and routes.
 
 The exact tables by per-row loops, for the whole-list kernels of
-`qeuler._exp_table`, `padic._build_distribution` and `padic._horner`:
+`qeuler._exp_table`, `padic._build_distribution` and `padic._prefix_sums`:
 each loop steps one row (or one term) at a time, so the kernels must
 return the same integers however they group their products.
 
 The series themselves term by term, for `qeuler_hk_series`, `gf_eval` and
-`real_series`: the ratios, the regime rules and the tail majorants in
-Fraction arithmetic, one Fraction partial sum per term, so the routes,
-which set up in integers, must return the same Fractions and raise the
-same errors."""
+`real_series`: the ratios, the regime rules, the tail majorants and the
+cesaro1 average in Fraction arithmetic, one Fraction partial sum per term,
+so the routes, which set up and average in integers, must return the same
+Fractions and raise the same errors."""
 
 import itertools
 import math
 from fractions import Fraction
 
-from qgen.padic import ClassicalMonomial, DivergenceError, SeriesParams, cesaro1_value
+from qgen.padic import ClassicalMonomial, DivergenceError, SeriesParams
+from qgen.qcore import DomainError
 from qgen.qeuler import QEulerSpec, qeuler_hk
 from qgen.qgenocchi import QGenocchiSpec, qgenocchi_hk
 
@@ -89,6 +90,16 @@ def zip_horner(dist, E, table, reads):
     return accs
 
 
+def cesaro1_average(partials):
+    """The cesaro1 (value, gap) of Fraction partial sums: the average of the
+    last two, and its distance from the average of the two before."""
+    if len(partials) < 3:
+        raise DomainError("cesaro1 needs at least 3 partial sums")
+    t_last = (partials[-1] + partials[-2]) / 2
+    t_prev = (partials[-2] + partials[-3]) / 2
+    return t_last, abs(t_last - t_prev)
+
+
 def fraction_ratios(f, qf):
     """The per-variable ratios as Fractions: -q w, or -w q^(h-j+1)."""
     w = Fraction(f.w)
@@ -150,7 +161,7 @@ def gauss_series(spec, qf, sp, scale=1):
         partials.append(s)
     pref = scale * (1 + qf) ** spec.k
     if sp.mode == "cesaro1":
-        value, gap = cesaro1_value(partials)
+        value, gap = cesaro1_average(partials)
         return pref * value, pref * gap
     aw = abs(w)
     # C(k+n-1, n)_q increases in n to 1/prod_{i<k} (1 - q^i)
@@ -169,7 +180,7 @@ def gf_series(kind, k, x, w, qf, t, sp, t_terms=8):
     for c, br in gauss_weight_terms(k, x, w, qf, sp.M):
         s += c * truncated_exp(br, t, t_terms)
         partials.append(s)
-    core, _ = cesaro1_value(partials)
+    core, _ = cesaro1_average(partials)
     pref = (1 + qf) ** k
     if kind == "fqk":
         lhs = pref * core
@@ -223,7 +234,7 @@ def box_series(f, qf, sp):
     fraction_regime(f, bases, sp)
     pref = (1 + qf) ** len(bases)
     if sp.mode == "cesaro1":
-        value, gap = cesaro1_value([box_sum(f, qf, L) for L in range(max(sp.M - 2, 1), sp.M + 1)])
+        value, gap = cesaro1_average([box_sum(f, qf, L) for L in range(max(sp.M - 2, 1), sp.M + 1)])
         return pref * value, pref * gap
     sizes = [abs(b) for b in bases]
     if isinstance(f, ClassicalMonomial):

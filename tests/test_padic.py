@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -19,13 +20,13 @@ from qgen.padic import (
     SeriesParams,
     ValuationReport,
     _MR_LIMIT,
-    _cesaro1_sums,
+    _cesaro1,
     _distribution,
     _is_prime,
+    _last_three,
     _prefix_sums,
     _strong_probable_prime,
     _sum_table,
-    cesaro1_value,
     convergence_envelope_ok,
     fermionic_sum,
     measure_value,
@@ -35,7 +36,7 @@ from qgen.padic import (
     val_p,
 )
 from qgen.qcore import DomainError, q_bracket_neg
-from series_kernel_reference import integer_form
+from series_kernel_reference import cesaro1_average, integer_form
 
 F = Fraction
 
@@ -262,17 +263,32 @@ class TestRealSeries:
 
 class TestCesaroHelpers:
     def test_alternating_unit_series(self):
-        partials = []
-        s = F(0)
+        # the partial sums 1, 0, 1, ... of sum (-1)^n over the denominator 1
+        pairs = []
+        s = 0
         for n in range(100):
-            s += F(-1) ** n
-            partials.append(s)
-        value, gap = cesaro1_value(partials)
-        assert value == F(1, 2) and gap == 0
+            s += (-1) ** n
+            pairs.append((s, 1))
+        assert _cesaro1(pairs) == (1, 0, 2)
 
     def test_needs_three_partials(self):
-        with pytest.raises(DomainError):
-            cesaro1_value([F(1), F(0)])
+        with pytest.raises(DomainError, match="^cesaro1 needs at least 3 partial sums$"):
+            _cesaro1([(1, 1), (0, 1)])
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=3, max_size=6),
+           st.integers(1, 10 ** 4), st.lists(st.integers(1, 50), min_size=2, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    @example(nums=[1, 0, 1], base=1, steps=[1, 1])
+    @example(nums=[-7, 5, 3, 2], base=9, steps=[4, 1, 27])
+    def test_integer_pairs_equal_the_fraction_average(self, nums, base, steps):
+        # each denominator divides the next, as the prefix sums C (E R)^n
+        # and the box sums E^(k (L - 1)) of one series do
+        dens = list(itertools.accumulate(steps[:len(nums) - 1], operator.mul, initial=base))
+        nums = nums[:len(dens)]
+        pairs = list(zip(nums, dens))
+        value, gap, den = _cesaro1(pairs)
+        assert den > 0 and gap >= 0
+        assert (F(value, den), F(gap, den)) == cesaro1_average([F(*pair) for pair in pairs])
 
 
 class TestShiftIdentity:
@@ -355,7 +371,7 @@ class TestBoxSumAgainstEnumeration:
     def test_real_series_both_modes(self, f, qv, boundary, M):
         pref = (1 + qv) ** f.num_vars
         boxes = [_enumerate(f, qv, L) for L in (M - 2, M - 1, M)]
-        value, gap = cesaro1_value(boxes)
+        value, gap = cesaro1_average(boxes)
         assert real_series(f, qv, SeriesParams(M, "cesaro1")) == (pref * value, pref * gap)
         if boundary:
             with pytest.raises(DivergenceError):
@@ -375,7 +391,8 @@ class TestBoxSumAgainstEnumeration:
         simplex, E_simplex = _distribution(integer_form(bases), L, size=L)
         assert (simplex, E_simplex) == (box[:L], E)
         table = _sum_table(f, qf, L)
-        sums = [F(*pair) for pair in _prefix_sums(simplex, E, table, range(max(L - 3, 0), L))]
+        pairs = _prefix_sums(simplex, E, table, _last_three(L))
+        sums = [F(*pair) for pair in pairs]
         assert len(sums) == min(3, L)
         for n, got in zip(range(L - len(sums), L), sums):
             expected = F(0)
@@ -387,10 +404,10 @@ class TestBoxSumAgainstEnumeration:
         # the integer cesaro1 of the same three prefix sums
         if L < 3:
             with pytest.raises(DomainError, match="cesaro1 needs at least 3 partial sums"):
-                _cesaro1_sums(simplex, E, table, L)
+                _cesaro1(pairs)
         else:
-            value, gap, den = _cesaro1_sums(simplex, E, table, L)
-            assert (F(value, den), F(gap, den)) == cesaro1_value(sums)
+            value, gap, den = _cesaro1(pairs)
+            assert (F(value, den), F(gap, den)) == cesaro1_average(sums)
 
     @pytest.mark.parametrize("M", [1, 2])
     @pytest.mark.parametrize("f", [QBracketMonomial(m=1, k=2, h=1), ClassicalMonomial(n=0)])
@@ -430,7 +447,7 @@ class TestBoxSumAgainstEnumeration:
             except DivergenceError:
                 return
             boxes = [_enumerate(f, qv, L) for L in (3, 4, 5)]
-            assert v == (1 + qv) ** k * cesaro1_value(boxes)[0]
+            assert v == (1 + qv) ** k * cesaro1_average(boxes)[0]
 
 
 class TestConstantTable:

@@ -951,13 +951,13 @@ class TestSeriesAgainstTermByTerm:
         # the truncated exponential is one table: a pass per power of t
         # would read the distribution t_terms times
         reads = []
-        horner = padic._horner
+        prefix_sums = padic._prefix_sums
 
         def counted(dist, E, table, *rest):
             reads.append(len(table[0]))
-            return horner(dist, E, table, *rest)
+            return prefix_sums(dist, E, table, *rest)
 
-        monkeypatch.setattr(padic, "_horner", counted)
+        monkeypatch.setattr(qeuler, "_prefix_sums", counted)
         for kind in ("fqk", "hqk", "hqkw"):
             reads.clear()
             gf_eval(kind, 2, 0, F(1, 2), QH, F(1, 2), SeriesParams(40, "cesaro1"), 8)

@@ -1,7 +1,7 @@
 """The exact tables of the series layer against per-row loops and against
 their definitions: the geometric table, the truncated exponential of
 `qeuler.gf_eval`, the box and simplex weight distributions, and the Horner
-pass that reads their prefix sums.  The kernels build whole lists at once;
+pass that reads their prefix sums (`padic._prefix_sums`).  The kernels build whole lists at once;
 every integer they return must equal the loop's.  Then the series routes
 against the same series summed term by term in Fractions: they set up in
 integers and build one Fraction per returned value, and every value,
@@ -127,10 +127,13 @@ class TestHorner:
             table = G, data.draw(SMALL), data.draw(SMALL)
         else:
             table = None, 1, 1
+        _, R, C = table
         every = list(range(n))
-        assert padic._horner(dist, E, table, every) == zip_horner(dist, E, table, every)
         reads = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
-        assert padic._horner(dist, E, table, reads) == zip_horner(dist, E, table, reads)
+        for ns in (every, reads):
+            sums = padic._prefix_sums(dist, E, table, ns)
+            assert [A for A, _ in sums] == zip_horner(dist, E, table, ns)
+            assert [D for _, D in sums] == [C * (E * R) ** n for n in ns]
 
 
 def _outcome(call):
@@ -230,8 +233,8 @@ def _fractions_built(call) -> int:
 
 class TestOneFractionPerValue:
     """A warm call (its tables in the memo) sets up its ratios, regime,
-    prefactor and tail majorant in integers: it builds only the two
-    Fractions it returns."""
+    prefactor and tail majorant, and averages its cesaro1 partial sums, in
+    integers: it builds only the two Fractions it returns."""
 
     @pytest.mark.parametrize("mode,w", [("cesaro1", F(1)), ("direct", F(1, 2))])
     def test_gaussian_weight_series(self, mode, w):
@@ -244,5 +247,14 @@ class TestOneFractionPerValue:
                                    ClassicalMonomial(n=2, w=F(1, 3), c=1)])
     def test_direct_box_series(self, f):
         qv, sp = F(2, 3), SeriesParams(20, "direct")
+        real_series(f, qv, sp)
+        assert _fractions_built(lambda: real_series(f, qv, sp)) == 2
+
+    @pytest.mark.parametrize("f", [QBracketMonomial(m=2, k=1, h=0),
+                                   QBracketMonomial(m=2, k=2, h=1)])
+    def test_cesaro1_box_series(self, f):
+        # the boundary ratio -1 at w = 1: the three boxes are averaged as
+        # integer pairs (`padic._cesaro1`)
+        qv, sp = F(2, 3), SeriesParams(60, "cesaro1")
         real_series(f, qv, sp)
         assert _fractions_built(lambda: real_series(f, qv, sp)) == 2
