@@ -17,7 +17,9 @@ cell's checks before its first value (see `FAMILIES`; errors only the work
 finds come in cell order).  All rationals serialize as exact
 strings ("num/den"), never as floating point; symbolic values serialize as
 {"num": [...], "den": [...]} with coefficients lowest degree first.
-Configuration precedence: flags > JSON file named by QGEN_CONFIG > defaults."""
+Configuration precedence: flags > JSON file named by QGEN_CONFIG > defaults,
+one `Config` for every command: `verify` reads its N (the p-adic depth), M,
+cesaro_tol and term_budget; p and table_budget apply to queries and tables."""
 
 from __future__ import annotations
 
@@ -32,8 +34,8 @@ from fractions import Fraction
 
 from . import classical, verify as verify_mod
 from .padic import (
-    DEFAULT_TERM_BUDGET,
     BudgetExceeded,
+    Config,
     PadicParams,
     SeriesParams,
     check_box_budget,
@@ -68,18 +70,6 @@ class OutputError(Exception):
 INT_PARAMS = ("n", "m", "h", "k", "p", "N", "M")
 RAT_PARAMS = ("q", "w", "t", "u", "x")
 MODES = ("exact", "symbolic", "padic", "series")
-
-
-class Config:
-    def __init__(self, p: int = 3, N: int = 2, M: int = 400,
-                 term_budget: int = DEFAULT_TERM_BUDGET,
-                 cesaro_tol: Fraction = Fraction(1, 1000), table_budget: int = 10000):
-        self.p = p
-        self.N = N
-        self.M = M
-        self.term_budget = term_budget
-        self.cesaro_tol = cesaro_tol
-        self.table_budget = table_budget
 
 
 def load_config() -> Config:
@@ -508,21 +498,17 @@ def run_table(args, cfg: Config) -> int:
 
 
 def run_verify(args, cfg: Config) -> int:
-    level = args.padic_level if args.padic_level is not None else cfg.N
-    if level < 1:
+    if args.padic_level is not None:
+        cfg.N = args.padic_level
+    if cfg.N < 1:
         source = "--padic-level" if args.padic_level is not None else "config N"
-        raise UsageError(f"{source} must be >= 1, not {level}")
-    M = args.M if args.M is not None else cfg.M
-    if M < 3:  # the cesaro1 boundary series needs three partial sums
+        raise UsageError(f"{source} must be >= 1, not {cfg.N}")
+    if args.M is not None:
+        cfg.M = args.M
+    if cfg.M < 3:  # the cesaro1 boundary series needs three partial sums
         source = "--M" if args.M is not None else "config M"
-        raise UsageError(f"{source} must be >= 3, not {M}")
-    vcfg = verify_mod.VerifyConfig(
-        padic_level=level,
-        M=M,
-        cesaro_tol=cfg.cesaro_tol,
-        term_budget=cfg.term_budget,
-    )
-    report = verify_mod.run_suites([args.suite], vcfg)
+        raise UsageError(f"{source} must be >= 3, not {cfg.M}")
+    report = verify_mod.run_suites([args.suite], cfg)
     for suite in report["suites"]:
         for check in suite["checks"]:
             status = "PASS" if check["ok"] else "FAIL"

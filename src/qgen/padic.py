@@ -63,6 +63,21 @@ from .qcore import (
 DEFAULT_TERM_BUDGET = 100_000
 
 
+class Config:
+    """The settings of every `qgen` command, each default stated once; the
+    precedence of flags, the QGEN_CONFIG file and these is `cli`'s."""
+
+    def __init__(self, p: int = 3, N: int = 2, M: int = 400,
+                 term_budget: int = DEFAULT_TERM_BUDGET,
+                 cesaro_tol: Fraction = Fraction(1, 1000), table_budget: int = 10000):
+        self.p = p
+        self.N = N
+        self.M = M
+        self.term_budget = term_budget
+        self.cesaro_tol = cesaro_tol
+        self.table_budget = table_budget
+
+
 class DivergenceError(DomainError):
     """A series evaluation was requested outside its convergence regime."""
 

@@ -2,7 +2,9 @@
 with a fixed report order, exact tolerances, and machine-readable results.
 These back the `qgen verify` command.  A suite is a generator of its
 checks, `(name, points)` in report order; `run_suites` runs each one to
-its report row (`_run_grid`) as it is yielded."""
+its report row (`_run_grid`) as it is yielded.  Every suite reads the one
+`Config` of the command line: N as its p-adic depth, M, cesaro_tol and
+term_budget."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from fractions import Fraction
 from . import classical, padic, qcore
 from .padic import (
     ClassicalMonomial,
+    Config,
     PadicParams,
     QBracketMonomial,
     SeriesParams,
@@ -26,16 +29,6 @@ from .padic import (
 from .qcore import q
 from .qeuler import QEulerSpec, qeuler_hk, qeuler_hk_series, qeuler_twisted
 from .qgenocchi import QGenocchiSpec, qgenocchi, qgenocchi_hk, qgenocchi_hk_series, qgenocchi_twisted
-
-
-class VerifyConfig:
-    def __init__(self, padic_level: int = 2, M: int = 400,
-                 cesaro_tol: Fraction = Fraction(1, 1000),
-                 term_budget: int = padic.DEFAULT_TERM_BUDGET):
-        self.padic_level = padic_level
-        self.M = M
-        self.cesaro_tol = cesaro_tol
-        self.term_budget = term_budget
 
 
 def _run_grid(name: str, points) -> dict:
@@ -121,7 +114,7 @@ def _higher_genocchi_at_index(spec):
 
 # ---------------------------------------------------------------- qcore
 
-def suite_qcore(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
+def suite_qcore(cfg: Config) -> Iterator[tuple[str, Iterator]]:
     tri = qcore.gauss_binom_triangle(20)
     tri_alt = qcore.gauss_binom_triangle(20, alt=True)
 
@@ -226,7 +219,7 @@ def _binomial_convolution(a: list[int], b: list[int]) -> list[int]:
     return [sum(math.comb(j, i) * a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))]
 
 
-def suite_classical(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
+def suite_classical(cfg: Config) -> Iterator[tuple[str, Iterator]]:
     xp = classical.x
     # E_j = euler[j] / 2^j; an order-r convolution keeps the scale 2^j
     euler = _euler_numerators(20)
@@ -288,7 +281,7 @@ def suite_classical(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
 
 # ----------------------------------------------------------------- padic
 
-def suite_padic(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
+def suite_padic(cfg: Config) -> Iterator[tuple[str, Iterator]]:
     def normalization():
         # the constant integrand needs a trivial weight: k = 1 with h = 1,
         # or the degree-0 classical monomial
@@ -313,7 +306,7 @@ def suite_padic(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
     yield "measure-additivity", additivity()
 
     q4, qh = Fraction(4), Fraction(1, 2)
-    levels = list(range(1, cfg.padic_level + 1))
+    levels = list(range(1, cfg.N + 1))
     specs = (((m, k, h, w), QEulerSpec(m=m, h=h, k=k, w=w))
              for k in (1, 2) for m in range(3) for h in (k - 1, k)
              for w in (Fraction(1), Fraction(4)))
@@ -350,18 +343,20 @@ def suite_padic(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
 
 # ---------------------------------------------------------------- qeuler
 
-def suite_qeuler(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
+def suite_qeuler(cfg: Config) -> Iterator[tuple[str, Iterator]]:
     q4, qh = Fraction(4), Fraction(1, 2)
 
-    levels = list(range(1, cfg.padic_level + 1))
+    levels = list(range(1, cfg.N + 1))
     twists = (Fraction(1), Fraction(4))
     specs = (((m, k, h, xx, w), QEulerSpec(m=m, h=h, k=k, x=xx, w=w))
              for k in (1, 2) for m in range(5) for h in (k - 1, k, k + 1)
              for xx in (0, 1, 2) for w in twists)
     k3 = (((m, 3, h, 0, w), QEulerSpec(m=m, h=h, k=3, w=w))
           for m in range(3) for h in (2, 3, 4) for w in twists)
-    # the k = 3 oracle goes as deep as the budget allows, level 3 by default
-    k3_levels = [N for N in levels if (3 ** N) ** 3 <= cfg.term_budget] or levels[:1]
+    # the k = 3 oracle sums each level whose (3^N)^3 box `check_level_budget`
+    # admits, to level 3 at the default budget
+    k3_levels = [N for N in levels if not padic._power_exceeds(3, 3 * N, cfg.term_budget)] \
+        or levels[:1]
     yield "integral-oracle-valuations", itertools.chain(
         _oracle_points(specs, qeuler_hk, q4, levels, cfg.term_budget),
         _oracle_points(k3, qeuler_hk, q4, k3_levels, cfg.term_budget))
@@ -405,7 +400,7 @@ def suite_qeuler(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
 
 # ------------------------------------------------------------- qgenocchi
 
-def suite_qgenocchi(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
+def suite_qgenocchi(cfg: Config) -> Iterator[tuple[str, Iterator]]:
     q4, qh = Fraction(4), Fraction(1, 2)
 
     def moment(spec, qv):
@@ -415,7 +410,7 @@ def suite_qgenocchi(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
     specs = ((n, QGenocchiSpec(n=n, h=1, k=1)) for n in range(6))
     yield "index-shift-moments", _series_points(specs, moment, qh, (60,), cfg.term_budget)
 
-    levels = list(range(1, cfg.padic_level + 1))
+    levels = list(range(1, cfg.N + 1))
     specs = (((n, k, h, w), QGenocchiSpec(n=n, h=h, k=k, w=w))
              for k in (1, 2) for n in range(4) for h in (k - 1, k, k + 1)
              for w in (Fraction(1), Fraction(4)))
@@ -467,7 +462,7 @@ def suite_qgenocchi(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
 
 # ---------------------------------------------------------------- limits
 
-def suite_limits(cfg: VerifyConfig) -> Iterator[tuple[str, Iterator]]:
+def suite_limits(cfg: Config) -> Iterator[tuple[str, Iterator]]:
     qh = Fraction(1, 2)
 
     specs = (((s.m, s.k, s.x), s) for s in _euler_limit_specs() if s.h == s.k - 1)
@@ -507,12 +502,14 @@ SUITES = {
     "limits": suite_limits,
 }
 
-SUITE_ORDER = ["qcore", "classical", "padic", "qeuler", "qgenocchi", "limits"]
+SUITE_ORDER = list(SUITES)
 
 
-def run_suites(names, cfg: VerifyConfig | None = None) -> dict:
-    """Run the named suites in fixed order; returns the structured report."""
-    cfg = cfg or VerifyConfig()
+def run_suites(names, cfg: Config | None = None) -> dict:
+    """Run the named suites in fixed order on `cfg`, `Config()` by default,
+    whose N is the depth of the p-adic oracles; returns the structured
+    report."""
+    cfg = cfg or Config()
     if "all" in names:
         names = SUITE_ORDER
     else:

@@ -21,6 +21,7 @@ from qgen.classical import (
     twisted_genocchi_classical,
     x,
 )
+from qgen.padic import Config
 from qgen.qcore import DomainError, Poly, falling
 
 F = Fraction
@@ -313,7 +314,7 @@ class TestVerifySuiteIsIndependent:
 
     @staticmethod
     def _checks():
-        return verify.run_suites(["classical"], verify.VerifyConfig())["suites"][0]["checks"]
+        return verify.run_suites(["classical"], Config())["suites"][0]["checks"]
 
     @staticmethod
     def _verdicts(monkeypatch, name, corrupt):

@@ -3,12 +3,13 @@ order, with its point count.  The counts do not depend on the p-adic
 level, which sets only how deep each oracle point sums.  A check's detail
 names only a failing point."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from qgen import cli, verify
-from qgen.padic import SeriesParams
+from qgen.padic import Config, SeriesParams
 
 ALL_CHECKS = [
     ("qcore", "gauss-binom-recursion-forms", 231),
@@ -51,7 +52,7 @@ ALL_CHECKS = [
 
 @pytest.mark.parametrize("level", [2, 4])
 def test_all_suites_checks_and_points(level):
-    report = verify.run_suites(["all"], verify.VerifyConfig(padic_level=level))
+    report = verify.run_suites(["all"], Config(N=level))
     got = [(s["suite"], c["name"], c["points"]) for s in report["suites"] for c in s["checks"]]
     assert got == ALL_CHECKS
     assert report["ok"]
@@ -74,7 +75,7 @@ def test_k3_oracle_depth_follows_the_budget(monkeypatch, level, budget, k3_level
         return check(f, target, qv, p, levels, term_budget)
 
     monkeypatch.setattr(verify, "padic_limit_check", spy)
-    verify.run_suites(["qeuler"], verify.VerifyConfig(padic_level=level, term_budget=budget))
+    verify.run_suites(["qeuler"], Config(N=level, term_budget=budget))
     requested = tuple(range(1, level + 1))
     assert seen == {(1, requested), (2, requested), (3, k3_levels)}
 
@@ -92,7 +93,7 @@ def test_boundary_detail_only_on_failure(diff, ok, detail):
         return diff, Fraction(0)
 
     points = verify._boundary_points([("p", None)], closed, series, Fraction(1, 2),
-                                     SeriesParams(3, "cesaro1"), verify.VerifyConfig())
+                                     SeriesParams(3, "cesaro1"), Config())
     assert list(points) == [("p", ok, detail)]
 
 
@@ -122,7 +123,47 @@ def test_checks_do_not_depend_on_when_they_run(name):
     """A suite's grids read nothing that the suite rebinds after yielding
     them: collecting every check before running any gives the same rows
     as running each as it is yielded."""
-    cfg = verify.VerifyConfig()
+    cfg = Config()
     collected = list(verify.SUITES[name](cfg))
     rows = [verify._run_grid(check_name, points) for check_name, points in collected]
     assert rows == verify.run_suites([name], cfg)["suites"][0]["checks"]
+
+
+@pytest.fixture
+def settings_seen(monkeypatch):
+    """The (N, M, cesaro_tol, term_budget) of each `run_suites` call that
+    passes a config, None for one that does not."""
+    seen = []
+    run = verify.run_suites
+
+    def spy(names, cfg=None):
+        seen.append(cfg and (cfg.N, cfg.M, cfg.cesaro_tol, cfg.term_budget))
+        return run(names, cfg)
+
+    monkeypatch.setattr(verify, "run_suites", spy)
+    return seen
+
+
+def _cli_report(tmp_path, *flags) -> str:
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", "all", "--report-json", str(path), *flags]) == 0
+    return path.read_text()
+
+
+def test_cli_defaults_reach_verify(tmp_path, monkeypatch, settings_seen):
+    monkeypatch.delenv("QGEN_CONFIG", raising=False)
+    expect = verify.run_suites(["all"])
+    assert _cli_report(tmp_path) == json.dumps(expect, separators=(",", ":")) + "\n"
+    default = Config()
+    assert settings_seen[-1] == (default.N, default.M, default.cesaro_tol, default.term_budget)
+
+
+def test_config_file_reaches_verify(tmp_path, monkeypatch, settings_seen):
+    monkeypatch.delenv("QGEN_CONFIG", raising=False)
+    by_flags = _cli_report(tmp_path, "--padic-level", "3", "--M", "300")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"N": 3, "M": 300}))
+    monkeypatch.setenv("QGEN_CONFIG", str(config))
+    assert _cli_report(tmp_path) == by_flags
+    assert settings_seen[0] == settings_seen[1]
+    assert settings_seen[0][:2] == (3, 300)
